@@ -253,9 +253,10 @@ def _load_stage_state(out: Path) -> dict:
     path = out / "stage_state.json"
     if path.exists():
         try:
-            return json.loads(path.read_text())
+            state = json.loads(path.read_text())
         except json.JSONDecodeError:
             return {}
+        return state if isinstance(state, dict) else {}
     return {}
 
 
@@ -424,8 +425,6 @@ def main(argv=None) -> int:
     common.add_argument("--config", required=True, help="pipeline config file")
     common.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
     common.add_argument("--seed", type=int, default=None, help="override sampling seed")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker cap (reserved; stages currently run vectorized in-process)")
     common.add_argument("--dry-run", action="store_true",
                         help="validate the config and exit without writing")
 

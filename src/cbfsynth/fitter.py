@@ -27,6 +27,7 @@ import json
 import hashlib
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -34,10 +35,11 @@ import numpy as np
 from scipy import optimize as sopt
 
 from .boundary import BoundarySet
-from .qp import QpProblem, max_over_box, solve_box_qp
+from .qp import max_over_box
 from .sampler import SampleClass, SampleSet
 from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
-                     eval_h_batch, identity_candidate)
+                     eval_h_batch, eval_h_stack, identity_candidate,
+                     stack_candidates)
 
 Array = np.ndarray
 
@@ -91,11 +93,6 @@ class FitResult:
     diagnostics: str = ""
 
 
-def _h_matrix(cands: Sequence[CbfCandidate], hcf: HardConstraint, states: Array) -> Array:
-    """(N, s) matrix of barrier values."""
-    return np.stack([eval_h_batch(c, hcf, states) for c in cands], axis=-1)
-
-
 def estimate_set_size(cands: Sequence[CbfCandidate], s: SampleSet,
                       cfg: FitConfig) -> float:
     """Monte Carlo size of {min_j h_j >= 0} inside the integration region.
@@ -113,7 +110,7 @@ def estimate_set_size(cands: Sequence[CbfCandidate], s: SampleSet,
     n_in = int(np.sum(in_v))
     if n_in == 0:
         raise ValueError("volume region contains no samples")
-    hmin = _h_matrix(cands, s_hcf(s), s.states[in_v]).min(axis=-1)
+    hmin = eval_h_stack(cands, s_hcf(s), s.states[in_v]).min(axis=0)
     if cfg.objective == "sample_count":
         return float(np.sum(hmin >= 0.0)) / n_in * vol
     return float(np.mean(np.maximum(hmin, 0.0))) * vol
@@ -189,73 +186,47 @@ class _SearchContext:
 
     # -- candidate evaluation ------------------------------------------------
 
-    def h_rows(self, cands: Sequence[CbfCandidate], states: Array | None = None) -> Array:
-        """(s, N) barrier values; row-major so the min over candidates is cheap."""
-        states = self.states_sub if states is None else states
-        return np.stack([eval_h_batch(c, self.hcf, states) for c in cands], axis=0)
+    def metrics(self, cands: Sequence[CbfCandidate], h_rows: Array,
+                full: bool = False) -> tuple[float, float, int]:
+        """(objective, non-feasible fraction of enclosed, enclosed count).
 
-    def h_sub(self, cands: Sequence[CbfCandidate]) -> Array:
-        return self.h_rows(cands)
-
-    def area_and_violation(self, cands: Sequence[CbfCandidate],
-                           h_rows: Array | None = None) -> tuple[float, float, int]:
-        """Subsampled (area, non-feasible fraction of enclosed, enclosed count).
-
-        With a positive margin the containment test inflates each set by the
-        buffer, so the delivered zero-superlevel set sits strictly inside the
-        feasible samples.
+        `h_rows` are the candidates' (s, N) values on the search subsample,
+        or on every sample when `full`. With a positive margin the
+        containment test inflates each set by the buffer, so the delivered
+        zero-superlevel set sits strictly inside the feasible samples.
         """
-        if h_rows is None:
-            h_rows = self.h_rows(cands)
+        in_v, feas, n_in_v = ((self.in_v, self.feas, self.n_in_v) if full
+                              else (self.in_v_sub, self.feas_sub, self.n_in_v_sub))
         hmin = np.minimum.reduce(h_rows, axis=0)
-        inside = (hmin >= 0.0) & self.in_v_sub
+        inside = (hmin >= 0.0) & in_v
         n_inside = int(np.count_nonzero(inside))
         if self.cfg.objective == "sample_count":
-            area = n_inside / self.n_in_v_sub * self.vol
+            area = n_inside / n_in_v * self.vol
         else:
-            area = float(np.mean(np.maximum(hmin[self.in_v_sub], 0.0))) * self.vol
+            area = float(np.mean(np.maximum(hmin[in_v], 0.0))) * self.vol
         shifts = self.margin_shifts(cands)
         if shifts is not None:
-            guard = (np.minimum.reduce(h_rows + shifts[:, None], axis=0) >= 0.0) & self.in_v_sub
+            guard = (np.minimum.reduce(h_rows + shifts[:, None], axis=0) >= 0.0) & in_v
         else:
             guard = inside
         n_guard = int(np.count_nonzero(guard))
-        if n_guard == 0:
-            return area, 0.0, n_inside
-        viol = float(np.count_nonzero(guard & ~self.feas_sub)) / n_guard
-        return area, viol, n_inside
-
-    def full_metrics(self, cands: Sequence[CbfCandidate]) -> tuple[float, float, int]:
-        """Full-sample (objective, violation fraction, enclosed count)."""
-        h_rows = self.h_rows(cands, self.states)
-        hmin = np.minimum.reduce(h_rows, axis=0)
-        inside = (hmin >= 0.0) & self.in_v
-        n_inside = int(np.count_nonzero(inside))
-        if self.cfg.objective == "sample_count":
-            area = n_inside / self.n_in_v * self.vol
-        else:
-            area = float(np.mean(np.maximum(hmin[self.in_v], 0.0))) * self.vol
-        shifts = self.margin_shifts(cands)
-        if shifts is not None:
-            guard = (np.minimum.reduce(h_rows + shifts[:, None], axis=0) >= 0.0) & self.in_v
-        else:
-            guard = inside
-        n_guard = int(np.count_nonzero(guard))
-        viol = float(np.count_nonzero(guard & ~self.feas)) / n_guard if n_guard else 0.0
+        viol = float(np.count_nonzero(guard & ~feas)) / n_guard if n_guard else 0.0
         return area, viol, n_inside
 
     # -- constraints ----------------------------------------------------------
 
-    def h_unit(self, scale: Array, shift: Array) -> float:
+    def h_unit(self, scale: Array, shift: Array) -> Array:
         """Barrier change per unit of normalized state distance.
 
         The margin is a geometric buffer, so it is converted to barrier units
         through the typical gradient magnitude (in box-normalized coordinates)
         rather than applied to raw h values, which the free candidate scale
-        could otherwise inflate away.
+        could otherwise inflate away. One candidate's (n,) scale and shift
+        give a scalar; s stacked (s, n) rows give (s,) values.
         """
+        scale, shift = scale[..., None, :], shift[..., None, :]
         grad = self.hcf.gradient(self.grad_probe * scale + shift) * (scale * self.span_w)
-        return max(float(np.mean(np.linalg.norm(grad, axis=-1))), 1e-12)
+        return np.maximum(np.mean(np.linalg.norm(grad, axis=-1), axis=-1), 1e-12)
 
     def offset_cap(self, scale: Array, shift: Array) -> float:
         """Largest offset keeping h <= -margin buffer at every boundary sample.
@@ -274,7 +245,8 @@ class _SearchContext:
         """Per-candidate h offsets realizing the margin buffer, or None if zero."""
         if not self.cfg.margin:
             return None
-        return np.array([self.cfg.margin * self.h_unit(c.scale, c.shift) for c in cands])
+        scale, shift, _ = stack_candidates(cands)
+        return self.cfg.margin * self.h_unit(scale, shift)
 
     def prop2_pass(self, scale: Array) -> tuple[int, int]:
         """(passing, total) for the exists-input condition at boundary samples."""
@@ -290,56 +262,56 @@ class _SearchContext:
         ok = max_over_box(rows, biases, self.input_box) >= 0.0
         return int(np.sum(ok)), ok.size
 
-    def active_boundary_probes(self, cands: Sequence[CbfCandidate], j: int,
-                               h_rows: Array, want: int, bisect_iters: int = 30) -> Array:
-        """Probe states on {h_j = 0, min_i h_i >= 0} by chord bisection.
+    def boundary_probes(self, cands: Sequence[CbfCandidate], h_rows: Array,
+                        want: int, bisect_iters: int = 30) -> tuple[Array, Array]:
+        """Probe states on each {h_j = 0, min_i h_i >= 0} by chord bisection.
 
-        Chords run between enclosed and h_j-negative subsample points; the
-        root along each chord lies on the j-th zero level set, and roots
-        leaving the intersection are discarded.
+        Chords run between enclosed and h_j-negative subsample points, the
+        first `want` of the pool per candidate; every candidate's chords are
+        bisected together with that candidate's (D, c, eps), and roots leaving
+        the intersection are discarded. Returns the roots and, per root, the
+        index of the candidate whose zero level set it lies on.
         """
         if not self.pool_a.size:
-            return np.zeros((0, self.n))
-        hmin = np.minimum.reduce(h_rows, axis=0)
-        a, bidx = self.pool_a, self.pool_b
-        good = (hmin[a] >= 0.0) & (h_rows[j, bidx] < 0.0)
-        a, bidx = a[good][:want], bidx[good][:want]
-        if not a.size:
-            return np.zeros((0, self.n))
-        xa = self.states_sub[a]
-        xb = self.states_sub[bidx]
+            return np.zeros((0, self.n)), np.zeros(0, dtype=int)
+        enclosed = np.minimum.reduce(h_rows, axis=0)[self.pool_a] >= 0.0
+        good = enclosed & (h_rows[:, self.pool_b] < 0.0)
+        owner, k = np.nonzero(good & (np.cumsum(good, axis=1) <= want))
+        if not k.size:
+            return np.zeros((0, self.n)), owner
+        xa = self.states_sub[self.pool_a[k]]
+        xb = self.states_sub[self.pool_b[k]]
+        scale, shift, offset = (p[owner] for p in stack_candidates(cands))
+        mid = np.empty_like(xa)
+        arg = np.empty_like(xa)
         for _ in range(bisect_iters):
-            mid = 0.5 * (xa + xb)
-            h_mid = eval_h_batch(cands[j], self.hcf, mid)
-            pos = h_mid >= 0.0
-            xa = np.where(pos[:, None], mid, xa)
-            xb = np.where(pos[:, None], xb, mid)
-        roots = xa
-        h_all = self.h_rows(cands, roots)
-        scale = 1.0 + np.max(np.abs(h_all), initial=0.0)
-        on_active = np.all(h_all >= -1e-7 * scale, axis=0)
-        return roots[on_active]
+            np.multiply(np.add(xa, xb, out=mid), 0.5, out=mid)
+            np.add(np.multiply(mid, scale, out=arg), shift, out=arg)
+            pos = (self.hcf.value(arg) + offset >= 0.0)[:, None]
+            np.copyto(xa, mid, where=pos)
+            np.copyto(xb, mid, where=~pos)
+        h_all = eval_h_stack(cands, self.hcf, xa)
+        h_max = np.zeros(len(cands))
+        np.maximum.at(h_max, owner, np.max(np.abs(h_all), axis=0))
+        on_active = np.all(h_all >= -1e-7 * (1.0 + h_max[owner]), axis=0)
+        return xa[on_active], owner[on_active]
 
     def multi_dz_pass(self, cands: Sequence[CbfCandidate], h_rows: Array,
                       want: int) -> tuple[int, int]:
         """Exists-input condition at active-boundary probes of every candidate."""
         if self.input_box is None:
             raise ValueError("multi fitting needs the input box")
-        passing = total = 0
-        for j, cand in enumerate(cands):
-            probes = self.active_boundary_probes(cands, j, h_rows, want)
-            if not probes.shape[0]:
-                continue
-            dbar = cand.scale - cand.scale[0]
-            dbar = dbar.copy()
-            dbar[0] = 0.0
-            gd = self.hcf.gradient(probes) * dbar
-            rows = np.einsum("bn,bnm->bm", gd, self.sys.actuation(probes))
-            biases = np.sum(gd * self.sys.drift(probes), axis=-1)
-            ok = max_over_box(rows, biases, self.input_box) >= 0.0
-            passing += int(np.sum(ok))
-            total += ok.size
-        return passing, total
+        probes, owner = self.boundary_probes(cands, h_rows, want)
+        if not probes.shape[0]:
+            return 0, 0
+        scale = stack_candidates(cands)[0]
+        dbar = scale - scale[:, :1]
+        dbar[:, 0] = 0.0
+        gd = self.hcf.gradient(probes) * dbar[owner]
+        rows = np.einsum("bn,bnm->bm", gd, self.sys.actuation(probes))
+        biases = np.sum(gd * self.sys.drift(probes), axis=-1)
+        ok = max_over_box(rows, biases, self.input_box) >= 0.0
+        return int(np.sum(ok)), ok.size
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +361,8 @@ def _embed_multi(cands: Sequence[CbfCandidate], s: int) -> Array:
 # Penalized search
 
 def _score(ctx: _SearchContext, cands: Sequence[CbfCandidate], mode: str) -> float:
-    h_rows = ctx.h_rows(cands)
-    area, viol, _ = ctx.area_and_violation(cands, h_rows)
+    h_rows = eval_h_stack(cands, ctx.hcf, ctx.states_sub)
+    area, viol, _ = ctx.metrics(cands, h_rows)
     score = -area + 3.0 * ctx.vol * viol
     if mode == "nonuniform":
         ok, total = ctx.prop2_pass(cands[0].scale)
@@ -406,7 +378,8 @@ def _score(ctx: _SearchContext, cands: Sequence[CbfCandidate], mode: str) -> flo
 def _hard_feasible(ctx: _SearchContext, cands: Sequence[CbfCandidate],
                    mode: str) -> tuple[bool, float, str]:
     """Full-set acceptance test; returns (ok, objective, reason)."""
-    obj, viol, n_inside = ctx.full_metrics(cands)
+    h_rows = eval_h_stack(cands, ctx.hcf, ctx.states)
+    obj, viol, n_inside = ctx.metrics(cands, h_rows, full=True)
     if n_inside == 0:
         return False, obj, "candidate set encloses no samples"
     if viol > CONTAINMENT_REJECT_TOL:
@@ -416,7 +389,7 @@ def _hard_feasible(ctx: _SearchContext, cands: Sequence[CbfCandidate],
         if total and ok < total:
             return False, obj, f"exists-input condition failed at {total - ok} boundary samples"
     if mode == "multi":
-        ok, total = ctx.multi_dz_pass(cands, ctx.h_sub(cands), want=ctx.cfg.probes)
+        ok, total = ctx.multi_dz_pass(cands, h_rows[:, ctx.sub], want=ctx.cfg.probes)
         if total and ok < total:
             return False, obj, f"exists-input condition failed at {total - ok} probes"
     return True, obj, ""
@@ -469,7 +442,7 @@ class _Incumbent:
     theta: Array | None = None
     cands: list[CbfCandidate] | None = None
     objective: float = -np.inf
-    reasons: list[str] = field(default_factory=list)
+    reasons: Counter = field(default_factory=Counter)
 
     def offer(self, ctx: _SearchContext, theta: Array, build, mode: str):
         cands = build(ctx, theta)
@@ -477,7 +450,7 @@ class _Incumbent:
         if ok and obj > self.objective:
             self.theta, self.cands, self.objective = theta.copy(), cands, obj
         elif not ok and reason:
-            self.reasons.append(reason)
+            self.reasons[reason] += 1
 
 
 def _run_search(ctx: _SearchContext, build, mode: str, seeds: list[Array],
@@ -507,7 +480,7 @@ def _finalize(ctx: _SearchContext, incumbent: _Incumbent, mode: str,
               b: BoundarySet | None) -> FitResult:
     cfg = ctx.cfg
     if incumbent.cands is None:
-        reasons = "; ".join(sorted(set(incumbent.reasons))[:4]) or "no candidate evaluated"
+        reasons = "; ".join(sorted(incumbent.reasons)[:4]) or "no candidate evaluated"
         report = VerificationReport(0.0, 0.0, 0.0, empty_warning=True)
         return FitResult([], 0.0, report, [], mode, feasible=False,
                          diagnostics=f"no feasible candidate after {cfg.restarts} restarts: {reasons}")
@@ -528,7 +501,7 @@ def _finalize(ctx: _SearchContext, incumbent: _Incumbent, mode: str,
                           f"the optimum is attainable with fewer tuples")
             cands = [c for k, c in enumerate(cands) if k not in drop]
 
-    objective, _, _ = ctx.full_metrics(cands)
+    objective, _, _ = ctx.metrics(cands, eval_h_stack(cands, ctx.hcf, ctx.states), full=True)
     report = verify_candidate(cands, ctx.s, ctx.sys, ctx.input_box
                               if ctx.input_box is not None else _unbounded_box(ctx.sys.m),
                               probes=cfg.probes, boundary=b, seed=cfg.seed)
@@ -711,17 +684,16 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
     """Empirical soundness report for a candidate collection.
 
     containment: enclosed samples classified feasible. boundary feasibility:
-    sup_u hdot >= 0 at bisection probes of each active boundary, solved as a
-    box QP. exists-input: the reduced-scaling condition at the extracted
-    class-boundary points.
+    sup_u hdot >= 0 at bisection probes of each active boundary, in closed
+    form over the input box. exists-input: the reduced-scaling condition at
+    the extracted class-boundary points.
     """
     if not cands:
         raise ValueError("need at least one candidate")
     bind_hcf(s, sys)
     hcf = sys.hcf
-    h_all = _h_matrix(cands, hcf, s.states)
-    hmin = h_all.min(axis=-1)
-    inside = hmin >= 0.0
+    h_all = eval_h_stack(cands, hcf, s.states)
+    inside = h_all.min(axis=0) >= 0.0
     n_inside = int(np.sum(inside))
     empty = n_inside == 0
     if empty:
@@ -733,23 +705,13 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
     cfg = FitConfig(mode="multi" if len(cands) > 1 else "nonuniform",
                     num_cbfs=max(2, len(cands)), seed=seed, probes=probes)
     ctx = _SearchContext(s, boundary, sys, input_box, cfg)
-    h_sub = ctx.h_sub(cands)
-
-    checked = passing = 0
-    for j in range(len(cands)):
-        pts = ctx.active_boundary_probes(cands, j, h_sub, probes)
-        for x in pts:
-            grad_h = hcf.gradient(cands[j].transform(x)) * cands[j].scale
-            row = np.asarray(grad_h @ sys.actuation(x), dtype=float).reshape(sys.m)
-            bias = float(grad_h @ sys.drift(x))
-            prob = QpProblem(hessian=np.zeros((sys.m, sys.m)), linear=-row,
-                             ineq_rows=np.zeros((0, sys.m)), ineq_rhs=np.zeros(0),
-                             box=input_box)
-            sol = solve_box_qp(prob)
-            sup_hdot = bias + float(row @ sol.argmin)
-            passing += bool(sup_hdot >= -1e-9 * (1.0 + abs(bias)))
-            checked += 1
-    boundary_frac = passing / checked if checked else 1.0
+    pts, owner = ctx.boundary_probes(cands, h_all[:, ctx.sub], probes)
+    scale, shift, _ = (p[owner] for p in stack_candidates(cands))
+    grad_h = hcf.gradient(pts * scale + shift) * scale
+    rows = np.einsum("bn,bnm->bm", grad_h, sys.actuation(pts))
+    biases = np.sum(grad_h * sys.drift(pts), axis=-1)
+    held = max_over_box(rows, biases, input_box) >= -1e-9 * (1.0 + np.abs(biases))
+    boundary_frac = int(np.count_nonzero(held)) / held.size if held.size else 1.0
 
     if boundary is not None and len(boundary):
         ok = total = 0

@@ -14,7 +14,7 @@ estimation fully vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -158,6 +158,23 @@ def eval_h(cand: CbfCandidate, hcf: HardConstraint, x: Array) -> float:
 def eval_h_batch(cand: CbfCandidate, hcf: HardConstraint, states: Array) -> Array:
     """Vectorized h over an (..., n) batch of states."""
     return hcf.value(cand.transform(states)) + cand.offset
+
+
+def stack_candidates(cands: Sequence[CbfCandidate]) -> tuple[Array, Array, Array]:
+    """Parameters of s candidates as (s, n) scales, (s, n) shifts and (s,) offsets."""
+    return (np.array([c.scale for c in cands]), np.array([c.shift for c in cands]),
+            np.array([c.offset for c in cands]))
+
+
+def eval_h_stack(cands: Sequence[CbfCandidate], hcf: HardConstraint, states: Array) -> Array:
+    """(s, N) values of s candidates over an (N, n) batch in one (s, N, n) z call.
+
+    Elementwise the same arithmetic as `eval_h_batch`, so each row equals the
+    single-candidate result bit for bit.
+    """
+    scale, shift, offset = stack_candidates(cands)
+    x = np.asarray(states, dtype=float)
+    return hcf.value(x * scale[:, None] + shift[:, None]) + offset[:, None]
 
 
 def eval_h_grad(cand: CbfCandidate, hcf: HardConstraint, x: Array) -> Array:

@@ -204,6 +204,20 @@ def test_pipeline_caching_and_stage_isolation(tmp_path):
         assert (out / f).read_bytes() == snapshot[f]
 
 
+@pytest.mark.parametrize("text", ["[]\n", "3\n", "\"sample\"\n", "null\n"],
+                         ids=["list", "number", "string", "null"])
+def test_pipeline_non_object_stage_state_reruns_stages(tmp_path, text):
+    """Valid JSON that is not an object is treated like an undecodable cache."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    snapshot = (out / "candidates_uniform.json").read_bytes()
+    (out / "stage_state.json").write_text(text)
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert (out / "candidates_uniform.json").read_bytes() == snapshot
+    assert isinstance(json.loads((out / "stage_state.json").read_text()), dict)
+
+
 def test_seed_override_changes_samples(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

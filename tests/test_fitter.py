@@ -5,9 +5,10 @@ from cbfsynth.boundary import extract_boundary
 from cbfsynth.fitter import (FitConfig, _SearchContext, bind_hcf,
                              check_redundancy, estimate_set_size, fit_multi,
                              fit_uniform, load_fit, save_fit, verify_candidate)
+from cbfsynth.qp import QpProblem, solve_box_qp
 from cbfsynth.sampler import run_sampling
 from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
-                             identity_candidate)
+                             eval_h_batch, eval_h_stack, identity_candidate)
 
 from conftest import (AREA_FEASIBLE, AREA_NONUNIFORM, AREA_UNIFORM, AREA_Z,
                       REFERENCE_BOUNDS)
@@ -146,6 +147,83 @@ def test_check_redundancy_needs_probes(di):
     with pytest.raises(ValueError):
         check_redundancy(identity_candidate(2), CAP_CANDIDATE, sysm.hcf,
                          np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_eval_h_stack_matches_per_candidate(di, count):
+    sysm, _ = di
+    states = np.random.default_rng(4).uniform(REFERENCE_BOUNDS.lower,
+                                              REFERENCE_BOUNDS.upper, (257, 2))
+    states[:8, 1] = 0.0                       # the indicator's switching surface
+    cands = [CAP_CANDIDATE,                   # zero position scale
+             CbfCandidate([0.0, 0.0], [-1.5, 2.0], 0.25),
+             CbfCandidate([1.7, 0.3], [0.5, -3.0], -0.8)][:count]
+    expect = np.stack([eval_h_batch(c, sysm.hcf, states) for c in cands])
+    assert np.array_equal(eval_h_stack(cands, sysm.hcf, states), expect)
+
+
+def test_h_unit_stacked_matches_single(di, reference_run, reference_boundary):
+    sysm, input_box = di
+    cfg = FitConfig(mode="multi", num_cbfs=3, margin=reference_boundary.epsilon)
+    ctx = _SearchContext(reference_run, reference_boundary, sysm, input_box, cfg)
+    cands = [identity_candidate(2), CAP_CANDIDATE, CbfCandidate([1.7, 0.3], [0.5, -3.0], -0.8)]
+    single = [cfg.margin * ctx.h_unit(c.scale, c.shift) for c in cands]
+    assert np.array_equal(ctx.margin_shifts(cands), np.array(single))
+
+
+def _reference_probes(ctx, cands, j, h_rows, want, bisect_iters=30):
+    """Candidate j's chords bisected alone, one eval_h_batch call per step."""
+    hmin = np.minimum.reduce(h_rows, axis=0)
+    a, b = ctx.pool_a, ctx.pool_b
+    good = (hmin[a] >= 0.0) & (h_rows[j, b] < 0.0)
+    xa, xb = ctx.states_sub[a[good][:want]], ctx.states_sub[b[good][:want]]
+    for _ in range(bisect_iters):
+        mid = 0.5 * (xa + xb)
+        pos = eval_h_batch(cands[j], ctx.hcf, mid) >= 0.0
+        xa = np.where(pos[:, None], mid, xa)
+        xb = np.where(pos[:, None], xb, mid)
+    h_all = np.stack([eval_h_batch(c, ctx.hcf, xa) for c in cands])
+    scale = 1.0 + np.max(np.abs(h_all), initial=0.0)
+    return xa[np.all(h_all >= -1e-7 * scale, axis=0)]
+
+
+@pytest.mark.parametrize("want", [48, 256])
+def test_boundary_probes_match_per_candidate_bisection(di, reference_run, want):
+    sysm, input_box = di
+    cands = [identity_candidate(2), CAP_CANDIDATE]
+    ctx = _SearchContext(reference_run, None, sysm, input_box,
+                         FitConfig(mode="multi", num_cbfs=2))
+    h_rows = eval_h_stack(cands, sysm.hcf, ctx.states_sub)
+    roots, owner = ctx.boundary_probes(cands, h_rows, want)
+    for j in range(len(cands)):
+        expect = _reference_probes(ctx, cands, j, h_rows, want)
+        assert 0 < expect.shape[0] <= want
+        assert np.array_equal(roots[owner == j], expect)
+
+
+def test_verify_identity_alone_matches_qp_oracle(di, reference_run, reference_boundary):
+    """Alone, the identity candidate's boundary includes velocities above the
+    cap of 30, where no input keeps h from falling; verification must count
+    those probes exactly as a per-probe box QP does."""
+    sysm, input_box = di
+    ident = identity_candidate(2)
+    rep = verify_candidate([ident], reference_run, sysm, input_box, probes=256,
+                           boundary=reference_boundary)
+    ctx = _SearchContext(reference_run, reference_boundary, sysm, input_box,
+                         FitConfig(mode="nonuniform", num_cbfs=2, probes=256))
+    h_rows = eval_h_stack([ident], sysm.hcf, ctx.states_sub)
+    pts = _reference_probes(ctx, [ident], 0, h_rows, 256)
+    passing = 0
+    for x in pts:
+        grad_h = sysm.hcf.gradient(ident.transform(x)) * ident.scale
+        row = np.asarray(grad_h @ sysm.actuation(x), dtype=float).reshape(sysm.m)
+        bias = float(grad_h @ sysm.drift(x))
+        sol = solve_box_qp(QpProblem(hessian=np.zeros((sysm.m, sysm.m)), linear=-row,
+                                     ineq_rows=np.zeros((0, sysm.m)),
+                                     ineq_rhs=np.zeros(0), box=input_box))
+        passing += bias + float(row @ sol.argmin) >= -1e-9 * (1.0 + abs(bias))
+    assert passing / len(pts) == 0.8203125
+    assert rep.boundary_cbf_feasible_fraction == 0.8203125
 
 
 def test_verify_reference_pair(di, reference_run, reference_boundary):
