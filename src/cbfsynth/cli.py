@@ -43,10 +43,18 @@ def _file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _load(loader, path: Path, **kwargs):
+    """Run an artifact loader; a file it cannot parse fails integrity, not config."""
+    try:
+        return loader(path, **kwargs)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"{path}: cannot parse: {exc}") from None
+
+
 def _check_sample_file(path: Path) -> smp.SampleSet:
     """Load a sample file and verify it reserializes to the same bytes."""
     data = path.read_bytes()
-    s = smp.load_samples(path)
+    s = _load(smp.load_samples, path)
     if smp.canonical_bytes(s) != data:
         raise IntegrityError(f"{path}: content does not match its canonical form")
     return s
@@ -115,16 +123,11 @@ def _stage_fit(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.Boundary
                checksums: dict[str, str]) -> tuple[dict[str, fit.FitResult], int]:
     sysm, input_box = _build(cfg)
     results: dict[str, fit.FitResult] = {}
-    warm_single: list = []
-    warm_tuples: list = []
+    warm: list[tuple] = []
     for mode in sorted(cfg.fit["modes"], key=_MODE_ORDER.get):
         fcfg = _fit_config(cfg, mode, b.epsilon)
-        if mode == "uniform":
-            res = fit.fit_uniform(s, b, sysm, fcfg, input_box=input_box)
-        elif mode == "nonuniform":
-            res = fit.fit_nonuniform(s, b, sysm, input_box, fcfg, warm=warm_single)
-        else:
-            res = fit.fit_multi(s, b, sysm, input_box, fcfg, warm=warm_tuples)
+        # looked up per call so that wrappers installed on the module are honoured
+        res = getattr(fit, f"fit_{mode}")(s, b, sysm, input_box, fcfg, warm=warm)
         results[mode] = res
         fit.save_fit(res, out / f"candidates_{mode}.json", cfg=fcfg,
                      source_checksums=checksums)
@@ -136,8 +139,7 @@ def _stage_fit(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.Boundary
               f"candidates={len(res.candidates)} containment={ver.containment_fraction:.4f} "
               f"boundary_ok={ver.boundary_cbf_feasible_fraction:.4f} "
               f"exists_input_ok={ver.prop2_feasible_fraction:.4f}")
-        warm_single = list(res.candidates)
-        warm_tuples.append(tuple(res.candidates))
+        warm.append(tuple(res.candidates))
     return results, EXIT_OK
 
 
@@ -198,7 +200,7 @@ def cmd_boundary(args) -> int:
         print(f"error: {sample_path} not found; run the sample stage first", file=_sys.stderr)
         return EXIT_INTEGRITY
     s = _check_sample_file(sample_path)
-    _stage_boundary(cfg, out, _with_hcf(cfg, s))
+    _stage_boundary(cfg, out, s)
     return EXIT_OK
 
 
@@ -214,14 +216,14 @@ def cmd_fit(args) -> int:
             print(f"error: {p} not found; run earlier stages first", file=_sys.stderr)
             return EXIT_INTEGRITY
     s = _check_sample_file(sample_path)
-    b = bnd.load_boundary(boundary_path, dim=s.bounds.dim)
+    b = _load(bnd.load_boundary, boundary_path, dim=s.bounds.dim)
     samples_digest = _file_digest(sample_path)
     if b.source_checksum != samples_digest:
         print(f"error: {boundary_path} was extracted from a different sample file",
               file=_sys.stderr)
         return EXIT_INTEGRITY
     checksums = {"samples": samples_digest, "boundary": _file_digest(boundary_path)}
-    _, code = _stage_fit(cfg, out, _with_hcf(cfg, s), b, checksums)
+    _, code = _stage_fit(cfg, out, s, b, checksums)
     return code
 
 
@@ -235,18 +237,12 @@ def cmd_simulate(args) -> int:
     if not cand_path.exists():
         print(f"error: {cand_path} not found; run the fit stage first", file=_sys.stderr)
         return EXIT_INTEGRITY
-    res, doc = fit.load_fit(cand_path)
+    res, doc = _load(fit.load_fit, cand_path)
     if not res.feasible or not res.candidates:
         print(f"error: {cand_path} holds no feasible candidates", file=_sys.stderr)
         return EXIT_INFEASIBLE
     _stage_simulate(cfg, out, doc["mode"], res, _file_digest(cand_path))
     return EXIT_OK
-
-
-def _with_hcf(cfg: PipelineConfig, s: smp.SampleSet) -> smp.SampleSet:
-    sysm, _ = _build(cfg)
-    s.hcf = sysm.hcf
-    return s
 
 
 def _load_stage_state(out: Path) -> dict:
@@ -256,7 +252,8 @@ def _load_stage_state(out: Path) -> dict:
             state = json.loads(path.read_text())
         except json.JSONDecodeError:
             return {}
-        return state if isinstance(state, dict) else {}
+        if isinstance(state, dict):
+            return {stage: entry for stage, entry in state.items() if isinstance(entry, dict)}
     return {}
 
 
@@ -278,7 +275,7 @@ def cmd_pipeline(args) -> int:
     cached = state.get("sample", {})
     if sample_path.exists() and cached.get("config_hash") == sample_hash \
             and cached.get("output") == _file_digest(sample_path):
-        s = _with_hcf(cfg, _check_sample_file(sample_path))
+        s = _check_sample_file(sample_path)
         print(f"sample: reusing {sample_path} (n={len(s)})")
         code = EXIT_OK if s.converged else EXIT_NOT_CONVERGED
     else:
@@ -296,7 +293,7 @@ def cmd_pipeline(args) -> int:
     if boundary_path.exists() and cached.get("config_hash") == boundary_hash \
             and cached.get("input") == samples_digest \
             and cached.get("output") == _file_digest(boundary_path):
-        b = bnd.load_boundary(boundary_path, dim=s.bounds.dim)
+        b = _load(bnd.load_boundary, boundary_path, dim=s.bounds.dim)
         print(f"boundary: reusing {boundary_path} ({len(b)} points)")
     else:
         b = _stage_boundary(cfg, out, s)
@@ -319,7 +316,7 @@ def cmd_pipeline(args) -> int:
     results: dict[str, fit.FitResult] = {}
     if reusable:
         for m in modes:
-            results[m], _ = fit.load_fit(out / f"candidates_{m}.json")
+            results[m], _ = _load(fit.load_fit, out / f"candidates_{m}.json")
         print(f"fit: reusing candidates for modes {modes}")
     else:
         results, code = _stage_fit(cfg, out, s, b, checksums)

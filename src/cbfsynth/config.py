@@ -16,12 +16,14 @@ line and column.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
+from .simulator import horizon_steps
 from .system import BoxSet
 
 
@@ -67,14 +69,21 @@ def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int, int]]]:
     return sections
 
 
+def _real(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _convert(kind: str, text: str, line: int, col: int) -> Any:
     try:
         if kind == "int":
             return int(text)
         if kind == "float":
-            return float(text)
+            return _real(text)
         if kind == "float_or_auto":
-            return "auto" if text == "auto" else float(text)
+            return "auto" if text == "auto" else _real(text)
         if kind == "bool":
             if text in ("true", "false"):
                 return text == "true"
@@ -84,13 +93,13 @@ def _convert(kind: str, text: str, line: int, col: int) -> Any:
                 raise ValueError("empty value")
             return text
         if kind == "vector":
-            return np.array([float(v) for v in text.split(",")], dtype=float)
+            return np.array([_real(v) for v in text.split(",")], dtype=float)
         if kind == "float_list":
-            return [float(v) for v in text.split(",")]
+            return [_real(v) for v in text.split(",")]
         if kind == "name_list":
             return [v.strip() for v in text.split(",") if v.strip()]
         if kind == "state_list":
-            return [np.array([float(v) for v in part.split(",")], dtype=float)
+            return [np.array([_real(v) for v in part.split(",")], dtype=float)
                     for part in text.split(";") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad {kind} value {text!r}: {exc}", line, col) from None
@@ -246,9 +255,14 @@ def _validate(typed: dict[str, dict[str, Any]]) -> None:
         raise ConfigError(f"unknown fit objective {fit['objective']!r}")
     if typed["simulate"]["on_infeasible"] not in ("continue", "stop"):
         raise ConfigError("simulate on_infeasible must be continue or stop")
-    for x0 in typed["simulate"]["x_init"]:
+    sim = typed["simulate"]
+    for x0 in sim["x_init"]:
         if x0.size != samp["lower"].size:
             raise ConfigError("simulate x_init dimension differs from sampling bounds")
+    try:
+        horizon_steps(sim["horizon"], sim["dt"])
+    except ValueError as exc:
+        raise ConfigError(f"simulate: {exc}") from None
 
 
 def load_config(path) -> PipelineConfig:

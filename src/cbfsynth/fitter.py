@@ -17,8 +17,8 @@ size over the integration region V:
 
 The decision spaces are tiny, so the search is Nelder-Mead on a penalized
 objective with structured and random restarts, followed by a coordinate-wise
-golden-section polish. Incumbents are accepted only when hard-feasible on the
-full sample set.
+golden-section polish. One driver runs all three programs from a per-mode
+table. Incumbents are accepted only when hard-feasible on the full sample set.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import hashlib
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize as sopt
@@ -94,7 +94,7 @@ class FitResult:
 
 
 def estimate_set_size(cands: Sequence[CbfCandidate], s: SampleSet,
-                      cfg: FitConfig) -> float:
+                      hcf: HardConstraint, cfg: FitConfig) -> float:
     """Monte Carlo size of {min_j h_j >= 0} inside the integration region.
 
     sample_count counts enclosed samples; integral averages the clipped
@@ -110,24 +110,10 @@ def estimate_set_size(cands: Sequence[CbfCandidate], s: SampleSet,
     n_in = int(np.sum(in_v))
     if n_in == 0:
         raise ValueError("volume region contains no samples")
-    hmin = eval_h_stack(cands, s_hcf(s), s.states[in_v]).min(axis=0)
+    hmin = eval_h_stack(cands, hcf, s.states[in_v]).min(axis=0)
     if cfg.objective == "sample_count":
         return float(np.sum(hmin >= 0.0)) / n_in * vol
     return float(np.mean(np.maximum(hmin, 0.0))) * vol
-
-
-# Sample sets loaded from disk do not carry the constraint function; fits
-# receive the system and rebind it before the batched evaluations above.
-def s_hcf(s: SampleSet) -> HardConstraint:
-    if s.hcf is None:
-        raise ValueError("sample set carries no constraint function; "
-                         "call bind_hcf(samples, system) first")
-    return s.hcf
-
-
-def bind_hcf(s: SampleSet, sys: SystemModel) -> SampleSet:
-    s.hcf = sys.hcf
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +121,9 @@ def bind_hcf(s: SampleSet, sys: SystemModel) -> SampleSet:
 
 class _SearchContext:
     def __init__(self, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
-                 input_box: BoxSet | None, cfg: FitConfig):
-        bind_hcf(s, sys)
+                 input_box: BoxSet, cfg: FitConfig):
+        if input_box is None:
+            raise ValueError("fitting needs the input box")
         self.s = s
         self.sys = sys
         self.hcf = sys.hcf
@@ -252,15 +239,7 @@ class _SearchContext:
         """(passing, total) for the exists-input condition at boundary samples."""
         if not self.bpoints.shape[0]:
             return 0, 0
-        if self.input_box is None:
-            raise ValueError("nonuniform fitting needs the input box")
-        dbar = scale - scale[0]
-        dbar[0] = 0.0
-        gd = self.bgrad * dbar
-        rows = np.einsum("bn,bnm->bm", gd, self.bact)
-        biases = np.sum(gd * self.bdrift, axis=-1)
-        ok = max_over_box(rows, biases, self.input_box) >= 0.0
-        return int(np.sum(ok)), ok.size
+        return self._dz_pass(scale, self.bgrad, self.bdrift, self.bact)
 
     def boundary_probes(self, cands: Sequence[CbfCandidate], h_rows: Array,
                         want: int, bisect_iters: int = 30) -> tuple[Array, Array]:
@@ -299,18 +278,22 @@ class _SearchContext:
     def multi_dz_pass(self, cands: Sequence[CbfCandidate], h_rows: Array,
                       want: int) -> tuple[int, int]:
         """Exists-input condition at active-boundary probes of every candidate."""
-        if self.input_box is None:
-            raise ValueError("multi fitting needs the input box")
         probes, owner = self.boundary_probes(cands, h_rows, want)
         if not probes.shape[0]:
             return 0, 0
-        scale = stack_candidates(cands)[0]
-        dbar = scale - scale[:, :1]
-        dbar[:, 0] = 0.0
-        gd = self.hcf.gradient(probes) * dbar[owner]
-        rows = np.einsum("bn,bnm->bm", gd, self.sys.actuation(probes))
-        biases = np.sum(gd * self.sys.drift(probes), axis=-1)
-        ok = max_over_box(rows, biases, self.input_box) >= 0.0
+        return self._dz_pass(stack_candidates(cands)[0][owner], self.hcf.gradient(probes),
+                             self.sys.drift(probes), self.sys.actuation(probes))
+
+    def _dz_pass(self, scale: Array, grad: Array, drift: Array,
+                 act: Array) -> tuple[int, int]:
+        """(passing, total) of: some input makes dz/dx Dbar xdot >= 0, with
+        Dbar = diag(0, d_2 - d_1, ..., d_n - d_1) from `scale` (one per row,
+        or one shared by every row)."""
+        dbar = scale - scale[..., :1]
+        dbar[..., 0] = 0.0
+        gd = grad * dbar
+        rows = np.einsum("bn,bnm->bm", gd, act)
+        ok = max_over_box(rows, np.sum(gd * drift, axis=-1), self.input_box) >= 0.0
         return int(np.sum(ok)), ok.size
 
 
@@ -340,43 +323,100 @@ def _build_multi(ctx: _SearchContext, theta: Array) -> list[CbfCandidate]:
     return cands
 
 
-def _embed_uniform(cand: CbfCandidate) -> Array:
-    return np.concatenate([[cand.scale[0]], cand.shift])
+def _seeds_uniform(ctx: _SearchContext, warm) -> list[Array]:
+    """Unit scale, shifted 0, 1/2 and 1 span up the last axis; then warm uniform sets."""
+    seeds = []
+    for frac in (0.0, 0.5, 1.0):
+        shift = np.zeros(ctx.n)
+        shift[-1] = frac * ctx.s.bounds.span[-1]
+        seeds.append(np.concatenate([[1.0], shift]))
+    return seeds + [np.concatenate([[c.scale[0]], c.shift])
+                    for tup in warm for c in tup if c.is_uniform()]
 
 
-def _embed_nonuniform(cand: CbfCandidate) -> Array:
-    return np.concatenate([cand.scale, cand.shift])
+def _seeds_nonuniform(ctx: _SearchContext, warm) -> list[Array]:
+    """Unit scales without shift, then every warm candidate."""
+    return [np.concatenate([np.ones(ctx.n), np.zeros(ctx.n)])] + [
+        np.concatenate([c.scale, c.shift]) for tup in warm for c in tup]
 
 
-def _embed_multi(cands: Sequence[CbfCandidate], s: int) -> Array:
-    cands = list(cands)
-    while len(cands) < s:
-        cands.append(cands[-1])
+def _seeds_multi(ctx: _SearchContext, warm) -> list[Array]:
+    """The raw constraint in every slot, then each warm tuple padded with its last."""
+    k = ctx.cfg.num_cbfs
+
+    def embed(tup):
+        tup = (list(tup) + [tup[-1]] * k)[:k]
+        return np.concatenate([np.concatenate([c.scale, c.shift, [c.offset]]) for c in tup])
+
+    return [embed([identity_candidate(ctx.n)])] + [embed(tup) for tup in warm]
+
+
+def _random_scales_shift(ctx: _SearchContext, rng, size: int) -> Array:
+    d = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=size))
+    span = ctx.s.bounds.span
+    return np.concatenate([d, rng.uniform(-span, span)])
+
+
+def _random_multi(ctx: _SearchContext, rng) -> Array:
     return np.concatenate([
-        np.concatenate([c.scale, c.shift, [c.offset]]) for c in cands[:s]
-    ])
+        np.concatenate([_random_scales_shift(ctx, rng, ctx.n),
+                        [rng.uniform(-ctx.z_scale, ctx.z_scale)]])
+        for _ in range(ctx.cfg.num_cbfs)])
+
+
+def _steps_multi(ctx: _SearchContext) -> Array:
+    one = np.concatenate([0.25 * np.ones(ctx.n), 0.1 * ctx.c_scale, [0.1 * ctx.z_scale]])
+    return np.tile(one, ctx.cfg.num_cbfs)
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """One fit program, as the shared search driver sees it."""
+
+    build: Callable[[_SearchContext, Array], list[CbfCandidate]]
+    seeds: Callable          # (ctx, warm tuples) -> structured and warm starts
+    random_theta: Callable   # (ctx, rng) -> one random start
+    steps: Callable          # ctx -> per-coordinate Nelder-Mead and polish steps
+    key_offset: int = 0      # added to the fit seed for the restart stream
+    exists_input: Callable | None = None   # (ctx, cands, h_sub, want) -> (passing, total)
+    checked_at: str = ""     # what exists_input counts, for rejection reasons
+    block_passes: bool = False
+
+
+_MODES = {
+    "uniform": _Mode(
+        _build_uniform, _seeds_uniform,
+        lambda ctx, rng: _random_scales_shift(ctx, rng, 1),
+        lambda ctx: np.concatenate([[0.25], 0.1 * ctx.c_scale])),
+    "nonuniform": _Mode(
+        _build_nonuniform, _seeds_nonuniform,
+        lambda ctx, rng: _random_scales_shift(ctx, rng, ctx.n),
+        lambda ctx: np.concatenate([0.25 * np.ones(ctx.n), 0.1 * ctx.c_scale]),
+        exists_input=lambda ctx, cands, h_sub, want: ctx.prop2_pass(cands[0].scale),
+        checked_at="boundary samples"),
+    "multi": _Mode(
+        _build_multi, _seeds_multi, _random_multi, _steps_multi, key_offset=1,
+        exists_input=_SearchContext.multi_dz_pass, checked_at="probes",
+        block_passes=True),
+}
 
 
 # ---------------------------------------------------------------------------
 # Penalized search
 
-def _score(ctx: _SearchContext, cands: Sequence[CbfCandidate], mode: str) -> float:
+def _score(ctx: _SearchContext, mode: _Mode, cands: Sequence[CbfCandidate]) -> float:
     h_rows = eval_h_stack(cands, ctx.hcf, ctx.states_sub)
     area, viol, _ = ctx.metrics(cands, h_rows)
     score = -area + 3.0 * ctx.vol * viol
-    if mode == "nonuniform":
-        ok, total = ctx.prop2_pass(cands[0].scale)
-        if total:
-            score += 2.0 * ctx.vol * (total - ok) / total
-    elif mode == "multi":
-        ok, total = ctx.multi_dz_pass(cands, h_rows, want=48)
+    if mode.exists_input is not None:
+        ok, total = mode.exists_input(ctx, cands, h_rows, 48)
         if total:
             score += 2.0 * ctx.vol * (total - ok) / total
     return score
 
 
-def _hard_feasible(ctx: _SearchContext, cands: Sequence[CbfCandidate],
-                   mode: str) -> tuple[bool, float, str]:
+def _hard_feasible(ctx: _SearchContext, mode: _Mode,
+                   cands: Sequence[CbfCandidate]) -> tuple[bool, float, str]:
     """Full-set acceptance test; returns (ok, objective, reason)."""
     h_rows = eval_h_stack(cands, ctx.hcf, ctx.states)
     obj, viol, n_inside = ctx.metrics(cands, h_rows, full=True)
@@ -384,14 +424,11 @@ def _hard_feasible(ctx: _SearchContext, cands: Sequence[CbfCandidate],
         return False, obj, "candidate set encloses no samples"
     if viol > CONTAINMENT_REJECT_TOL:
         return False, obj, f"containment violation {viol:.2e}"
-    if mode == "nonuniform":
-        ok, total = ctx.prop2_pass(cands[0].scale)
+    if mode.exists_input is not None:
+        ok, total = mode.exists_input(ctx, cands, h_rows[:, ctx.sub], ctx.cfg.probes)
         if total and ok < total:
-            return False, obj, f"exists-input condition failed at {total - ok} boundary samples"
-    if mode == "multi":
-        ok, total = ctx.multi_dz_pass(cands, h_rows[:, ctx.sub], want=ctx.cfg.probes)
-        if total and ok < total:
-            return False, obj, f"exists-input condition failed at {total - ok} probes"
+            return False, obj, (f"exists-input condition failed at {total - ok} "
+                                f"{mode.checked_at}")
     return True, obj, ""
 
 
@@ -437,55 +474,92 @@ def _golden_polish(fun, x: Array, steps: Array, rounds: int = 2) -> Array:
     return x
 
 
-@dataclass
-class _Incumbent:
-    theta: Array | None = None
-    cands: list[CbfCandidate] | None = None
-    objective: float = -np.inf
-    reasons: Counter = field(default_factory=Counter)
+def _block_passes(ctx: _SearchContext, theta: Array, steps: Array, rng,
+                  fun, offer) -> Array:
+    """Two block-coordinate passes: hold all tuples but one fixed.
 
-    def offer(self, ctx: _SearchContext, theta: Array, build, mode: str):
-        cands = build(ctx, theta)
-        ok, obj, reason = _hard_feasible(ctx, cands, mode)
-        if ok and obj > self.objective:
-            self.theta, self.cands, self.objective = theta.copy(), cands, obj
-        elif not ok and reason:
-            self.reasons[reason] += 1
+    Every tuple after the first starts from a jittered copy, letting it
+    specialize into whatever cap the data demands.
+    """
+    block = theta.size // ctx.cfg.num_cbfs
+    steps_one = steps[:block]
+    block_iters = max(100, ctx.cfg.iterations // 2)
+    for _ in range(2):
+        for j in range(ctx.cfg.num_cbfs):
+            sel = slice(j * block, (j + 1) * block)
+
+            def block_fun(tj, sel=sel):
+                trial = theta.copy()
+                trial[sel] = tj
+                return fun(trial)
+
+            tj0 = theta[sel] + (rng.standard_normal(block) * 1e-3 * steps_one
+                                if j > 0 else 0.0)
+            theta[sel] = _nelder_mead(block_fun, tj0, steps_one, block_iters)
+            offer(theta)
+    return theta
 
 
-def _run_search(ctx: _SearchContext, build, mode: str, seeds: list[Array],
-                random_theta, steps: Array) -> _Incumbent:
+def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
+         input_box: BoxSet, cfg: FitConfig,
+         warm: Sequence[Sequence[CbfCandidate]]) -> FitResult:
+    """Search driver shared by the three modes.
+
+    Each structured or warm seed is offered as is, refined by block passes
+    where the mode has them, then by Nelder-Mead and a golden-section polish;
+    the remaining restarts start from the best of `population` random draws.
+    Every offer goes through the full-set acceptance test, and the accepted
+    candidate with the largest objective is kept.
+    """
+    mode = _MODES[name]
+    ctx = _SearchContext(s, b, sys, input_box, replace(cfg, mode=name))
     cfg = ctx.cfg
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    incumbent = _Incumbent()
+    steps = mode.steps(ctx)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed + mode.key_offset))
+    best: list[CbfCandidate] | None = None
+    best_obj = -np.inf
+    reasons: Counter = Counter()
 
     def fun(theta):
-        return _score(ctx, build(ctx, theta), mode)
+        return _score(ctx, mode, mode.build(ctx, theta))
 
-    starts: list[Array] = list(seeds)
-    while len(starts) < max(cfg.restarts, len(seeds)):
-        pool = [random_theta(rng) for _ in range(max(1, cfg.population))]
-        starts.append(min(pool, key=fun))
+    def offer(theta):
+        nonlocal best, best_obj
+        cands = mode.build(ctx, theta)
+        ok, obj, reason = _hard_feasible(ctx, mode, cands)
+        if ok and obj > best_obj:
+            best, best_obj = cands, obj
+        elif not ok and reason:
+            reasons[reason] += 1
 
-    for theta0 in starts:
-        incumbent.offer(ctx, theta0, build, mode)
-        theta = _nelder_mead(fun, np.asarray(theta0, dtype=float), steps, cfg.iterations)
-        incumbent.offer(ctx, theta, build, mode)
+    seeds = mode.seeds(ctx, warm)
+    for k in range(max(cfg.restarts, len(seeds))):
+        if k < len(seeds):
+            theta = np.array(seeds[k], dtype=float)
+            offer(theta)
+            if mode.block_passes:
+                theta = _block_passes(ctx, theta, steps, rng, fun, offer)
+        else:
+            pool = [mode.random_theta(ctx, rng) for _ in range(max(1, cfg.population))]
+            theta = min(pool, key=fun)
+            offer(theta)
+        theta = _nelder_mead(fun, theta, steps, cfg.iterations)
+        offer(theta)
         theta = _golden_polish(fun, theta, steps)
-        incumbent.offer(ctx, theta, build, mode)
-    return incumbent
+        offer(theta)
+    return _finalize(ctx, best, reasons, b)
 
 
-def _finalize(ctx: _SearchContext, incumbent: _Incumbent, mode: str,
+def _finalize(ctx: _SearchContext, best: list[CbfCandidate] | None, reasons: Counter,
               b: BoundarySet | None) -> FitResult:
     cfg = ctx.cfg
-    if incumbent.cands is None:
-        reasons = "; ".join(sorted(incumbent.reasons)[:4]) or "no candidate evaluated"
+    if best is None:
+        why = "; ".join(sorted(reasons)[:4]) or "no candidate evaluated"
         report = VerificationReport(0.0, 0.0, 0.0, empty_warning=True)
-        return FitResult([], 0.0, report, [], mode, feasible=False,
-                         diagnostics=f"no feasible candidate after {cfg.restarts} restarts: {reasons}")
+        return FitResult([], 0.0, report, [], cfg.mode, feasible=False,
+                         diagnostics=f"no feasible candidate after {cfg.restarts} restarts: {why}")
 
-    cands = list(incumbent.cands)
+    cands = list(best)
     flags: list[tuple[int, int, bool]] = []
     if len(cands) > 1:
         probe_states = ctx.states_sub[:max(2 * ctx.n + 4, 64)]
@@ -494,7 +568,7 @@ def _finalize(ctx: _SearchContext, incumbent: _Incumbent, mode: str,
             for j in range(i + 1, len(cands)):
                 red = check_redundancy(cands[i], cands[j], ctx.hcf, probe_states)
                 flags.append((i, j, red))
-                if red and j not in drop:
+                if red:
                     drop.add(j)
         if drop:
             warnings.warn(f"collapsed {len(drop)} redundant candidate(s); "
@@ -502,137 +576,37 @@ def _finalize(ctx: _SearchContext, incumbent: _Incumbent, mode: str,
             cands = [c for k, c in enumerate(cands) if k not in drop]
 
     objective, _, _ = ctx.metrics(cands, eval_h_stack(cands, ctx.hcf, ctx.states), full=True)
-    report = verify_candidate(cands, ctx.s, ctx.sys, ctx.input_box
-                              if ctx.input_box is not None else _unbounded_box(ctx.sys.m),
+    report = verify_candidate(cands, ctx.s, ctx.sys, ctx.input_box,
                               probes=cfg.probes, boundary=b, seed=cfg.seed)
-    return FitResult(cands, objective, report, flags, mode)
-
-
-def _unbounded_box(m: int) -> BoxSet:
-    big = 1e12
-    return BoxSet(-big * np.ones(m), big * np.ones(m))
+    return FitResult(cands, objective, report, flags, cfg.mode)
 
 
 # ---------------------------------------------------------------------------
 # Public fitting entry points
+#
+# Each takes `warm`, the candidate tuples of every earlier mode, as extra
+# seeds. The CLI looks these names up on the module when the stage runs.
 
-def fit_uniform(s: SampleSet, b: BoundarySet, sys: SystemModel, cfg: FitConfig,
-                input_box: BoxSet | None = None,
-                warm: Sequence[CbfCandidate] = ()) -> FitResult:
+def fit_uniform(s: SampleSet, b: BoundarySet, sys: SystemModel, input_box: BoxSet,
+                cfg: FitConfig, warm: Sequence[Sequence[CbfCandidate]] = ()) -> FitResult:
     """Uniform scaling and offset: maximize the set size with d I, c, eps."""
-    cfg = replace(cfg, mode="uniform", num_cbfs=1)
-    ctx = _SearchContext(s, b, sys, input_box, cfg)
-    n = ctx.n
-    steps = np.concatenate([[0.25], 0.1 * ctx.c_scale])
-
-    seeds = [np.concatenate([[1.0], np.zeros(n)])]
-    span = s.bounds.span
-    for frac in (0.5, 1.0):
-        shift = np.zeros(n)
-        shift[-1] = frac * span[-1]
-        seeds.append(np.concatenate([[1.0], shift]))
-    seeds.extend(_embed_uniform(c) for c in warm if c.is_uniform())
-
-    def random_theta(rng):
-        d = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
-        c = rng.uniform(-span, span)
-        return np.concatenate([[d], c])
-
-    incumbent = _run_search(ctx, _build_uniform, "uniform", seeds, random_theta, steps)
-    return _finalize(ctx, incumbent, "uniform", b)
+    return _fit("uniform", s, b, sys, input_box, cfg, warm)
 
 
-def fit_nonuniform(s: SampleSet, b: BoundarySet, sys: SystemModel,
-                   input_box: BoxSet, cfg: FitConfig,
-                   warm: Sequence[CbfCandidate] = ()) -> FitResult:
+def fit_nonuniform(s: SampleSet, b: BoundarySet, sys: SystemModel, input_box: BoxSet,
+                   cfg: FitConfig, warm: Sequence[Sequence[CbfCandidate]] = ()) -> FitResult:
     """Per-axis scaling d_i >= 0 with the exists-input boundary condition."""
-    cfg = replace(cfg, mode="nonuniform", num_cbfs=1)
-    ctx = _SearchContext(s, b, sys, input_box, cfg)
-    n = ctx.n
-    steps = np.concatenate([0.25 * np.ones(n), 0.1 * ctx.c_scale])
-    span = s.bounds.span
-
-    seeds = [np.concatenate([np.ones(n), np.zeros(n)])]
-    seeds.extend(_embed_nonuniform(c) for c in warm)
-
-    def random_theta(rng):
-        d = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=n))
-        c = rng.uniform(-span, span)
-        return np.concatenate([d, c])
-
-    incumbent = _run_search(ctx, _build_nonuniform, "nonuniform", seeds, random_theta, steps)
-    return _finalize(ctx, incumbent, "nonuniform", b)
+    return _fit("nonuniform", s, b, sys, input_box, cfg, warm)
 
 
 def fit_multi(s: SampleSet, b: BoundarySet, sys: SystemModel, input_box: BoxSet,
               cfg: FitConfig, warm: Sequence[Sequence[CbfCandidate]] = ()) -> FitResult:
     """Intersection of num_cbfs candidate sets, containment-constrained.
 
-    The search alternates block passes (one tuple at a time) with joint
-    refinement; the natural structured seed pairs the raw constraint function
-    with a jittered copy, letting the second tuple specialize into whatever
-    cap the data demands.
+    Seeds get block passes (one tuple at a time) before joint refinement; the
+    natural structured seed puts the raw constraint function in every slot.
     """
-    cfg = replace(cfg, mode="multi")
-    ctx = _SearchContext(s, b, sys, input_box, cfg)
-    n, s_cbf = ctx.n, cfg.num_cbfs
-    block = 2 * n + 1
-    steps_one = np.concatenate([0.25 * np.ones(n), 0.1 * ctx.c_scale, [0.1 * ctx.z_scale]])
-    steps = np.tile(steps_one, s_cbf)
-    span = s.bounds.span
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed + 1))
-
-    def fun(theta):
-        return _score(ctx, _build_multi(ctx, theta), "multi")
-
-    ident = identity_candidate(n)
-    seeds = [_embed_multi([ident] * s_cbf, s_cbf)]
-    for tup in warm:
-        seeds.append(_embed_multi(list(tup), s_cbf))
-
-    block_iters = max(100, cfg.iterations // 2)
-    incumbent = _Incumbent()
-    for theta0 in seeds:
-        incumbent.offer(ctx, theta0, _build_multi, "multi")
-        theta = theta0.astype(float).copy()
-        # block-coordinate passes: hold all tuples but one fixed
-        for _ in range(2):
-            for j in range(s_cbf):
-                sel = slice(j * block, (j + 1) * block)
-
-                def block_fun(tj, sel=sel, theta=theta):
-                    trial = theta.copy()
-                    trial[sel] = tj
-                    return fun(trial)
-
-                tj0 = theta[sel] + (rng.standard_normal(block) * 1e-3 * steps_one
-                                    if j > 0 else 0.0)
-                theta[sel] = _nelder_mead(block_fun, tj0, steps_one, block_iters)
-                incumbent.offer(ctx, theta, _build_multi, "multi")
-        theta = _nelder_mead(fun, theta, steps, cfg.iterations)
-        incumbent.offer(ctx, theta, _build_multi, "multi")
-        theta = _golden_polish(fun, theta, steps)
-        incumbent.offer(ctx, theta, _build_multi, "multi")
-
-    def random_theta(rng_):
-        blocks = []
-        for _ in range(s_cbf):
-            d = np.exp(rng_.uniform(np.log(0.2), np.log(5.0), size=n))
-            c = rng_.uniform(-span, span)
-            eps = rng_.uniform(-ctx.z_scale, ctx.z_scale)
-            blocks.append(np.concatenate([d, c, [eps]]))
-        return np.concatenate(blocks)
-
-    extra = max(0, cfg.restarts - len(seeds))
-    for _ in range(extra):
-        pool = [random_theta(rng) for _ in range(max(1, cfg.population))]
-        theta0 = min(pool, key=fun)
-        theta = _nelder_mead(fun, theta0, steps, cfg.iterations)
-        incumbent.offer(ctx, theta, _build_multi, "multi")
-        theta = _golden_polish(fun, theta, steps)
-        incumbent.offer(ctx, theta, _build_multi, "multi")
-
-    return _finalize(ctx, incumbent, "multi", b)
+    return _fit("multi", s, b, sys, input_box, cfg, warm)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +664,6 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
     """
     if not cands:
         raise ValueError("need at least one candidate")
-    bind_hcf(s, sys)
     hcf = sys.hcf
     h_all = eval_h_stack(cands, hcf, s.states)
     inside = h_all.min(axis=0) >= 0.0
@@ -702,9 +675,7 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
         feas = s.class_mask(SampleClass.FEASIBLE)
         containment = float(np.sum(inside & feas)) / n_inside
 
-    cfg = FitConfig(mode="multi" if len(cands) > 1 else "nonuniform",
-                    num_cbfs=max(2, len(cands)), seed=seed, probes=probes)
-    ctx = _SearchContext(s, boundary, sys, input_box, cfg)
+    ctx = _SearchContext(s, boundary, sys, input_box, FitConfig(seed=seed, probes=probes))
     pts, owner = ctx.boundary_probes(cands, h_all[:, ctx.sub], probes)
     scale, shift, _ = (p[owner] for p in stack_candidates(cands))
     grad_h = hcf.gradient(pts * scale + shift) * scale
@@ -713,15 +684,9 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
     held = max_over_box(rows, biases, input_box) >= -1e-9 * (1.0 + np.abs(biases))
     boundary_frac = int(np.count_nonzero(held)) / held.size if held.size else 1.0
 
-    if boundary is not None and len(boundary):
-        ok = total = 0
-        for cand in cands:
-            p_ok, p_total = ctx.prop2_pass(cand.scale)
-            ok += p_ok
-            total += p_total
-        prop2_frac = ok / total if total else 1.0
-    else:
-        prop2_frac = 1.0
+    passes = [ctx.prop2_pass(cand.scale) for cand in cands]
+    total = sum(t for _, t in passes)
+    prop2_frac = sum(ok for ok, _ in passes) / total if total else 1.0
 
     return VerificationReport(containment, boundary_frac, prop2_frac, empty_warning=empty)
 

@@ -277,8 +277,8 @@ def min_zdot_residual(sys: SystemModel, x: Array,
     return sol.argmin, max(sol.objective, 0.0)
 
 
-def zero_tolerance(lf: float, coeff: float = 1e-9) -> float:
-    """Scale-aware threshold under which the residual counts as zero."""
+def zero_tolerance(lf: float | Array, coeff: float = 1e-9) -> float | Array:
+    """Scale-aware threshold under which the residual counts as zero (elementwise)."""
     return coeff * (1.0 + lf * lf)
 
 

@@ -23,8 +23,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .qp import lie_derivatives, min_zdot_residual, zero_tolerance
-from .system import BoxSet, HardConstraint, SystemModel
+from .qp import zero_tolerance
+from .system import BoxSet, SystemModel
 
 Array = np.ndarray
 
@@ -86,7 +86,6 @@ class SampleSet:
     tracker: JaccardTracker
     system_name: str = "anonymous"
     converged: bool = True
-    hcf: HardConstraint | None = None   # transient, not persisted
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -114,23 +113,10 @@ def draw_batch(bounds: BoxSet, count: int, rng: np.random.Generator) -> Array:
     return rng.uniform(bounds.lower, bounds.upper, size=(count, bounds.dim))
 
 
-def default_extra_feasible(sys: SystemModel, states: Array) -> Array:
-    """States where the input cannot influence zdot but zdot is strictly positive.
-
-    Vectorized over (..., n); generalizes augmenting the feasible class with
-    regions where z can only grow.
-    """
-    states = np.asarray(states, dtype=float)
-    grad = sys.hcf.gradient(states)
-    lf = np.sum(grad * sys.drift(states), axis=-1)
-    lg = np.einsum("...n,...nm->...m", grad, sys.actuation(states))
-    return (np.max(np.abs(lg), axis=-1) == 0.0) & (lf > 0.0)
-
-
 def classify(sys: SystemModel, input_box: BoxSet, x: Array,
              zero_tol: float | None = None,
              extra_feasible: Callable[[Array], Array] | None = None) -> SampleRecord:
-    """Classify one state.
+    """Classify one state: a one-row `classify_batch`.
 
     `zero_tol` is the coefficient of the scale-aware residual threshold
     coeff * (1 + L_f z(x)^2); None selects the default coefficient.
@@ -138,19 +124,8 @@ def classify(sys: SystemModel, input_box: BoxSet, x: Array,
     accept an (N, n) batch.
     """
     x = np.asarray(x, dtype=float)
-    coeff = DEFAULT_ZERO_TOL if zero_tol is None else zero_tol
-    zval = float(sys.hcf.value(x))
-    if zval < 0.0:
-        return SampleRecord(x, SampleClass.OUTSIDE, 0.0)
-    u, residual = min_zdot_residual(sys, x, input_box)
-    lf, _ = lie_derivatives(sys, x)
-    if residual <= zero_tolerance(lf, coeff):
-        return SampleRecord(x, SampleClass.FEASIBLE, residual)
-    extra = default_extra_feasible(sys, x[None, :]) if extra_feasible is None \
-        else np.asarray(extra_feasible(x[None, :]), dtype=bool)
-    if bool(extra.reshape(-1)[0]):
-        return SampleRecord(x, SampleClass.FEASIBLE, residual)
-    return SampleRecord(x, SampleClass.INFEASIBLE, residual)
+    labels, residuals = classify_batch(sys, input_box, x[None, :], zero_tol, extra_feasible)
+    return SampleRecord(x, _CODE_CLASS[int(labels[0])], float(residuals[0]))
 
 
 def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
@@ -159,28 +134,31 @@ def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
                    ) -> tuple[Array, Array]:
     """Vectorized classification; returns (label codes, residuals).
 
-    Elementwise-identical to per-state `classify` (same formulas, no
-    cross-sample reductions), so batch order cannot affect labels.
+    The residual min over the input box of (L_f z + L_g z . u)^2 is taken in
+    closed form: L_g z . u sweeps an interval over the box, so it is the
+    squared distance from -L_f z to that interval. There are no cross-sample
+    reductions, so batch order cannot affect labels.
     """
     states = np.asarray(states, dtype=float)
     coeff = DEFAULT_ZERO_TOL if zero_tol is None else zero_tol
-    n_samples = states.shape[0]
     zvals = sys.hcf.value(states)
     grad = sys.hcf.gradient(states)
     lf = np.sum(grad * sys.drift(states), axis=-1)
     lg = np.einsum("...n,...nm->...m", grad, sys.actuation(states))
 
-    residuals = np.empty(n_samples)
     lg_zero = np.max(np.abs(lg), axis=-1) == 0.0
-    residuals[lg_zero] = lf[lg_zero] ** 2
-    active = ~lg_zero
-    if sys.m == 1 and np.any(active):
+    if sys.m == 1:
+        # the m = 1 formula is persisted in sample files: keep it bit for bit
+        residuals = lf ** 2
+        active = ~lg_zero
         a = lg[active, 0]
         u = np.clip(-lf[active] / a, input_box.lower[0], input_box.upper[0])
         residuals[active] = (lf[active] + a * u) ** 2
     else:
-        for i in np.flatnonzero(active):
-            _, residuals[i] = min_zdot_residual(sys, states[i], input_box)
+        ends = np.stack([lg * input_box.lower, lg * input_box.upper])
+        lo = np.sum(np.min(ends, axis=0), axis=-1)
+        hi = np.sum(np.max(ends, axis=0), axis=-1)
+        residuals = (lf + np.clip(-lf, lo, hi)) ** 2
 
     if extra_feasible is None:
         extra = lg_zero & (lf > 0.0)
@@ -188,16 +166,12 @@ def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
         extra = np.asarray(extra_feasible(states), dtype=bool)
 
     outside = zvals < 0.0
-    feasible = ~outside & ((residuals <= zero_tolerance_vec(lf, coeff)) | extra)
-    labels = np.full(n_samples, _CLASS_CODE[SampleClass.INFEASIBLE], dtype=np.int8)
+    feasible = ~outside & ((residuals <= zero_tolerance(lf, coeff)) | extra)
+    labels = np.full(states.shape[0], _CLASS_CODE[SampleClass.INFEASIBLE], dtype=np.int8)
     labels[outside] = _CLASS_CODE[SampleClass.OUTSIDE]
     labels[feasible] = _CLASS_CODE[SampleClass.FEASIBLE]
     residuals = np.where(outside, 0.0, residuals)
     return labels, residuals
-
-
-def zero_tolerance_vec(lf: Array, coeff: float) -> Array:
-    return coeff * (1.0 + np.asarray(lf) ** 2)
 
 
 def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
@@ -251,7 +225,6 @@ def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
         tracker=tracker,
         system_name=sys.name,
         converged=converged,
-        hcf=sys.hcf,
     )
 
 
@@ -277,7 +250,6 @@ def merge(a: SampleSet, b: SampleSet) -> SampleSet:
         tracker=tracker,
         system_name=a.system_name,
         converged=a.converged and b.converged,
-        hcf=a.hcf,
     )
 
 

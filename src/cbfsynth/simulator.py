@@ -44,6 +44,18 @@ class FilterConfig:
         return self.alphas[j % len(self.alphas)]
 
 
+def horizon_steps(horizon: float, dt: float) -> int:
+    """Number of dt steps in the horizon; dt must divide it to within 1e-9 steps."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    steps = horizon / dt
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError(f"dt = {dt!r} does not divide the horizon {horizon!r}")
+    return round(steps)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Initial/goal states, horizon and controller gain. Runs are deterministic."""
@@ -61,13 +73,7 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "x_init", np.atleast_1d(np.asarray(self.x_init, dtype=float)))
         object.__setattr__(self, "x_goal", np.atleast_1d(np.asarray(self.x_goal, dtype=float)))
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.horizon_T < 0:
-            raise ValueError("horizon must be nonnegative")
-        steps = self.horizon_T / self.dt
-        if abs(steps - round(steps)) > 1.0:
-            raise ValueError("dt must divide the horizon to within one step")
+        horizon_steps(self.horizon_T, self.dt)
         if self.on_infeasible not in ("continue", "stop"):
             raise ValueError("on_infeasible must be 'continue' or 'stop'")
 
@@ -239,7 +245,7 @@ def simulate(cfg: SimConfig, sys: SystemModel, cands: Sequence[CbfCandidate],
         if h0 < 0.0:
             raise ValueError(f"initial state lies outside the candidate set (min h = {h0:.6g})")
 
-    steps_count = int(np.floor(cfg.horizon_T / cfg.dt + 1e-9))
+    steps_count = horizon_steps(cfg.horizon_T, cfg.dt)
     spline_T = cfg.spline_T if cfg.spline_T is not None \
         else max(cfg.horizon_T / 2.0, cfg.dt)
     xi = reference_spline(cfg.x_init, cfg.x_goal, spline_T, n_pos=sys.m)

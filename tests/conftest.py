@@ -44,10 +44,11 @@ def reference_fits(di, reference_run, reference_boundary):
     sysm, input_box = di
     margin = reference_boundary.epsilon
     base = dict(margin=margin, restarts=8, iterations=300, population=32, seed=0)
-    uni = fit_uniform(reference_run, reference_boundary, sysm,
-                      FitConfig(mode="uniform", **base), input_box=input_box)
+    uni = fit_uniform(reference_run, reference_boundary, sysm, input_box,
+                      FitConfig(mode="uniform", **base))
     non = fit_nonuniform(reference_run, reference_boundary, sysm, input_box,
-                         FitConfig(mode="nonuniform", **base), warm=uni.candidates)
+                         FitConfig(mode="nonuniform", **base),
+                         warm=[tuple(uni.candidates)])
     multi = fit_multi(reference_run, reference_boundary, sysm, input_box,
                       FitConfig(mode="multi", num_cbfs=2, **base),
                       warm=[tuple(non.candidates)])

@@ -127,11 +127,12 @@ def _frontier_distance_normalized(points: np.ndarray) -> np.ndarray:
     return np.min(dists, axis=0)
 
 
-def test_reference_boundary_hugs_frontier(reference_run, reference_boundary):
+def test_reference_boundary_hugs_frontier(di, reference_boundary):
+    sysm, _ = di
     b = reference_boundary
     assert len(b) > 100
     # every boundary state satisfies the constraint and the velocity cap
-    z = reference_run.hcf.value(b.points)
+    z = sysm.hcf.value(b.points)
     assert np.all(z >= 0.0)
     eps_v = b.epsilon * REFERENCE_BOUNDS.span[1]
     assert np.all(b.points[:, 1] <= 30.0 + eps_v)

@@ -98,6 +98,32 @@ def test_parse_value_errors():
                      "[simulate]\nx_init = 0, 0, 0\nx_goal = 0, 0\n")
 
 
+_FINITE_BASE = ("[system]\nname = double_integrator\n[sampling]\nlower = -1, -1\n"
+                "upper = 1, 1\n[simulate]\nx_init = 0, 0\nx_goal = 0, 0\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    (_FINITE_BASE.replace("lower = -1, -1", "lower = nan, -1"), 4),
+    (_FINITE_BASE + "horizon = inf\n", 9),
+    (_FINITE_BASE + "kappa = 5, -inf\n", 9),
+    (_FINITE_BASE.replace("x_init = 0, 0", "x_init = 0, 0; nan, 0"), 7),
+    (_FINITE_BASE.replace("double_integrator\n", "double_integrator\ngamma2 = inf\n"), 3),
+], ids=["vector", "float", "float-list", "state-list", "system-param"])
+def test_parse_rejects_non_finite(text, line):
+    with pytest.raises(ConfigError, match=rf"finite.*line {line}, col"):
+        parse_config(text)
+
+
+def test_pipeline_rejects_dt_not_dividing_horizon(tmp_path):
+    """A 1 s horizon at dt = 0.3 would stop at 0.9 s; it is a config error,
+    raised before any stage runs."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    cfg.write_text(cfg.read_text().replace("horizon = 0.5", "horizon = 1\ndt = 0.3"))
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert not (out / "samples.jsonl").exists()
+
+
 # -- stages ------------------------------------------------------------------
 
 def test_sample_stage_outputs(tmp_path):
@@ -142,6 +168,26 @@ def test_fit_detects_stale_boundary(tmp_path):
     cfg2 = tiny_config(tmp_path, out=str(out), seed=99)
     assert main(["sample", "--config", str(cfg2)]) == 0   # regenerated samples
     assert main(["fit", "--config", str(cfg2)]) == 4
+
+
+@pytest.mark.parametrize("command, artifact, corrupt", [
+    ("fit", "samples.jsonl", "truncate"),
+    ("fit", "boundary.jsonl", "append"),
+    ("simulate", "candidates_uniform.json", "truncate"),
+], ids=["truncated-samples", "garbled-boundary", "truncated-candidates"])
+def test_unparsable_artifact_is_integrity_failure(tmp_path, capsys, command, artifact,
+                                                  corrupt):
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    for stage in ("sample", "boundary", "fit"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    path = out / artifact
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2] if corrupt == "truncate" else data + b"{garbled\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("integrity error:") and err.count("\n") == 1
 
 
 def test_fit_infeasible_exit_code(tmp_path):
@@ -204,10 +250,32 @@ def test_pipeline_caching_and_stage_isolation(tmp_path):
         assert (out / f).read_bytes() == snapshot[f]
 
 
-@pytest.mark.parametrize("text", ["[]\n", "3\n", "\"sample\"\n", "null\n"],
-                         ids=["list", "number", "string", "null"])
+def test_pipeline_calls_fit_entry_through_module(tmp_path, monkeypatch):
+    """The fit stage looks `fit_<mode>` up on `cbfsynth.fitter` when it runs,
+    so a wrapper installed there sees every fit and no cached re-run."""
+    from cbfsynth import fitter
+    calls = []
+    original = fitter.fit_uniform
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fitter, "fit_uniform", counting)
+    cfg = tiny_config(tmp_path, out=str(tmp_path / "out"))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert len(calls) == 1
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", ["[]\n", "3\n", "\"sample\"\n", "null\n",
+                                  "{\"sample\": []}\n", "{\"fit\": 3}\n"],
+                         ids=["list", "number", "string", "null", "list-entry",
+                              "number-entry"])
 def test_pipeline_non_object_stage_state_reruns_stages(tmp_path, text):
-    """Valid JSON that is not an object is treated like an undecodable cache."""
+    """Valid JSON that is not an object, or a stage entry that is not one, is
+    treated like an undecodable cache."""
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out))
     assert main(["pipeline", "--config", str(cfg)]) == 0

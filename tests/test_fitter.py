@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cbfsynth.boundary import extract_boundary
-from cbfsynth.fitter import (FitConfig, _SearchContext, bind_hcf,
-                             check_redundancy, estimate_set_size, fit_multi,
-                             fit_uniform, load_fit, save_fit, verify_candidate)
+from cbfsynth.fitter import (FitConfig, _SearchContext, check_redundancy,
+                             estimate_set_size, fit_multi, fit_uniform, load_fit,
+                             save_fit, verify_candidate)
 from cbfsynth.qp import QpProblem, solve_box_qp
 from cbfsynth.sampler import run_sampling
 from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
@@ -34,45 +34,41 @@ def _flat_system(level: float) -> SystemModel:
 
 def test_estimate_identity_matches_constraint_area(di, reference_run):
     sysm, _ = di
-    bind_hcf(reference_run, sysm)
     cfg = FitConfig(mode="uniform")
-    size = estimate_set_size([identity_candidate(2)], reference_run, cfg)
+    size = estimate_set_size([identity_candidate(2)], reference_run, sysm.hcf, cfg)
     assert size == pytest.approx(AREA_Z, rel=0.02)
 
 
 def test_estimate_reference_pair_matches_feasible_area(di, reference_run):
     sysm, _ = di
-    bind_hcf(reference_run, sysm)
     cfg = FitConfig(mode="multi", num_cbfs=2)
-    size = estimate_set_size([identity_candidate(2), CAP_CANDIDATE], reference_run, cfg)
+    size = estimate_set_size([identity_candidate(2), CAP_CANDIDATE], reference_run,
+                             sysm.hcf, cfg)
     assert size == pytest.approx(AREA_FEASIBLE, rel=0.02)
 
 
 def test_estimate_empty_set(di, reference_run):
     sysm, _ = di
-    bind_hcf(reference_run, sysm)
     sunk = CbfCandidate([1.0, 1.0], [0.0, 0.0], -1e6)
-    assert estimate_set_size([sunk], reference_run, FitConfig()) == 0.0
+    assert estimate_set_size([sunk], reference_run, sysm.hcf, FitConfig()) == 0.0
 
 
 def test_estimate_validation(di, reference_run):
     sysm, _ = di
-    bind_hcf(reference_run, sysm)
     with pytest.raises(ValueError):
-        estimate_set_size([], reference_run, FitConfig())
+        estimate_set_size([], reference_run, sysm.hcf, FitConfig())
     degenerate = FitConfig(volume_region=BoxSet([0.0, 0.0], [0.0, 1.0]))
     with pytest.raises(ValueError):
-        estimate_set_size([identity_candidate(2)], reference_run, degenerate)
+        estimate_set_size([identity_candidate(2)], reference_run, sysm.hcf, degenerate)
     outside = FitConfig(volume_region=BoxSet([100.0, 100.0], [101.0, 101.0]))
     with pytest.raises(ValueError):
-        estimate_set_size([identity_candidate(2)], reference_run, outside)
+        estimate_set_size([identity_candidate(2)], reference_run, sysm.hcf, outside)
 
 
 def test_integral_objective_positive_part(di, reference_run):
     sysm, _ = di
-    bind_hcf(reference_run, sysm)
     cfg = FitConfig(objective="integral")
-    val = estimate_set_size([identity_candidate(2)], reference_run, cfg)
+    val = estimate_set_size([identity_candidate(2)], reference_run, sysm.hcf, cfg)
     # mean of max(z, 0) over the box times its volume, computed directly
     z = sysm.hcf.value(reference_run.states)
     assert val == pytest.approx(float(np.mean(np.maximum(z, 0.0))) * 800.0, rel=1e-12)
@@ -92,14 +88,13 @@ def test_sample_count_invariant_under_positive_rescaling():
                        hcf=hcf, name="affine")
     s = run_sampling(sysm, UBOX1, UNIT, n_min=500, delta=1.0, growth=3.0, seed=8,
                      n_start=729)
-    bind_hcf(s, sysm)
     cfg = FitConfig()
     base = CbfCandidate([1.0, 2.0], [0.1, -0.2], 0.05)
-    v0 = estimate_set_size([base], s, cfg)
+    v0 = estimate_set_size([base], s, sysm.hcf, cfg)
     for zeta in (0.5, 2.0, 7.3):
         scaled = CbfCandidate(zeta * base.scale, zeta * base.shift,
                               zeta * base.offset + (zeta - 1.0) * intercept)
-        assert estimate_set_size([scaled], s, cfg) == v0
+        assert estimate_set_size([scaled], s, sysm.hcf, cfg) == v0
 
 
 def test_check_redundancy_identical(di):
@@ -258,7 +253,7 @@ def test_fit_uniform_vacuous_boundary_covers_samples():
                      n_start=243)
     b = extract_boundary(s, 0.05)
     assert len(b) == 0
-    res = fit_uniform(s, b, sysm, FitConfig(restarts=2, iterations=60, population=8))
+    res = fit_uniform(s, b, sysm, UBOX1, FitConfig(restarts=2, iterations=60, population=8))
     assert res.feasible
     h = sysm.hcf.value(res.candidates[0].transform(s.states)) + res.candidates[0].offset
     assert np.all(h >= 0.0)
@@ -276,7 +271,7 @@ def test_fit_infeasible_when_nothing_is_feasible(di):
                      seed=10, n_start=729, extra_feasible=none)
     assert s.tracker.n_feasible == 0
     b = extract_boundary(s, 0.05)
-    res = fit_uniform(s, b, sysm, FitConfig(restarts=2, iterations=60, population=8))
+    res = fit_uniform(s, b, sysm, ubox, FitConfig(restarts=2, iterations=60, population=8))
     assert not res.feasible
     assert res.candidates == []
     assert res.diagnostics
@@ -305,8 +300,8 @@ def test_fit_determinism(di):
                      growth=3.0, seed=13, n_start=2187)
     b = extract_boundary(s, 0.02)
     cfg = FitConfig(restarts=2, iterations=80, population=8, seed=42)
-    r1 = fit_uniform(s, b, sysm, cfg)
-    r2 = fit_uniform(s, b, sysm, cfg)
+    r1 = fit_uniform(s, b, sysm, input_box, cfg)
+    r2 = fit_uniform(s, b, sysm, input_box, cfg)
     assert r1.objective_value == r2.objective_value
     for c1, c2 in zip(r1.candidates, r2.candidates):
         assert np.array_equal(c1.scale, c2.scale)

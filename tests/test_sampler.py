@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
 from cbfsynth.qp import min_zdot_residual, zero_tolerance, lie_derivatives
 from cbfsynth.sampler import (SampleClass, canonical_bytes,
@@ -76,6 +77,67 @@ def test_classify_batch_matches_scalar_and_order_free(di):
     labels_p, residuals_p = classify_batch(sysm, input_box, states[perm])
     assert np.array_equal(labels_p, labels[perm])
     assert np.array_equal(residuals_p, residuals[perm])
+
+
+def _two_input_system() -> SystemModel:
+    """n = 2, m = 2: z = 4 - x0^2 - 2 x1^2 with state-dependent actuation."""
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([-2.0 * x[..., 0], -4.0 * x[..., 1]], axis=-1)
+
+    def actuation(x):
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape + (2,))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 0] = 0.3 * x[..., 0]
+        g[..., 1, 1] = 1.0
+        return g
+
+    hcf = HardConstraint(
+        value=lambda x: 4.0 - np.asarray(x)[..., 0] ** 2 - 2.0 * np.asarray(x)[..., 1] ** 2,
+        gradient=gradient)
+    return SystemModel(
+        n=2, m=2,
+        drift=lambda x: np.stack([np.asarray(x)[..., 1],
+                                  -np.asarray(x)[..., 0] - np.asarray(x)[..., 1]], axis=-1),
+        actuation=actuation, hcf=hcf, name="two_input")
+
+
+def test_classify_batch_two_inputs_matches_lsq_oracle():
+    """For m > 1 the closed-form interval distance equals the residual of a
+    bounded least-squares solve, min ||L_g z u + L_f z||^2 over the box.
+
+    The oracle is scipy's BVLS rather than `min_zdot_residual`, whose box QP
+    does not converge on some of these rank-one problems.
+    """
+    sysm = _two_input_system()
+    ubox = BoxSet([-1.0, -0.5], [0.5, 2.0])
+    rng = np.random.Generator(np.random.Philox(key=21))
+    states = draw_batch(BoxSet([-2.0, -1.5], [2.0, 1.5]), 400, rng)
+    states[:3] = 0.0                       # zero gradient: the input does not enter
+    labels, residuals = classify_batch(sysm, ubox, states)
+    z = sysm.hcf.value(states)
+    codes = {"outside": 0, "infeasible": 1, "feasible": 2}
+    counted = dict.fromkeys(codes.values(), 0)
+    for i, x in enumerate(states):
+        if z[i] < 0.0:
+            assert labels[i] == codes["outside"] and residuals[i] == 0.0
+            counted[codes["outside"]] += 1
+            continue
+        lf, lg = lie_derivatives(sysm, x)
+        fit = lsq_linear(lg[None, :], [-lf], bounds=(ubox.lower, ubox.upper), method="bvls")
+        r_oracle = 2.0 * fit.cost
+        tol = zero_tolerance(lf)
+        assert abs(residuals[i] - r_oracle) <= 0.5 * tol
+        if 0.5 * tol < r_oracle < 2.0 * tol:
+            continue                       # too close to the threshold to call
+        feasible = r_oracle <= tol or (not np.any(lg) and lf > 0.0)
+        want = codes["feasible"] if feasible else codes["infeasible"]
+        assert labels[i] == want
+        counted[want] += 1
+    assert all(n > 0 for n in counted.values())
+    rec = classify(sysm, ubox, states[5])
+    assert codes[rec.label.value] == labels[5] and rec.residual == residuals[5]
 
 
 def test_run_sampling_all_feasible():

@@ -269,6 +269,16 @@ def test_trajectory_csv_export(tmp_path, di, fc):
     assert len(digest) == 64
 
 
+@pytest.mark.parametrize("horizon", [10.0, 2.0, 0.5, 0.2, 0.05, 0.01])
+def test_dt_dividing_horizon_runs_every_step(di, fc, horizon):
+    sysm, _ = di
+    cfg = SimConfig(x_init=[-9.0, 0.0], x_goal=[0.0, 0.0], horizon_T=horizon, dt=0.01,
+                    kp=10.0)
+    traj = simulate(cfg, sysm, [], fc)
+    assert len(traj) - 1 == round(horizon / 0.01)
+    assert traj.times[-1] == pytest.approx(horizon)
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(x_init=[0.0, 0.0], x_goal=[0.0, 0.0], horizon_T=1.0, dt=0.0, kp=1.0)
@@ -277,5 +287,7 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(x_init=[0.0, 0.0], x_goal=[0.0, 0.0], horizon_T=1.0, dt=0.1, kp=1.0,
                   on_infeasible="explode")
+    with pytest.raises(ValueError, match="divide"):
+        SimConfig(x_init=[0.0, 0.0], x_goal=[0.0, 0.0], horizon_T=1.0, dt=0.3, kp=1.0)
     with pytest.raises(ValueError):
         FilterConfig(alphas=[0.0], input_box=BoxSet([-1.0], [1.0]))
