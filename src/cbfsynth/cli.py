@@ -308,11 +308,13 @@ def cmd_pipeline(args) -> int:
     fit_hash = cfg.section_hash("system", "sampling", "boundary", "fit")
     modes = sorted(cfg.fit["modes"], key=_MODE_ORDER.get)
     cached = state.get("fit", {})
+    outputs = cached.get("outputs")
     reusable = (cached.get("config_hash") == fit_hash
                 and cached.get("inputs") == checksums
+                and isinstance(outputs, dict)
                 and all((out / f"candidates_{m}.json").exists()
-                        and cached.get("outputs", {}).get(m)
-                        == _file_digest(out / f"candidates_{m}.json") for m in modes))
+                        and outputs.get(m) == _file_digest(out / f"candidates_{m}.json")
+                        for m in modes))
     results: dict[str, fit.FitResult] = {}
     if reusable:
         for m in modes:

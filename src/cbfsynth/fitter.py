@@ -525,7 +525,7 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
 
     def offer(theta):
         nonlocal best, best_obj
-        cands = mode.build(ctx, theta)
+        cands = mode.build(ctx, theta.copy())   # candidates view theta; block passes edit it
         ok, obj, reason = _hard_feasible(ctx, mode, cands)
         if ok and obj > best_obj:
             best, best_obj = cands, obj

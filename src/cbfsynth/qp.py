@@ -257,24 +257,38 @@ def min_zdot_residual(sys: SystemModel, x: Array,
     """Minimize ||L_f z(x) + L_g z(x) u||^2 over u in the input box.
 
     A zero optimal value certifies that some admissible input holds z level
-    (the defining condition of the input-feasible sample class). The m = 1
-    case is solved in closed form; when the input does not enter (L_g z = 0)
-    the objective is constant and the box midpoint is returned.
+    (the defining condition of the input-feasible sample class).
     """
     lf, lg = lie_derivatives(sys, x)
-    if not np.any(lg):
-        u = input_box.midpoint()
-        return u, lf * lf
-    if sys.m == 1:
-        a = lg[0]
-        u0 = float(np.clip(-lf / a, input_box.lower[0], input_box.upper[0]))
-        r = lf + a * u0
-        return np.array([u0]), r * r
-    prob = QpProblem(hessian=2.0 * np.outer(lg, lg), linear=2.0 * lf * lg,
-                     ineq_rows=np.zeros((0, sys.m)), ineq_rhs=np.zeros(0),
-                     box=input_box, constant=lf * lf)
-    sol = solve_box_qp(prob)
-    return sol.argmin, max(sol.objective, 0.0)
+    u, r = min_zdot(lf, lg, input_box)
+    return u, float(r)
+
+
+def min_zdot(lf: float | Array, lg: Array, input_box: BoxSet) -> tuple[Array, Array]:
+    """Closed-form (argmin, min) of (lf + lg . u)^2 over u in the box.
+
+    Batched: lf is (...), lg is (..., m). Over the box lg . u sweeps the
+    interval between the vertices u_lo and u_hi that minimize and maximize it,
+    so the minimum is the squared distance from -lf to that interval, attained
+    on the segment from u_lo to u_hi. The m = 1 case keeps the division form,
+    whose rounding the sample files record, and returns the box midpoint
+    where the input does not enter.
+    """
+    lf = np.asarray(lf, dtype=float)
+    lg = np.asarray(lg, dtype=float)
+    lower, upper = input_box.lower, input_box.upper
+    if lg.shape[-1] == 1:
+        active = lg[..., 0] != 0.0
+        a = np.where(active, lg[..., 0], 1.0)
+        u = np.where(active, np.clip(-lf / a, lower[0], upper[0]), input_box.midpoint()[0])
+        return u[..., None], (lf + lg[..., 0] * u) ** 2
+    u_lo = np.where(lg > 0.0, lower, upper)
+    u_hi = np.where(lg > 0.0, upper, lower)
+    lo = np.sum(lg * u_lo, axis=-1)
+    hi = np.sum(lg * u_hi, axis=-1)
+    target = np.clip(-lf, lo, hi)
+    frac = np.divide(target - lo, hi - lo, out=np.zeros_like(lo), where=hi > lo)
+    return u_lo + frac[..., None] * (u_hi - u_lo), (lf + target) ** 2
 
 
 def zero_tolerance(lf: float | Array, coeff: float = 1e-9) -> float | Array:

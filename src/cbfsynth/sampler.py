@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .qp import zero_tolerance
+from .qp import min_zdot, zero_tolerance
 from .system import BoxSet, SystemModel
 
 Array = np.ndarray
@@ -135,9 +135,8 @@ def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
     """Vectorized classification; returns (label codes, residuals).
 
     The residual min over the input box of (L_f z + L_g z . u)^2 is taken in
-    closed form: L_g z . u sweeps an interval over the box, so it is the
-    squared distance from -L_f z to that interval. There are no cross-sample
-    reductions, so batch order cannot affect labels.
+    closed form by `qp.min_zdot`. There are no cross-sample reductions, so
+    batch order cannot affect labels.
     """
     states = np.asarray(states, dtype=float)
     coeff = DEFAULT_ZERO_TOL if zero_tol is None else zero_tol
@@ -146,22 +145,10 @@ def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
     lf = np.sum(grad * sys.drift(states), axis=-1)
     lg = np.einsum("...n,...nm->...m", grad, sys.actuation(states))
 
-    lg_zero = np.max(np.abs(lg), axis=-1) == 0.0
-    if sys.m == 1:
-        # the m = 1 formula is persisted in sample files: keep it bit for bit
-        residuals = lf ** 2
-        active = ~lg_zero
-        a = lg[active, 0]
-        u = np.clip(-lf[active] / a, input_box.lower[0], input_box.upper[0])
-        residuals[active] = (lf[active] + a * u) ** 2
-    else:
-        ends = np.stack([lg * input_box.lower, lg * input_box.upper])
-        lo = np.sum(np.min(ends, axis=0), axis=-1)
-        hi = np.sum(np.max(ends, axis=0), axis=-1)
-        residuals = (lf + np.clip(-lf, lo, hi)) ** 2
+    _, residuals = min_zdot(lf, lg, input_box)
 
     if extra_feasible is None:
-        extra = lg_zero & (lf > 0.0)
+        extra = (np.max(np.abs(lg), axis=-1) == 0.0) & (lf > 0.0)
     else:
         extra = np.asarray(extra_feasible(states), dtype=bool)
 

@@ -269,21 +269,25 @@ def test_pipeline_calls_fit_entry_through_module(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("text", ["[]\n", "3\n", "\"sample\"\n", "null\n",
-                                  "{\"sample\": []}\n", "{\"fit\": 3}\n"],
-                         ids=["list", "number", "string", "null", "list-entry",
-                              "number-entry"])
-def test_pipeline_non_object_stage_state_reruns_stages(tmp_path, text):
-    """Valid JSON that is not an object, or a stage entry that is not one, is
-    treated like an undecodable cache."""
+@pytest.mark.parametrize("edit", [
+    lambda st: [], lambda st: 3, lambda st: "sample", lambda st: None,
+    lambda st: {"sample": []}, lambda st: {"fit": 3},
+    lambda st: {**st, "fit": {**st["fit"], "outputs": 3}},
+], ids=["list", "number", "string", "null", "list-entry", "number-entry",
+        "number-fit-outputs"])
+def test_pipeline_non_object_stage_state_reruns_stages(tmp_path, edit):
+    """Valid JSON that is not an object, a stage entry that is not one, or a
+    fit entry whose `outputs` is not one, is treated like an undecodable cache."""
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out))
     assert main(["pipeline", "--config", str(cfg)]) == 0
     snapshot = (out / "candidates_uniform.json").read_bytes()
-    (out / "stage_state.json").write_text(text)
+    state = json.loads((out / "stage_state.json").read_text())
+    (out / "stage_state.json").write_text(json.dumps(edit(state)))
     assert main(["pipeline", "--config", str(cfg)]) == 0
     assert (out / "candidates_uniform.json").read_bytes() == snapshot
-    assert isinstance(json.loads((out / "stage_state.json").read_text()), dict)
+    state = json.loads((out / "stage_state.json").read_text())
+    assert isinstance(state, dict) and isinstance(state["fit"]["outputs"], dict)
 
 
 def test_seed_override_changes_samples(tmp_path):

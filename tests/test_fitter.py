@@ -294,6 +294,41 @@ def test_fit_multi_collapses_duplicate_tuples():
     assert res.objective_value == pytest.approx(1.0, rel=1e-9)
 
 
+def test_fit_multi_keeps_seed_when_block_passes_fail(monkeypatch):
+    """The accepted seed survives later in-place edits of the search vector.
+
+    Block passes that overwrite theta with a rejected point, and local
+    searches that keep it, leave the seed offer as the only accepted one; the
+    returned tuple must be that seed, not a mix of it and the edited vector.
+    """
+    from cbfsynth import fitter
+
+    def corrupting_passes(ctx, theta, steps, rng, fun, offer):
+        block = 2 * ctx.n + 1
+        theta[:] = 5.0
+        theta[2 * ctx.n::block] = -1e9          # h < 0 everywhere: encloses nothing
+        offer(theta)
+        return theta
+
+    monkeypatch.setattr(fitter, "_block_passes", corrupting_passes)
+    monkeypatch.setattr(fitter, "_nelder_mead", lambda fun, x0, steps, maxiter: x0.copy())
+    monkeypatch.setattr(fitter, "_golden_polish", lambda fun, x, steps: x.copy())
+    sysm = _flat_system(1.0)
+    s = run_sampling(sysm, UBOX1, UNIT, n_min=200, delta=1.0, growth=3.0, seed=12,
+                     n_start=243)
+    b = extract_boundary(s, 0.05)
+    cfg = FitConfig(mode="multi", num_cbfs=2, restarts=1, iterations=40, population=4)
+    with pytest.warns(UserWarning):
+        res = fit_multi(s, b, sysm, UBOX1, cfg)
+    assert res.feasible
+    seed = identity_candidate(2)
+    for c in res.candidates:
+        assert np.array_equal(c.scale, seed.scale)
+        assert np.array_equal(c.shift, seed.shift)
+        assert c.offset == seed.offset
+    assert res.objective_value == pytest.approx(1.0, rel=1e-9)
+
+
 def test_fit_determinism(di):
     sysm, input_box = di
     s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=500, delta=1.0,

@@ -6,7 +6,7 @@ from cbfsynth.qp import min_zdot_residual, zero_tolerance, lie_derivatives
 from cbfsynth.sampler import (SampleClass, canonical_bytes,
                               classify, classify_batch, draw_batch, load_samples,
                               merge, run_sampling, save_samples)
-from cbfsynth.system import BoxSet, HardConstraint, SystemModel
+from cbfsynth.system import BoxSet, HardConstraint, SystemModel, build_system
 
 from conftest import REFERENCE_BOUNDS
 
@@ -64,19 +64,41 @@ def test_classify_reference_states(di):
     assert rec.residual == 0.0
 
 
-def test_classify_batch_matches_scalar_and_order_free(di):
-    sysm, input_box = di
-    rng = np.random.Generator(np.random.Philox(key=3))
-    states = draw_batch(REFERENCE_BOUNDS, 500, rng)
-    labels, residuals = classify_batch(sysm, input_box, states)
-    for i in (0, 17, 123, 499):
-        rec = classify(sysm, input_box, states[i])
-        assert labels[i] == {"outside": 0, "infeasible": 1, "feasible": 2}[rec.label.value]
-        assert residuals[i] == rec.residual
-    perm = rng.permutation(500)
-    labels_p, residuals_p = classify_batch(sysm, input_box, states[perm])
-    assert np.array_equal(labels_p, labels[perm])
-    assert np.array_equal(residuals_p, residuals[perm])
+def test_classify_batch_matches_scalar_and_order_free():
+    """Batch residuals equal the m = 1 closed form, computed here from the
+    scalar Lie derivatives, bit for bit (sample files persist them), and the
+    labels follow from the scale-aware threshold. On the steeper plant the
+    division form rounds differently from the m > 1 interval form."""
+    codes = {"outside": 0, "infeasible": 1, "feasible": 2}
+    for params in ({}, {"gamma2": 0.3, "u_min": -100.0, "u_max": 100.0}):
+        sysm, input_box = build_system("double_integrator", params)
+        rng = np.random.Generator(np.random.Philox(key=3))
+        states = draw_batch(REFERENCE_BOUNDS, 500, rng)
+        labels, residuals = classify_batch(sysm, input_box, states)
+        z = sysm.hcf.value(states)
+        seen = set()
+        for i, x in enumerate(states):
+            if z[i] < 0.0:
+                assert labels[i] == codes["outside"] and residuals[i] == 0.0
+                continue
+            lf, lg = lie_derivatives(sysm, x)
+            a = lg[0]
+            u = float(np.clip(-lf / a, input_box.lower[0], input_box.upper[0])) if a else 0.0
+            want = (lf + a * u) ** 2
+            assert residuals[i] == want
+            assert min_zdot_residual(sysm, x, input_box)[1] == want
+            feasible = want <= zero_tolerance(lf) or (a == 0.0 and lf > 0.0)
+            assert labels[i] == codes["feasible" if feasible else "infeasible"]
+            seen.add(int(labels[i]))
+        assert seen == {codes["feasible"], codes["infeasible"]}
+        for i in (0, 17, 123, 499):
+            rec = classify(sysm, input_box, states[i])
+            assert labels[i] == codes[rec.label.value]
+            assert residuals[i] == rec.residual
+        perm = rng.permutation(500)
+        labels_p, residuals_p = classify_batch(sysm, input_box, states[perm])
+        assert np.array_equal(labels_p, labels[perm])
+        assert np.array_equal(residuals_p, residuals[perm])
 
 
 def _two_input_system() -> SystemModel:
@@ -107,8 +129,9 @@ def test_classify_batch_two_inputs_matches_lsq_oracle():
     """For m > 1 the closed-form interval distance equals the residual of a
     bounded least-squares solve, min ||L_g z u + L_f z||^2 over the box.
 
-    The oracle is scipy's BVLS rather than `min_zdot_residual`, whose box QP
-    does not converge on some of these rank-one problems.
+    The oracle is scipy's BVLS, independent of `qp.min_zdot`, which both
+    `classify_batch` and `min_zdot_residual` use; the latter's argmin must lie
+    in the box and attain its residual.
     """
     sysm = _two_input_system()
     ubox = BoxSet([-1.0, -0.5], [0.5, 2.0])
@@ -129,6 +152,9 @@ def test_classify_batch_two_inputs_matches_lsq_oracle():
         r_oracle = 2.0 * fit.cost
         tol = zero_tolerance(lf)
         assert abs(residuals[i] - r_oracle) <= 0.5 * tol
+        u, r = min_zdot_residual(sysm, x, ubox)
+        assert abs(r - r_oracle) <= 0.5 * tol and ubox.contains(u)
+        assert abs((lf + lg @ u) ** 2 - r_oracle) <= 0.5 * tol
         if 0.5 * tol < r_oracle < 2.0 * tol:
             continue                       # too close to the threshold to call
         feasible = r_oracle <= tol or (not np.any(lg) and lf > 0.0)
