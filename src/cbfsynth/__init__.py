@@ -1,7 +1,7 @@
 """Data-driven synthesis of control barrier functions from state constraints.
 
-Pipeline: sample states uniformly, classify input-feasibility with small box
-QPs, track the feasible-fraction (Jaccard) convergence, extract the discrete
+Pipeline: sample states uniformly, classify input-feasibility in closed form,
+track the feasible-fraction (Jaccard) convergence, extract the discrete
 class boundary, fit barrier parameters (uniform, non-uniform, or multiple
 intersecting candidates), and enforce the result at runtime with a QP safety
 filter in closed-loop simulation.
@@ -14,7 +14,7 @@ from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
 from .qp import (QpProblem, QpSolution, QpStatus, exists_input_nonneg,
                  min_zdot_residual, solve_box_qp)
 from .sampler import (JaccardTracker, SampleClass, SampleRecord, SampleSet,
-                      classify, draw_batch, load_samples, merge, run_sampling,
+                      classify, draw_batch, load_samples, run_sampling,
                       save_samples)
 from .boundary import (BoundarySet, auto_epsilon, extract_boundary,
                        load_boundary, save_boundary)

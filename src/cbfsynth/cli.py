@@ -12,6 +12,7 @@ feasible fit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys as _sys
@@ -51,15 +52,6 @@ def _load(loader, path: Path, **kwargs):
         raise IntegrityError(f"{path}: cannot parse: {exc}") from None
 
 
-def _check_sample_file(path: Path) -> smp.SampleSet:
-    """Load a sample file and verify it reserializes to the same bytes."""
-    data = path.read_bytes()
-    s = _load(smp.load_samples, path)
-    if smp.canonical_bytes(s) != data:
-        raise IntegrityError(f"{path}: content does not match its canonical form")
-    return s
-
-
 def _resolve(args) -> tuple[PipelineConfig, Path]:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -77,17 +69,34 @@ def _build(cfg: PipelineConfig):
     return sysm, input_box
 
 
+def _zero_tol(cfg: PipelineConfig) -> float:
+    zero_tol = cfg.sampling["zero_tol"]
+    return smp.DEFAULT_ZERO_TOL if zero_tol == "auto" else zero_tol
+
+
+def _load_samples(cfg: PipelineConfig, path: Path) -> smp.SampleSet:
+    """Load the sample file; one drawn for another system, box, seed or
+    tolerance than the config's is stale."""
+    s = _load(smp.load_samples, path)
+    box = cfg.sampling_box()
+    drawn = (s.system_name, s.bounds.lower.tolist(), s.bounds.upper.tolist(), s.seed, s.zero_tol)
+    if drawn != (_build(cfg)[0].name, box.lower.tolist(), box.upper.tolist(),
+                 cfg.sampling["seed"], _zero_tol(cfg)):
+        raise IntegrityError(f"{path}: sampled for another system, box, seed or zero_tol "
+                             f"than the config's")
+    return s
+
+
 # ---------------------------------------------------------------------------
 # Stages
 
 def _stage_sample(cfg: PipelineConfig, out: Path) -> tuple[smp.SampleSet, int]:
     sysm, input_box = _build(cfg)
     sp = cfg.sampling
-    zero_tol = None if sp["zero_tol"] == "auto" else sp["zero_tol"]
     s = smp.run_sampling(sysm, input_box, cfg.sampling_box(),
                          n_min=sp["n_min"], delta=sp["delta"], growth=sp["growth"],
                          seed=sp["seed"], n_start=sp["n_start"], n_max=sp["n_max"],
-                         zero_tol=zero_tol)
+                         zero_tol=_zero_tol(cfg))
     smp.save_samples(s, out / "samples.jsonl")
     deltas = s.tracker.deltas()
     lines = ["n,J,dJ"]
@@ -181,62 +190,32 @@ def _stage_simulate(cfg: PipelineConfig, out: Path, mode: str,
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_sample(args) -> int:
-    cfg, out = _resolve(args)
-    if args.dry_run:
-        print("config ok (dry run); no outputs written")
-        return EXIT_OK
+def cmd_sample(args, cfg: PipelineConfig, out: Path) -> int:
     _, code = _stage_sample(cfg, out)
     return code
 
 
-def cmd_boundary(args) -> int:
-    cfg, out = _resolve(args)
-    if args.dry_run:
-        print("config ok (dry run); no outputs written")
-        return EXIT_OK
-    sample_path = out / "samples.jsonl"
-    if not sample_path.exists():
-        print(f"error: {sample_path} not found; run the sample stage first", file=_sys.stderr)
-        return EXIT_INTEGRITY
-    s = _check_sample_file(sample_path)
-    _stage_boundary(cfg, out, s)
+def cmd_boundary(args, cfg: PipelineConfig, out: Path) -> int:
+    _stage_boundary(cfg, out, _load_samples(cfg, out / "samples.jsonl"))
     return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    cfg, out = _resolve(args)
-    if args.dry_run:
-        print("config ok (dry run); no outputs written")
-        return EXIT_OK
-    sample_path = out / "samples.jsonl"
+def cmd_fit(args, cfg: PipelineConfig, out: Path) -> int:
     boundary_path = out / "boundary.jsonl"
-    for p in (sample_path, boundary_path):
-        if not p.exists():
-            print(f"error: {p} not found; run earlier stages first", file=_sys.stderr)
-            return EXIT_INTEGRITY
-    s = _check_sample_file(sample_path)
+    s = _load_samples(cfg, out / "samples.jsonl")
     b = _load(bnd.load_boundary, boundary_path, dim=s.bounds.dim)
-    samples_digest = _file_digest(sample_path)
-    if b.source_checksum != samples_digest:
+    if b.source_checksum != s.checksum():
         print(f"error: {boundary_path} was extracted from a different sample file",
               file=_sys.stderr)
         return EXIT_INTEGRITY
-    checksums = {"samples": samples_digest, "boundary": _file_digest(boundary_path)}
+    checksums = {"samples": s.checksum(), "boundary": _file_digest(boundary_path)}
     _, code = _stage_fit(cfg, out, s, b, checksums)
     return code
 
 
-def cmd_simulate(args) -> int:
-    cfg, out = _resolve(args)
-    if args.dry_run:
-        print("config ok (dry run); no outputs written")
-        return EXIT_OK
+def cmd_simulate(args, cfg: PipelineConfig, out: Path) -> int:
     mode = args.mode or sorted(cfg.fit["modes"], key=_MODE_ORDER.get)[-1]
     cand_path = Path(args.candidates) if args.candidates else out / f"candidates_{mode}.json"
-    if not cand_path.exists():
-        print(f"error: {cand_path} not found; run the fit stage first", file=_sys.stderr)
-        return EXIT_INTEGRITY
     res, doc = _load(fit.load_fit, cand_path)
     if not res.feasible or not res.candidates:
         print(f"error: {cand_path} holds no feasible candidates", file=_sys.stderr)
@@ -261,21 +240,20 @@ def _save_stage_state(out: Path, state: dict) -> None:
     (out / "stage_state.json").write_text(json.dumps(state, indent=1, sort_keys=True) + "\n")
 
 
-def cmd_pipeline(args) -> int:
-    cfg, out = _resolve(args)
-    if args.dry_run:
-        print("config ok (dry run); no outputs written")
-        return EXIT_OK
+def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     state = _load_stage_state(out)
     new_state: dict = {}
 
-    # sample stage (cached on config hash)
+    # sample stage (cached on config hash and file digest; a file that fails
+    # to load is a cache miss, not an integrity failure)
     sample_path = out / "samples.jsonl"
     sample_hash = cfg.section_hash("system", "sampling")
     cached = state.get("sample", {})
-    if sample_path.exists() and cached.get("config_hash") == sample_hash \
-            and cached.get("output") == _file_digest(sample_path):
-        s = _check_sample_file(sample_path)
+    s = None
+    if sample_path.exists() and cached.get("config_hash") == sample_hash:
+        with contextlib.suppress(IntegrityError):
+            s = _load_samples(cfg, sample_path)
+    if s is not None and s.checksum() == cached.get("output"):
         print(f"sample: reusing {sample_path} (n={len(s)})")
         code = EXIT_OK if s.converged else EXIT_NOT_CONVERGED
     else:
@@ -283,28 +261,27 @@ def cmd_pipeline(args) -> int:
     if code != EXIT_OK:
         _save_stage_state(out, new_state)
         return code
-    samples_digest = _file_digest(sample_path)
-    new_state["sample"] = {"config_hash": sample_hash, "output": samples_digest}
+    new_state["sample"] = {"config_hash": sample_hash, "output": s.checksum()}
 
     # boundary stage
     boundary_path = out / "boundary.jsonl"
     boundary_hash = cfg.section_hash("system", "sampling", "boundary")
     cached = state.get("boundary", {})
     if boundary_path.exists() and cached.get("config_hash") == boundary_hash \
-            and cached.get("input") == samples_digest \
+            and cached.get("input") == s.checksum() \
             and cached.get("output") == _file_digest(boundary_path):
         b = _load(bnd.load_boundary, boundary_path, dim=s.bounds.dim)
         print(f"boundary: reusing {boundary_path} ({len(b)} points)")
     else:
         b = _stage_boundary(cfg, out, s)
-    if b.source_checksum != samples_digest:
+    if b.source_checksum != s.checksum():
         print("error: boundary artifact does not match the sample file", file=_sys.stderr)
         return EXIT_INTEGRITY
-    new_state["boundary"] = {"config_hash": boundary_hash, "input": samples_digest,
+    new_state["boundary"] = {"config_hash": boundary_hash, "input": s.checksum(),
                              "output": _file_digest(boundary_path)}
 
     # fit stage
-    checksums = {"samples": samples_digest, "boundary": _file_digest(boundary_path)}
+    checksums = {"samples": s.checksum(), "boundary": _file_digest(boundary_path)}
     fit_hash = cfg.section_hash("system", "sampling", "boundary", "fit")
     modes = sorted(cfg.fit["modes"], key=_MODE_ORDER.get)
     cached = state.get("fit", {})
@@ -451,7 +428,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg, out = _resolve(args)
+        if args.dry_run:
+            print("config ok (dry run); no outputs written")
+            return EXIT_OK
+        return args.func(args, cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -7,8 +7,10 @@ Canonical form:
 
 solved with a primal active-set method (null-space steps, Cholesky
 refactorization each iteration). Problems here are tiny (m of a few, a
-handful of rows): per-sample feasibility checks, the runtime safety filter,
-and boundary-probe feasibility all reduce to this form. Phase 1 is a
+handful of rows). The solver serves the runtime safety filter for more than
+one input (a single input takes a closed-form interval) and the QP oracle of
+acceptance criterion 3; per-sample feasibility and the fit's boundary checks
+use the closed forms `min_zdot` and `max_over_box` instead. Phase 1 is a
 max-min-slack LP solved with HiGHS; its argmax doubles as the
 least-violation point reported on infeasible problems.
 """
@@ -132,7 +134,7 @@ def _phase1(A: Array, b: Array, box: BoxSet) -> tuple[Array, float]:
     return box.clip(res.x[:m]), float(res.x[-1])
 
 
-def solve_box_qp(p: QpProblem, max_iter: int | None = None) -> QpSolution:
+def solve_box_qp(p: QpProblem) -> QpSolution:
     """Solve the box QP exactly with a primal active-set iteration.
 
     Box bounds and inequality rows are handled uniformly as G u >= g. Each
@@ -163,11 +165,8 @@ def solve_box_qp(p: QpProblem, max_iter: int | None = None) -> QpSolution:
     working = [i for i in range(n_rows) if (G[i] @ u - g[i]) <= 1e-10 * row_norm[i]]
     working = _independent_subset(G, working)
 
-    if max_iter is None:
-        max_iter = 50 * (m + n_rows + 1)
-
     lam = np.zeros(n_rows)
-    for _ in range(max_iter):
+    for _ in range(50 * (m + n_rows + 1)):
         grad = H @ u + q
         GW = G[working]
         p_step = _eqp_step(H, grad, GW)

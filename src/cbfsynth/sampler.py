@@ -19,7 +19,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -86,24 +86,21 @@ class SampleSet:
     tracker: JaccardTracker
     system_name: str = "anonymous"
     converged: bool = True
+    # sha256 of the file form, recorded by save_samples / load_samples
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    @property
-    def records(self) -> list[SampleRecord]:
-        return list(self.iter_records())
-
-    def iter_records(self) -> Iterator[SampleRecord]:
-        for i in range(len(self)):
-            yield SampleRecord(self.states[i], _CODE_CLASS[int(self.labels[i])],
-                               float(self.residuals[i]))
 
     def class_mask(self, label: SampleClass) -> Array:
         return self.labels == _CLASS_CODE[label]
 
     def checksum(self) -> str:
-        return hashlib.sha256(canonical_bytes(self)).hexdigest()
+        """Digest of the sample file: the one recorded when the set was last
+        saved or loaded, else that of a fresh serialization."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(canonical_bytes(self)).hexdigest()
+        return self._digest
 
 
 def draw_batch(bounds: BoxSet, count: int, rng: np.random.Generator) -> Array:
@@ -215,35 +212,21 @@ def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
     )
 
 
-def merge(a: SampleSet, b: SampleSet) -> SampleSet:
-    """Concatenate two sample sets drawn over the same box and tolerance."""
-    if not (np.array_equal(a.bounds.lower, b.bounds.lower)
-            and np.array_equal(a.bounds.upper, b.bounds.upper)):
-        raise ValueError("sample sets cover different boxes")
-    if a.zero_tol != b.zero_tol:
-        raise ValueError("sample sets use different zero tolerances")
-    tracker = JaccardTracker(
-        n_total=a.tracker.n_total + b.tracker.n_total,
-        n_feasible=a.tracker.n_feasible + b.tracker.n_feasible,
-    )
-    tracker.checkpoint()
-    return SampleSet(
-        states=np.vstack([a.states, b.states]),
-        labels=np.concatenate([a.labels, b.labels]),
-        residuals=np.concatenate([a.residuals, b.residuals]),
-        bounds=a.bounds,
-        seed=a.seed,
-        zero_tol=a.zero_tol,
-        tracker=tracker,
-        system_name=a.system_name,
-        converged=a.converged and b.converged,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Line-delimited JSON persistence (bit-exact round trip)
 
+# the text between a row's coordinates and its residual, by class code
+_CLASS_TEXT = tuple(f'],"class":"{_CODE_CLASS[code].value}","residual":'.encode()
+                    for code in range(3))
+
+
 def canonical_bytes(s: SampleSet) -> bytes:
+    """The sample file: a JSON header line, then one JSON record per sample.
+
+    Every row comes from one format string; `%a` of a finite float is its
+    repr, the shortest round-trip decimal, which is also what `json.dumps`
+    writes.
+    """
     lines = [json.dumps({
         "version": FORMAT_VERSION,
         "system": s.system_name,
@@ -252,52 +235,66 @@ def canonical_bytes(s: SampleSet) -> bytes:
         "zero_tol": s.zero_tol,
         "checkpoints": [{"n": n, "J": j} for n, j in s.tracker.history],
         "converged": s.converged,
-    }, separators=(",", ":"))]
-    names = {code: cls.value for code, cls in _CODE_CLASS.items()}
-    for i in range(len(s)):
-        lines.append(json.dumps({
-            "x": s.states[i].tolist(),
-            "class": names[int(s.labels[i])],
-            "residual": float(s.residuals[i]),
-        }, separators=(",", ":")))
-    return ("\n".join(lines) + "\n").encode()
+    }, separators=(",", ":")).encode()]
+    row = b'{"x":[' + b",".join([b"%a"] * s.states.shape[1]) + b"%s%a}"
+    lines += map(row.__mod__, zip(*s.states.T.tolist(),
+                                  map(_CLASS_TEXT.__getitem__, s.labels.tolist()),
+                                  s.residuals.tolist()))
+    lines.append(b"")
+    return b"\n".join(lines)
 
 
 def save_samples(s: SampleSet, path) -> str:
-    """Write the set; returns the content digest."""
+    """Write the set; returns the content digest, which the set keeps."""
     data = canonical_bytes(s)
     with open(path, "wb") as f:
         f.write(data)
-    return hashlib.sha256(data).hexdigest()
+    s._digest = hashlib.sha256(data).hexdigest()
+    return s._digest
 
 
 def load_samples(path) -> SampleSet:
+    """Read a sample file once, parse it, and check that it is canonical.
+
+    The parsed set must reformat to exactly the bytes read, so any edit that
+    `canonical_bytes` would not write raises ValueError, as do rows whose
+    width is not the header's state dimension.
+    """
     with open(path, "rb") as f:
-        lines = f.read().decode().splitlines()
-    if not lines:
+        data = f.read()
+    head, _, body = data.partition(b"\n")
+    if not head:
         raise ValueError(f"{path}: empty sample file")
-    header = json.loads(lines[0])
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported sample file version {header.get('version')}")
-    name_code = {cls.value: code for cls, code in _CLASS_CODE.items()}
-    states, labels, residuals = [], [], []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        states.append(rec["x"])
-        labels.append(name_code[rec["class"]])
-        residuals.append(rec["residual"])
-    tracker = JaccardTracker(history=[(c["n"], c["J"]) for c in header["checkpoints"]])
-    labels_arr = np.array(labels, dtype=np.int8)
-    tracker.n_total = len(labels)
-    tracker.n_feasible = int(np.sum(labels_arr == _CLASS_CODE[SampleClass.FEASIBLE]))
-    return SampleSet(
-        states=np.array(states, dtype=float).reshape(len(labels), -1),
-        labels=labels_arr,
-        residuals=np.array(residuals, dtype=float),
-        bounds=BoxSet(np.array(header["bounds"]["lower"]), np.array(header["bounds"]["upper"])),
+    header = json.loads(head)
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported sample file version {version}")
+    bounds = BoxSet(np.array(header["bounds"]["lower"]), np.array(header["bounds"]["upper"]))
+    n, dim = body.count(b"\n"), bounds.dim
+    # each row becomes "x_1,..,x_dim,code,residual," for one numeric parse
+    body = body.replace(b'{"x":[', b"").replace(b"}\n", b",")
+    for code, text in enumerate(_CLASS_TEXT):
+        body = body.replace(text, b",%d," % code)
+    values = np.fromstring(body, sep=",")
+    if values.size != n * (dim + 2) or not np.isin(values[dim::dim + 2], list(_CODE_CLASS)).all():
+        raise ValueError(f"{path}: sample rows do not hold {dim} coordinates each")
+    values = values.reshape(n, dim + 2)
+    labels = values[:, dim].astype(np.int8)
+    s = SampleSet(
+        states=values[:, :dim].copy(),
+        labels=labels,
+        residuals=values[:, dim + 1].copy(),
+        bounds=bounds,
         seed=int(header["seed"]),
         zero_tol=float(header["zero_tol"]),
-        tracker=tracker,
+        tracker=JaccardTracker(
+            n_total=n, n_feasible=int(np.sum(labels == _CLASS_CODE[SampleClass.FEASIBLE])),
+            history=[(c["n"], c["J"]) for c in header["checkpoints"]]),
         system_name=header["system"],
         converged=bool(header["converged"]),
     )
+    del body, values   # free the parse's copies before the reformat check
+    if canonical_bytes(s) != data:
+        raise ValueError(f"{path}: content does not match its canonical form")
+    s._digest = hashlib.sha256(data).hexdigest()
+    return s

@@ -32,7 +32,6 @@ class FilterConfig:
 
     alphas: Sequence[float]
     input_box: BoxSet
-    relaxation: float | None = None   # slack weight; None keeps constraints hard
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in np.atleast_1d(np.asarray(self.alphas, dtype=float)))
@@ -176,14 +175,11 @@ def safety_filter(x: Array, u_nom: Array, cands: Sequence[CbfCandidate],
     if not np.all(np.isfinite(rows)) or not np.all(np.isfinite(rhs)):
         raise ArithmeticError("non-finite dynamics in safety filter")
 
-    if sys.m == 1 and fc.relaxation is None:
+    if sys.m == 1:
         interval = _filter_interval_1d(rows, rhs, fc.input_box)
         if interval is not None:
             return np.array([min(max(float(u_nom[0]), interval[0]), interval[1])]), \
                 STATUS_OPTIMAL
-
-    if fc.relaxation is not None:
-        return _relaxed_filter(u_nom, rows, rhs, fc)
 
     prob = QpProblem(hessian=2.0 * np.eye(sys.m), linear=-2.0 * u_nom,
                      ineq_rows=rows, ineq_rhs=rhs, box=fc.input_box,
@@ -191,25 +187,6 @@ def safety_filter(x: Array, u_nom: Array, cands: Sequence[CbfCandidate],
     sol = solve_box_qp(prob)
     status = STATUS_OPTIMAL if sol.status is QpStatus.OPTIMAL else STATUS_INFEASIBLE
     return sol.argmin, status
-
-
-def _relaxed_filter(u_nom: Array, rows: Array, rhs: Array,
-                    fc: FilterConfig) -> tuple[Array, str]:
-    """Soft-constraint variant: min ||u - u_nom||^2 + w ||slack||^2."""
-    m = u_nom.size
-    k = rows.shape[0]
-    big = 1e12
-    H = np.zeros((m + k, m + k))
-    H[:m, :m] = 2.0 * np.eye(m)
-    H[m:, m:] = 2.0 * fc.relaxation * np.eye(k)
-    q = np.concatenate([-2.0 * u_nom, np.zeros(k)])
-    A = np.hstack([rows, np.eye(k)])
-    box = BoxSet(np.concatenate([fc.input_box.lower, np.zeros(k)]),
-                 np.concatenate([fc.input_box.upper, np.full(k, big)]))
-    sol = solve_box_qp(QpProblem(hessian=H, linear=q, ineq_rows=A, ineq_rhs=rhs,
-                                 box=box, constant=float(u_nom @ u_nom)))
-    status = STATUS_OPTIMAL if sol.status is QpStatus.OPTIMAL else STATUS_INFEASIBLE
-    return sol.argmin[:m], status
 
 
 def step(sys: SystemModel, x: Array, u: Array, dt: float) -> Array:

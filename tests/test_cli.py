@@ -149,6 +149,20 @@ def test_boundary_requires_samples(tmp_path):
     assert main(["boundary", "--config", str(cfg)]) == 4
 
 
+@pytest.mark.parametrize("command, done", [
+    ("fit", ["sample"]),
+    ("simulate", ["sample", "boundary"]),
+], ids=["fit-without-boundary", "simulate-without-candidates"])
+def test_missing_artifact_exits_4(tmp_path, capsys, command, done):
+    cfg = tiny_config(tmp_path, out=str(tmp_path / "out"))
+    for stage in done:
+        assert main([stage, "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_boundary_detects_tampering(tmp_path):
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out))
@@ -170,11 +184,23 @@ def test_fit_detects_stale_boundary(tmp_path):
     assert main(["fit", "--config", str(cfg2)]) == 4
 
 
+def _widen_rows(data: bytes) -> bytes:
+    """Prepend one coordinate to every sample row, keeping the canonical form."""
+    head, _, body = data.partition(b"\n")
+    return head + b"\n" + body.replace(b'{"x":[', b'{"x":[0.0,')
+
+
+_CORRUPT = {"truncate": lambda data: data[:len(data) // 2],
+            "append": lambda data: data + b"{garbled\n",
+            "widen": _widen_rows}
+
+
 @pytest.mark.parametrize("command, artifact, corrupt", [
     ("fit", "samples.jsonl", "truncate"),
     ("fit", "boundary.jsonl", "append"),
     ("simulate", "candidates_uniform.json", "truncate"),
-], ids=["truncated-samples", "garbled-boundary", "truncated-candidates"])
+    ("boundary", "samples.jsonl", "widen"),
+], ids=["truncated-samples", "garbled-boundary", "truncated-candidates", "wide-sample-rows"])
 def test_unparsable_artifact_is_integrity_failure(tmp_path, capsys, command, artifact,
                                                   corrupt):
     out = tmp_path / "out"
@@ -182,12 +208,40 @@ def test_unparsable_artifact_is_integrity_failure(tmp_path, capsys, command, art
     for stage in ("sample", "boundary", "fit"):
         assert main([stage, "--config", str(cfg)]) == 0
     path = out / artifact
-    data = path.read_bytes()
-    path.write_bytes(data[:len(data) // 2] if corrupt == "truncate" else data + b"{garbled\n")
+    path.write_bytes(_CORRUPT[corrupt](path.read_bytes()))
     capsys.readouterr()
     assert main([command, "--config", str(cfg)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("integrity error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, edit, argv", [
+    ("boundary", lambda text: text, ["--seed", "77"]),
+    ("fit", lambda text: text.replace("upper = 0.0, 40.0", "upper = 5.0, 40.0"), []),
+    ("boundary", lambda text: text.replace("seed = 3", "seed = 3\nzero_tol = 1e-6"), []),
+], ids=["seed", "bounds", "zero-tol"])
+def test_stale_sample_file_is_integrity_failure(tmp_path, capsys, command, edit, argv):
+    """A sample file drawn for another seed, box or tolerance than the config's
+    is stale: the standalone stages refuse it instead of using it."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    for stage in ("sample", "boundary"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    cfg.write_text(edit(cfg.read_text()))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), *argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("integrity error:") and err.count("\n") == 1
+
+
+def test_explicit_default_zero_tol_matches_auto(tmp_path):
+    """`zero_tol = auto` samples with the default coefficient, so a config that
+    spells that coefficient out still accepts the file."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    assert main(["sample", "--config", str(cfg)]) == 0
+    cfg2 = tiny_config(tmp_path, out=str(out), extra_sampling="zero_tol = 1e-9")
+    assert main(["boundary", "--config", str(cfg2)]) == 0
 
 
 def test_fit_infeasible_exit_code(tmp_path):
@@ -245,6 +299,12 @@ def test_pipeline_caching_and_stage_isolation(tmp_path):
         assert (out / f).read_bytes() == snapshot[f]
     # deleting an intermediate regenerates it identically
     (out / "boundary.jsonl").unlink()
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    for f in files:
+        assert (out / f).read_bytes() == snapshot[f]
+    # a non-canonical edit of the sample file is a cache miss: re-sampled, not refused
+    path = out / "samples.jsonl"
+    path.write_bytes(snapshot["samples.jsonl"].replace(b'"residual":', b'"residual": ', 1))
     assert main(["pipeline", "--config", str(cfg)]) == 0
     for f in files:
         assert (out / f).read_bytes() == snapshot[f]

@@ -1,11 +1,15 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
+from cbfsynth import sampler
 from cbfsynth.qp import min_zdot_residual, zero_tolerance, lie_derivatives
-from cbfsynth.sampler import (SampleClass, canonical_bytes,
+from cbfsynth.sampler import (JaccardTracker, SampleClass, SampleSet, canonical_bytes,
                               classify, classify_batch, draw_batch, load_samples,
-                              merge, run_sampling, save_samples)
+                              run_sampling, save_samples)
 from cbfsynth.system import BoxSet, HardConstraint, SystemModel, build_system
 
 from conftest import REFERENCE_BOUNDS
@@ -210,22 +214,6 @@ def test_jaccard_increment_bound(reference_run):
         prev_n, prev_j = n, j
 
 
-def test_merge_counts_and_jaccard_between(di):
-    sysm, input_box = di
-    a = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=200, delta=1.0,
-                     growth=3.0, seed=1, n_start=243)
-    b = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=200, delta=1.0,
-                     growth=3.0, seed=2, n_start=729)
-    m = merge(a, b)
-    assert m.tracker.n_total == a.tracker.n_total + b.tracker.n_total
-    assert m.tracker.n_feasible == a.tracker.n_feasible + b.tracker.n_feasible
-    lo, hi = sorted([a.tracker.jaccard, b.tracker.jaccard])
-    assert lo - 1e-15 <= m.tracker.jaccard <= hi + 1e-15
-    with pytest.raises(ValueError):
-        merge(a, run_sampling(sysm, input_box, UNIT_BOX, n_min=10, delta=1.0,
-                              growth=3.0, seed=3, n_start=16))
-
-
 def test_feasible_records_reverify(di, reference_run):
     """Every feasible record either admits an input that pins zdot near zero
     or is admitted by the unconditional-growth rule."""
@@ -272,12 +260,98 @@ def test_reference_run_matches_area_oracle(reference_run):
     assert reference_run.tracker.jaccard == pytest.approx(655.0 / 800.0, abs=0.01)
 
 
-def test_records_view(di):
+def _json_oracle(s: SampleSet) -> bytes:
+    """The sample file written with one `json.dumps` per line."""
+    names = {0: "outside", 1: "infeasible", 2: "feasible"}
+    lines = [json.dumps({
+        "version": 1, "system": s.system_name,
+        "bounds": {"lower": s.bounds.lower.tolist(), "upper": s.bounds.upper.tolist()},
+        "seed": s.seed, "zero_tol": s.zero_tol,
+        "checkpoints": [{"n": n, "J": j} for n, j in s.tracker.history],
+        "converged": s.converged}, separators=(",", ":"))]
+    for x, label, r in zip(s.states, s.labels, s.residuals):
+        lines.append(json.dumps({"x": x.tolist(), "class": names[int(label)],
+                                 "residual": float(r)}, separators=(",", ":")))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _odd_values_set() -> SampleSet:
+    odd = [-0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 0.1 + 0.2, 3.0, -40.0, 0.0, 123456789.0,
+           2.0 ** 60, 1.7976931348623157e308, 2.2250738585072014e-308, 1e-7]
+    states = np.array([odd, odd[::-1]], dtype=float).T
+    tracker = JaccardTracker(n_total=len(odd), n_feasible=5)
+    tracker.checkpoint()
+    return SampleSet(states=states, labels=np.arange(len(odd), dtype=np.int8) % 3,
+                     residuals=np.abs(np.array(odd[3:] + odd[:3])), bounds=REFERENCE_BOUNDS,
+                     seed=7, zero_tol=1e-9, tracker=tracker, system_name="odd")
+
+
+def test_canonical_bytes_matches_json_oracle(di):
     sysm, input_box = di
-    s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=10, delta=1.0,
-                     growth=3.0, seed=6, n_start=32)
-    recs = s.records
-    assert len(recs) == len(s)
-    assert recs[0].label in (SampleClass.OUTSIDE, SampleClass.INFEASIBLE,
-                             SampleClass.FEASIBLE)
-    assert np.array_equal(recs[0].state, s.states[0])
+    sampled = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=200, delta=0.5,
+                           growth=3.0, seed=5, n_start=243)
+    for s in (sampled, _odd_values_set()):
+        assert canonical_bytes(s) == _json_oracle(s)
+
+
+def test_odd_values_roundtrip(tmp_path):
+    s = _odd_values_set()
+    path = tmp_path / "samples.jsonl"
+    save_samples(s, path)
+    loaded = load_samples(path)
+    assert np.array_equal(loaded.states.view(np.int64), s.states.view(np.int64))
+    assert np.array_equal(loaded.residuals.view(np.int64), s.residuals.view(np.int64))
+    assert np.array_equal(loaded.labels, s.labels)
+
+
+def test_digest_is_recorded_at_save_and_load(tmp_path, di, monkeypatch):
+    """save_samples and load_samples each serialize the set once and record
+    its digest; checksum() then hashes nothing again."""
+    sysm, input_box = di
+    s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=200, delta=0.5,
+                     growth=3.0, seed=5, n_start=243)
+    calls = []
+    original = sampler.canonical_bytes
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(sampler, "canonical_bytes", counting)
+    path = tmp_path / "samples.jsonl"
+    digest = save_samples(s, path)
+    assert len(calls) == 1
+    assert s.checksum() == digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    loaded = load_samples(path)
+    assert len(calls) == 2
+    assert loaded.checksum() == digest
+    assert len(calls) == 2
+
+
+def _misalign_rows(data: bytes) -> bytes:
+    """Give the first row one coordinate more (50.0) and the second one fewer,
+    so the file still holds as many numbers as rows of the right width."""
+    head, first, second, rest = data.split(b"\n", 3)
+    second = b'{"x":[' + second.split(b",", 1)[1]
+    return b"\n".join([head, first.replace(b"],", b",50.0],", 1), second, rest])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data.replace(b'"residual":', b'"residual": ', 1),
+    lambda data: data.replace(b"\n", b"\r\n"),
+    lambda data: data[:-1],
+    lambda data: data + b"\n",
+    lambda data: data.replace(b'"class":"', b'"class":"x', 1),
+    lambda data: data.replace(b'"x":[', b'"x":[1.0,', 1),
+    _misalign_rows,
+], ids=["space", "crlf", "no-final-newline", "blank-line", "unknown-class", "one-wide-row",
+        "misaligned-rows"])
+def test_load_rejects_non_canonical(tmp_path, di, edit):
+    sysm, input_box = di
+    s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=200, delta=0.5,
+                     growth=3.0, seed=5, n_start=243)
+    path = tmp_path / "samples.jsonl"
+    save_samples(s, path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError):
+        load_samples(path)

@@ -94,15 +94,6 @@ def test_filter_infeasible_zero_row(di, fc):
     assert -300.0 <= u[0] <= 300.0
 
 
-def test_filter_relaxation_soft_constraints(di):
-    sysm, input_box = di
-    fc = FilterConfig(alphas=[5.0], input_box=input_box, relaxation=1e-3)
-    u, status = safety_filter(np.array([0.5, -1.0]), np.array([0.0]),
-                              [identity_candidate(2)], sysm, fc)
-    assert status == STATUS_OPTIMAL
-    assert input_box.contains(u)
-
-
 def test_filter_idempotent_off_constraint(di, fc):
     sysm, _ = di
     rng = np.random.default_rng(0)
