@@ -103,6 +103,16 @@ def extract_boundary(s: SampleSet, epsilon: float,
     return BoundarySet(points, float(epsilon), checksum, empty_warning=points.shape[0] == 0)
 
 
+def stray_points(b: BoundarySet, s: SampleSet) -> int:
+    """Number of boundary points that are not feasible rows of `s`.
+
+    Extraction keeps feasible sample rows only, so any other point was put
+    into the boundary after extraction.
+    """
+    feasible = {x.tobytes() for x in s.states[s.class_mask(SampleClass.FEASIBLE)]}
+    return sum(x.tobytes() not in feasible for x in b.points)
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 

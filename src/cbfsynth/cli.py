@@ -208,6 +208,9 @@ def cmd_fit(args, cfg: PipelineConfig, out: Path) -> int:
         print(f"error: {boundary_path} was extracted from a different sample file",
               file=_sys.stderr)
         return EXIT_INTEGRITY
+    stray = bnd.stray_points(b, s)
+    if stray:
+        raise IntegrityError(f"{boundary_path}: {stray} point(s) are not feasible samples")
     checksums = {"samples": s.checksum(), "boundary": _file_digest(boundary_path)}
     _, code = _stage_fit(cfg, out, s, b, checksums)
     return code

@@ -135,7 +135,8 @@ class _SearchContext:
             raise ValueError("volume region has zero volume")
         self.n = s.bounds.dim
 
-        self.states = s.states
+        # column-major, the layout eval_h_stack takes, so no kernel call copies
+        self.states = np.asfortranarray(s.states)
         self.feas = s.class_mask(SampleClass.FEASIBLE)
         self.in_v = self.region.contains(self.states)
         if not np.any(self.in_v):
@@ -143,7 +144,7 @@ class _SearchContext:
 
         stride = max(1, len(s) // 60000)
         self.sub = slice(None, None, stride)
-        self.states_sub = self.states[self.sub]
+        self.states_sub = np.asfortranarray(self.states[self.sub])
         self.feas_sub = self.feas[self.sub]
         self.in_v_sub = self.in_v[self.sub]
         self.n_in_v_sub = int(np.sum(self.in_v_sub))
@@ -213,6 +214,8 @@ class _SearchContext:
         """
         scale, shift = scale[..., None, :], shift[..., None, :]
         grad = self.hcf.gradient(self.grad_probe * scale + shift) * (scale * self.span_w)
+        # the norm sums over the state axis; a row-major operand fixes its order
+        grad = np.ascontiguousarray(grad)
         return np.maximum(np.mean(np.linalg.norm(grad, axis=-1), axis=-1), 1e-12)
 
     def offset_cap(self, scale: Array, shift: Array) -> float:
@@ -258,9 +261,11 @@ class _SearchContext:
         owner, k = np.nonzero(good & (np.cumsum(good, axis=1) <= want))
         if not k.size:
             return np.zeros((0, self.n)), owner
-        xa = self.states_sub[self.pool_a[k]]
-        xb = self.states_sub[self.pool_b[k]]
-        scale, shift, offset = (p[owner] for p in stack_candidates(cands))
+        # every bisection operand column-major, like the states: a step's loops
+        # then run down unit-stride columns of all of them at once
+        xa = np.asfortranarray(self.states_sub[self.pool_a[k]])
+        xb = np.asfortranarray(self.states_sub[self.pool_b[k]])
+        scale, shift, offset = (np.asfortranarray(p[owner]) for p in stack_candidates(cands))
         mid = np.empty_like(xa)
         arg = np.empty_like(xa)
         for _ in range(bisect_iters):
@@ -533,7 +538,8 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
             reasons[reason] += 1
 
     seeds = mode.seeds(ctx, warm)
-    for k in range(max(cfg.restarts, len(seeds))):
+    runs = max(cfg.restarts, len(seeds))
+    for k in range(runs):
         if k < len(seeds):
             theta = np.array(seeds[k], dtype=float)
             offer(theta)
@@ -547,22 +553,23 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
         offer(theta)
         theta = _golden_polish(fun, theta, steps)
         offer(theta)
-    return _finalize(ctx, best, reasons, b)
+    return _finalize(ctx, best, reasons, b, runs)
 
 
 def _finalize(ctx: _SearchContext, best: list[CbfCandidate] | None, reasons: Counter,
-              b: BoundarySet | None) -> FitResult:
+              b: BoundarySet | None, runs: int) -> FitResult:
     cfg = ctx.cfg
     if best is None:
         why = "; ".join(sorted(reasons)[:4]) or "no candidate evaluated"
         report = VerificationReport(0.0, 0.0, 0.0, empty_warning=True)
         return FitResult([], 0.0, report, [], cfg.mode, feasible=False,
-                         diagnostics=f"no feasible candidate after {cfg.restarts} restarts: {why}")
+                         diagnostics=f"no feasible candidate after {runs} restarts: {why}")
 
     cands = list(best)
     flags: list[tuple[int, int, bool]] = []
     if len(cands) > 1:
-        probe_states = ctx.states_sub[:max(2 * ctx.n + 4, 64)]
+        # row-major: check_redundancy reduces over the state axis
+        probe_states = np.ascontiguousarray(ctx.states_sub[:max(2 * ctx.n + 4, 64)])
         drop: set[int] = set()
         for i in range(len(cands)):
             for j in range(i + 1, len(cands)):
@@ -665,7 +672,8 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
     if not cands:
         raise ValueError("need at least one candidate")
     hcf = sys.hcf
-    h_all = eval_h_stack(cands, hcf, s.states)
+    ctx = _SearchContext(s, boundary, sys, input_box, FitConfig(seed=seed, probes=probes))
+    h_all = eval_h_stack(cands, hcf, ctx.states)
     inside = h_all.min(axis=0) >= 0.0
     n_inside = int(np.sum(inside))
     empty = n_inside == 0
@@ -675,7 +683,6 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
         feas = s.class_mask(SampleClass.FEASIBLE)
         containment = float(np.sum(inside & feas)) / n_inside
 
-    ctx = _SearchContext(s, boundary, sys, input_box, FitConfig(seed=seed, probes=probes))
     pts, owner = ctx.boundary_probes(cands, h_all[:, ctx.sub], probes)
     scale, shift, _ = (p[owner] for p in stack_candidates(cands))
     grad_h = hcf.gradient(pts * scale + shift) * scale

@@ -8,7 +8,9 @@ diagonal D, shift c and offset eps; the synthesis pipeline searches over
 All state-dependent callables (z, dz/dx, f, g) broadcast over leading axes:
 they accept (..., n) arrays and return (...), (..., n), (..., n) and
 (..., n, m) respectively. This keeps batch classification and set-size
-estimation fully vectorized.
+estimation fully vectorized. They may receive column-major or strided arrays
+(the fit keeps its states column-major, see `eval_h_stack`), and each output
+entry must depend only on its own state, whatever the layout.
 """
 
 from __future__ import annotations
@@ -169,11 +171,18 @@ def stack_candidates(cands: Sequence[CbfCandidate]) -> tuple[Array, Array, Array
 def eval_h_stack(cands: Sequence[CbfCandidate], hcf: HardConstraint, states: Array) -> Array:
     """(s, N) values of s candidates over an (N, n) batch in one (s, N, n) z call.
 
+    The states are taken column-major. The (s, N, n) argument then holds each
+    coordinate of each candidate as one unit-stride run of N values, so z's
+    per-coordinate work (`x[..., i]`, comparisons, products) streams through
+    memory instead of stepping over the n-wide state axis. Row-major states
+    cost one (N, n) copy; the fit search keeps its states column-major and
+    pays none.
+
     Elementwise the same arithmetic as `eval_h_batch`, so each row equals the
     single-candidate result bit for bit.
     """
     scale, shift, offset = stack_candidates(cands)
-    x = np.asarray(states, dtype=float)
+    x = np.asfortranarray(states, dtype=float)
     return hcf.value(x * scale[:, None] + shift[:, None]) + offset[:, None]
 
 

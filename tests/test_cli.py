@@ -184,6 +184,37 @@ def test_fit_detects_stale_boundary(tmp_path):
     assert main(["fit", "--config", str(cfg2)]) == 4
 
 
+def _infeasible_row(out: Path) -> str:
+    for line in (out / "samples.jsonl").read_text().splitlines()[1:]:
+        row = json.loads(line)
+        if row["class"] != "feasible":
+            return json.dumps({"x": row["x"]}, separators=(",", ":"))
+    raise AssertionError("no non-feasible sample")
+
+
+@pytest.mark.parametrize("point", [
+    lambda out: '{"x":[-5.0,5.0]}',
+    _infeasible_row,
+], ids=["off-sample", "non-feasible-sample"])
+def test_fit_rejects_boundary_point_outside_feasible_samples(tmp_path, capsys, point):
+    """Extraction keeps feasible sample rows only, so a boundary file holding
+    any other point was edited after extraction."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    for stage in ("sample", "boundary"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    path = out / "boundary.jsonl"
+    lines = path.read_text().splitlines()
+    assert len(lines) > 2
+    lines[1] = point(out)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["fit", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("integrity error:") and err.count("\n") == 1
+    assert not (out / "candidates_uniform.json").exists()
+
+
 def _widen_rows(data: bytes) -> bytes:
     """Prepend one coordinate to every sample row, keeping the canonical form."""
     head, _, body = data.partition(b"\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,17 +146,53 @@ def test_check_redundancy_needs_probes(di):
                          np.zeros((2, 2)))
 
 
-@pytest.mark.parametrize("count", [1, 2, 3])
-def test_eval_h_stack_matches_per_candidate(di, count):
+_LAYOUTS = {
+    "c": lambda x: x[:257],
+    "fortran": lambda x: np.asfortranarray(x[:257]),
+    "strided": lambda x: x[::3],
+    "column-stacked": lambda x: np.column_stack([x[:257, 0], x[:257, 1]]),
+}
+
+
+@pytest.mark.parametrize("count, layout", [
+    pytest.param(k, layout, id=str(k) if layout == "c" else f"{k}-{layout}")
+    for k in (1, 2, 3) for layout in _LAYOUTS])
+def test_eval_h_stack_matches_per_candidate(di, count, layout):
+    """Every memory layout of the states gives the row-major values bit for bit."""
     sysm, _ = di
-    states = np.random.default_rng(4).uniform(REFERENCE_BOUNDS.lower,
-                                              REFERENCE_BOUNDS.upper, (257, 2))
-    states[:8, 1] = 0.0                       # the indicator's switching surface
+    base = np.random.default_rng(4).uniform(REFERENCE_BOUNDS.lower,
+                                            REFERENCE_BOUNDS.upper, (771, 2))
+    base[:24, 1] = 0.0                        # the indicator's switching surface
+    states = _LAYOUTS[layout](base)
+    assert np.count_nonzero(states[:, 1] == 0.0) >= 8
     cands = [CAP_CANDIDATE,                   # zero position scale
              CbfCandidate([0.0, 0.0], [-1.5, 2.0], 0.25),
              CbfCandidate([1.7, 0.3], [0.5, -3.0], -0.8)][:count]
-    expect = np.stack([eval_h_batch(c, sysm.hcf, states) for c in cands])
+    expect = np.stack([eval_h_batch(c, sysm.hcf, np.ascontiguousarray(states))
+                       for c in cands])
     assert np.array_equal(eval_h_stack(cands, sysm.hcf, states), expect)
+
+
+def test_fit_and_verify_ignore_sample_layout(di):
+    """A column-major copy of the sample states changes no fitted or verified bit."""
+    sysm, input_box = di
+    s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=500, delta=1.0,
+                     growth=3.0, seed=13, n_start=2187)
+    f = replace(s, states=np.asfortranarray(s.states))
+    assert s.states.flags.c_contiguous and not f.states.flags.c_contiguous
+    b = extract_boundary(s, 0.02)
+    cfg = FitConfig(mode="multi", num_cbfs=2, margin=0.02, restarts=1, iterations=40,
+                    population=4, probes=64)
+    r_c, r_f = (fit_multi(x, b, sysm, input_box, cfg) for x in (s, f))
+    assert r_c.feasible
+    assert (r_c.objective_value, r_c.verification, r_c.redundancy_flags, r_c.diagnostics) \
+        == (r_f.objective_value, r_f.verification, r_f.redundancy_flags, r_f.diagnostics)
+    for c1, c2 in zip(r_c.candidates, r_f.candidates, strict=True):
+        assert np.array_equal(c1.scale, c2.scale) and np.array_equal(c1.shift, c2.shift)
+        assert c1.offset == c2.offset
+    cands = [identity_candidate(2), CAP_CANDIDATE]
+    assert verify_candidate(cands, s, sysm, input_box, probes=64, boundary=b) \
+        == verify_candidate(cands, f, sysm, input_box, probes=64, boundary=b)
 
 
 def test_h_unit_stacked_matches_single(di, reference_run, reference_boundary):
@@ -274,7 +312,8 @@ def test_fit_infeasible_when_nothing_is_feasible(di):
     res = fit_uniform(s, b, sysm, ubox, FitConfig(restarts=2, iterations=60, population=8))
     assert not res.feasible
     assert res.candidates == []
-    assert res.diagnostics
+    # three structured seeds outnumber the two restarts asked for
+    assert "after 3 restarts" in res.diagnostics
     # the containment diagnosis is also visible through verification directly
     rep = verify_candidate([identity_candidate(2)], s, sysm, ubox, probes=32)
     assert rep.containment_fraction == 0.0
