@@ -8,14 +8,12 @@ filter in closed-loop simulation.
 """
 
 from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
-                     build_system, eval_h, eval_h_grad, eval_z, eval_zdot,
-                     identity_candidate, make_double_integrator,
-                     register_system, registered_systems)
-from .qp import (QpProblem, QpSolution, QpStatus, exists_input_nonneg,
-                 min_zdot_residual, solve_box_qp)
-from .sampler import (JaccardTracker, SampleClass, SampleRecord, SampleSet,
-                      classify, draw_batch, load_samples, run_sampling,
-                      save_samples)
+                     build_system, eval_h, eval_h_grad, identity_candidate,
+                     make_double_integrator, register_system,
+                     registered_systems)
+from .qp import QpProblem, QpSolution, QpStatus, solve_box_qp
+from .sampler import (JaccardTracker, SampleClass, SampleSet, draw_batch,
+                      load_samples, run_sampling, save_samples)
 from .boundary import (BoundarySet, auto_epsilon, extract_boundary,
                        load_boundary, save_boundary)
 from .fitter import (FitConfig, FitResult, VerificationReport, check_redundancy,

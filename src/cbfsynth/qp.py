@@ -5,31 +5,38 @@ Canonical form:
     min  0.5 u' H u + q' u + const
     s.t. A u >= b,  lower <= u <= upper
 
-solved with a primal active-set method (null-space steps, Cholesky
-refactorization each iteration). Problems here are tiny (m of a few, a
-handful of rows). The solver serves the runtime safety filter for more than
-one input (a single input takes a closed-form interval) and the QP oracle of
-acceptance criterion 3; per-sample feasibility and the fit's boundary checks
-use the closed forms `min_zdot` and `max_over_box` instead. Phase 1 is a
-max-min-slack LP solved with HiGHS; its argmax doubles as the
-least-violation point reported on infeasible problems.
+solved exactly by enumerating working sets (`solve_box_qp`), with a HiGHS
+max-min-slack LP as phase 1 on infeasible problems. Problems here are tiny (m
+of a few, a handful of rows). The solver serves the runtime safety filter for
+more than one input (a single input takes a closed-form interval) and the QP
+oracle of acceptance criterion 3; per-sample feasibility and the fit's
+boundary checks use the closed forms `min_zdot` and `max_over_box` instead.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 from scipy.optimize import linprog
 
-from .system import BoxSet, SystemModel
+from .system import BoxSet
 
 Array = np.ndarray
 
-# feasibility slack accepted on returned solutions
+# Most working sets solve_box_qp enumerates: sum over j <= m of C(k + 2m, j)
+# for m inputs and k inequality rows. 1,000 admits k <= 40 rows at m = 2 and
+# k <= 12 at m = 3; the filter has one row per candidate.
+MAX_WORKING_SETS = 1000
+
+# slack and multiplier sign accepted on returned solutions
 _FEAS_TOL = 1e-9
+# KKT residual accepted, relative to 1 + the largest problem coefficient
+_KKT_TOL = 1e-12
+# most negative Hessian eigenvalue taken as rounding of a PSD one
 _PSD_TOL = 1e-10
 
 
@@ -88,16 +95,18 @@ class QpSolution:
     """Solver output; multipliers are reported for KKT verification.
 
     Stationarity convention: H u + q - A' ineq_mult - lower_mult + upper_mult = 0
-    with all multipliers >= 0. On infeasible problems `argmin` holds the
-    phase-1 least-violation point and the multipliers are zero.
+    with all multipliers >= 0. On optimal problems the multipliers are those
+    of the winning working set's KKT system, zero on rows outside it. On
+    infeasible problems `argmin` holds the phase-1 least-violation point and
+    the multipliers are zero.
     """
 
     argmin: Array
     objective: float
     status: QpStatus
-    ineq_mult: Array = field(default_factory=lambda: np.zeros(0))
-    lower_mult: Array = field(default_factory=lambda: np.zeros(0))
-    upper_mult: Array = field(default_factory=lambda: np.zeros(0))
+    ineq_mult: Array
+    lower_mult: Array
+    upper_mult: Array
 
     def kkt_residual(self, p: QpProblem) -> float:
         """Max-norm of the stationarity residual at the reported solution."""
@@ -105,16 +114,6 @@ class QpSolution:
              - p.ineq_rows.T @ self.ineq_mult
              - self.lower_mult + self.upper_mult)
         return float(np.max(np.abs(r))) if r.size else 0.0
-
-
-def _psd_repair(H: Array) -> Array:
-    """Reject indefinite Hessians; lift the spectrum of borderline-PSD ones."""
-    eigmin = float(np.min(np.linalg.eigvalsh(H))) if H.size else 0.0
-    if eigmin < -_PSD_TOL:
-        raise ValueError(f"hessian is indefinite (min eigenvalue {eigmin:.3e})")
-    if eigmin < 1e-12:
-        H = H + _PSD_TOL * np.eye(H.shape[0])
-    return H
 
 
 def _phase1(A: Array, b: Array, box: BoxSet) -> tuple[Array, float]:
@@ -135,133 +134,70 @@ def _phase1(A: Array, b: Array, box: BoxSet) -> tuple[Array, float]:
 
 
 def solve_box_qp(p: QpProblem) -> QpSolution:
-    """Solve the box QP exactly with a primal active-set iteration.
+    """Solve the box QP exactly by enumerating its working sets.
 
-    Box bounds and inequality rows are handled uniformly as G u >= g. Each
-    iteration solves the equality-constrained subproblem on the working set
-    through a null-space basis and a fresh Cholesky factorization, then either
-    drops the most negative multiplier or steps to the nearest blocking row.
+    The box is stacked with the inequality rows as G u >= g. Every working set
+    W of at most m rows gives the KKT system [[H, -G_W'], [G_W, 0]] (u, lam_W)
+    = (-q, g_W), and all of them are solved by least squares in one batched
+    pseudo-inverse. A solution with a residual within tolerance, feasible and
+    with nonnegative multipliers is a KKT point, hence optimal for a convex
+    QP; the least objective wins, ties going to the first working set (by
+    size, then lexicographically). This holds for singular H too: at a vertex
+    of the optimal face H is positive definite on the null space of the
+    independent active rows, so their KKT system is nonsingular.
+
+    More than MAX_WORKING_SETS working sets raise ValueError before anything
+    is built. The phase-1 LP runs only when no working set gives a KKT point,
+    which a feasible problem always has: it gives the infeasibility verdict and
+    the least-violation point.
     """
-    H = _psd_repair(p.hessian)
-    q = p.linear
     m, k = p.m, p.k
+    n_rows = k + 2 * m
+    count = sum(math.comb(n_rows, j) for j in range(m + 1))
+    if count > MAX_WORKING_SETS:
+        raise ValueError(f"{count} working sets exceed the limit of {MAX_WORKING_SETS} "
+                         f"(m = {m} inputs, {k} inequality rows)")
+    H, q = p.hessian, p.linear
+    eigmin = float(np.min(np.linalg.eigvalsh(H)))
+    if eigmin < -_PSD_TOL:
+        raise ValueError(f"hessian is indefinite (min eigenvalue {eigmin:.3e})")
 
-    # stacked constraints: A u >= b, u >= lower, -u >= -upper
-    G = np.vstack([p.ineq_rows, np.eye(m), -np.eye(m)])
-    g = np.concatenate([p.ineq_rhs, p.box.lower, -p.box.upper])
-    n_rows = G.shape[0]
+    # stacked constraints A u >= b, u >= lower, -u >= -upper, and a zero
+    # padding row that fills working sets smaller than m
+    G = np.vstack([p.ineq_rows, np.eye(m), -np.eye(m), np.zeros((1, m))])
+    g = np.concatenate([p.ineq_rhs, p.box.lower, -p.box.upper, [0.0]])
+    sets = np.array([rows + (n_rows,) * (m - j) for j in range(m + 1)
+                     for rows in itertools.combinations(range(n_rows), j)])
+    GW = G[sets]
+    kkt = np.block([[np.broadcast_to(H, GW.shape), -GW.transpose(0, 2, 1)],
+                    [GW, np.zeros(GW.shape)]])
+    rhs = np.concatenate([np.broadcast_to(-q, (count, m)), g[sets]], axis=1)
+    z = np.einsum("cij,cj->ci", np.linalg.pinv(kkt), rhs)
+    u, lam = z[:, :m], z[:, m:]
 
-    if k == 0:
-        u = p.box.midpoint()
+    scale = 1.0 + max(np.max(np.abs(H)), np.max(np.abs(q)),
+                      np.max(np.abs(G)), np.max(np.abs(g)))
+    residual = np.max(np.abs(np.einsum("cij,cj->ci", kkt, z) - rhs), axis=1)
+    kkt_point = ((residual <= _KKT_TOL * scale) & (np.min(lam, axis=1) >= -_FEAS_TOL)
+                 & (np.min(u @ G[:-1].T - g[:-1], axis=1) >= -_FEAS_TOL))
+    mult = np.zeros(n_rows + 1)
+    if kkt_point.any():
+        objective = 0.5 * np.einsum("ci,ij,cj->c", u, H, u) + u @ q
+        best = np.flatnonzero(kkt_point)[np.argmin(objective[kkt_point])]
+        mult[sets[best]] = np.maximum(lam[best], 0.0)
+        u, status = p.box.clip(u[best]), QpStatus.OPTIMAL
     else:
-        u = p.box.midpoint()
-        if np.min(p.ineq_rows @ u - p.ineq_rhs) < 0.0:
-            u, t_star = _phase1(p.ineq_rows, p.ineq_rhs, p.box)
-            if t_star < -_FEAS_TOL:
-                return QpSolution(argmin=u, objective=p.objective(u),
-                                  status=QpStatus.INFEASIBLE)
-
-    row_norm = np.maximum(1.0, np.max(np.abs(G), axis=1))
-    working = [i for i in range(n_rows) if (G[i] @ u - g[i]) <= 1e-10 * row_norm[i]]
-    working = _independent_subset(G, working)
-
-    lam = np.zeros(n_rows)
-    for _ in range(50 * (m + n_rows + 1)):
-        grad = H @ u + q
-        GW = G[working]
-        p_step = _eqp_step(H, grad, GW)
-        if np.max(np.abs(p_step), initial=0.0) <= 1e-11:
-            lam_w = _multipliers(GW, grad)
-            lam[:] = 0.0
-            lam[working] = lam_w
-            if lam_w.size == 0 or np.min(lam_w) >= -_FEAS_TOL:
-                break
-            drop = working[int(np.argmin(lam_w))]
-            working.remove(drop)
-            continue
-        # largest step along p_step that keeps all inactive rows feasible
-        alpha, blocking = 1.0, -1
-        for i in range(n_rows):
-            if i in working:
-                continue
-            d = G[i] @ p_step
-            if d < -1e-13 * row_norm[i]:
-                slack = max(G[i] @ u - g[i], 0.0)
-                a_i = slack / -d
-                if a_i < alpha - 1e-15:
-                    alpha, blocking = a_i, i
-        u = u + alpha * p_step
-        if blocking >= 0:
-            working.append(blocking)
-            working = _independent_subset(G, working)
-    else:  # pragma: no cover - iteration cap is generous for these sizes
-        raise RuntimeError("active-set iteration did not converge")
-
-    u = p.box.clip(u)
-    lam = np.where(np.abs(lam) <= _FEAS_TOL, np.maximum(lam, 0.0), lam)
-    return QpSolution(
-        argmin=u,
-        objective=p.objective(u),
-        status=QpStatus.OPTIMAL,
-        ineq_mult=lam[:k],
-        lower_mult=lam[k:k + m],
-        upper_mult=lam[k + m:],
-    )
-
-
-def _eqp_step(H: Array, grad: Array, GW: Array) -> Array:
-    """Minimizer step of the equality-constrained subproblem GW p = 0."""
-    if GW.shape[0] == 0:
-        c, low = sla.cho_factor(H)
-        return -sla.cho_solve((c, low), grad)
-    Z = sla.null_space(GW)
-    if Z.shape[1] == 0:
-        return np.zeros(grad.size)
-    Hz = Z.T @ H @ Z
-    c, low = sla.cho_factor(Hz)
-    return -Z @ sla.cho_solve((c, low), Z.T @ grad)
-
-
-def _multipliers(GW: Array, grad: Array) -> Array:
-    if GW.shape[0] == 0:
-        return np.zeros(0)
-    lam, *_ = np.linalg.lstsq(GW.T, grad, rcond=None)
-    return lam
-
-
-def _independent_subset(G: Array, rows: list[int]) -> list[int]:
-    """Greedily keep rows whose normals are linearly independent."""
-    kept: list[int] = []
-    for i in rows:
-        trial = G[kept + [i]]
-        if np.linalg.matrix_rank(trial, tol=1e-10) == len(kept) + 1:
-            kept.append(i)
-    return kept
+        u, t_star = _phase1(p.ineq_rows, p.ineq_rhs, p.box)
+        if t_star >= -_FEAS_TOL:  # pragma: no cover - tolerances disagree on a borderline problem
+            raise RuntimeError("phase 1 finds a feasible point but no working set a KKT point")
+        status = QpStatus.INFEASIBLE
+    return QpSolution(argmin=u, objective=p.objective(u), status=status,
+                      ineq_mult=mult[:k], lower_mult=mult[k:k + m],
+                      upper_mult=mult[k + m:n_rows])
 
 
 # ---------------------------------------------------------------------------
 # Feasibility primitives used by the sampler and the fitting programs
-
-def lie_derivatives(sys: SystemModel, x: Array) -> tuple[float, Array]:
-    """(L_f z, L_g z) at a single state."""
-    x = np.asarray(x, dtype=float)
-    grad = sys.hcf.gradient(x)
-    lf = float(grad @ sys.drift(x))
-    lg = np.asarray(grad @ sys.actuation(x), dtype=float).reshape(sys.m)
-    return lf, lg
-
-
-def min_zdot_residual(sys: SystemModel, x: Array,
-                      input_box: BoxSet) -> tuple[Array, float]:
-    """Minimize ||L_f z(x) + L_g z(x) u||^2 over u in the input box.
-
-    A zero optimal value certifies that some admissible input holds z level
-    (the defining condition of the input-feasible sample class).
-    """
-    lf, lg = lie_derivatives(sys, x)
-    u, r = min_zdot(lf, lg, input_box)
-    return u, float(r)
-
 
 def min_zdot(lf: float | Array, lg: Array, input_box: BoxSet) -> tuple[Array, Array]:
     """Closed-form (argmin, min) of (lf + lg . u)^2 over u in the box.
@@ -293,19 +229,6 @@ def min_zdot(lf: float | Array, lg: Array, input_box: BoxSet) -> tuple[Array, Ar
 def zero_tolerance(lf: float | Array, coeff: float = 1e-9) -> float | Array:
     """Scale-aware threshold under which the residual counts as zero (elementwise)."""
     return coeff * (1.0 + lf * lf)
-
-
-def exists_input_nonneg(row: Array, bias: float, input_box: BoxSet) -> bool:
-    """True iff max over the box of (bias + row . u) >= 0.
-
-    The maximum sits at the vertex selected by sign(row), so no solve is
-    needed.
-    """
-    row = np.atleast_1d(np.asarray(row, dtype=float))
-    if row.size != input_box.dim:
-        raise ValueError("row dimension inconsistent with input box")
-    best = bias + np.sum(np.where(row > 0, row * input_box.upper, row * input_box.lower))
-    return bool(best >= 0.0)
 
 
 def max_over_box(rows: Array, biases: Array, input_box: BoxSet) -> Array:

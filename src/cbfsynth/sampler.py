@@ -19,7 +19,6 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -40,13 +39,6 @@ class SampleClass(enum.Enum):
 
 _CLASS_CODE = {SampleClass.OUTSIDE: 0, SampleClass.INFEASIBLE: 1, SampleClass.FEASIBLE: 2}
 _CODE_CLASS = {v: k for k, v in _CLASS_CODE.items()}
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    state: Array
-    label: SampleClass
-    residual: float
 
 
 @dataclass
@@ -110,30 +102,14 @@ def draw_batch(bounds: BoxSet, count: int, rng: np.random.Generator) -> Array:
     return rng.uniform(bounds.lower, bounds.upper, size=(count, bounds.dim))
 
 
-def classify(sys: SystemModel, input_box: BoxSet, x: Array,
-             zero_tol: float | None = None,
-             extra_feasible: Callable[[Array], Array] | None = None) -> SampleRecord:
-    """Classify one state: a one-row `classify_batch`.
-
-    `zero_tol` is the coefficient of the scale-aware residual threshold
-    coeff * (1 + L_f z(x)^2); None selects the default coefficient.
-    `extra_feasible` overrides the built-in unconditional-growth rule and must
-    accept an (N, n) batch.
-    """
-    x = np.asarray(x, dtype=float)
-    labels, residuals = classify_batch(sys, input_box, x[None, :], zero_tol, extra_feasible)
-    return SampleRecord(x, _CODE_CLASS[int(labels[0])], float(residuals[0]))
-
-
 def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
-                   zero_tol: float | None = None,
-                   extra_feasible: Callable[[Array], Array] | None = None
-                   ) -> tuple[Array, Array]:
+                   zero_tol: float | None = None) -> tuple[Array, Array]:
     """Vectorized classification; returns (label codes, residuals).
 
     The residual min over the input box of (L_f z + L_g z . u)^2 is taken in
-    closed form by `qp.min_zdot`. There are no cross-sample reductions, so
-    batch order cannot affect labels.
+    closed form by `qp.min_zdot`. `zero_tol` is the coefficient of the
+    scale-aware threshold coeff * (1 + L_f z(x)^2); None selects the default.
+    There are no cross-sample reductions, so batch order cannot affect labels.
     """
     states = np.asarray(states, dtype=float)
     coeff = DEFAULT_ZERO_TOL if zero_tol is None else zero_tol
@@ -143,11 +119,8 @@ def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
     lg = np.einsum("...n,...nm->...m", grad, sys.actuation(states))
 
     _, residuals = min_zdot(lf, lg, input_box)
-
-    if extra_feasible is None:
-        extra = (np.max(np.abs(lg), axis=-1) == 0.0) & (lf > 0.0)
-    else:
-        extra = np.asarray(extra_feasible(states), dtype=bool)
+    # the input does not enter, but z grows on its own
+    extra = (np.max(np.abs(lg), axis=-1) == 0.0) & (lf > 0.0)
 
     outside = zvals < 0.0
     feasible = ~outside & ((residuals <= zero_tolerance(lf, coeff)) | extra)
@@ -161,8 +134,7 @@ def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
 def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
                  n_min: int, delta: float, growth: float, seed: int,
                  n_start: int = 243, n_max: int = 2_000_000,
-                 zero_tol: float | None = None,
-                 extra_feasible: Callable[[Array], Array] | None = None) -> SampleSet:
+                 zero_tol: float | None = None) -> SampleSet:
     """Sample, classify and grow until the Jaccard increment settles.
 
     Checkpoints are n_start, n_start*growth, ... The run stops at the first
@@ -184,7 +156,7 @@ def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
     while True:
         new = target - tracker.n_total
         states = draw_batch(bounds, new, rng)
-        labels, residuals = classify_batch(sys, input_box, states, zero_tol, extra_feasible)
+        labels, residuals = classify_batch(sys, input_box, states, zero_tol)
         chunks_states.append(states)
         chunks_labels.append(labels)
         chunks_res.append(residuals)

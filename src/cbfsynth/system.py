@@ -133,25 +133,6 @@ def identity_candidate(n: int) -> CbfCandidate:
     return CbfCandidate(np.ones(n), np.zeros(n), 0.0)
 
 
-def eval_z(hcf: HardConstraint, x: Array) -> float:
-    """Hard constraint value z(x)."""
-    return float(hcf.value(np.asarray(x, dtype=float)))
-
-
-def eval_zdot(sys: SystemModel, x: Array, u: Array) -> float:
-    """Time derivative of z along the dynamics: dz/dx (x) . (f(x) + g(x) u)."""
-    x = np.asarray(x, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape[-1] != sys.m:
-        raise ValueError(f"input has dimension {u.shape[-1]}, expected {sys.m}")
-    xdot = sys.drift(x) + sys.actuation(x) @ u
-    return float(hcf_dot(sys.hcf, x, xdot))
-
-
-def hcf_dot(hcf: HardConstraint, x: Array, xdot: Array) -> Array:
-    return np.sum(hcf.gradient(x) * xdot, axis=-1)
-
-
 def eval_h(cand: CbfCandidate, hcf: HardConstraint, x: Array) -> float:
     """Barrier value h(x) = z(D x + c) + eps."""
     return float(hcf.value(cand.transform(x)) + cand.offset)

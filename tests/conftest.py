@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cbfsynth import (BoxSet, auto_epsilon, build_system, extract_boundary,
-                      run_sampling)
+from cbfsynth import (BoxSet, HardConstraint, SystemModel, auto_epsilon, build_system,
+                      draw_batch, extract_boundary, run_sampling)
 from cbfsynth.fitter import FitConfig, fit_multi, fit_nonuniform, fit_uniform
 
 REFERENCE_BOUNDS = BoxSet([-10.0, -40.0], [0.0, 40.0])
@@ -16,6 +16,42 @@ AREA_Z = 720.0           # z >= 0
 AREA_FEASIBLE = 655.0    # input-feasible portion (velocity cap at 30)
 AREA_UNIFORM = 245.0     # best single uniformly-scaled set
 AREA_NONUNIFORM = 550.0  # best single per-axis-scaled set
+
+# input box of the two-input plant below
+TWO_INPUT_BOX = BoxSet([-1.0, -0.5], [0.5, 2.0])
+
+
+def two_input_system() -> SystemModel:
+    """n = 2, m = 2: z = 4 - x0^2 - 2 x1^2 with state-dependent actuation."""
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([-2.0 * x[..., 0], -4.0 * x[..., 1]], axis=-1)
+
+    def actuation(x):
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape + (2,))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 0] = 0.3 * x[..., 0]
+        g[..., 1, 1] = 1.0
+        return g
+
+    hcf = HardConstraint(
+        value=lambda x: 4.0 - np.asarray(x)[..., 0] ** 2 - 2.0 * np.asarray(x)[..., 1] ** 2,
+        gradient=gradient)
+    return SystemModel(
+        n=2, m=2,
+        drift=lambda x: np.stack([np.asarray(x)[..., 1],
+                                  -np.asarray(x)[..., 0] - np.asarray(x)[..., 1]], axis=-1),
+        actuation=actuation, hcf=hcf, name="two_input")
+
+
+def two_input_states() -> np.ndarray:
+    """400 seeded states of the two-input plant; the first three are the
+    origin, where the gradient of z vanishes and the input does not enter."""
+    rng = np.random.Generator(np.random.Philox(key=21))
+    states = draw_batch(BoxSet([-2.0, -1.5], [2.0, 1.5]), 400, rng)
+    states[:3] = 0.0
+    return states
 
 
 @pytest.fixture(scope="session")

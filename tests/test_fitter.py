@@ -298,15 +298,23 @@ def test_fit_uniform_vacuous_boundary_covers_samples():
     assert res.objective_value == pytest.approx(1.0, rel=1e-9)
 
 
-def test_fit_infeasible_when_nothing_is_feasible(di):
-    """Undamped constraint with the growth rule disabled: every in-constraint
-    sample is infeasible, so no candidate can be accepted."""
-    from cbfsynth.system import make_double_integrator
-    sysm = make_double_integrator(0.0, 0.0)
+def test_fit_infeasible_when_nothing_is_feasible():
+    """z = -x0 with a constant drift toward the constraint, x0' = 1, and the
+    input acting on x1 only: L_g z = 0 and L_f z = -1 < 0 everywhere, so
+    every in-constraint sample is infeasible and no candidate can be
+    accepted."""
+    hcf = HardConstraint(
+        value=lambda x: -np.asarray(x, dtype=float)[..., 0],
+        gradient=lambda x: np.broadcast_to(np.array([-1.0, 0.0]), np.shape(x)).copy())
+    sysm = SystemModel(
+        n=2, m=1,
+        drift=lambda x: np.broadcast_to(np.array([1.0, 0.0]), np.shape(x)).copy(),
+        actuation=lambda x: np.broadcast_to(np.array([[0.0], [1.0]]),
+                                            np.shape(x) + (1,)).copy(),
+        hcf=hcf, name="drifting")
     ubox = BoxSet([-300.0], [300.0])
-    none = lambda states: np.zeros(np.asarray(states).shape[0], dtype=bool)
     s = run_sampling(sysm, ubox, REFERENCE_BOUNDS, n_min=500, delta=1.0, growth=3.0,
-                     seed=10, n_start=729, extra_feasible=none)
+                     seed=10, n_start=729)
     assert s.tracker.n_feasible == 0
     b = extract_boundary(s, 0.05)
     res = fit_uniform(s, b, sysm, ubox, FitConfig(restarts=2, iterations=60, population=8))

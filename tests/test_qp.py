@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
-from cbfsynth.qp import (QpProblem, QpStatus, exists_input_nonneg,
-                         lie_derivatives, max_over_box, min_zdot_residual,
+from cbfsynth import qp
+from cbfsynth.qp import (MAX_WORKING_SETS, QpProblem, QpStatus, max_over_box, min_zdot,
                          solve_box_qp, zero_tolerance)
 from cbfsynth.system import BoxSet, HardConstraint, SystemModel
 
+from conftest import TWO_INPUT_BOX, two_input_states, two_input_system
 from qp_oracle import grid_oracle, random_problem
+
+
+def _lie_derivatives(sysm: SystemModel, x):
+    """(L_f z, L_g z) at one state, from the plant's callables."""
+    grad = sysm.hcf.gradient(x)
+    return float(grad @ sysm.drift(x)), grad @ sysm.actuation(x)
 
 
 def _problem(H, q, A, b, lo, hi, const=0.0):
@@ -46,10 +54,15 @@ def test_projection_onto_halfplane():
 
 
 def test_infeasible_returns_least_violation():
-    sol = solve_box_qp(_problem([[2.0]], [0.0], [[1.0]], [10.0], [-3.0], [3.0]))
+    p = _problem([[2.0]], [0.0], [[1.0]], [10.0], [-3.0], [3.0])
+    sol = solve_box_qp(p)
     assert sol.status is QpStatus.INFEASIBLE
     # max-min-slack point: the box vertex closest to satisfying the row
     assert sol.argmin[0] == pytest.approx(3.0)
+    # zero multipliers, one per row and bound
+    assert [v.tolist() for v in (sol.ineq_mult, sol.lower_mult, sol.upper_mult)] == \
+        [[0.0], [0.0], [0.0]]
+    assert sol.kkt_residual(p) == pytest.approx(6.0)
 
 
 def test_validation_errors():
@@ -63,10 +76,13 @@ def test_validation_errors():
 
 def test_kkt_certificate_on_random_problems():
     rng = np.random.default_rng(5)
-    for _ in range(120):
-        m = int(rng.integers(1, 4))
-        k = int(rng.integers(0, 3))
-        p = random_problem(rng, m, k)
+    problems = [random_problem(rng, int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+                for _ in range(120)]
+    # a linear program whose optimum is the vertex of the last two rows
+    problems.append(_problem(np.zeros((2, 2)), [-44.4133, 48.638],
+                             [[0.41, -0.0816], [1.11, -0.255], [-9.69, 28.4], [-231.3, -75.8]],
+                             [0.0289, -0.18, 6.218, -52.95], [-2.47, -1.25], [1.57, 2.29]))
+    for p in problems:
         sol = solve_box_qp(p)
         if sol.status is QpStatus.INFEASIBLE:
             continue
@@ -97,29 +113,68 @@ def test_grid_oracle_agreement_small():
 
 def test_min_zdot_residual_reference_points(di):
     sysm, input_box = di
-    u, r = min_zdot_residual(sysm, np.array([-5.0, 20.0]), input_box)
+    u, r = min_zdot(*_lie_derivatives(sysm, np.array([-5.0, 20.0])), input_box)
     assert u[0] == pytest.approx(-200.0)
     assert r == pytest.approx(0.0, abs=1e-18)
-    u, r = min_zdot_residual(sysm, np.array([-5.0, 35.0]), input_box)
+    u, r = min_zdot(*_lie_derivatives(sysm, np.array([-5.0, 35.0])), input_box)
     assert u[0] == pytest.approx(-300.0)
     assert r == pytest.approx(25.0)
-    u, r = min_zdot_residual(sysm, np.array([-5.0, -3.0]), input_box)
+    u, r = min_zdot(*_lie_derivatives(sysm, np.array([-5.0, -3.0])), input_box)
     assert input_box.contains(u)
     assert r == pytest.approx(9.0)
 
 
 def test_min_zdot_matches_generic_solver(di):
+    """The closed form against the box QP on the Hessian 2 L_g z' L_g z,
+    which is zero where v <= 0 (L_g z = 0) and rank one elsewhere."""
     sysm, input_box = di
     rng = np.random.default_rng(11)
+    ranks = set()
     for _ in range(50):
         x = rng.uniform([-10.0, -40.0], [0.0, 40.0])
-        u_fast, r_fast = min_zdot_residual(sysm, x, input_box)
-        lf, lg = lie_derivatives(sysm, x)
+        lf, lg = _lie_derivatives(sysm, x)
+        u_fast, r_fast = min_zdot(lf, lg, input_box)
+        ranks.add(int(np.any(lg)))
         p = QpProblem(hessian=2.0 * np.outer(lg, lg), linear=2.0 * lf * lg,
                       ineq_rows=np.zeros((0, 1)), ineq_rhs=[], box=input_box,
                       constant=lf * lf)
         r_generic = max(solve_box_qp(p).objective, 0.0)
         assert r_fast == pytest.approx(r_generic, abs=1e-8)
+    assert ranks == {0, 1}
+
+
+def test_rank_one_hessian_matches_bvls():
+    """min ||L_f z + L_g z u||^2 over the box of the two-input plant, posed as
+    a box QP with the rank-one (or zero) Hessian 2 L_g z' L_g z, against
+    scipy's bounded-variable least squares."""
+    sysm, ubox = two_input_system(), TWO_INPUT_BOX
+    for x in two_input_states():
+        lf, lg = _lie_derivatives(sysm, x)
+        p = QpProblem(hessian=2.0 * np.outer(lg, lg), linear=2.0 * lf * lg,
+                      ineq_rows=np.zeros((0, 2)), ineq_rhs=[], box=ubox, constant=lf * lf)
+        sol = solve_box_qp(p)
+        fit = lsq_linear(lg[None, :], [-lf], bounds=(ubox.lower, ubox.upper), method="bvls")
+        assert sol.status is QpStatus.OPTIMAL
+        assert abs(sol.objective - 2.0 * fit.cost) <= zero_tolerance(lf)
+        assert sol.kkt_residual(p) <= 1e-8
+        assert ubox.contains(sol.argmin)
+
+
+def test_working_set_limit(monkeypatch):
+    """Past MAX_WORKING_SETS the solver raises, naming the count, before it
+    builds any array; at the limit it solves."""
+    rng = np.random.default_rng(3)
+    # m = 2 inputs, k + 4 rows: 1 + 44 + 946 = 991 working sets at k = 40,
+    # 1 + 45 + 990 = 1036 at k = 41
+    at_limit = _problem(np.eye(2), [0.0, 0.0], rng.normal(size=(40, 2)), np.full(40, -5.0),
+                        [-1.0, -1.0], [1.0, 1.0])
+    assert solve_box_qp(at_limit).status is QpStatus.OPTIMAL
+    over = _problem(np.eye(2), [0.0, 0.0], rng.normal(size=(41, 2)), np.full(41, -5.0),
+                    [-1.0, -1.0], [1.0, 1.0])
+    monkeypatch.setattr(qp, "np", None)     # any array work fails with another error
+    with pytest.raises(ValueError, match=f"1036 working sets exceed the limit of "
+                                         f"{MAX_WORKING_SETS}"):
+        solve_box_qp(over)
 
 
 def test_residual_scales_quadratically_with_gradient(di):
@@ -127,6 +182,9 @@ def test_residual_scales_quadratically_with_gradient(di):
     so the zero set of the residual is scale invariant."""
     sysm, input_box = di
     alpha = 3.7
+
+    def residual(model, x):
+        return min_zdot(*_lie_derivatives(model, x), input_box)[1]
 
     def scaled(fn):
         return lambda x: alpha * fn(x)
@@ -138,20 +196,8 @@ def test_residual_scales_quadratically_with_gradient(di):
     rng = np.random.default_rng(12)
     for _ in range(40):
         x = rng.uniform([-10.0, -40.0], [0.0, 40.0])
-        _, r = min_zdot_residual(sysm, x, input_box)
-        _, r_scaled = min_zdot_residual(scaled_sys, x, input_box)
+        r, r_scaled = residual(sysm, x), residual(scaled_sys, x)
         assert r_scaled == pytest.approx(alpha ** 2 * r, rel=1e-9, abs=1e-12)
-
-
-def test_exists_input_nonneg():
-    box = BoxSet([-300.0], [300.0])
-    assert exists_input_nonneg(np.array([0.0]), 0.0, box)
-    # negative row coefficient: the maximum sits at the lower vertex
-    d1, d2 = 1.0, 4.0
-    assert exists_input_nonneg(np.array([-0.1 * (d2 - d1)]), 0.0, box)
-    assert not exists_input_nonneg(np.array([1.0]), -400.0, box)
-    with pytest.raises(ValueError):
-        exists_input_nonneg(np.array([1.0, 2.0]), 0.0, box)
 
 
 def test_max_over_box_matches_scalar():
@@ -164,6 +210,11 @@ def test_max_over_box_matches_scalar():
         want = biases[i] + max(rows[i] @ v for v in
                                [np.array([a, b]) for a in (-2.0, 1.0) for b in (0.0, 3.0)])
         assert got[i] == pytest.approx(want)
+    # one input, a zero, a negative and a positive row: the maximum sits at
+    # the vertex selected by the row's sign
+    box = BoxSet([-300.0], [300.0])
+    got = max_over_box([[0.0], [-0.3], [1.0]], [0.0, 0.0, -400.0], box)
+    assert got.tolist() == [0.0, 90.0, -100.0]
 
 
 def test_zero_tolerance_scale_aware():

@@ -6,13 +6,13 @@ import pytest
 from scipy.optimize import lsq_linear
 
 from cbfsynth import sampler
-from cbfsynth.qp import min_zdot_residual, zero_tolerance, lie_derivatives
+from cbfsynth.qp import min_zdot, zero_tolerance
 from cbfsynth.sampler import (JaccardTracker, SampleClass, SampleSet, canonical_bytes,
-                              classify, classify_batch, draw_batch, load_samples,
-                              run_sampling, save_samples)
+                              classify_batch, draw_batch, load_samples, run_sampling,
+                              save_samples)
 from cbfsynth.system import BoxSet, HardConstraint, SystemModel, build_system
 
-from conftest import REFERENCE_BOUNDS
+from conftest import REFERENCE_BOUNDS, TWO_INPUT_BOX, two_input_states, two_input_system
 
 
 def _constant_system(level: float) -> SystemModel:
@@ -55,17 +55,16 @@ def test_draw_batch_deterministic():
 
 def test_classify_reference_states(di):
     sysm, input_box = di
-    rec = classify(sysm, input_box, np.array([-5.0, 20.0]))
-    assert rec.label is SampleClass.FEASIBLE
-    rec = classify(sysm, input_box, np.array([-5.0, 35.0]))
-    assert rec.label is SampleClass.INFEASIBLE
-    assert rec.residual == pytest.approx(25.0)
+    codes = {"outside": 0, "infeasible": 1, "feasible": 2}
+    states = np.array([[-5.0, 20.0], [-5.0, 35.0], [-5.0, -3.0], [1.0, 0.0]])
+    labels, residuals = classify_batch(sysm, input_box, states)
+    assert labels[0] == codes["feasible"]
+    assert labels[1] == codes["infeasible"]
+    assert residuals[1] == pytest.approx(25.0)
     # input cannot slow growth, but z only grows: admitted by the extra rule
-    rec = classify(sysm, input_box, np.array([-5.0, -3.0]))
-    assert rec.label is SampleClass.FEASIBLE
-    rec = classify(sysm, input_box, np.array([1.0, 0.0]))
-    assert rec.label is SampleClass.OUTSIDE
-    assert rec.residual == 0.0
+    assert labels[2] == codes["feasible"]
+    assert labels[3] == codes["outside"]
+    assert residuals[3] == 0.0
 
 
 def test_classify_batch_matches_scalar_and_order_free():
@@ -85,63 +84,37 @@ def test_classify_batch_matches_scalar_and_order_free():
             if z[i] < 0.0:
                 assert labels[i] == codes["outside"] and residuals[i] == 0.0
                 continue
-            lf, lg = lie_derivatives(sysm, x)
-            a = lg[0]
+            grad = sysm.hcf.gradient(x)
+            lf, a = float(grad @ sysm.drift(x)), float(grad @ sysm.actuation(x)[:, 0])
             u = float(np.clip(-lf / a, input_box.lower[0], input_box.upper[0])) if a else 0.0
             want = (lf + a * u) ** 2
             assert residuals[i] == want
-            assert min_zdot_residual(sysm, x, input_box)[1] == want
+            assert min_zdot(lf, np.array([a]), input_box)[1] == want
             feasible = want <= zero_tolerance(lf) or (a == 0.0 and lf > 0.0)
             assert labels[i] == codes["feasible" if feasible else "infeasible"]
             seen.add(int(labels[i]))
         assert seen == {codes["feasible"], codes["infeasible"]}
         for i in (0, 17, 123, 499):
-            rec = classify(sysm, input_box, states[i])
-            assert labels[i] == codes[rec.label.value]
-            assert residuals[i] == rec.residual
+            one_label, one_residual = classify_batch(sysm, input_box, states[i:i + 1])
+            assert labels[i] == one_label[0]
+            assert residuals[i] == one_residual[0]
         perm = rng.permutation(500)
         labels_p, residuals_p = classify_batch(sysm, input_box, states[perm])
         assert np.array_equal(labels_p, labels[perm])
         assert np.array_equal(residuals_p, residuals[perm])
 
 
-def _two_input_system() -> SystemModel:
-    """n = 2, m = 2: z = 4 - x0^2 - 2 x1^2 with state-dependent actuation."""
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([-2.0 * x[..., 0], -4.0 * x[..., 1]], axis=-1)
-
-    def actuation(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape + (2,))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 0] = 0.3 * x[..., 0]
-        g[..., 1, 1] = 1.0
-        return g
-
-    hcf = HardConstraint(
-        value=lambda x: 4.0 - np.asarray(x)[..., 0] ** 2 - 2.0 * np.asarray(x)[..., 1] ** 2,
-        gradient=gradient)
-    return SystemModel(
-        n=2, m=2,
-        drift=lambda x: np.stack([np.asarray(x)[..., 1],
-                                  -np.asarray(x)[..., 0] - np.asarray(x)[..., 1]], axis=-1),
-        actuation=actuation, hcf=hcf, name="two_input")
-
-
 def test_classify_batch_two_inputs_matches_lsq_oracle():
     """For m > 1 the closed-form interval distance equals the residual of a
     bounded least-squares solve, min ||L_g z u + L_f z||^2 over the box.
 
-    The oracle is scipy's BVLS, independent of `qp.min_zdot`, which both
-    `classify_batch` and `min_zdot_residual` use; the latter's argmin must lie
-    in the box and attain its residual.
+    The oracle is scipy's BVLS, independent of `qp.min_zdot`, which
+    `classify_batch` uses; its argmin must lie in the box and attain its
+    residual.
     """
-    sysm = _two_input_system()
-    ubox = BoxSet([-1.0, -0.5], [0.5, 2.0])
-    rng = np.random.Generator(np.random.Philox(key=21))
-    states = draw_batch(BoxSet([-2.0, -1.5], [2.0, 1.5]), 400, rng)
-    states[:3] = 0.0                       # zero gradient: the input does not enter
+    sysm = two_input_system()
+    ubox = TWO_INPUT_BOX
+    states = two_input_states()
     labels, residuals = classify_batch(sysm, ubox, states)
     z = sysm.hcf.value(states)
     codes = {"outside": 0, "infeasible": 1, "feasible": 2}
@@ -151,12 +124,13 @@ def test_classify_batch_two_inputs_matches_lsq_oracle():
             assert labels[i] == codes["outside"] and residuals[i] == 0.0
             counted[codes["outside"]] += 1
             continue
-        lf, lg = lie_derivatives(sysm, x)
+        grad = sysm.hcf.gradient(x)
+        lf, lg = float(grad @ sysm.drift(x)), grad @ sysm.actuation(x)
         fit = lsq_linear(lg[None, :], [-lf], bounds=(ubox.lower, ubox.upper), method="bvls")
         r_oracle = 2.0 * fit.cost
         tol = zero_tolerance(lf)
         assert abs(residuals[i] - r_oracle) <= 0.5 * tol
-        u, r = min_zdot_residual(sysm, x, ubox)
+        u, r = min_zdot(lf, lg, ubox)
         assert abs(r - r_oracle) <= 0.5 * tol and ubox.contains(u)
         assert abs((lf + lg @ u) ** 2 - r_oracle) <= 0.5 * tol
         if 0.5 * tol < r_oracle < 2.0 * tol:
@@ -166,8 +140,8 @@ def test_classify_batch_two_inputs_matches_lsq_oracle():
         assert labels[i] == want
         counted[want] += 1
     assert all(n > 0 for n in counted.values())
-    rec = classify(sysm, ubox, states[5])
-    assert codes[rec.label.value] == labels[5] and rec.residual == residuals[5]
+    one_label, one_residual = classify_batch(sysm, ubox, states[5:6])
+    assert one_label[0] == labels[5] and one_residual[0] == residuals[5]
 
 
 def test_run_sampling_all_feasible():
@@ -223,14 +197,14 @@ def test_feasible_records_reverify(di, reference_run):
     rng = np.random.default_rng(4)
     for i in rng.choice(feas_idx, size=400, replace=False):
         x = s.states[i]
-        lf, lg = lie_derivatives(sysm, x)
+        grad = sysm.hcf.gradient(x)
+        lf, lg = float(grad @ sysm.drift(x)), grad @ sysm.actuation(x)
         if np.max(np.abs(lg)) == 0.0 and lf > 0.0:
             continue
-        u, residual = min_zdot_residual(sysm, x, input_box)
+        u, residual = min_zdot(lf, lg, input_box)
         assert input_box.contains(u)
         tol = zero_tolerance(lf, s.zero_tol)
         assert residual <= tol
-        grad = sysm.hcf.gradient(x)
         zdot = grad @ (sysm.drift(x) + sysm.actuation(x) @ u)
         assert abs(zdot) <= np.sqrt(tol)
 

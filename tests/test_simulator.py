@@ -5,9 +5,11 @@ from cbfsynth.simulator import (FilterConfig, SimConfig, check_invariance,
                                 hdot_rate_bound, interior_grid, nominal_controller,
                                 reference_spline, safety_filter, simulate, step,
                                 STATUS_INFEASIBLE, STATUS_NOMINAL, STATUS_OPTIMAL)
+from cbfsynth.qp import QpProblem, QpStatus
 from cbfsynth.system import BoxSet, CbfCandidate, eval_h, identity_candidate
 
-from conftest import REFERENCE_BOUNDS
+from conftest import REFERENCE_BOUNDS, two_input_system
+from qp_oracle import grid_oracle
 
 CAP_CANDIDATE = CbfCandidate([0.0, 10.0], [0.0, 0.0], 30.0)
 STEEP = CbfCandidate([1.0, 10.0 / 3.0], [0.0, 0.0], 0.0)   # slope-1/3 damped set
@@ -124,6 +126,39 @@ def test_filter_minimal_deviation(di, fc):
     u_star, _ = safety_filter(x, np.array([u_nom]), [STEEP], sysm, fc)
     candidates = rng.uniform(-300.0, -27.0, 1000)   # feasible inputs at this state
     assert np.all(np.abs(u_star[0] - u_nom) <= np.abs(candidates - u_nom) + 1e-9)
+
+
+def test_filter_two_inputs_matches_grid_oracle():
+    """The m = 2 filter with two candidates against the dense-grid oracle,
+    on rows and right-hand sides built here from the plant's callables."""
+    sysm = two_input_system()
+    box = BoxSet([-0.4, -0.3], [0.2, 0.3])
+    cands = [identity_candidate(2), CbfCandidate([0.5, 1.5], [0.3, -0.2], 0.5)]
+    fc = FilterConfig(alphas=[1.0, 2.0], input_box=box)
+    rng = np.random.default_rng(0)
+    infeasible = active = 0
+    for _ in range(50):
+        x = rng.uniform([-2.2, -1.6], [2.2, 1.6])
+        u_nom = rng.uniform(box.lower - 0.1, box.upper + 0.1)
+        rows, rhs = np.empty((2, 2)), np.empty(2)
+        for j, c in enumerate(cands):
+            grad_h = sysm.hcf.gradient(c.transform(x)) * c.scale
+            h = sysm.hcf.value(c.transform(x)) + c.offset
+            rows[j] = grad_h @ sysm.actuation(x)
+            rhs[j] = -fc.gain(j) * h - grad_h @ sysm.drift(x)
+        status, best = grid_oracle(QpProblem(hessian=2.0 * np.eye(2), linear=-2.0 * u_nom,
+                                             ineq_rows=rows, ineq_rhs=rhs, box=box,
+                                             constant=u_nom @ u_nom))
+        u, got = safety_filter(x, u_nom, cands, sysm, fc)
+        assert box.contains(u)
+        if status is QpStatus.INFEASIBLE:
+            assert got == STATUS_INFEASIBLE
+            infeasible += 1
+            continue
+        assert got == STATUS_OPTIMAL
+        assert abs(np.sum((u - u_nom) ** 2) - best) <= 1e-3
+        active += np.min(np.abs(rows @ u - rhs)) <= 1e-9
+    assert infeasible > 0 and active > 0
 
 
 def test_step_exact_for_double_integrator(di):

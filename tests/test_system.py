@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, build_system,
-                             eval_h, eval_h_batch, eval_h_grad, eval_z, eval_zdot,
-                             identity_candidate, make_double_integrator,
+                             eval_h, eval_h_batch, eval_h_grad, identity_candidate,
+                             make_double_integrator,
                              registered_systems)
 
 from conftest import REFERENCE_BOUNDS
@@ -21,19 +21,22 @@ def test_boxset_validation():
 
 def test_eval_z_reference_values(di):
     sysm, _ = di
-    assert eval_z(sysm.hcf, [-5.0, 0.0]) == 5.0
-    assert eval_z(sysm.hcf, [-5.0, 20.0]) == pytest.approx(3.0)
-    assert eval_z(sysm.hcf, [-1.0, 20.0]) == pytest.approx(-1.0)
+    assert sysm.hcf.value([-5.0, 0.0]) == 5.0
+    assert sysm.hcf.value([-5.0, 20.0]) == pytest.approx(3.0)
+    assert sysm.hcf.value([-1.0, 20.0]) == pytest.approx(-1.0)
 
 
 def test_eval_zdot(di):
     sysm, _ = di
-    assert eval_zdot(sysm, [-5.0, 20.0], [-200.0]) == pytest.approx(0.0, abs=1e-12)
+
+    def zdot(x, u):
+        x = np.asarray(x, dtype=float)
+        return float(sysm.hcf.gradient(x) @ (sysm.drift(x) + sysm.actuation(x) @ u))
+
+    assert zdot([-5.0, 20.0], [-200.0]) == pytest.approx(0.0, abs=1e-12)
     for u in (-300.0, 0.0, 123.0):
-        assert eval_zdot(sysm, [-5.0, -3.0], [u]) == pytest.approx(3.0)
-    assert eval_zdot(sysm, [-5.0, 0.0], [0.0]) == 0.0
-    with pytest.raises(ValueError):
-        eval_zdot(sysm, [-5.0, 0.0], [0.0, 1.0])
+        assert zdot([-5.0, -3.0], [u]) == pytest.approx(3.0)
+    assert zdot([-5.0, 0.0], [0.0]) == 0.0
 
 
 def test_eval_h_identity_equals_z(di):
@@ -42,7 +45,7 @@ def test_eval_h_identity_equals_z(di):
     rng = np.random.default_rng(0)
     pts = rng.uniform(REFERENCE_BOUNDS.lower, REFERENCE_BOUNDS.upper, (200, 2))
     for x in pts:
-        assert eval_h(ident, sysm.hcf, x) == eval_z(sysm.hcf, x)
+        assert eval_h(ident, sysm.hcf, x) == sysm.hcf.value(x)
 
 
 def test_eval_h_reference_candidates(di):
@@ -101,7 +104,7 @@ def test_gradient_matches_finite_differences(di):
                 step[i] = eps
                 if not (sysm.hcf.smooth_at(pt + step) and sysm.hcf.smooth_at(pt - step)):
                     continue
-                fd = (eval_z(sysm.hcf, pt + step) - eval_z(sysm.hcf, pt - step)) / (2 * eps)
+                fd = (sysm.hcf.value(pt + step) - sysm.hcf.value(pt - step)) / (2 * eps)
                 denom = max(1.0, abs(grad[i]))
                 worst = max(worst, abs(fd - grad[i]) / denom)
     assert worst <= 1e-5
@@ -125,7 +128,7 @@ def test_make_double_integrator():
     assert np.allclose(sysm.actuation(np.array([-5.0, 20.0])), [[0.0], [1.0]])
     # damping removed: gradient is (-1, 0) on both sides of the switch
     flat = make_double_integrator(0.0, 0.0)
-    assert eval_z(flat.hcf, [-5.0, 37.0]) == 5.0
+    assert flat.hcf.value([-5.0, 37.0]) == 5.0
     assert np.allclose(flat.hcf.gradient(np.array([-5.0, 37.0])), [-1.0, 0.0])
     assert np.allclose(flat.hcf.gradient(np.array([-5.0, -37.0])), [-1.0, 0.0])
     with pytest.raises(ValueError):
@@ -134,14 +137,14 @@ def test_make_double_integrator():
 
 def test_indicator_takes_lower_branch_at_switch(di):
     sysm, _ = di
-    assert eval_z(sysm.hcf, [-2.0, 0.0]) == 2.0
+    assert sysm.hcf.value([-2.0, 0.0]) == 2.0
     assert np.allclose(sysm.hcf.gradient(np.array([-2.0, 0.0])), [-1.0, 0.0])
 
 
 def test_registry():
     assert "double_integrator" in registered_systems()
     sysm, box = build_system("double_integrator", {"gamma2": 0.2, "u_max": 10.0})
-    assert eval_z(sysm.hcf, [0.0, 10.0]) == pytest.approx(-2.0)
+    assert sysm.hcf.value([0.0, 10.0]) == pytest.approx(-2.0)
     assert box.upper[0] == 10.0
     with pytest.raises(KeyError):
         build_system("unicycle", {})
