@@ -16,9 +16,9 @@ from .sampler import (JaccardTracker, SampleClass, SampleSet, draw_batch,
                       load_samples, run_sampling, save_samples)
 from .boundary import (BoundarySet, auto_epsilon, extract_boundary,
                        load_boundary, save_boundary)
-from .fitter import (FitConfig, FitResult, VerificationReport, check_redundancy,
-                     estimate_set_size, fit_multi, fit_nonuniform, fit_uniform,
-                     load_fit, save_fit, verify_candidate)
+from .fitter import (FitConfig, FitResult, SearchCounts, VerificationReport,
+                     check_redundancy, estimate_set_size, fit_multi, fit_nonuniform,
+                     fit_uniform, load_fit, save_fit, verify_candidate)
 from .simulator import (FilterConfig, InvarianceReport, SimConfig, Trajectory,
                         check_invariance, hdot_rate_bound, interior_grid,
                         nominal_controller, reference_spline, safety_filter,

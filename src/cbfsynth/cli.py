@@ -140,14 +140,18 @@ def _stage_fit(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.Boundary
         results[mode] = res
         fit.save_fit(res, out / f"candidates_{mode}.json", cfg=fcfg,
                      source_checksums=checksums)
+        c = res.counts
+        search = (f"evaluations={c.evaluations} offers_accepted={c.accepted} "
+                  f"offers_rejected={c.rejected} probe_calls={c.probe_calls} "
+                  f"root_steps_mean={c.root_steps_mean:.2f} root_steps_max={c.root_steps_max}")
         if not res.feasible:
-            print(f"fit[{mode}]: INFEASIBLE: {res.diagnostics}")
+            print(f"fit[{mode}]: INFEASIBLE: {res.diagnostics}; {search}")
             return results, EXIT_INFEASIBLE
         ver = res.verification
         print(f"fit[{mode}]: objective={res.objective_value:.4f} "
               f"candidates={len(res.candidates)} containment={ver.containment_fraction:.4f} "
               f"boundary_ok={ver.boundary_cbf_feasible_fraction:.4f} "
-              f"exists_input_ok={ver.prop2_feasible_fraction:.4f}")
+              f"exists_input_ok={ver.prop2_feasible_fraction:.4f} {search}")
         warm.append(tuple(res.candidates))
     return results, EXIT_OK
 

@@ -253,12 +253,26 @@ def _validate(typed: dict[str, dict[str, Any]]) -> None:
         raise ConfigError(f"unknown fit mode {bad[0]!r}")
     if fit["objective"] not in ("sample_count", "integral"):
         raise ConfigError(f"unknown fit objective {fit['objective']!r}")
-    if typed["simulate"]["on_infeasible"] not in ("continue", "stop"):
-        raise ConfigError("simulate on_infeasible must be continue or stop")
+    if "multi" in fit["modes"] and fit["num_cbfs"] < 2:
+        raise ConfigError("fit num_cbfs must be at least 2 when multi is listed")
+    if fit["margin"] != "auto" and fit["margin"] < 0:
+        raise ConfigError("fit margin must be nonnegative or auto")
+    if fit["probes"] < 1:
+        raise ConfigError("fit probes must be at least 1")
     sim = typed["simulate"]
+    if sim["on_infeasible"] not in ("continue", "stop"):
+        raise ConfigError("simulate on_infeasible must be continue or stop")
     for x0 in sim["x_init"]:
         if x0.size != samp["lower"].size:
             raise ConfigError("simulate x_init dimension differs from sampling bounds")
+    if sim["x_goal"].size != samp["lower"].size:
+        raise ConfigError("simulate x_goal dimension differs from sampling bounds")
+    if sim["kp"] <= 0:
+        raise ConfigError("simulate kp must be positive")
+    if min(sim["kappa"]) <= 0:
+        raise ConfigError("simulate kappa gains must be positive")
+    if sim["spline_t"] != "auto" and sim["spline_t"] <= 0:
+        raise ConfigError("simulate spline_t must be positive or auto")
     try:
         horizon_steps(sim["horizon"], sim["dt"])
     except ValueError as exc:

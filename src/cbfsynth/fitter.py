@@ -12,8 +12,10 @@ size over the integration region V:
     multi        s candidate tuples whose intersection is maximized; instead
                  of the boundary-sample constraint, every sample inside the
                  intersection must belong to the feasible class, and the
-                 exists-input condition is enforced at bisection probes of
-                 each candidate's active boundary.
+                 exists-input condition is enforced at probes of each
+                 candidate's active boundary: roots of h_j on chords between
+                 samples, found by bracketed Illinois steps to within the
+                 accuracy of 30 bisections.
 
 The decision spaces are tiny, so the search is Nelder-Mead on a penalized
 objective with structured and random restarts, followed by a coordinate-wise
@@ -47,6 +49,13 @@ Array = np.ndarray
 CONTAINMENT_REJECT_TOL = 1e-3
 _MIN_UNIFORM_SCALE = 1e-9
 
+# active-boundary roots (see _SearchContext.boundary_probes): relative h
+# tolerance, bracket width of 30 bisections, and the step bound that the
+# midpoint fallback's halving every three steps guarantees for that width
+ROOT_H_TOL = 1e-12
+ROOT_WIDTH = 2.0 ** -30
+ROOT_MAX_STEPS = 90
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -72,6 +81,8 @@ class FitConfig:
             raise ValueError("margin must be nonnegative")
         if self.mode == "multi" and self.num_cbfs < 2:
             raise ValueError("multi mode needs num_cbfs >= 2")
+        if self.probes < 1:
+            raise ValueError("probes must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,18 @@ class VerificationReport:
 
 
 @dataclass(frozen=True)
+class SearchCounts:
+    """What one fit's search did. Printed with the fit, never saved."""
+
+    evaluations: int = 0        # penalized objective evaluations
+    accepted: int = 0           # offers passing the full-set acceptance test
+    rejected: int = 0           # offers failing it
+    probe_calls: int = 0        # boundary_probes calls of the search
+    root_steps_mean: float = 0.0
+    root_steps_max: int = 0
+
+
+@dataclass(frozen=True)
 class FitResult:
     candidates: list[CbfCandidate]
     objective_value: float
@@ -91,6 +114,7 @@ class FitResult:
     mode: str
     feasible: bool = True
     diagnostics: str = ""
+    counts: SearchCounts = SearchCounts()
 
 
 def estimate_set_size(cands: Sequence[CbfCandidate], s: SampleSet,
@@ -171,6 +195,7 @@ class _SearchContext:
         self.c_scale = np.maximum(span, 1.0)
         self.span_w = np.where(span > 0, span, 1.0)
         self.grad_probe = self.states_sub[:512]
+        self.root_steps: list[int] = []   # steps of each boundary_probes call
 
     # -- candidate evaluation ------------------------------------------------
 
@@ -245,35 +270,80 @@ class _SearchContext:
         return self._dz_pass(scale, self.bgrad, self.bdrift, self.bact)
 
     def boundary_probes(self, cands: Sequence[CbfCandidate], h_rows: Array,
-                        want: int, bisect_iters: int = 30) -> tuple[Array, Array]:
-        """Probe states on each {h_j = 0, min_i h_i >= 0} by chord bisection.
+                        want: int) -> tuple[Array, Array]:
+        """Probe states on each {h_j = 0, min_i h_i >= 0} by bracketed Illinois steps.
 
         Chords run between enclosed and h_j-negative subsample points, the
-        first `want` of the pool per candidate; every candidate's chords are
-        bisected together with that candidate's (D, c, eps), and roots leaving
-        the intersection are discarded. Returns the roots and, per root, the
-        index of the candidate whose zero level set it lies on.
+        first `want` of the pool per candidate. On the chord x(t) = a + t (b - a)
+        a bracket [t_a, t_b], first [0, 1], keeps h_j >= tol / 2 at t_a and
+        h_j < tol / 2 at t_b, with tol = ROOT_H_TOL (1 + max(|h_j(a)|, |h_j(b)|)).
+        All chords step at once, to the regula falsi point of the bracket's
+        end values (Dowell & Jarratt's Illinois rule halves the kept end's
+        value whenever the same end is replaced twice in a row), or to the
+        midpoint when the bracket has not halved over the last two steps.
+        A chord stops at a point with 0 <= h_j <= tol, or once its bracket is
+        no wider than ROOT_WIDTH, the width 30 bisections leave.
+
+        Each probe is the latest point of its chord found with h_j >= 0 (a,
+        if none), so it lies on the chord, and either h_j <= tol there or it
+        lies within 2^-30 chord lengths of a point with h_j < tol / 2: no
+        probe is less accurate than 30 bisections would make it. An affine
+        piece of h_j is solved in one step, and the midpoint fallback at
+        least halves every bracket in three steps, which bounds the loop by
+        ROOT_MAX_STEPS. Probes leaving the intersection are discarded.
+        Returns the probes and, per probe, the index of the candidate whose
+        zero level set it lies on, and appends the number of steps taken to
+        `root_steps`.
         """
         if not self.pool_a.size:
             return np.zeros((0, self.n)), np.zeros(0, dtype=int)
-        enclosed = np.minimum.reduce(h_rows, axis=0)[self.pool_a] >= 0.0
-        good = enclosed & (h_rows[:, self.pool_b] < 0.0)
-        owner, k = np.nonzero(good & (np.cumsum(good, axis=1) <= want))
+        enclosed = np.minimum.reduce(h_rows, axis=0).take(self.pool_a) >= 0.0
+        h_b = h_rows.take(self.pool_b, axis=1)
+        ks = [np.flatnonzero(row)[:want] for row in enclosed & (h_b < 0.0)]
+        k = np.concatenate(ks)
+        owner = np.repeat(np.arange(len(ks)), [c.size for c in ks])
         if not k.size:
             return np.zeros((0, self.n)), owner
-        # every bisection operand column-major, like the states: a step's loops
+        ia = self.pool_a[k]
+        fa, fb = h_rows[owner, ia], h_b[owner, k]
+        tol = ROOT_H_TOL * (1.0 + np.maximum(fa, -fb))
+        # every chord operand column-major, like the states: a step's loops
         # then run down unit-stride columns of all of them at once
-        xa = np.asfortranarray(self.states_sub[self.pool_a[k]])
-        xb = np.asfortranarray(self.states_sub[self.pool_b[k]])
+        xa0 = np.asfortranarray(self.states_sub[ia])
+        dx = np.asfortranarray(self.states_sub[self.pool_b[k]]) - xa0
+        xa = xa0.copy()
         scale, shift, offset = (np.asfortranarray(p[owner]) for p in stack_candidates(cands))
-        mid = np.empty_like(xa)
-        arg = np.empty_like(xa)
-        for _ in range(bisect_iters):
-            np.multiply(np.add(xa, xb, out=mid), 0.5, out=mid)
-            np.add(np.multiply(mid, scale, out=arg), shift, out=arg)
-            pos = (self.hcf.value(arg) + offset >= 0.0)[:, None]
-            np.copyto(xa, mid, where=pos)
-            np.copyto(xb, mid, where=~pos)
+        # aim at h_j = tol / 2: a root computed to within rounding then lands
+        # in [0, tol] on whichever side of it, and the chord is done
+        aim = 0.5 * tol
+        ga, gb = fa - aim, fb - aim
+        ta, tb = np.zeros(k.size), np.ones(k.size)
+        live = fa > tol
+        last_pos = np.zeros(k.size, dtype=bool)
+        width_back = (np.full(k.size, np.inf), np.full(k.size, np.inf))
+        steps = 0
+        while steps < ROOT_MAX_STEPS:
+            width = tb - ta
+            live &= width > ROOT_WIDTH
+            if not live.any():
+                break
+            frac = np.where(width > 0.5 * width_back[0], 0.5, ga / (ga - gb))
+            width_back = (width_back[1], width)
+            t = np.minimum(ta + width * frac, tb)
+            x = xa0 + t[:, None] * dx
+            f = self.hcf.value(x * scale + shift) + offset
+            nonneg = f >= 0.0
+            np.copyto(xa, x, where=(nonneg & live)[:, None])
+            live &= ~(nonneg & (f <= tol))
+            g = f - aim
+            pos = g >= 0.0
+            # Illinois: an end kept twice in a row has its value halved
+            halve = np.where(pos == last_pos, 0.5, 1.0) if steps else 1.0
+            ga, gb = np.where(pos, g, ga * halve), np.where(pos, gb * halve, g)
+            ta, tb = np.where(pos, t, ta), np.where(pos, tb, t)
+            last_pos = pos
+            steps += 1
+        self.root_steps.append(steps)
         h_all = eval_h_stack(cands, self.hcf, xa)
         h_max = np.zeros(len(cands))
         np.maximum.at(h_max, owner, np.max(np.abs(h_all), axis=0))
@@ -524,14 +594,18 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
     best: list[CbfCandidate] | None = None
     best_obj = -np.inf
     reasons: Counter = Counter()
+    evaluations = accepted = 0
 
     def fun(theta):
+        nonlocal evaluations
+        evaluations += 1
         return _score(ctx, mode, mode.build(ctx, theta))
 
     def offer(theta):
-        nonlocal best, best_obj
+        nonlocal best, best_obj, accepted
         cands = mode.build(ctx, theta.copy())   # candidates view theta; block passes edit it
         ok, obj, reason = _hard_feasible(ctx, mode, cands)
+        accepted += ok
         if ok and obj > best_obj:
             best, best_obj = cands, obj
         elif not ok and reason:
@@ -553,7 +627,10 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
         offer(theta)
         theta = _golden_polish(fun, theta, steps)
         offer(theta)
-    return _finalize(ctx, best, reasons, b, runs)
+    steps_taken = ctx.root_steps or [0]
+    counts = SearchCounts(evaluations, accepted, sum(reasons.values()), len(ctx.root_steps),
+                          float(np.mean(steps_taken)), max(steps_taken))
+    return replace(_finalize(ctx, best, reasons, b, runs), counts=counts)
 
 
 def _finalize(ctx: _SearchContext, best: list[CbfCandidate] | None, reasons: Counter,
@@ -665,9 +742,12 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
     """Empirical soundness report for a candidate collection.
 
     containment: enclosed samples classified feasible. boundary feasibility:
-    sup_u hdot >= 0 at bisection probes of each active boundary, in closed
-    form over the input box. exists-input: the reduced-scaling condition at
-    the extracted class-boundary points.
+    sup_u hdot >= 0, in closed form over the input box, at up to `probes`
+    probes of each active boundary; each probe has h_j >= 0 and lies on a
+    chord between samples, as close to its root as 30 bisections would put
+    it or with h_j within 1e-12 of zero relative to the chord's end values
+    (see `_SearchContext.boundary_probes`). exists-input: the reduced-scaling
+    condition at the extracted class-boundary points.
     """
     if not cands:
         raise ValueError("need at least one candidate")

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,33 @@ def test_pipeline_rejects_dt_not_dividing_horizon(tmp_path):
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out))
     cfg.write_text(cfg.read_text().replace("horizon = 0.5", "horizon = 1\ndt = 0.3"))
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert not (out / "samples.jsonl").exists()
+
+
+_LATER_STAGE_VALUES = {
+    "kappa": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\nkappa = -1"),
+    "kp": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\nkp = 0"),
+    "spline-t": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\nspline_t = 0"),
+    "x-goal-dimension": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0, 0.0"),
+    "num-cbfs-with-multi": ("num_cbfs = 2", "num_cbfs = 1"),
+    "margin": ("margin = auto", "margin = -0.5"),
+    "probes": ("population = 4", "population = 4\nprobes = 0"),
+}
+
+
+@pytest.mark.parametrize("key", list(_LATER_STAGE_VALUES))
+def test_later_stage_values_rejected_at_parse(tmp_path, capsys, key):
+    """Values only the fit or simulate stage uses are checked when the config
+    is parsed: a dry run refuses them, and a pipeline stops before sampling."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out), modes="uniform, multi")
+    old, new = _LATER_STAGE_VALUES[key]
+    cfg.write_text(cfg.read_text().replace(old, new, 1))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
     assert main(["pipeline", "--config", str(cfg)]) == 2
     assert not (out / "samples.jsonl").exists()
 
@@ -388,3 +416,31 @@ def test_seed_override_changes_samples(tmp_path):
     assert main(["sample", "--config", str(cfg)]) == 0
     assert main(["sample", "--config", str(cfg), "--out", str(out_b), "--seed", "77"]) == 0
     assert (out_a / "samples.jsonl").read_bytes() != (out_b / "samples.jsonl").read_bytes()
+
+
+def test_fit_line_reports_search_counts(tmp_path, capsys):
+    """Each fit line states the search's evaluations, accepted and rejected
+    offers and root steps per probe call; none of it reaches the artifacts."""
+    from cbfsynth.fitter import ROOT_MAX_STEPS
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out), modes="uniform, multi")
+    for stage in ("sample", "boundary"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--config", str(cfg)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("fit[")]
+    assert len(lines) == 2
+    pattern = (r"evaluations=(\d+) offers_accepted=(\d+) offers_rejected=(\d+) "
+               r"probe_calls=(\d+) root_steps_mean=([\d.]+) root_steps_max=(\d+)$")
+    counts = {}
+    for mode, line in zip(("uniform", "multi"), lines):
+        assert line.startswith(f"fit[{mode}]: objective=")
+        m = re.search(pattern, line)
+        assert m, line
+        counts[mode] = [float(v) for v in m.groups()]
+        evals, accepted, _, _, mean, top = counts[mode]
+        assert evals > 0 and accepted > 0 and mean <= top <= ROOT_MAX_STEPS
+        text = (out / f"candidates_{mode}.json").read_text()
+        assert "evaluations" not in text and "root_steps" not in text
+    assert counts["uniform"][3:] == [0.0, 0.0, 0.0]
+    assert counts["multi"][3] > 0 and counts["multi"][5] > 0

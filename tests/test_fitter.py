@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cbfsynth.boundary import extract_boundary
-from cbfsynth.fitter import (FitConfig, _SearchContext, check_redundancy,
-                             estimate_set_size, fit_multi, fit_uniform, load_fit,
-                             save_fit, verify_candidate)
+from cbfsynth.fitter import (ROOT_H_TOL, ROOT_MAX_STEPS, ROOT_WIDTH, FitConfig,
+                             _SearchContext, check_redundancy, estimate_set_size,
+                             fit_multi, fit_uniform, load_fit, save_fit, verify_candidate)
 from cbfsynth.qp import QpProblem, solve_box_qp
 from cbfsynth.sampler import run_sampling
 from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
@@ -204,34 +204,101 @@ def test_h_unit_stacked_matches_single(di, reference_run, reference_boundary):
     assert np.array_equal(ctx.margin_shifts(cands), np.array(single))
 
 
-def _reference_probes(ctx, cands, j, h_rows, want, bisect_iters=30):
-    """Candidate j's chords bisected alone, one eval_h_batch call per step."""
+def _chords(ctx, h_rows, j, want):
+    """Candidate j's chord ends, chosen from the pool as boundary_probes does."""
     hmin = np.minimum.reduce(h_rows, axis=0)
     a, b = ctx.pool_a, ctx.pool_b
     good = (hmin[a] >= 0.0) & (h_rows[j, b] < 0.0)
-    xa, xb = ctx.states_sub[a[good][:want]], ctx.states_sub[b[good][:want]]
+    return ctx.states_sub[a[good][:want]], ctx.states_sub[b[good][:want]]
+
+
+def _bisect(cand, hcf, xa, xb, bisect_iters=30):
+    """Chord bisection, one eval_h_batch call per step; returns the h >= 0 ends."""
     for _ in range(bisect_iters):
         mid = 0.5 * (xa + xb)
-        pos = eval_h_batch(cands[j], ctx.hcf, mid) >= 0.0
+        pos = eval_h_batch(cand, hcf, mid) >= 0.0
         xa = np.where(pos[:, None], mid, xa)
         xb = np.where(pos[:, None], xb, mid)
-    h_all = np.stack([eval_h_batch(c, ctx.hcf, xa) for c in cands])
+    return xa
+
+
+def _on_active(cands, hcf, x):
+    h_all = np.stack([eval_h_batch(c, hcf, x) for c in cands])
     scale = 1.0 + np.max(np.abs(h_all), initial=0.0)
-    return xa[np.all(h_all >= -1e-7 * scale, axis=0)]
+    return np.all(h_all >= -1e-7 * scale, axis=0)
+
+
+def _reference_probes(ctx, cands, j, h_rows, want, bisect_iters=30):
+    """Candidate j's chords bisected alone, one eval_h_batch call per step."""
+    xa, xb = _chords(ctx, h_rows, j, want)
+    xa = _bisect(cands[j], ctx.hcf, xa, xb, bisect_iters)
+    return xa[_on_active(cands, ctx.hcf, xa)]
 
 
 @pytest.mark.parametrize("want", [48, 256])
 def test_boundary_probes_match_per_candidate_bisection(di, reference_run, want):
+    """The probes are bisection's to within its own error: the same chords
+    and owners, every root on its chord with 0 <= h_j <= ROOT_H_TOL (1 + the
+    larger end value) and within 2^-29 chord lengths of the bisection root."""
     sysm, input_box = di
     cands = [identity_candidate(2), CAP_CANDIDATE]
     ctx = _SearchContext(reference_run, None, sysm, input_box,
                          FitConfig(mode="multi", num_cbfs=2))
     h_rows = eval_h_stack(cands, sysm.hcf, ctx.states_sub)
     roots, owner = ctx.boundary_probes(cands, h_rows, want)
-    for j in range(len(cands)):
-        expect = _reference_probes(ctx, cands, j, h_rows, want)
+    for j, cand in enumerate(cands):
+        xa, xb = _chords(ctx, h_rows, j, want)
+        expect = _bisect(cand, sysm.hcf, xa, xb)
+        keep = _on_active(cands, sysm.hcf, expect)
+        a, b, expect = xa[keep], xb[keep], expect[keep]
+        got = roots[owner == j]
         assert 0 < expect.shape[0] <= want
-        assert np.array_equal(roots[owner == j], expect)
+        assert got.shape == expect.shape
+        d = b - a
+        length = np.linalg.norm(d, axis=1)
+        t = np.sum((got - a) * d, axis=1) / length ** 2
+        assert np.all((t >= 0.0) & (t <= 1.0))
+        off = np.linalg.norm(got - (a + t[:, None] * d), axis=1)
+        assert np.all(off <= 1e-12 * (1.0 + np.abs(a).sum(axis=1) + np.abs(b).sum(axis=1)))
+        h = eval_h_batch(cand, sysm.hcf, got)
+        scale = np.maximum(np.abs(eval_h_batch(cand, sysm.hcf, a)),
+                           np.abs(eval_h_batch(cand, sysm.hcf, b)))
+        assert np.all((h >= 0.0) & (h <= ROOT_H_TOL * (1.0 + scale)))
+        assert np.all(np.linalg.norm(got - expect, axis=1) <= 2.0 ** -29 * length)
+
+
+def _jump_system(c: float) -> SystemModel:
+    """z = 1 - 2 1{x0 > c}, with no dynamics."""
+    hcf = HardConstraint(
+        value=lambda x: 1.0 - 2.0 * (np.asarray(x, dtype=float)[..., 0] > c),
+        gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    return SystemModel(
+        n=2, m=1,
+        drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        actuation=lambda x: np.zeros(np.asarray(x, dtype=float).shape + (1,)),
+        hcf=hcf, name="jump")
+
+
+def test_boundary_probes_bisect_where_the_secant_stalls():
+    """With offset 1 - 1e-6, h jumps from 2 - 1e-6 to -1e-6 at x0 = c, so a
+    regula falsi step moves a bracket end by about a millionth of its width.
+    The midpoint fallback must still end every chord within 2^-30 chord
+    lengths of the jump, on its h >= 0 side, inside the step bound."""
+    c = 0.3141592653589793
+    sysm = _jump_system(c)
+    s = run_sampling(sysm, UBOX1, UNIT, n_min=200, delta=1.0, growth=3.0, seed=9,
+                     n_start=729)
+    ctx = _SearchContext(s, None, sysm, UBOX1, FitConfig())
+    cand = CbfCandidate([1.0, 1.0], [0.0, 0.0], 1.0 - 1e-6)
+    h_rows = eval_h_stack([cand], sysm.hcf, ctx.states_sub)
+    a, b = _chords(ctx, h_rows, 0, 256)
+    roots, owner = ctx.boundary_probes([cand], h_rows, 256)
+    assert roots.shape == a.shape and a.shape[0] == 256
+    assert np.all(owner == 0)
+    gap = c - roots[:, 0]
+    assert np.all(gap >= 0.0)
+    assert np.all(gap <= ROOT_WIDTH * (b[:, 0] - a[:, 0]) + 1e-15)
+    assert len(ctx.root_steps) == 1 and ctx.root_steps[0] <= ROOT_MAX_STEPS
 
 
 def test_verify_identity_alone_matches_qp_oracle(di, reference_run, reference_boundary):
@@ -450,3 +517,10 @@ def test_fit_config_validation():
         FitConfig(margin=-0.1)
     with pytest.raises(ValueError):
         FitConfig(mode="multi", num_cbfs=1)
+
+
+def test_fit_config_rejects_no_probes():
+    """With no probes the exists-input check at the active boundary, and the
+    boundary feasibility verification reports, would hold vacuously."""
+    with pytest.raises(ValueError, match="probes"):
+        FitConfig(probes=0)
