@@ -22,7 +22,7 @@ from .fitter import (FitConfig, FitResult, SearchCounts, VerificationReport,
 from .simulator import (FilterConfig, InvarianceReport, SimConfig, Trajectory,
                         check_invariance, hdot_rate_bound, interior_grid,
                         nominal_controller, reference_spline, safety_filter,
-                        simulate, step)
+                        safety_filter_many, simulate, simulate_many, step)
 from .config import ConfigError, PipelineConfig, load_config, parse_config
 
 __version__ = "0.1.0"

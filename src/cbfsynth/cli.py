@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import json
 import sys as _sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from . import fitter as fit
 from . import sampler as smp
 from . import simulator as sim
 from .config import ConfigError, PipelineConfig, load_config
-from .system import build_system
+from .system import build_system, eval_h_stack
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,16 +58,11 @@ def _resolve(args) -> tuple[PipelineConfig, Path]:
     if args.seed is not None:
         cfg.sampling["seed"] = args.seed
         cfg.raw_sections.setdefault("sampling", {})["seed"] = str(args.seed)
-    if args.out is not None:
-        cfg.output_dir = args.out
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, out
+    return cfg, Path(cfg.output_dir if args.out is None else args.out)
 
 
 def _build(cfg: PipelineConfig):
-    sysm, input_box = build_system(cfg.system_name, cfg.system_params)
-    return sysm, input_box
+    return build_system(cfg.system_name, cfg.system_params)
 
 
 def _zero_tol(cfg: PipelineConfig) -> float:
@@ -161,33 +157,33 @@ def _stage_simulate(cfg: PipelineConfig, out: Path, mode: str,
     sysm, input_box = _build(cfg)
     sp = cfg.simulate
     fc = sim.FilterConfig(alphas=sp["kappa"], input_box=input_box)
+    starts = np.array(sp["x_init"])
+    scfg = sim.SimConfig(x_init=starts[0], x_goal=sp["x_goal"], horizon_T=sp["horizon"],
+                         dt=sp["dt"], kp=sp["kp"], require_safe_start=sp["require_safe_start"],
+                         spline_T=None if sp["spline_t"] == "auto" else sp["spline_t"],
+                         on_infeasible=sp["on_infeasible"])
+    h0 = eval_h_stack(res.candidates, sysm.hcf, starts).min(axis=0)
+    skip = scfg.require_safe_start & (h0 < 0.0)
+    trajs = iter(sim.simulate_many(starts[~skip], scfg, sysm, res.candidates, fc))
     manifests = []
-    for idx, x0 in enumerate(sp["x_init"], start=1):
-        scfg = sim.SimConfig(
-            x_init=x0, x_goal=sp["x_goal"], horizon_T=sp["horizon"], dt=sp["dt"],
-            kp=sp["kp"], require_safe_start=sp["require_safe_start"],
-            spline_T=None if sp["spline_t"] == "auto" else sp["spline_t"],
-            on_infeasible=sp["on_infeasible"],
-            candidates_file=f"candidates_{mode}.json",
-        )
-        h0 = min(sysm.hcf.value(c.transform(x0)) + c.offset for c in res.candidates)
-        if scfg.require_safe_start and h0 < 0.0:
+    for idx, x0 in enumerate(starts, start=1):
+        if skip[idx - 1]:
             print(f"simulate[{mode}] start {idx} {x0.tolist()}: skipped "
-                  f"(outside candidate set, min h = {h0:.4g})")
-            manifests.append({"start": x0.tolist(), "skipped": True, "min_h0": h0})
+                  f"(outside candidate set, min h = {h0[idx - 1]:.4g})")
+            manifests.append({"start": x0.tolist(), "skipped": True, "min_h0": h0[idx - 1]})
             continue
-        traj = sim.simulate(scfg, sysm, res.candidates, fc)
+        traj = next(trajs)
         rep = sim.check_invariance(traj, res.candidates, sysm.hcf)
-        csv_path = out / f"traj_{mode}_{idx}.csv"
-        csv_digest = traj.to_csv(csv_path)
-        manifest = sim.run_manifest(scfg, traj, rep, cand_checksum, csv_digest)
-        manifest["mode"] = mode
-        manifest["skipped"] = False
+        csv_digest = traj.to_csv(out / f"traj_{mode}_{idx}.csv")
+        manifest = sim.run_manifest(replace(scfg, x_init=x0), traj, rep, cand_checksum, csv_digest)
+        manifest.update(mode=mode, skipped=False)
         sim.save_manifest(manifest, out / f"run_{mode}_{idx}.json")
         manifests.append(manifest)
+        active = np.any(traj.filtered_inputs != traj.nominal_inputs, axis=1).sum()
         print(f"simulate[{mode}] start {idx} {x0.tolist()}: steps={len(traj) - 1} "
               f"min_z={rep.min_z:.3e} breaches h/z={rep.h_breach_steps}/{rep.z_breach_steps} "
-              f"infeasible={rep.infeasible_steps} terminal={traj.states[-1].round(4).tolist()}")
+              f"infeasible={rep.infeasible_steps} filter_active={active} "
+              f"terminal={traj.states[-1].round(4).tolist()}")
     return manifests
 
 
@@ -332,12 +328,9 @@ _SCHEMA_ALL = ("system", "sampling", "boundary", "fit", "simulate", "output")
 
 def _is_reference_setup(cfg: PipelineConfig) -> bool:
     """The double-integrator configuration the report's targets are stated for."""
-    if cfg.system_name != "double_integrator":
-        return False
-    p = dict({"gamma1": 0.0, "gamma2": 0.1, "u_min": -300.0, "u_max": 300.0},
-             **cfg.system_params)
+    ref = {"gamma1": 0.0, "gamma2": 0.1, "u_min": -300.0, "u_max": 300.0}
     box = cfg.sampling_box()
-    return (p == {"gamma1": 0.0, "gamma2": 0.1, "u_min": -300.0, "u_max": 300.0}
+    return (cfg.system_name == "double_integrator" and dict(ref, **cfg.system_params) == ref
             and np.array_equal(box.lower, [-10.0, -40.0])
             and np.array_equal(box.upper, [0.0, 40.0]))
 
@@ -439,6 +432,7 @@ def main(argv=None) -> int:
         if args.dry_run:
             print("config ok (dry run); no outputs written")
             return EXIT_OK
+        out.mkdir(parents=True, exist_ok=True)
         return args.func(args, cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)

@@ -192,10 +192,9 @@ def parse_config(text: str) -> PipelineConfig:
     unknown_sections = set(sections) - set(_SCHEMA)
     if unknown_sections:
         name = sorted(unknown_sections)[0]
-        _, (_, line, col) = next(iter(sections[name].items()), ("", ("", 1, 1))) \
-            if sections[name] else ("", ("", 1, 1))
+        first = next(iter(sections[name].values()), None)
         raise ConfigError(f"unknown section [{name}]; expected one of {sorted(_SCHEMA)}",
-                          line if sections[name] else None)
+                          first[1] if first else None)
 
     typed: dict[str, dict[str, Any]] = {}
     for name, schema in _SCHEMA.items():
@@ -273,6 +272,8 @@ def _validate(typed: dict[str, dict[str, Any]]) -> None:
         raise ConfigError("simulate kappa gains must be positive")
     if sim["spline_t"] != "auto" and sim["spline_t"] <= 0:
         raise ConfigError("simulate spline_t must be positive or auto")
+    if sim["horizon"] <= 0:
+        raise ConfigError("simulate horizon must be positive")
     try:
         horizon_steps(sim["horizon"], sim["dt"])
     except ValueError as exc:

@@ -1,7 +1,8 @@
 """Closed-loop simulation with a barrier-constrained input filter.
 
 The loop is reference -> proportional controller -> safety filter -> RK4
-step. The filter projects the nominal input onto the box-constrained set
+step, run for S starts at once by `simulate_many` (`simulate` is its one-row
+call). The filter projects the nominal input onto the box-constrained set
 where every barrier satisfies hdot >= -kappa h; when that set is empty the
 least-violation input is applied and the step is flagged rather than aborting
 the run.
@@ -17,13 +18,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qp import QpProblem, QpStatus, solve_box_qp
-from .system import BoxSet, CbfCandidate, HardConstraint, SystemModel, eval_h, eval_h_grad
+from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel, eval_h_stack,
+                     stack_candidates)
 
 Array = np.ndarray
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_NOMINAL = "nominal"          # no candidates: plain box-clamped controller
+_SIDES = np.array([[1.0], [-1.0]])  # sign of a filter row's input coefficient: lower, upper
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,6 @@ class SimConfig:
     horizon_T: float
     dt: float
     kp: float
-    candidates_file: str | None = None
     require_safe_start: bool = True
     spline_T: float | None = None     # defaults to horizon_T / 2, then hold
     on_infeasible: str = "continue"   # continue | stop
@@ -92,18 +94,14 @@ class Trajectory:
 
     def to_csv(self, path) -> str:
         """Write the run as CSV with shortest round-trip decimals; returns digest."""
-        n = self.states.shape[1]
-        m = self.nominal_inputs.shape[1]
-        s = self.h_values.shape[1]
+        n, m, s = (a.shape[1] for a in (self.states, self.nominal_inputs, self.h_values))
         cols = (["t"] + [f"x{i+1}" for i in range(n)]
                 + [f"u_nom_{i+1}" for i in range(m)] + [f"u_{i+1}" for i in range(m)]
                 + [f"h_{j+1}" for j in range(s)] + ["z", "status"])
-        lines = [",".join(cols)]
-        for k in range(len(self)):
-            vals = ([self.times[k]] + list(self.states[k]) + list(self.nominal_inputs[k])
-                    + list(self.filtered_inputs[k]) + list(self.h_values[k])
-                    + [self.z_values[k]])
-            lines.append(",".join(repr(float(v)) for v in vals) + "," + self.qp_statuses[k])
+        table = np.column_stack([self.times, self.states, self.nominal_inputs,
+                                 self.filtered_inputs, self.h_values, self.z_values])
+        lines = [",".join(cols)] + [",".join(map(repr, row)) + "," + status
+                                    for row, status in zip(table.tolist(), self.qp_statuses)]
         data = ("\n".join(lines) + "\n").encode()
         with open(path, "wb") as f:
             f.write(data)
@@ -115,13 +113,11 @@ def reference_spline(x_init: Array, x_goal: Array, T: float,
     """Cubic reference over the leading position components, held after T.
 
     Uses the smoothstep polynomial 3 tau^2 - 2 tau^3, the unique cubic through
-    the endpoints with zero slope at both.
+    the endpoints with zero slope at both. (S, n) starts give (S, n_pos) values.
     """
     if T <= 0:
         raise ValueError("spline duration must be positive")
-    x_init = np.atleast_1d(np.asarray(x_init, dtype=float))
-    x_goal = np.atleast_1d(np.asarray(x_goal, dtype=float))
-    p0, p1 = x_init[:n_pos].copy(), x_goal[:n_pos].copy()
+    p0, p1 = (np.array(p, dtype=float, ndmin=1)[..., :n_pos] for p in (x_init, x_goal))
 
     def xi(t: float) -> Array:
         tau = min(max(t / T, 0.0), 1.0)
@@ -132,24 +128,62 @@ def reference_spline(x_init: Array, x_goal: Array, T: float,
 
 
 def nominal_controller(x: Array, xi: Array, kp: float) -> Array:
-    """Proportional tracking of the position components: kp (xi - x_pos)."""
+    """Proportional tracking of the position components, kp (xi - x_pos), per leading index."""
     if kp <= 0:
         raise ValueError("kp must be positive")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return kp * (xi - np.asarray(x, dtype=float)[:xi.size])
+    return kp * (xi - np.asarray(x, dtype=float)[..., :xi.shape[-1]])
 
 
-def _filter_interval_1d(rows: Array, rhs: Array, box: BoxSet) -> tuple[float, float] | None:
-    """Feasible input interval for single-input row constraints, or None."""
-    lo, hi = float(box.lower[0]), float(box.upper[0])
-    for a, b in zip(rows[:, 0], rhs):
-        if a > 0.0:
-            lo = max(lo, b / a)
-        elif a < 0.0:
-            hi = min(hi, b / a)
-        elif b > 0.0:
-            return None
-    return (lo, hi) if lo <= hi else None
+def _barriers(stacked: tuple[Array, Array, Array], hcf: HardConstraint,
+              x: Array) -> tuple[Array, Array]:
+    """(s, S) values and (s, S, n) gradients at (S, n) states from one (s, S, n)
+    transform: the arithmetic of `eval_h` and `eval_h_grad`, bit for bit."""
+    scale, shift, offset = stacked
+    y = x * scale[:, None] + shift[:, None]
+    return hcf.value(y) + offset[:, None], hcf.gradient(y) * scale[:, None]
+
+
+def safety_filter_many(x: Array, u_nom: Array, stacked: tuple[Array, Array, Array],
+                       sys: SystemModel, fc: FilterConfig) -> tuple[Array, Array, Array]:
+    """`safety_filter` for (S, n) states and (S, m) nominal inputs at once.
+
+    `stacked` holds the `stack_candidates` arrays of the s barriers. Returns
+    the (S, m) inputs, an (S,) mask of infeasible states and the (S, s) barrier
+    values the rows were built from. With one input the nominal input is
+    clamped to the interval the rows leave; states whose interval is empty,
+    and all states when m > 1, go to `solve_box_qp` one at a time.
+    """
+    if not stacked[2].size:
+        raise ValueError("safety filter needs at least one candidate")
+    h, grad = _barriers(stacked, sys.hcf, x)
+    # one row per candidate and state: (dh/dx g) u >= -kappa h - dh/dx f
+    rows = (grad[..., None, :] @ sys.actuation(x))[..., 0, :]
+    rhs = (-np.array(fc.alphas * len(h))[:len(h), None] * h
+           - (grad[..., None, :] @ sys.drift(x)[..., None])[..., 0, 0])
+    if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
+        raise ArithmeticError("non-finite dynamics in safety filter")
+    u, to_qp = u_nom.copy(), np.arange(len(x))
+    if sys.m == 1:
+        # row a u >= b bounds u by b / a, below if a > 0 and above if a < 0. Negated,
+        # upper bounds are maxima too; each moves in row order on a strict gain only
+        side = np.sign(rows[..., 0])
+        t = rhs / (rows[..., 0] + (side == 0.0)) * side
+        bounds = np.array([[fc.input_box.lower[0]], [-fc.input_box.upper[0]]]).repeat(len(x), 1)
+        for side_j, t_j in zip(side, t):
+            np.copyto(bounds, t_j, where=(side_j == _SIDES) & (t_j > bounds))
+        lo, hi, v = bounds[0], -bounds[1], u[:, 0]
+        np.copyto(v, lo, where=lo > v)
+        np.copyto(v, hi, where=hi < v)
+        to_qp = ((lo > hi) | np.logical_or.reduce((side == 0.0) & (rhs > 0.0))).nonzero()[0]
+    infeasible = np.zeros(len(x), dtype=bool)
+    for i in to_qp.tolist():
+        sol = solve_box_qp(QpProblem(hessian=2.0 * np.eye(sys.m), linear=-2.0 * u_nom[i],
+                                     ineq_rows=rows[:, i], ineq_rhs=rhs[:, i],
+                                     box=fc.input_box, constant=float(u_nom[i] @ u_nom[i])))
+        u[i] = sol.argmin
+        infeasible[i] = sol.status is not QpStatus.OPTIMAL
+    return u, infeasible, h.T
 
 
 def safety_filter(x: Array, u_nom: Array, cands: Sequence[CbfCandidate],
@@ -158,109 +192,96 @@ def safety_filter(x: Array, u_nom: Array, cands: Sequence[CbfCandidate],
 
     One row per candidate: (dh/dx g) u >= -kappa h - dh/dx f. Returns the
     projection and its status; infeasible problems yield the least-violation
-    input instead of failing.
+    input instead of failing. The one-state call of `safety_filter_many`.
     """
-    if not cands:
-        raise ValueError("safety filter needs at least one candidate")
-    x = np.asarray(x, dtype=float)
-    u_nom = np.atleast_1d(np.asarray(u_nom, dtype=float))
-    f = sys.drift(x)
-    g = sys.actuation(x)
-    rows = np.empty((len(cands), sys.m))
-    rhs = np.empty(len(cands))
-    for j, cand in enumerate(cands):
-        grad_h = eval_h_grad(cand, sys.hcf, x)
-        rows[j] = grad_h @ g
-        rhs[j] = -fc.gain(j) * eval_h(cand, sys.hcf, x) - float(grad_h @ f)
-    if not np.all(np.isfinite(rows)) or not np.all(np.isfinite(rhs)):
-        raise ArithmeticError("non-finite dynamics in safety filter")
-
-    if sys.m == 1:
-        interval = _filter_interval_1d(rows, rhs, fc.input_box)
-        if interval is not None:
-            return np.array([min(max(float(u_nom[0]), interval[0]), interval[1])]), \
-                STATUS_OPTIMAL
-
-    prob = QpProblem(hessian=2.0 * np.eye(sys.m), linear=-2.0 * u_nom,
-                     ineq_rows=rows, ineq_rhs=rhs, box=fc.input_box,
-                     constant=float(u_nom @ u_nom))
-    sol = solve_box_qp(prob)
-    status = STATUS_OPTIMAL if sol.status is QpStatus.OPTIMAL else STATUS_INFEASIBLE
-    return sol.argmin, status
+    u, infeasible, _ = safety_filter_many(
+        np.asarray(x, dtype=float)[None], np.atleast_1d(np.asarray(u_nom, dtype=float))[None],
+        stack_candidates(cands), sys, fc)
+    return u[0], STATUS_INFEASIBLE if infeasible[0] else STATUS_OPTIMAL
 
 
 def step(sys: SystemModel, x: Array, u: Array, dt: float) -> Array:
-    """Classical RK4 on xdot = f(x) + g(x) u with the input held over the step."""
+    """Classical RK4 on xdot = f(x) + g(x) u with the input held over the step,
+    for (..., n) states and (..., m) inputs."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))[..., None]
 
     def xdot(state: Array) -> Array:
-        return sys.drift(state) + sys.actuation(state) @ u
+        return sys.drift(state) + (sys.actuation(state) @ u)[..., 0]
 
     k1 = xdot(x)
     k2 = xdot(x + 0.5 * dt * k1)
     k3 = xdot(x + 0.5 * dt * k2)
     k4 = xdot(x + dt * k3)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ArithmeticError("integration produced non-finite state")
     return out
 
 
-def simulate(cfg: SimConfig, sys: SystemModel, cands: Sequence[CbfCandidate],
-             fc: FilterConfig) -> Trajectory:
-    """Run the closed loop for the configured horizon, recording every channel.
+def simulate_many(starts: Array, cfg: SimConfig, sys: SystemModel,
+                  cands: Sequence[CbfCandidate], fc: FilterConfig) -> list[Trajectory]:
+    """Run the closed loop from each row of (S, n) `starts` at once.
 
+    `cfg` supplies all but the start (its `x_init` is not read). Each step
+    evaluates every barrier once for all running starts, and the filter rows
+    and the recorded h values both come from it. With `on_infeasible = "stop"`
+    a start ends at its first infeasible step and is not integrated further.
     An empty candidate list disables the filter (inputs are only box-clamped),
     which reproduces the unfiltered baseline.
     """
-    n_cands = len(cands)
-    if cfg.require_safe_start and n_cands:
-        h0 = min(eval_h(c, sys.hcf, cfg.x_init) for c in cands)
-        if h0 < 0.0:
-            raise ValueError(f"initial state lies outside the candidate set (min h = {h0:.6g})")
-
+    x = np.array(starts, dtype=float, ndmin=2)
+    n_runs, s = len(x), len(cands)
+    h0 = eval_h_stack(cands, sys.hcf, x).min(initial=np.inf) if s else np.inf
+    if cfg.require_safe_start and h0 < 0.0:
+        raise ValueError(f"initial state lies outside the candidate set (min h = {h0:.6g})")
     steps_count = horizon_steps(cfg.horizon_T, cfg.dt)
-    spline_T = cfg.spline_T if cfg.spline_T is not None \
-        else max(cfg.horizon_T / 2.0, cfg.dt)
-    xi = reference_spline(cfg.x_init, cfg.x_goal, spline_T, n_pos=sys.m)
-
+    spline_T = max(cfg.horizon_T / 2.0, cfg.dt) if cfg.spline_T is None else cfg.spline_T
+    xi = reference_spline(x, cfg.x_goal, spline_T, n_pos=sys.m)
+    stacked = stack_candidates(cands) if s else None
     times = np.arange(steps_count + 1) * cfg.dt
-    states = np.empty((steps_count + 1, sys.n))
-    u_nom_hist = np.empty((steps_count + 1, sys.m))
-    u_hist = np.empty((steps_count + 1, sys.m))
-    h_hist = np.empty((steps_count + 1, n_cands))
-    z_hist = np.empty(steps_count + 1)
-    statuses: list[str] = []
-
-    x = cfg.x_init.copy()
-    for k in range(steps_count + 1):
-        u_nom = nominal_controller(x, xi(times[k]), cfg.kp)
-        if n_cands:
-            u, status = safety_filter(x, u_nom, cands, sys, fc)
-        else:
-            u, status = fc.input_box.clip(u_nom), STATUS_NOMINAL
-        states[k] = x
-        u_nom_hist[k] = u_nom
-        u_hist[k] = u
-        h_hist[k] = [eval_h(c, sys.hcf, x) for c in cands]
-        z_hist[k] = float(sys.hcf.value(x))
-        statuses.append(status)
-        if status == STATUS_INFEASIBLE and cfg.on_infeasible == "stop":
-            k_stop = k
-            times = times[:k_stop + 1]
-            states = states[:k_stop + 1]
-            u_nom_hist = u_nom_hist[:k_stop + 1]
-            u_hist = u_hist[:k_stop + 1]
-            h_hist = h_hist[:k_stop + 1]
-            z_hist = z_hist[:k_stop + 1]
+    states, u_nom_hist, u_hist, h_hist = (np.empty((n_runs, steps_count + 1, d))
+                                          for d in (sys.n, sys.m, sys.m, s))
+    infeasible = np.zeros((n_runs, steps_count + 1), dtype=bool)
+    lengths = np.full(n_runs, steps_count + 1)
+    live: slice | Array = slice(None)   # rows still running; an index array once one stops
+    for k, t in enumerate(times.tolist()):
+        if not len(x):
             break
+        u_nom = nominal_controller(x, xi(t)[live], cfg.kp)
+        if s:
+            u, infeasible[live, k], h_hist[live, k] = safety_filter_many(x, u_nom, stacked, sys, fc)
+        else:
+            u = fc.input_box.clip(u_nom)
+        states[live, k], u_nom_hist[live, k], u_hist[live, k] = x, u_nom, u
+        stop = infeasible[live, k]
+        if cfg.on_infeasible == "stop" and stop.any():
+            rows = np.arange(n_runs)[live]
+            lengths[rows[stop]] = k + 1
+            live, x, u = rows[~stop], x[~stop], u[~stop]
         if k < steps_count:
             x = step(sys, x, u, cfg.dt)
 
-    return Trajectory(times, states, u_nom_hist, u_hist, h_hist, z_hist, statuses)
+    names = np.array([STATUS_OPTIMAL, STATUS_INFEASIBLE] if s else [STATUS_NOMINAL] * 2)
+    # z feeds nothing back, so each run's values come from one call at the end
+    return [Trajectory(times[:k], states[i, :k], u_nom_hist[i, :k], u_hist[i, :k],
+                       h_hist[i, :k], sys.hcf.value(states[i, :k]),
+                       names[infeasible[i, :k].astype(int)].tolist())
+            for i, k in enumerate(lengths)]
+
+
+def simulate(cfg: SimConfig, sys: SystemModel, cands: Sequence[CbfCandidate],
+             fc: FilterConfig) -> Trajectory:
+    """Run the closed loop from `cfg.x_init`: the one-row call of `simulate_many`."""
+    return simulate_many(cfg.x_init[None], cfg, sys, cands, fc)[0]
+
+
+def _grid(region: BoxSet, per_axis: int) -> Array:
+    """(per_axis^n, n) grid over a box, last axis varying fastest."""
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(region.lower, region.upper)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def hdot_rate_bound(cands: Sequence[CbfCandidate], region: BoxSet, sys: SystemModel,
@@ -270,16 +291,12 @@ def hdot_rate_bound(cands: Sequence[CbfCandidate], region: BoxSet, sys: SystemMo
     Used to size the clearance of interior start grids: dt times this bound
     limits how far h can fall within one zero-order-hold step.
     """
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(region.lower, region.upper)]
-    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    grid = _grid(region, per_axis)
+    _, grad_h = _barriers(stack_candidates(cands), sys.hcf, grid)
+    lf = np.sum(grad_h * sys.drift(grid), axis=-1)
+    lg = np.einsum("sbn,bnm->sbm", grad_h, sys.actuation(grid))
     u_extreme = np.maximum(np.abs(input_box.lower), np.abs(input_box.upper))
-    out = np.empty(len(cands))
-    for j, c in enumerate(cands):
-        grad_h = sys.hcf.gradient(c.transform(grid)) * c.scale
-        lf = np.sum(grad_h * sys.drift(grid), axis=-1)
-        lg = np.einsum("bn,bnm->bm", grad_h, sys.actuation(grid))
-        out[j] = float(np.max(np.abs(lf) + np.abs(lg) @ u_extreme))
-    return out
+    return np.max(np.abs(lf) + np.abs(lg) @ u_extreme, axis=1)
 
 
 def interior_grid(cands: Sequence[CbfCandidate], region: BoxSet, sys: SystemModel,
@@ -292,12 +309,9 @@ def interior_grid(cands: Sequence[CbfCandidate], region: BoxSet, sys: SystemMode
     closer to the boundary than one step cannot be certified by a sampled-time
     filter and are excluded.
     """
-    rates = hdot_rate_bound(cands, region, sys, input_box)
-    eta = safety_factor * dt * rates
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(region.lower, region.upper)]
-    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    h = np.stack([sys.hcf.value(c.transform(grid)) + c.offset for c in cands], axis=1)
-    return grid[np.all(h >= eta, axis=1)]
+    eta = safety_factor * dt * hdot_rate_bound(cands, region, sys, input_box)
+    grid = _grid(region, per_axis)
+    return grid[np.all(eval_h_stack(cands, sys.hcf, grid) >= eta[:, None], axis=0)]
 
 
 @dataclass(frozen=True)
@@ -323,16 +337,10 @@ def check_invariance(traj: Trajectory, cands: Sequence[CbfCandidate],
                      hcf: HardConstraint, tol_h: float = 1e-6,
                      tol_z: float = 1e-6) -> InvarianceReport:
     """Scan a trajectory for barrier or hard-constraint breaches."""
-    if traj.h_values.shape[1]:
-        min_h = traj.h_values.min(axis=0)
-        h_breach = int(np.sum(traj.h_values.min(axis=1) < -tol_h))
-    else:
-        min_h = np.zeros(0)
-        h_breach = 0
-    z_breach = int(np.sum(traj.z_values < -tol_z))
-    infeasible = sum(1 for s in traj.qp_statuses if s == STATUS_INFEASIBLE)
-    return InvarianceReport(min_h, float(traj.z_values.min()), h_breach,
-                            z_breach, infeasible, tol_h, tol_z)
+    h_breach = int(np.sum(traj.h_values.min(axis=1, initial=np.inf) < -tol_h))
+    return InvarianceReport(traj.h_values.min(axis=0), float(traj.z_values.min()), h_breach,
+                            int(np.sum(traj.z_values < -tol_z)),
+                            traj.qp_statuses.count(STATUS_INFEASIBLE), tol_h, tol_z)
 
 
 def run_manifest(cfg: SimConfig, traj: Trajectory, report: InvarianceReport,
@@ -348,13 +356,10 @@ def run_manifest(cfg: SimConfig, traj: Trajectory, report: InvarianceReport,
         "trajectory_checksum": csv_checksum,
         "steps": len(traj) - 1,
         "terminal_state": traj.states[-1].tolist(),
-        "breaches": {
-            "min_h": report.min_h.tolist(),
-            "min_z": report.min_z,
-            "h_breach_steps": report.h_breach_steps,
-            "z_breach_steps": report.z_breach_steps,
-            "infeasible_steps": report.infeasible_steps,
-        },
+        "breaches": {"min_h": report.min_h.tolist(), "min_z": report.min_z,
+                     "h_breach_steps": report.h_breach_steps,
+                     "z_breach_steps": report.z_breach_steps,
+                     "infeasible_steps": report.infeasible_steps},
     }
 
 

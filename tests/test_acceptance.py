@@ -13,9 +13,9 @@ import pytest
 from cbfsynth.cli import main
 from cbfsynth.qp import QpStatus, solve_box_qp
 from cbfsynth.sampler import run_sampling
-from cbfsynth.simulator import (FilterConfig, SimConfig, check_invariance,
-                                interior_grid, simulate)
-from cbfsynth.system import CbfCandidate, eval_h, identity_candidate
+from cbfsynth.simulator import (FilterConfig, SimConfig, check_invariance, horizon_steps,
+                                interior_grid, safety_filter_many, simulate, step)
+from cbfsynth.system import CbfCandidate, eval_h, identity_candidate, stack_candidates
 
 from conftest import AREA_FEASIBLE, REFERENCE_BOUNDS, REFERENCE_SEED
 from qp_oracle import grid_oracle, random_problem
@@ -184,52 +184,30 @@ def test_criterion_6_motivating_failure(di):
 ])
 def test_criterion_7_adversarial_invariance(di, label, cands):
     """Full-throttle nominal input from a 20 x 20 interior grid: the filter
-    alone keeps every barrier nonnegative with no infeasible steps."""
+    alone keeps every barrier nonnegative with no infeasible steps. The whole
+    grid is stepped at once through the batched filter and RK4 step."""
     sysm, input_box = di
     fc = FilterConfig(alphas=[5.0] * len(cands), input_box=input_box)
     starts = interior_grid(cands, REFERENCE_BOUNDS, sysm, input_box, per_axis=20,
                            dt=0.01)
     assert starts.shape[0] >= 150
-    u_max_controller = float(input_box.upper[0])
+    u_nom = np.full((len(starts), 1), float(input_box.upper[0]))
+    stacked = stack_candidates(cands)
+    steps_count = horizon_steps(10.0, 0.01)
     breaches = infeasible = 0
     worst_h = np.inf
-    for x0 in starts:
-        cfg = SimConfig(x_init=x0, x_goal=[0.0, 0.0], horizon_T=10.0, dt=0.01,
-                        kp=10.0, spline_T=None)
-        traj = _simulate_constant_nominal(cfg, sysm, cands, fc, u_max_controller)
-        rep = check_invariance(traj, cands, sysm.hcf, tol_h=1e-6, tol_z=1e-6)
-        breaches += rep.h_breach_steps
-        infeasible += rep.infeasible_steps
-        worst_h = min(worst_h, float(rep.min_h.min()))
+    x = starts
+    for k in range(steps_count + 1):
+        u, bad, h = safety_filter_many(x, u_nom, stacked, sysm, fc)
+        breaches += int(np.sum(h.min(axis=1) < -1e-6))
+        infeasible += int(bad.sum())
+        worst_h = min(worst_h, float(h.min()))
+        if k < steps_count:
+            x = step(sysm, x, u, 0.01)
     assert breaches == 0
     assert infeasible == 0
     _report(7, f"{label}: {starts.shape[0]} starts x 10 s, zero breaches, "
                f"zero infeasible steps, min h = {worst_h:.2e}")
-
-
-def _simulate_constant_nominal(cfg, sysm, cands, fc, u_const):
-    """Closed loop with an adversarial constant nominal input."""
-    from cbfsynth.simulator import Trajectory, safety_filter, step
-    steps_count = int(np.floor(cfg.horizon_T / cfg.dt + 1e-9))
-    times = np.arange(steps_count + 1) * cfg.dt
-    states = np.empty((steps_count + 1, sysm.n))
-    u_nom = np.array([u_const])
-    u_hist = np.empty((steps_count + 1, sysm.m))
-    h_hist = np.empty((steps_count + 1, len(cands)))
-    z_hist = np.empty(steps_count + 1)
-    statuses = []
-    x = cfg.x_init.copy()
-    for k in range(steps_count + 1):
-        u, status = safety_filter(x, u_nom, cands, sysm, fc)
-        states[k] = x
-        u_hist[k] = u
-        h_hist[k] = [eval_h(c, sysm.hcf, x) for c in cands]
-        z_hist[k] = float(sysm.hcf.value(x))
-        statuses.append(status)
-        if k < steps_count:
-            x = step(sysm, x, u, cfg.dt)
-    return Trajectory(times, states, np.tile(u_nom, (steps_count + 1, 1)), u_hist,
-                      h_hist, z_hist, statuses)
 
 
 def test_criterion_8_pipeline_determinism(tmp_path):

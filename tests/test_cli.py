@@ -152,6 +152,20 @@ def test_later_stage_values_rejected_at_parse(tmp_path, capsys, key):
     assert not (out / "samples.jsonl").exists()
 
 
+def test_zero_horizon_rejected_at_parse(tmp_path, capsys):
+    """A zero-step run shows nothing, so it cannot back the report's
+    closed-loop safety rows: horizon = 0 is a config error."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    cfg.write_text(cfg.read_text().replace("horizon = 0.5", "horizon = 0"))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "horizon" in err and err.count("\n") == 1
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert not (out / "samples.jsonl").exists()
+
+
 # -- stages ------------------------------------------------------------------
 
 def test_sample_stage_outputs(tmp_path):
@@ -327,7 +341,7 @@ def test_dry_run_touches_nothing(tmp_path):
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out))
     assert main(["pipeline", "--config", str(cfg), "--dry-run"]) == 0
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -444,3 +458,24 @@ def test_fit_line_reports_search_counts(tmp_path, capsys):
         assert "evaluations" not in text and "root_steps" not in text
     assert counts["uniform"][3:] == [0.0, 0.0, 0.0]
     assert counts["multi"][3] > 0 and counts["multi"][5] > 0
+
+
+def test_simulate_line_reports_filter_active(tmp_path, capsys):
+    """Each simulate line counts the steps whose applied input differs from the
+    nominal one, as the trajectory records them; the count is never saved."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    for stage in ("sample", "boundary", "fit"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("simulate[")]
+    assert len(lines) == 1
+    m = re.search(r" infeasible=\d+ filter_active=(\d+) terminal=", lines[0])
+    assert m, lines[0]
+    header, *rows = (out / "traj_uniform_1.csv").read_text().splitlines()
+    cols = header.split(",")
+    nominal, applied = cols.index("u_nom_1"), cols.index("u_1")
+    active = sum(float(r.split(",")[nominal]) != float(r.split(",")[applied]) for r in rows)
+    assert int(m.group(1)) == active > 0
+    assert "filter_active" not in (out / "run_uniform_1.json").read_text()

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from cbfsynth import simulator
 from cbfsynth.simulator import (FilterConfig, SimConfig, check_invariance,
                                 hdot_rate_bound, interior_grid, nominal_controller,
-                                reference_spline, safety_filter, simulate, step,
-                                STATUS_INFEASIBLE, STATUS_NOMINAL, STATUS_OPTIMAL)
+                                reference_spline, safety_filter, safety_filter_many,
+                                simulate, simulate_many, step, STATUS_INFEASIBLE,
+                                STATUS_NOMINAL, STATUS_OPTIMAL)
 from cbfsynth.qp import QpProblem, QpStatus
-from cbfsynth.system import BoxSet, CbfCandidate, eval_h, identity_candidate
+from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel, eval_h,
+                             identity_candidate, stack_candidates)
 
-from conftest import REFERENCE_BOUNDS, two_input_system
+from conftest import REFERENCE_BOUNDS, TWO_INPUT_BOX, two_input_system
 from qp_oracle import grid_oracle
 
 CAP_CANDIDATE = CbfCandidate([0.0, 10.0], [0.0, 0.0], 30.0)
@@ -128,6 +131,64 @@ def test_filter_minimal_deviation(di, fc):
     assert np.all(np.abs(u_star[0] - u_nom) <= np.abs(candidates - u_nom) + 1e-9)
 
 
+def _scalar_clamp(rows, rhs, u_nom, box):
+    """One input, row by row: a bound moves only when a row beats it, as max
+    and min do; None when the rows leave no interval."""
+    lo, hi = float(box.lower[0]), float(box.upper[0])
+    for a, b in zip(rows, rhs):
+        if a > 0.0:
+            lo = max(lo, b / a)
+        elif a < 0.0:
+            hi = min(hi, b / a)
+        elif b > 0.0:
+            return None
+    return min(max(u_nom, lo), hi) if lo <= hi else None
+
+
+def test_filter_many_clamp_matches_scalar_rule_bit_for_bit(di, fc):
+    """The batched one-input clamp gives the scalar rule's bits, on random
+    states and on bounds that tie at +0.0 and -0.0, where the row order
+    decides the sign."""
+    sysm, _ = di
+    cands = [identity_candidate(2), CAP_CANDIDATE, STEEP]
+    fc3 = FilterConfig(alphas=[5.0, 2.0, 7.0], input_box=fc.input_box)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(REFERENCE_BOUNDS.lower, REFERENCE_BOUNDS.upper, (300, 2))
+    u_nom = rng.uniform(-400.0, 400.0, (300, 1))
+    u, infeasible, h = safety_filter_many(x, u_nom, stack_candidates(cands), sysm, fc3)
+    clamped = 0
+    for i in range(len(x)):
+        grads = [sysm.hcf.gradient(c.transform(x[i])) * c.scale for c in cands]
+        hs = [sysm.hcf.value(c.transform(x[i])) + c.offset for c in cands]
+        assert h[i].tolist() == hs
+        want = _scalar_clamp([gr @ sysm.actuation(x[i])[:, 0] for gr in grads],
+                             [-fc3.gain(j) * hj - gr @ sysm.drift(x[i])
+                              for j, (gr, hj) in enumerate(zip(grads, hs))],
+                             float(u_nom[i, 0]), fc3.input_box)
+        if want is not None:
+            clamped += 1
+            assert not infeasible[i] and u[i, 0].tobytes() == np.float64(want).tobytes()
+    assert clamped > 200
+
+    # z = x2 with no drift: rows a = 1 and rhs = -kappa h, so h = -0.0 and
+    # h = +0.0 give lower bounds +0.0 and -0.0, and the first row's sign wins
+    def actuation(s):
+        g = np.zeros(np.shape(s) + (1,))
+        g[..., 1, 0] = 1.0
+        return g
+
+    plant = SystemModel(n=2, m=1, drift=np.zeros_like, actuation=actuation,
+                        hcf=HardConstraint(value=lambda s: s[..., 1],
+                                           gradient=lambda s: np.zeros_like(s) + [0.0, 1.0]))
+    minus = CbfCandidate([1.0, 1.0], [0.0, -0.0], -0.0)
+    plus = identity_candidate(2)
+    box = FilterConfig(alphas=[1.0], input_box=BoxSet([-1.0], [1.0]))
+    for pair, sign in (([minus, plus], False), ([plus, minus], True)):
+        u, _, _ = safety_filter_many(np.array([[0.0, -0.0]]), np.array([[-0.5]]),
+                                     stack_candidates(pair), plant, box)
+        assert u[0, 0] == 0.0 and bool(np.signbit(u[0, 0])) is sign
+
+
 def test_filter_two_inputs_matches_grid_oracle():
     """The m = 2 filter with two candidates against the dense-grid oracle,
     on rows and right-hand sides built here from the plant's callables."""
@@ -228,6 +289,74 @@ def test_simulate_invariance_and_goal(di, fc):
     assert abs(traj.states[-1][0]) <= 0.5
     # inputs always respect the box exactly
     assert np.all(traj.filtered_inputs >= -300.0) and np.all(traj.filtered_inputs <= 300.0)
+
+
+_CHANNELS = ("times", "states", "nominal_inputs", "filtered_inputs", "h_values", "z_values")
+
+
+@pytest.mark.parametrize("cands", [[identity_candidate(2), CAP_CANDIDATE], [STEEP], []],
+                         ids=["pair", "steep", "unfiltered"])
+def test_simulate_many_rows_equal_one_row_runs(di, fc, cands):
+    """Each row of a batch is the one-start run bit for bit on the double
+    integrator, whatever else is in the batch."""
+    sysm, _ = di
+    starts = np.array([[-9.0, 15.0], [-9.0, 0.0], [-7.0, -5.0], [-4.0, 20.0], [-2.0, 3.0]])
+    cfg = SimConfig(x_init=starts[0], x_goal=[0.0, 0.0], horizon_T=2.0, dt=0.01, kp=10.0,
+                    require_safe_start=False)
+    fc2 = FilterConfig(alphas=[5.0, 3.0], input_box=fc.input_box)
+    batch = simulate_many(starts, cfg, sysm, cands, fc2)
+    assert len(batch) == len(starts)
+    for x0, got in zip(starts, batch):
+        one = simulate(SimConfig(x_init=x0, x_goal=[0.0, 0.0], horizon_T=2.0, dt=0.01,
+                                 kp=10.0, require_safe_start=False), sysm, cands, fc2)
+        for name in _CHANNELS:
+            assert getattr(got, name).tobytes() == getattr(one, name).tobytes(), name
+        assert got.qp_statuses == one.qp_statuses
+    if cands:
+        assert any(np.any(t.filtered_inputs != t.nominal_inputs) for t in batch)
+
+
+def test_simulate_many_two_inputs_matches_one_row_runs():
+    """m = 2, where every row goes through the box QP: batch rows match the
+    one-start runs to 1e-12, and the filter is active on some steps."""
+    sysm = two_input_system()
+    cands = [identity_candidate(2), CbfCandidate([0.5, 1.5], [0.3, -0.2], 0.5)]
+    fc = FilterConfig(alphas=[1.0, 2.0], input_box=TWO_INPUT_BOX)
+    starts = np.array([[-1.5, 0.5], [1.0, -0.6], [1.2, 0.8], [0.0, 0.0]])
+    cfg = SimConfig(x_init=starts[0], x_goal=[1.5, 1.0], horizon_T=0.5, dt=0.01, kp=4.0)
+    batch = simulate_many(starts, cfg, sysm, cands, fc)
+    for x0, got in zip(starts, batch):
+        one = simulate(SimConfig(x_init=x0, x_goal=[1.5, 1.0], horizon_T=0.5, dt=0.01,
+                                 kp=4.0), sysm, cands, fc)
+        for name in _CHANNELS:
+            np.testing.assert_allclose(getattr(got, name), getattr(one, name),
+                                       rtol=0.0, atol=1e-12, err_msg=name)
+        assert got.qp_statuses == one.qp_statuses
+    assert any(np.any(np.abs(t.filtered_inputs - t.nominal_inputs) > 1e-6) for t in batch)
+
+
+def test_simulate_many_stop_ends_only_the_infeasible_row(di, fc, monkeypatch):
+    """on_infeasible = stop ends a row at its first infeasible step; that row
+    is not integrated further and the other runs the full horizon."""
+    sysm, _ = di
+    rows_stepped = []
+    real_step = simulator.step
+
+    def counting_step(sys, x, u, dt):
+        rows_stepped.append(len(x))
+        return real_step(sys, x, u, dt)
+
+    monkeypatch.setattr(simulator, "step", counting_step)
+    cfg = SimConfig(x_init=[-5.0, 0.0], x_goal=[0.0, 0.0], horizon_T=1.0, dt=0.01,
+                    kp=10.0, require_safe_start=False, on_infeasible="stop")
+    safe, stopped = simulate_many([[-5.0, 0.0], [0.5, -1.0]], cfg, sysm,
+                                  [identity_candidate(2)], fc)
+    assert len(stopped) == 1
+    assert stopped.qp_statuses == [STATUS_INFEASIBLE]
+    assert np.array_equal(stopped.states, [[0.5, -1.0]])
+    assert len(safe) == 101
+    assert set(safe.qp_statuses) == {STATUS_OPTIMAL}
+    assert rows_stepped == [1] * 100
 
 
 def test_alpha_comparison_along_trajectory(di, fc):
