@@ -137,8 +137,9 @@ def _stage_fit(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.Boundary
         fit.save_fit(res, out / f"candidates_{mode}.json", cfg=fcfg,
                      source_checksums=checksums)
         c = res.counts
-        search = (f"evaluations={c.evaluations} offers_accepted={c.accepted} "
-                  f"offers_rejected={c.rejected} probe_calls={c.probe_calls} "
+        search = (f"workers={c.workers} evaluations={c.evaluations} "
+                  f"offers_accepted={c.accepted} offers_rejected={c.rejected} "
+                  f"probe_calls={c.probe_calls} "
                   f"root_steps_mean={c.root_steps_mean:.2f} root_steps_max={c.root_steps_max}")
         if not res.feasible:
             print(f"fit[{mode}]: INFEASIBLE: {res.diagnostics}; {search}")

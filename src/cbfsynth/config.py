@@ -256,8 +256,9 @@ def _validate(typed: dict[str, dict[str, Any]]) -> None:
         raise ConfigError("fit num_cbfs must be at least 2 when multi is listed")
     if fit["margin"] != "auto" and fit["margin"] < 0:
         raise ConfigError("fit margin must be nonnegative or auto")
-    if fit["probes"] < 1:
-        raise ConfigError("fit probes must be at least 1")
+    for key in ("restarts", "iterations", "population", "probes"):
+        if fit[key] < 1:
+            raise ConfigError(f"fit {key} must be at least 1")
     sim = typed["simulate"]
     if sim["on_infeasible"] not in ("continue", "stop"):
         raise ConfigError("simulate on_infeasible must be continue or stop")

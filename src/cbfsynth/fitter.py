@@ -21,6 +21,13 @@ The decision spaces are tiny, so the search is Nelder-Mead on a penalized
 objective with structured and random restarts, followed by a coordinate-wise
 golden-section polish. One driver runs all three programs from a per-mode
 table. Incumbents are accepted only when hard-feasible on the full sample set.
+
+The restarts are independent tasks. The driver makes every random draw up
+front, in the order a search running one restart after another would make
+them, runs the restarts on forked worker processes (one per usable core, at
+most one per restart), and replays their offers in restart order. With one
+worker, or where fork is unavailable, the same restart function runs in this
+process. Results and search counts do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import json
 import hashlib
 import math
+import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -81,8 +89,9 @@ class FitConfig:
             raise ValueError("margin must be nonnegative")
         if self.mode == "multi" and self.num_cbfs < 2:
             raise ValueError("multi mode needs num_cbfs >= 2")
-        if self.probes < 1:
-            raise ValueError("probes must be at least 1")
+        for key in ("restarts", "iterations", "population", "probes"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,7 @@ class SearchCounts:
     probe_calls: int = 0        # boundary_probes calls of the search
     root_steps_mean: float = 0.0
     root_steps_max: int = 0
+    workers: int = 1            # processes the restarts ran on
 
 
 @dataclass(frozen=True)
@@ -549,17 +559,20 @@ def _golden_polish(fun, x: Array, steps: Array, rounds: int = 2) -> Array:
     return x
 
 
-def _block_passes(ctx: _SearchContext, theta: Array, steps: Array, rng,
-                  fun, offer) -> Array:
-    """Two block-coordinate passes: hold all tuples but one fixed.
+def _block_passes(ctx: _SearchContext, theta: Array, steps: Array,
+                  jitter: Sequence[Sequence[Array]], fun, offer) -> Array:
+    """Block-coordinate passes, one per row of `jitter`: hold all tuples but one fixed.
 
     Every tuple after the first starts from a jittered copy, letting it
-    specialize into whatever cap the data demands.
+    specialize into whatever cap the data demands; `jitter[p][j - 1]` is the
+    standard normal draw for tuple j in pass p. `_fit` makes these draws,
+    two passes' worth per seed, before any restart runs, in the order the
+    passes use them.
     """
     block = theta.size // ctx.cfg.num_cbfs
     steps_one = steps[:block]
     block_iters = max(100, ctx.cfg.iterations // 2)
-    for _ in range(2):
+    for draws in jitter:
         for j in range(ctx.cfg.num_cbfs):
             sel = slice(j * block, (j + 1) * block)
 
@@ -568,33 +581,33 @@ def _block_passes(ctx: _SearchContext, theta: Array, steps: Array, rng,
                 trial[sel] = tj
                 return fun(trial)
 
-            tj0 = theta[sel] + (rng.standard_normal(block) * 1e-3 * steps_one
-                                if j > 0 else 0.0)
+            tj0 = theta[sel] + (draws[j - 1] * 1e-3 * steps_one if j > 0 else 0.0)
             theta[sel] = _nelder_mead(block_fun, tj0, steps_one, block_iters)
             offer(theta)
     return theta
 
 
-def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
-         input_box: BoxSet, cfg: FitConfig,
-         warm: Sequence[Sequence[CbfCandidate]]) -> FitResult:
-    """Search driver shared by the three modes.
+# (ctx, mode, steps) of the fit whose restarts are running. Forked workers
+# inherit it with the rest of the parent's memory; it is never pickled, and
+# cannot be, since the plant's value and gradient are closures.
+_search: tuple[_SearchContext, _Mode, Array] | None = None
 
-    Each structured or warm seed is offered as is, refined by block passes
-    where the mode has them, then by Nelder-Mead and a golden-section polish;
-    the remaining restarts start from the best of `population` random draws.
-    Every offer goes through the full-set acceptance test, and the accepted
-    candidate with the largest objective is kept.
+
+def _run(start: tuple[Array | None, list, list]) -> tuple[list, int, list[int]]:
+    """One restart of the fit in `_search`, from (seed, jitter, pool).
+
+    A structured or warm seed is offered as is and refined by block passes
+    with `jitter` where the mode has them; without a seed the run starts from
+    the best of the random draws in `pool`. Nelder-Mead and a golden-section
+    polish follow. Returns the run's offers in order, each as (candidates,
+    ok, objective, reason) from the full-set acceptance test, its objective
+    evaluations and the steps of each of its boundary_probes calls.
     """
-    mode = _MODES[name]
-    ctx = _SearchContext(s, b, sys, input_box, replace(cfg, mode=name))
-    cfg = ctx.cfg
-    steps = mode.steps(ctx)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed + mode.key_offset))
-    best: list[CbfCandidate] | None = None
-    best_obj = -np.inf
-    reasons: Counter = Counter()
-    evaluations = accepted = 0
+    ctx, mode, steps = _search
+    seed, jitter, pool = start
+    ctx.root_steps.clear()
+    offers = []
+    evaluations = 0
 
     def fun(theta):
         nonlocal evaluations
@@ -602,34 +615,107 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
         return _score(ctx, mode, mode.build(ctx, theta))
 
     def offer(theta):
-        nonlocal best, best_obj, accepted
         cands = mode.build(ctx, theta.copy())   # candidates view theta; block passes edit it
-        ok, obj, reason = _hard_feasible(ctx, mode, cands)
-        accepted += ok
-        if ok and obj > best_obj:
-            best, best_obj = cands, obj
-        elif not ok and reason:
-            reasons[reason] += 1
+        offers.append((cands, *_hard_feasible(ctx, mode, cands)))
 
+    if seed is not None:
+        theta = np.array(seed, dtype=float)
+        offer(theta)
+        if mode.block_passes:
+            theta = _block_passes(ctx, theta, steps, jitter, fun, offer)
+    else:
+        theta = min(pool, key=fun)
+        offer(theta)
+    theta = _nelder_mead(fun, theta, steps, ctx.cfg.iterations)
+    offer(theta)
+    theta = _golden_polish(fun, theta, steps)
+    offer(theta)
+    return offers, evaluations, list(ctx.root_steps)
+
+
+def _workers(runs: int) -> int:
+    """Worker processes for a fit of `runs` restarts: one per usable core, at
+    most one per restart, and 1 where processes cannot be forked."""
+    if not hasattr(os, "fork"):
+        return 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return min(runs, cores)
+
+
+def _map_runs(starts: list, workers: int) -> list:
+    """`_run` over the starts, results in start order."""
+    if workers == 1:
+        return list(map(_run, starts))
+    import multiprocessing
+    import sys
+    # a forked child flushes the stdio buffers it inherits when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return pool.map(_run, starts, chunksize=1)
+
+
+def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
+         input_box: BoxSet, cfg: FitConfig,
+         warm: Sequence[Sequence[CbfCandidate]]) -> FitResult:
+    """Search driver shared by the three modes.
+
+    One restart per structured or warm seed, then random restarts up to
+    `restarts`; `_run` describes one. The restarts share nothing but the
+    random stream and the choice of the best offer, so the driver makes
+    every draw up front, in the order one restart after another would make
+    them: the block-pass jitter of each seed, then each random restart's
+    `population` draws. The restarts then run as independent tasks on
+    `_workers(runs)` forked processes, or in this process where that is one,
+    as it is wherever fork is unavailable. Their offers are replayed in
+    restart order: the accepted candidate with the largest objective is
+    kept, the first on ties, so neither the result nor the counts depend on
+    the worker count.
+    """
+    global _search
+    mode = _MODES[name]
+    ctx = _SearchContext(s, b, sys, input_box, replace(cfg, mode=name))
+    cfg = ctx.cfg
+    steps = mode.steps(ctx)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed + mode.key_offset))
     seeds = mode.seeds(ctx, warm)
     runs = max(cfg.restarts, len(seeds))
-    for k in range(runs):
-        if k < len(seeds):
-            theta = np.array(seeds[k], dtype=float)
-            offer(theta)
-            if mode.block_passes:
-                theta = _block_passes(ctx, theta, steps, rng, fun, offer)
-        else:
-            pool = [mode.random_theta(ctx, rng) for _ in range(max(1, cfg.population))]
-            theta = min(pool, key=fun)
-            offer(theta)
-        theta = _nelder_mead(fun, theta, steps, cfg.iterations)
-        offer(theta)
-        theta = _golden_polish(fun, theta, steps)
-        offer(theta)
-    steps_taken = ctx.root_steps or [0]
-    counts = SearchCounts(evaluations, accepted, sum(reasons.values()), len(ctx.root_steps),
-                          float(np.mean(steps_taken)), max(steps_taken))
+
+    def jitter() -> list[list[Array]]:
+        if not mode.block_passes:
+            return []
+        block = steps.size // cfg.num_cbfs
+        return [[rng.standard_normal(block) for _ in range(cfg.num_cbfs - 1)]
+                for _ in range(2)]
+
+    starts = [(seed, jitter(), None) for seed in seeds]
+    starts += [(None, [], [mode.random_theta(ctx, rng) for _ in range(cfg.population)])
+               for _ in range(runs - len(seeds))]
+    workers = _workers(runs)
+    _search = (ctx, mode, steps)
+    try:
+        results = _map_runs(starts, workers)
+    finally:
+        _search = None
+
+    best: list[CbfCandidate] | None = None
+    best_obj = -np.inf
+    reasons: Counter = Counter()
+    evaluations = accepted = 0
+    root_steps: list[int] = []
+    for offers, run_evaluations, run_steps in results:
+        evaluations += run_evaluations
+        root_steps += run_steps
+        for cands, ok, obj, reason in offers:
+            accepted += ok
+            if ok and obj > best_obj:
+                best, best_obj = cands, obj
+            elif not ok and reason:
+                reasons[reason] += 1
+    steps_taken = root_steps or [0]
+    counts = SearchCounts(evaluations, accepted, sum(reasons.values()), len(root_steps),
+                          float(np.mean(steps_taken)), max(steps_taken), workers)
     return replace(_finalize(ctx, best, reasons, b, runs), counts=counts)
 
 

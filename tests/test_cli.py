@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -133,6 +134,10 @@ _LATER_STAGE_VALUES = {
     "num-cbfs-with-multi": ("num_cbfs = 2", "num_cbfs = 1"),
     "margin": ("margin = auto", "margin = -0.5"),
     "probes": ("population = 4", "population = 4\nprobes = 0"),
+    "iterations-negative": ("iterations = 40", "iterations = -1"),
+    "iterations-zero": ("iterations = 40", "iterations = 0"),
+    "population": ("population = 4", "population = -3"),
+    "restarts": ("restarts = 1", "restarts = -2"),
 }
 
 
@@ -433,8 +438,9 @@ def test_seed_override_changes_samples(tmp_path):
 
 
 def test_fit_line_reports_search_counts(tmp_path, capsys):
-    """Each fit line states the search's evaluations, accepted and rejected
-    offers and root steps per probe call; none of it reaches the artifacts."""
+    """Each fit line states the search's worker processes, evaluations,
+    accepted and rejected offers and root steps per probe call; none of it
+    reaches the artifacts."""
     from cbfsynth.fitter import ROOT_MAX_STEPS
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out), modes="uniform, multi")
@@ -454,10 +460,37 @@ def test_fit_line_reports_search_counts(tmp_path, capsys):
         counts[mode] = [float(v) for v in m.groups()]
         evals, accepted, _, _, mean, top = counts[mode]
         assert evals > 0 and accepted > 0 and mean <= top <= ROOT_MAX_STEPS
+        assert int(re.search(r" workers=(\d+) evaluations=", line).group(1)) >= 1
         text = (out / f"candidates_{mode}.json").read_text()
         assert "evaluations" not in text and "root_steps" not in text
+        assert "workers" not in text
     assert counts["uniform"][3:] == [0.0, 0.0, 0.0]
     assert counts["multi"][3] > 0 and counts["multi"][5] > 0
+
+
+# sha256 of the candidate files below, as written by commit c01309c, whose
+# search ran its restarts one after another from one random stream
+_SEQUENTIAL_SEARCH_DIGESTS = {
+    "uniform": "fb7d8879b17f855b3c7f04da5c8879dbfd6c4c48324e755069263a85885c327d",
+    "nonuniform": "04f380973dcf6696653c81cdbdb7b6857d1c24c179d564fde965e6f81decadff",
+    "multi": "66fedc4fa58d5dbb95c4df81c5b1a2a8be5be2c7b87d974599db8cc2629b717d",
+}
+
+
+def test_fit_draws_match_sequential_search(tmp_path):
+    """The random draws a fit makes up front reproduce the order of a search
+    that runs its restarts one after another: with more restarts than seeds
+    in every mode, each random population and every block-pass jitter of the
+    multi seeds come from the shared stream, and the candidate files match
+    the sequential search's byte for byte."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out), modes="uniform, nonuniform, multi")
+    cfg.write_text(cfg.read_text().replace("restarts = 1", "restarts = 4"))
+    for stage in ("sample", "boundary", "fit"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    for mode, digest in _SEQUENTIAL_SEARCH_DIGESTS.items():
+        data = (out / f"candidates_{mode}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, mode
 
 
 def test_simulate_line_reports_filter_active(tmp_path, capsys):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbfsynth.boundary import extract_boundary
+from cbfsynth.boundary import auto_epsilon, extract_boundary
 from cbfsynth.fitter import (ROOT_H_TOL, ROOT_MAX_STEPS, ROOT_WIDTH, FitConfig,
                              _SearchContext, check_redundancy, estimate_set_size,
                              fit_multi, fit_uniform, load_fit, save_fit, verify_candidate)
@@ -458,6 +458,46 @@ def test_fit_determinism(di):
         assert c1.offset == c2.offset
 
 
+@pytest.fixture(scope="module")
+def small_run(di):
+    sysm, input_box = di
+    s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=500, delta=1.0,
+                     growth=3.0, seed=13, n_start=2187)
+    return s, extract_boundary(s, auto_epsilon(s))
+
+
+@pytest.mark.parametrize("mode, restarts", [
+    ("uniform", 5), ("nonuniform", 3), ("multi", 4), ("multi", 1),
+], ids=["uniform", "nonuniform", "multi", "multi-one-run"])
+def test_fit_result_independent_of_worker_count(di, small_run, monkeypatch, mode, restarts):
+    """Restarts forked onto two workers give the fit, bit for bit, and the
+    search counts that one worker gives. With a warm tuple, every mode but
+    the one-run case has more restarts than seeds, so both the random
+    populations and the block-pass jitter are drawn up front."""
+    from cbfsynth import fitter
+    sysm, input_box = di
+    s, b = small_run
+    cfg = FitConfig(mode=mode, num_cbfs=2, restarts=restarts, iterations=40,
+                    population=4, seed=7)
+    warm = [(CAP_CANDIDATE,)] if restarts > 1 else []
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(fitter, "_workers", lambda runs, workers=workers: workers)
+        res = getattr(fitter, f"fit_{mode}")(s, b, sysm, input_box, cfg, warm=warm)
+        assert res.counts.workers == workers
+        results.append(res)
+    one, two = results
+    assert one.feasible and two.feasible
+    assert [(c.scale.tobytes(), c.shift.tobytes(), c.offset) for c in one.candidates] \
+        == [(c.scale.tobytes(), c.shift.tobytes(), c.offset) for c in two.candidates]
+    assert one.objective_value == two.objective_value
+    assert one.verification == two.verification
+    assert one.redundancy_flags == two.redundancy_flags
+    assert one.diagnostics == two.diagnostics
+    assert one.counts == replace(two.counts, workers=1)
+    assert one.counts.evaluations > 0 and one.counts.accepted > 0
+
+
 def test_reference_fit_areas(reference_fits):
     uni = reference_fits["uniform"].objective_value
     non = reference_fits["nonuniform"].objective_value
@@ -524,3 +564,12 @@ def test_fit_config_rejects_no_probes():
     boundary feasibility verification reports, would hold vacuously."""
     with pytest.raises(ValueError, match="probes"):
         FitConfig(probes=0)
+
+
+@pytest.mark.parametrize("budget", ["restarts", "iterations", "population"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_fit_config_rejects_budgets_below_one(budget, value):
+    """A search with no restarts, iterations or random draws cannot run as
+    configured; the library refuses it as the config parser does."""
+    with pytest.raises(ValueError, match=budget):
+        FitConfig(**{budget: value})
