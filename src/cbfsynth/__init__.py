@@ -8,7 +8,7 @@ filter in closed-loop simulation.
 """
 
 from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
-                     build_system, eval_h, eval_h_grad, identity_candidate,
+                     build_system, eval_h_batch, eval_h_stack, identity_candidate,
                      make_double_integrator, register_system,
                      registered_systems)
 from .qp import QpProblem, QpSolution, QpStatus, solve_box_qp
@@ -17,11 +17,11 @@ from .sampler import (JaccardTracker, SampleClass, SampleSet, draw_batch,
 from .boundary import (BoundarySet, auto_epsilon, extract_boundary,
                        load_boundary, save_boundary)
 from .fitter import (FitConfig, FitResult, SearchCounts, VerificationReport,
-                     check_redundancy, estimate_set_size, fit_multi, fit_nonuniform,
+                     check_redundancy, fit_multi, fit_nonuniform,
                      fit_uniform, load_fit, save_fit, verify_candidate)
 from .simulator import (FilterConfig, InvarianceReport, SimConfig, Trajectory,
                         check_invariance, hdot_rate_bound, interior_grid,
-                        nominal_controller, reference_spline, safety_filter,
+                        nominal_controller, reference_spline,
                         safety_filter_many, simulate, simulate_many, step)
 from .config import ConfigError, PipelineConfig, load_config, parse_config
 

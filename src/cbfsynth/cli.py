@@ -34,8 +34,6 @@ EXIT_NOT_CONVERGED = 3
 EXIT_INTEGRITY = 4
 EXIT_INFEASIBLE = 5
 
-_MODE_ORDER = {"uniform": 0, "nonuniform": 1, "multi": 2}
-
 
 class IntegrityError(Exception):
     pass
@@ -114,23 +112,13 @@ def _stage_boundary(cfg: PipelineConfig, out: Path, s: smp.SampleSet) -> bnd.Bou
     return b
 
 
-def _fit_config(cfg: PipelineConfig, mode: str, boundary_eps: float) -> fit.FitConfig:
-    fc = cfg.fit
-    margin = boundary_eps if fc["margin"] == "auto" else fc["margin"]
-    return fit.FitConfig(mode=mode, num_cbfs=fc["num_cbfs"], margin=margin,
-                         objective=fc["objective"], restarts=fc["restarts"],
-                         iterations=fc["iterations"], population=fc["population"],
-                         seed=fc["seed"], probes=fc["probes"],
-                         volume_region=cfg.volume_region())
-
-
 def _stage_fit(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.BoundarySet,
                checksums: dict[str, str]) -> tuple[dict[str, fit.FitResult], int]:
     sysm, input_box = _build(cfg)
     results: dict[str, fit.FitResult] = {}
     warm: list[tuple] = []
-    for mode in sorted(cfg.fit["modes"], key=_MODE_ORDER.get):
-        fcfg = _fit_config(cfg, mode, b.epsilon)
+    for mode in cfg.fit["modes"]:
+        fcfg = cfg.fit_config(mode, b.epsilon)
         # looked up per call so that wrappers installed on the module are honoured
         res = getattr(fit, f"fit_{mode}")(s, b, sysm, input_box, fcfg, warm=warm)
         results[mode] = res
@@ -218,9 +206,9 @@ def cmd_fit(args, cfg: PipelineConfig, out: Path) -> int:
 
 
 def cmd_simulate(args, cfg: PipelineConfig, out: Path) -> int:
-    mode = args.mode or sorted(cfg.fit["modes"], key=_MODE_ORDER.get)[-1]
+    mode = args.mode or cfg.fit["modes"][-1]
     cand_path = Path(args.candidates) if args.candidates else out / f"candidates_{mode}.json"
-    res, doc = _load(fit.load_fit, cand_path)
+    res, doc = _load(fit.load_fit, cand_path, dim=cfg.sampling_box().dim)
     if not res.feasible or not res.candidates:
         print(f"error: {cand_path} holds no feasible candidates", file=_sys.stderr)
         return EXIT_INFEASIBLE
@@ -287,7 +275,7 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     # fit stage
     checksums = {"samples": s.checksum(), "boundary": _file_digest(boundary_path)}
     fit_hash = cfg.section_hash("system", "sampling", "boundary", "fit")
-    modes = sorted(cfg.fit["modes"], key=_MODE_ORDER.get)
+    modes = cfg.fit["modes"]
     cached = state.get("fit", {})
     outputs = cached.get("outputs")
     reusable = (cached.get("config_hash") == fit_hash
@@ -299,7 +287,8 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     results: dict[str, fit.FitResult] = {}
     if reusable:
         for m in modes:
-            results[m], _ = _load(fit.load_fit, out / f"candidates_{m}.json")
+            results[m], _ = _load(fit.load_fit, out / f"candidates_{m}.json",
+                                  dim=s.bounds.dim)
         print(f"fit: reusing candidates for modes {modes}")
     else:
         results, code = _stage_fit(cfg, out, s, b, checksums)
@@ -359,8 +348,7 @@ def _write_report(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.Bound
         row("boundary points", str(len(b)), "nonempty", len(b) > 0)
 
     objs = {m: r.objective_value for m, r in results.items()}
-    for m in sorted(results, key=_MODE_ORDER.get):
-        r = results[m]
+    for m, r in results.items():
         row(f"fit objective [{m}]", f"{r.objective_value:.3f}",
             ">= 622.25 (0.95 x 655)" if (ref and m == "multi") else "feasible",
             (r.objective_value >= 0.95 * 655.0) if (ref and m == "multi") else r.feasible)
@@ -373,7 +361,7 @@ def _write_report(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.Bound
         row("mode ordering multi >= nonuniform - 2%",
             f"{objs['multi']:.2f} vs {objs['nonuniform']:.2f}", "holds", ok)
 
-    for m in sorted(manifests, key=_MODE_ORDER.get):
+    for m in manifests:
         ran = [mf for mf in manifests[m] if not mf.get("skipped")]
         skipped = len(manifests[m]) - len(ran)
         breaches = sum(mf["breaches"]["h_breach_steps"] + mf["breaches"]["z_breach_steps"]

@@ -23,6 +23,7 @@ from typing import Any
 
 import numpy as np
 
+from .fitter import MODES, FitConfig
 from .simulator import horizon_steps
 from .system import BoxSet
 
@@ -177,13 +178,20 @@ class PipelineConfig:
     def sampling_box(self) -> BoxSet:
         return BoxSet(self.sampling["lower"], self.sampling["upper"])
 
-    def volume_region(self) -> BoxSet | None:
-        lo, hi = self.fit["volume_lower"], self.fit["volume_upper"]
-        if lo is None and hi is None:
-            return None
-        if lo is None or hi is None:
-            raise ConfigError("volume_lower and volume_upper must be given together")
-        return BoxSet(lo, hi)
+    def fit_config(self, mode: str, boundary_eps: float) -> FitConfig:
+        """One mode's fit settings, margin `auto` being `boundary_eps`; ValueError if unusable."""
+        fc = self.fit
+        lo, hi = fc["volume_lower"], fc["volume_upper"]
+        if (lo is None) != (hi is None):
+            raise ValueError("volume_lower and volume_upper must be given together")
+        region = None if lo is None else BoxSet(lo, hi)
+        if region is not None and region.dim != self.sampling_box().dim:
+            raise ValueError("volume region dimension differs from sampling bounds")
+        return FitConfig(mode=mode, num_cbfs=fc["num_cbfs"],
+                         margin=boundary_eps if fc["margin"] == "auto" else fc["margin"],
+                         objective=fc["objective"], restarts=fc["restarts"],
+                         iterations=fc["iterations"], population=fc["population"],
+                         seed=fc["seed"], probes=fc["probes"], volume_region=region)
 
 
 def parse_config(text: str) -> PipelineConfig:
@@ -224,7 +232,7 @@ def parse_config(text: str) -> PipelineConfig:
     _validate(typed)
     raw = {name: {k: v for k, (v, _, _) in body.items()} for name, body in sections.items()}
     sys_params = {k: v for k, v in typed["system"].items() if k != "name"}
-    return PipelineConfig(
+    cfg = PipelineConfig(
         system_name=typed["system"]["name"],
         system_params=sys_params,
         sampling=typed["sampling"],
@@ -234,6 +242,13 @@ def parse_config(text: str) -> PipelineConfig:
         output_dir=typed["output"]["dir"],
         raw_sections=raw,
     )
+    for mode in cfg.fit["modes"]:
+        try:
+            cfg.fit_config(mode, boundary_eps=0.0)   # not known before extraction
+        except ValueError as exc:
+            raise ConfigError(f"fit: {exc}") from None
+    cfg.fit["modes"] = sorted(cfg.fit["modes"], key=MODES.index)   # run order
+    return cfg
 
 
 def _validate(typed: dict[str, dict[str, Any]]) -> None:
@@ -246,19 +261,9 @@ def _validate(typed: dict[str, dict[str, Any]]) -> None:
         raise ConfigError("sampling delta must lie in (0, 1]")
     if samp["growth"] <= 1.0:
         raise ConfigError("sampling growth must exceed 1")
-    fit = typed["fit"]
-    bad = [m for m in fit["modes"] if m not in ("uniform", "nonuniform", "multi")]
-    if bad:
-        raise ConfigError(f"unknown fit mode {bad[0]!r}")
-    if fit["objective"] not in ("sample_count", "integral"):
-        raise ConfigError(f"unknown fit objective {fit['objective']!r}")
-    if "multi" in fit["modes"] and fit["num_cbfs"] < 2:
-        raise ConfigError("fit num_cbfs must be at least 2 when multi is listed")
-    if fit["margin"] != "auto" and fit["margin"] < 0:
-        raise ConfigError("fit margin must be nonnegative or auto")
-    for key in ("restarts", "iterations", "population", "probes"):
-        if fit[key] < 1:
-            raise ConfigError(f"fit {key} must be at least 1")
+    modes = typed["fit"]["modes"]
+    if not modes or len(set(modes)) < len(modes):
+        raise ConfigError("fit modes must list at least one mode, each once")
     sim = typed["simulate"]
     if sim["on_infeasible"] not in ("continue", "stop"):
         raise ConfigError("simulate on_infeasible must be continue or stop")

@@ -64,6 +64,9 @@ ROOT_H_TOL = 1e-12
 ROOT_WIDTH = 2.0 ** -30
 ROOT_MAX_STEPS = 90
 
+# the fit modes in run order: each mode is warm-started from every earlier one
+MODES = ("uniform", "nonuniform", "multi")
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -81,7 +84,7 @@ class FitConfig:
     probes: int = 256
 
     def __post_init__(self):
-        if self.mode not in ("uniform", "nonuniform", "multi"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown fit mode {self.mode!r}")
         if self.objective not in ("sample_count", "integral"):
             raise ValueError(f"unknown objective {self.objective!r}")
@@ -127,29 +130,6 @@ class FitResult:
     counts: SearchCounts = SearchCounts()
 
 
-def estimate_set_size(cands: Sequence[CbfCandidate], s: SampleSet,
-                      hcf: HardConstraint, cfg: FitConfig) -> float:
-    """Monte Carlo size of {min_j h_j >= 0} inside the integration region.
-
-    sample_count counts enclosed samples; integral averages the clipped
-    barrier value (the literal integrand with its negative part dropped).
-    """
-    if not cands:
-        raise ValueError("need at least one candidate")
-    region = cfg.volume_region or s.bounds
-    vol = region.volume()
-    if vol <= 0:
-        raise ValueError("volume region has zero volume")
-    in_v = region.contains(s.states)
-    n_in = int(np.sum(in_v))
-    if n_in == 0:
-        raise ValueError("volume region contains no samples")
-    hmin = eval_h_stack(cands, hcf, s.states[in_v]).min(axis=0)
-    if cfg.objective == "sample_count":
-        return float(np.sum(hmin >= 0.0)) / n_in * vol
-    return float(np.mean(np.maximum(hmin, 0.0))) * vol
-
-
 # ---------------------------------------------------------------------------
 # Search context: everything precomputed once per fit call
 
@@ -185,10 +165,9 @@ class _SearchContext:
         self.n_in_v = int(np.sum(self.in_v))
 
         self.bpoints = b.points if b is not None and len(b) else np.zeros((0, self.n))
-        if self.bpoints.shape[0]:
-            self.bgrad = self.hcf.gradient(self.bpoints)
-            self.bdrift = sys.drift(self.bpoints)
-            self.bact = sys.actuation(self.bpoints)
+        self.bgrad = self.hcf.gradient(self.bpoints)
+        self.bdrift = sys.drift(self.bpoints)
+        self.bact = sys.actuation(self.bpoints)
 
         # chord pool for active-boundary probes (multi mode)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed + 0x9E3779B9))
@@ -275,8 +254,6 @@ class _SearchContext:
 
     def prop2_pass(self, scale: Array) -> tuple[int, int]:
         """(passing, total) for the exists-input condition at boundary samples."""
-        if not self.bpoints.shape[0]:
-            return 0, 0
         return self._dz_pass(scale, self.bgrad, self.bdrift, self.bact)
 
     def boundary_probes(self, cands: Sequence[CbfCandidate], h_rows: Array,
@@ -364,8 +341,6 @@ class _SearchContext:
                       want: int) -> tuple[int, int]:
         """Exists-input condition at active-boundary probes of every candidate."""
         probes, owner = self.boundary_probes(cands, h_rows, want)
-        if not probes.shape[0]:
-            return 0, 0
         return self._dz_pass(stack_candidates(cands)[0][owner], self.hcf.gradient(probes),
                              self.sys.drift(probes), self.sys.actuation(probes))
 
@@ -376,10 +351,14 @@ class _SearchContext:
         or one shared by every row)."""
         dbar = scale - scale[..., :1]
         dbar[..., 0] = 0.0
-        gd = grad * dbar
-        rows = np.einsum("bn,bnm->bm", gd, act)
-        ok = max_over_box(rows, np.sum(gd * drift, axis=-1), self.input_box) >= 0.0
+        ok = self.sup_rate(grad * dbar, drift, act)[0] >= 0.0
         return int(np.sum(ok)), ok.size
+
+    def sup_rate(self, w: Array, drift: Array, act: Array) -> tuple[Array, Array]:
+        """sup over the input box of w (f + g u), and w f, for (b, n) rows w at
+        (b, n) drifts f and (b, n, m) actuations g."""
+        bias = np.sum(w * drift, axis=-1)
+        return max_over_box(np.einsum("bn,bnm->bm", w, act), bias, self.input_box), bias
 
 
 # ---------------------------------------------------------------------------
@@ -842,26 +821,21 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
     h_all = eval_h_stack(cands, hcf, ctx.states)
     inside = h_all.min(axis=0) >= 0.0
     n_inside = int(np.sum(inside))
-    empty = n_inside == 0
-    if empty:
-        containment = 1.0
-    else:
-        feas = s.class_mask(SampleClass.FEASIBLE)
-        containment = float(np.sum(inside & feas)) / n_inside
+    containment = float(np.sum(inside & ctx.feas)) / n_inside if n_inside else 1.0
 
     pts, owner = ctx.boundary_probes(cands, h_all[:, ctx.sub], probes)
     scale, shift, _ = (p[owner] for p in stack_candidates(cands))
-    grad_h = hcf.gradient(pts * scale + shift) * scale
-    rows = np.einsum("bn,bnm->bm", grad_h, sys.actuation(pts))
-    biases = np.sum(grad_h * sys.drift(pts), axis=-1)
-    held = max_over_box(rows, biases, input_box) >= -1e-9 * (1.0 + np.abs(biases))
+    sup, bias = ctx.sup_rate(hcf.gradient(pts * scale + shift) * scale,
+                             sys.drift(pts), sys.actuation(pts))
+    held = sup >= -1e-9 * (1.0 + np.abs(bias))
     boundary_frac = int(np.count_nonzero(held)) / held.size if held.size else 1.0
 
     passes = [ctx.prop2_pass(cand.scale) for cand in cands]
     total = sum(t for _, t in passes)
     prop2_frac = sum(ok for ok, _ in passes) / total if total else 1.0
 
-    return VerificationReport(containment, boundary_frac, prop2_frac, empty_warning=empty)
+    return VerificationReport(containment, boundary_frac, prop2_frac,
+                              empty_warning=n_inside == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -915,14 +889,23 @@ def save_fit(res: FitResult, path, cfg: FitConfig | None = None,
     return hashlib.sha256(data).hexdigest()
 
 
-def load_fit(path) -> tuple[FitResult, dict]:
-    """Read a stored fit; returns the result plus the raw document."""
+def load_fit(path, dim: int | None = None) -> tuple[FitResult, dict]:
+    """Read a stored fit; returns the result plus the raw document. Non-finite
+    numbers, and with `dim` candidates of another width, raise ValueError."""
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: non-finite number {text}")
+        return value
+
     with open(path, "rb") as f:
-        doc = json.loads(f.read().decode())
+        doc = json.loads(f.read().decode(), parse_float=finite, parse_constant=finite)
     if doc.get("version") != FIT_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported fit file version")
     cands = [CbfCandidate(np.array(c["scale"]), np.array(c["shift"]), c["offset"])
              for c in doc["candidates"]]
+    if dim is not None and any(c.dim != dim for c in cands):
+        raise ValueError(f"{path}: candidates are not {dim} wide")
     ver = doc["verification"]
     res = FitResult(
         candidates=cands,

@@ -230,7 +230,8 @@ def load_samples(path) -> SampleSet:
 
     The parsed set must reformat to exactly the bytes read, so any edit that
     `canonical_bytes` would not write raises ValueError, as do rows whose
-    width is not the header's state dimension.
+    width is not the header's state dimension and non-finite numbers, which
+    `%a` writes as `nan` or `inf`.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -250,6 +251,8 @@ def load_samples(path) -> SampleSet:
     values = np.fromstring(body, sep=",")
     if values.size != n * (dim + 2) or not np.isin(values[dim::dim + 2], list(_CODE_CLASS)).all():
         raise ValueError(f"{path}: sample rows do not hold {dim} coordinates each")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: sample rows hold non-finite numbers")
     values = values.reshape(n, dim + 2)
     labels = values[:, dim].astype(np.int8)
     s = SampleSet(

@@ -137,8 +137,8 @@ def nominal_controller(x: Array, xi: Array, kp: float) -> Array:
 
 def _barriers(stacked: tuple[Array, Array, Array], hcf: HardConstraint,
               x: Array) -> tuple[Array, Array]:
-    """(s, S) values and (s, S, n) gradients at (S, n) states from one (s, S, n)
-    transform: the arithmetic of `eval_h` and `eval_h_grad`, bit for bit."""
+    """(s, S) values h = z(D x + c) + eps and (s, S, n) chain-rule gradients
+    dh/dx = dz/dx(D x + c) D at (S, n) states, from one (s, S, n) transform."""
     scale, shift, offset = stacked
     y = x * scale[:, None] + shift[:, None]
     return hcf.value(y) + offset[:, None], hcf.gradient(y) * scale[:, None]
@@ -146,13 +146,15 @@ def _barriers(stacked: tuple[Array, Array, Array], hcf: HardConstraint,
 
 def safety_filter_many(x: Array, u_nom: Array, stacked: tuple[Array, Array, Array],
                        sys: SystemModel, fc: FilterConfig) -> tuple[Array, Array, Array]:
-    """`safety_filter` for (S, n) states and (S, m) nominal inputs at once.
+    """Project (S, m) nominal inputs at (S, n) states onto the inputs keeping
+    every barrier alive: (dh/dx g) u >= -kappa h - dh/dx f, one row per barrier.
 
     `stacked` holds the `stack_candidates` arrays of the s barriers. Returns
-    the (S, m) inputs, an (S,) mask of infeasible states and the (S, s) barrier
-    values the rows were built from. With one input the nominal input is
-    clamped to the interval the rows leave; states whose interval is empty,
-    and all states when m > 1, go to `solve_box_qp` one at a time.
+    the (S, m) inputs (least-violation ones where infeasible), an (S,) mask of
+    infeasible states and the (S, s) barrier values the rows were built from.
+    With one input the nominal input is clamped to the interval the rows
+    leave; empty intervals, and all states when m > 1, go to `solve_box_qp`
+    one state at a time.
     """
     if not stacked[2].size:
         raise ValueError("safety filter needs at least one candidate")
@@ -184,20 +186,6 @@ def safety_filter_many(x: Array, u_nom: Array, stacked: tuple[Array, Array, Arra
         u[i] = sol.argmin
         infeasible[i] = sol.status is not QpStatus.OPTIMAL
     return u, infeasible, h.T
-
-
-def safety_filter(x: Array, u_nom: Array, cands: Sequence[CbfCandidate],
-                  sys: SystemModel, fc: FilterConfig) -> tuple[Array, str]:
-    """Project the nominal input onto the inputs keeping every barrier alive.
-
-    One row per candidate: (dh/dx g) u >= -kappa h - dh/dx f. Returns the
-    projection and its status; infeasible problems yield the least-violation
-    input instead of failing. The one-state call of `safety_filter_many`.
-    """
-    u, infeasible, _ = safety_filter_many(
-        np.asarray(x, dtype=float)[None], np.atleast_1d(np.asarray(u_nom, dtype=float))[None],
-        stack_candidates(cands), sys, fc)
-    return u[0], STATUS_INFEASIBLE if infeasible[0] else STATUS_OPTIMAL
 
 
 def step(sys: SystemModel, x: Array, u: Array, dt: float) -> Array:

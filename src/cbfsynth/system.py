@@ -119,10 +119,6 @@ class CbfCandidate:
     def dim(self) -> int:
         return self.scale.size
 
-    def transform(self, x: Array) -> Array:
-        """Return D x + c, broadcasting over leading axes."""
-        return np.asarray(x, dtype=float) * self.scale + self.shift
-
     def is_uniform(self, rtol: float = 1e-9) -> bool:
         d0 = self.scale[0]
         return d0 > 0 and bool(np.all(np.abs(self.scale - d0) <= rtol * max(1.0, abs(d0))))
@@ -133,14 +129,9 @@ def identity_candidate(n: int) -> CbfCandidate:
     return CbfCandidate(np.ones(n), np.zeros(n), 0.0)
 
 
-def eval_h(cand: CbfCandidate, hcf: HardConstraint, x: Array) -> float:
-    """Barrier value h(x) = z(D x + c) + eps."""
-    return float(hcf.value(cand.transform(x)) + cand.offset)
-
-
 def eval_h_batch(cand: CbfCandidate, hcf: HardConstraint, states: Array) -> Array:
-    """Vectorized h over an (..., n) batch of states."""
-    return hcf.value(cand.transform(states)) + cand.offset
+    """Barrier value h(x) = z(D x + c) + eps over an (..., n) batch of states."""
+    return hcf.value(np.asarray(states, dtype=float) * cand.scale + cand.shift) + cand.offset
 
 
 def stack_candidates(cands: Sequence[CbfCandidate]) -> tuple[Array, Array, Array]:
@@ -165,12 +156,6 @@ def eval_h_stack(cands: Sequence[CbfCandidate], hcf: HardConstraint, states: Arr
     scale, shift, offset = stack_candidates(cands)
     x = np.asfortranarray(states, dtype=float)
     return hcf.value(x * scale[:, None] + shift[:, None]) + offset[:, None]
-
-
-def eval_h_grad(cand: CbfCandidate, hcf: HardConstraint, x: Array) -> Array:
-    """Exact chain-rule gradient dh/dx = dz/dx (D x + c) D, a (..., n) row vector."""
-    x = np.asarray(x, dtype=float)
-    return hcf.gradient(cand.transform(x)) * cand.scale
 
 
 # ---------------------------------------------------------------------------

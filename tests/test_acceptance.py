@@ -15,7 +15,7 @@ from cbfsynth.qp import QpStatus, solve_box_qp
 from cbfsynth.sampler import run_sampling
 from cbfsynth.simulator import (FilterConfig, SimConfig, check_invariance, horizon_steps,
                                 interior_grid, safety_filter_many, simulate, step)
-from cbfsynth.system import CbfCandidate, eval_h, identity_candidate, stack_candidates
+from cbfsynth.system import CbfCandidate, eval_h_batch, identity_candidate, stack_candidates
 
 from conftest import AREA_FEASIBLE, REFERENCE_BOUNDS, REFERENCE_SEED
 from qp_oracle import grid_oracle, random_problem
@@ -106,11 +106,12 @@ def test_criterion_4_fit_mode_ordering(di, reference_fits):
     # the velocity axis sits at 30 regardless of position
     def v_crossing(cand, x_pos):
         lo, hi = -40.0, 40.0
-        if eval_h(cand, sysm.hcf, [x_pos, lo]) < 0 or eval_h(cand, sysm.hcf, [x_pos, hi]) > 0:
+        if (eval_h_batch(cand, sysm.hcf, [x_pos, lo]) < 0
+                or eval_h_batch(cand, sysm.hcf, [x_pos, hi]) > 0):
             return None
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if eval_h(cand, sysm.hcf, [x_pos, mid]) >= 0:
+            if eval_h_batch(cand, sysm.hcf, [x_pos, mid]) >= 0:
                 lo = mid
             else:
                 hi = mid
@@ -137,7 +138,7 @@ def test_criterion_5_closed_loop_safety(di, reference_fits):
         fc = FilterConfig(alphas=[5.0], input_box=input_box)
         admissible = 0
         for x0 in starts:
-            if min(eval_h(c, sysm.hcf, x0) for c in cands) < 0.0:
+            if min(eval_h_batch(c, sysm.hcf, x0) for c in cands) < 0.0:
                 assert mode != "multi", "all reference starts must be admissible under multi"
                 continue
             admissible += 1

@@ -59,6 +59,14 @@ def test_shipped_config_parses():
     assert len(cfg.simulate["x_init"]) == 4
 
 
+def test_modes_stored_in_run_order():
+    """The fit modes run uniform, nonuniform, multi, each warm-starting the
+    next, in whatever order the config lists them."""
+    text = REPO_CONFIG.read_text().replace("modes = uniform, nonuniform, multi",
+                                           "modes = multi, uniform")
+    assert parse_config(text).fit["modes"] == ["uniform", "multi"]
+
+
 def test_parse_reports_line_and_column():
     bad = "[sampling]\nlower = -1, -1\nupper = 1, 1\nbogus_key = 3\n"
     bad = "[system]\nname = double_integrator\n" + bad + \
@@ -138,6 +146,13 @@ _LATER_STAGE_VALUES = {
     "iterations-zero": ("iterations = 40", "iterations = 0"),
     "population": ("population = 4", "population = -3"),
     "restarts": ("restarts = 1", "restarts = -2"),
+    "volume-3-wide": ("population = 4", "population = 4\nvolume_lower = -10, -40, 0\n"
+                                        "volume_upper = 0, 40, 1"),
+    "volume-lower-above-upper": ("population = 4", "population = 4\nvolume_lower = -5, 0\n"
+                                                   "volume_upper = -6, 10"),
+    "volume-lower-alone": ("population = 4", "population = 4\nvolume_lower = -10, -40"),
+    "repeated-mode": ("modes = uniform, multi", "modes = uniform, multi, uniform"),
+    "no-modes": ("modes = uniform, multi", "modes ="),
 }
 
 
@@ -270,7 +285,13 @@ def _widen_rows(data: bytes) -> bytes:
 
 _CORRUPT = {"truncate": lambda data: data[:len(data) // 2],
             "append": lambda data: data + b"{garbled\n",
-            "widen": _widen_rows}
+            "widen": _widen_rows,
+            # `%a` writes a non-finite coordinate as nan, so the file stays canonical
+            "nan-coordinate": lambda data: re.sub(rb'\n\{"x":\[[^,]+', b'\n{"x":[nan', data,
+                                                  count=1),
+            "nan-offset": lambda data: re.sub(rb'"offset":[^,}]+', b'"offset":NaN', data),
+            "widen-candidate": lambda data: data.replace(b'],"shift"', b',1.0],"shift"')
+                                                .replace(b'],"offset"', b',0.0],"offset"')}
 
 
 @pytest.mark.parametrize("command, artifact, corrupt", [
@@ -278,7 +299,11 @@ _CORRUPT = {"truncate": lambda data: data[:len(data) // 2],
     ("fit", "boundary.jsonl", "append"),
     ("simulate", "candidates_uniform.json", "truncate"),
     ("boundary", "samples.jsonl", "widen"),
-], ids=["truncated-samples", "garbled-boundary", "truncated-candidates", "wide-sample-rows"])
+    ("boundary", "samples.jsonl", "nan-coordinate"),
+    ("simulate", "candidates_uniform.json", "nan-offset"),
+    ("simulate", "candidates_uniform.json", "widen-candidate"),
+], ids=["truncated-samples", "garbled-boundary", "truncated-candidates", "wide-sample-rows",
+        "nan-sample-coordinate", "nan-candidate-offset", "wide-candidate"])
 def test_unparsable_artifact_is_integrity_failure(tmp_path, capsys, command, artifact,
                                                   corrupt):
     out = tmp_path / "out"
@@ -286,7 +311,10 @@ def test_unparsable_artifact_is_integrity_failure(tmp_path, capsys, command, art
     for stage in ("sample", "boundary", "fit"):
         assert main([stage, "--config", str(cfg)]) == 0
     path = out / artifact
-    path.write_bytes(_CORRUPT[corrupt](path.read_bytes()))
+    data = path.read_bytes()
+    corrupted = _CORRUPT[corrupt](data)
+    assert corrupted != data
+    path.write_bytes(corrupted)
     capsys.readouterr()
     assert main([command, "--config", str(cfg)]) == 4
     err = capsys.readouterr().err

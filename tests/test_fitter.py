@@ -5,8 +5,8 @@ import pytest
 
 from cbfsynth.boundary import auto_epsilon, extract_boundary
 from cbfsynth.fitter import (ROOT_H_TOL, ROOT_MAX_STEPS, ROOT_WIDTH, FitConfig,
-                             _SearchContext, check_redundancy, estimate_set_size,
-                             fit_multi, fit_uniform, load_fit, save_fit, verify_candidate)
+                             _SearchContext, check_redundancy, fit_multi, fit_uniform,
+                             load_fit, save_fit, verify_candidate)
 from cbfsynth.qp import QpProblem, solve_box_qp
 from cbfsynth.sampler import run_sampling
 from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
@@ -35,42 +35,49 @@ def _flat_system(level: float) -> SystemModel:
 
 
 def test_estimate_identity_matches_constraint_area(di, reference_run):
-    sysm, _ = di
-    cfg = FitConfig(mode="uniform")
-    size = estimate_set_size([identity_candidate(2)], reference_run, sysm.hcf, cfg)
+    sysm, input_box = di
+    ctx = _SearchContext(reference_run, None, sysm, input_box, FitConfig(mode="uniform"))
+    cands = [identity_candidate(2)]
+    size = ctx.metrics(cands, eval_h_stack(cands, sysm.hcf, ctx.states), full=True)[0]
     assert size == pytest.approx(AREA_Z, rel=0.02)
 
 
 def test_estimate_reference_pair_matches_feasible_area(di, reference_run):
-    sysm, _ = di
-    cfg = FitConfig(mode="multi", num_cbfs=2)
-    size = estimate_set_size([identity_candidate(2), CAP_CANDIDATE], reference_run,
-                             sysm.hcf, cfg)
+    sysm, input_box = di
+    ctx = _SearchContext(reference_run, None, sysm, input_box,
+                         FitConfig(mode="multi", num_cbfs=2))
+    cands = [identity_candidate(2), CAP_CANDIDATE]
+    size = ctx.metrics(cands, eval_h_stack(cands, sysm.hcf, ctx.states), full=True)[0]
     assert size == pytest.approx(AREA_FEASIBLE, rel=0.02)
 
 
 def test_estimate_empty_set(di, reference_run):
-    sysm, _ = di
-    sunk = CbfCandidate([1.0, 1.0], [0.0, 0.0], -1e6)
-    assert estimate_set_size([sunk], reference_run, sysm.hcf, FitConfig()) == 0.0
+    sysm, input_box = di
+    ctx = _SearchContext(reference_run, None, sysm, input_box, FitConfig())
+    sunk = [CbfCandidate([1.0, 1.0], [0.0, 0.0], -1e6)]
+    assert ctx.metrics(sunk, eval_h_stack(sunk, sysm.hcf, ctx.states), full=True)[0] == 0.0
 
 
 def test_estimate_validation(di, reference_run):
-    sysm, _ = di
+    """No candidates give no objective, and a volume region with no volume
+    or no samples gives no context to score in."""
+    sysm, input_box = di
+    ctx = _SearchContext(reference_run, None, sysm, input_box, FitConfig())
     with pytest.raises(ValueError):
-        estimate_set_size([], reference_run, sysm.hcf, FitConfig())
+        ctx.metrics([], np.zeros((0, len(reference_run))), full=True)
     degenerate = FitConfig(volume_region=BoxSet([0.0, 0.0], [0.0, 1.0]))
-    with pytest.raises(ValueError):
-        estimate_set_size([identity_candidate(2)], reference_run, sysm.hcf, degenerate)
+    with pytest.raises(ValueError, match="zero volume"):
+        _SearchContext(reference_run, None, sysm, input_box, degenerate)
     outside = FitConfig(volume_region=BoxSet([100.0, 100.0], [101.0, 101.0]))
-    with pytest.raises(ValueError):
-        estimate_set_size([identity_candidate(2)], reference_run, sysm.hcf, outside)
+    with pytest.raises(ValueError, match="no samples"):
+        _SearchContext(reference_run, None, sysm, input_box, outside)
 
 
 def test_integral_objective_positive_part(di, reference_run):
-    sysm, _ = di
-    cfg = FitConfig(objective="integral")
-    val = estimate_set_size([identity_candidate(2)], reference_run, sysm.hcf, cfg)
+    sysm, input_box = di
+    ctx = _SearchContext(reference_run, None, sysm, input_box, FitConfig(objective="integral"))
+    cands = [identity_candidate(2)]
+    val = ctx.metrics(cands, eval_h_stack(cands, sysm.hcf, ctx.states), full=True)[0]
     # mean of max(z, 0) over the box times its volume, computed directly
     z = sysm.hcf.value(reference_run.states)
     assert val == pytest.approx(float(np.mean(np.maximum(z, 0.0))) * 800.0, rel=1e-12)
@@ -90,13 +97,13 @@ def test_sample_count_invariant_under_positive_rescaling():
                        hcf=hcf, name="affine")
     s = run_sampling(sysm, UBOX1, UNIT, n_min=500, delta=1.0, growth=3.0, seed=8,
                      n_start=729)
-    cfg = FitConfig()
+    ctx = _SearchContext(s, None, sysm, UBOX1, FitConfig())
     base = CbfCandidate([1.0, 2.0], [0.1, -0.2], 0.05)
-    v0 = estimate_set_size([base], s, sysm.hcf, cfg)
+    v0 = ctx.metrics([base], eval_h_stack([base], hcf, ctx.states), full=True)[0]
     for zeta in (0.5, 2.0, 7.3):
-        scaled = CbfCandidate(zeta * base.scale, zeta * base.shift,
-                              zeta * base.offset + (zeta - 1.0) * intercept)
-        assert estimate_set_size([scaled], s, sysm.hcf, cfg) == v0
+        scaled = [CbfCandidate(zeta * base.scale, zeta * base.shift,
+                               zeta * base.offset + (zeta - 1.0) * intercept)]
+        assert ctx.metrics(scaled, eval_h_stack(scaled, hcf, ctx.states), full=True)[0] == v0
 
 
 def test_check_redundancy_identical(di):
@@ -315,7 +322,7 @@ def test_verify_identity_alone_matches_qp_oracle(di, reference_run, reference_bo
     pts = _reference_probes(ctx, [ident], 0, h_rows, 256)
     passing = 0
     for x in pts:
-        grad_h = sysm.hcf.gradient(ident.transform(x)) * ident.scale
+        grad_h = sysm.hcf.gradient(x * ident.scale + ident.shift) * ident.scale
         row = np.asarray(grad_h @ sysm.actuation(x), dtype=float).reshape(sysm.m)
         bias = float(grad_h @ sysm.drift(x))
         sol = solve_box_qp(QpProblem(hessian=np.zeros((sysm.m, sysm.m)), linear=-row,
@@ -360,8 +367,7 @@ def test_fit_uniform_vacuous_boundary_covers_samples():
     assert len(b) == 0
     res = fit_uniform(s, b, sysm, UBOX1, FitConfig(restarts=2, iterations=60, population=8))
     assert res.feasible
-    h = sysm.hcf.value(res.candidates[0].transform(s.states)) + res.candidates[0].offset
-    assert np.all(h >= 0.0)
+    assert np.all(eval_h_batch(res.candidates[0], sysm.hcf, s.states) >= 0.0)
     assert res.objective_value == pytest.approx(1.0, rel=1e-9)
 
 
@@ -518,7 +524,7 @@ def test_reference_fit_boundary_constraint_holds(di, reference_run,
         cfg = FitConfig(mode=mode, margin=reference_boundary.epsilon)
         ctx = _SearchContext(reference_run, reference_boundary, sysm, input_box, cfg)
         for cand in res.candidates:
-            h_b = sysm.hcf.value(cand.transform(reference_boundary.points)) + cand.offset
+            h_b = eval_h_batch(cand, sysm.hcf, reference_boundary.points)
             buffer = cfg.margin * ctx.h_unit(cand.scale, cand.shift)
             assert np.max(h_b) <= -0.99 * buffer + 1e-9
 

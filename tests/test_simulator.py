@@ -4,12 +4,12 @@ import pytest
 from cbfsynth import simulator
 from cbfsynth.simulator import (FilterConfig, SimConfig, check_invariance,
                                 hdot_rate_bound, interior_grid, nominal_controller,
-                                reference_spline, safety_filter, safety_filter_many,
+                                reference_spline, safety_filter_many,
                                 simulate, simulate_many, step, STATUS_INFEASIBLE,
                                 STATUS_NOMINAL, STATUS_OPTIMAL)
 from cbfsynth.qp import QpProblem, QpStatus
-from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel, eval_h,
-                             identity_candidate, stack_candidates)
+from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
+                             eval_h_batch, identity_candidate, stack_candidates)
 
 from conftest import REFERENCE_BOUNDS, TWO_INPUT_BOX, two_input_system
 from qp_oracle import grid_oracle
@@ -61,42 +61,43 @@ def fc(di):
 
 def test_filter_inactive_returns_nominal_exactly(di, fc):
     sysm, _ = di
-    u, status = safety_filter(np.array([-9.0, 0.0]), np.array([12.5]),
-                              [identity_candidate(2)], sysm, fc)
-    assert status == STATUS_OPTIMAL
-    assert u[0] == 12.5
+    u, infeasible, _ = safety_filter_many(np.array([[-9.0, 0.0]]), np.array([[12.5]]),
+                                          stack_candidates([identity_candidate(2)]), sysm, fc)
+    assert not infeasible[0]
+    assert u[0, 0] == 12.5
 
 
 def test_filter_active_row_closed_form(di, fc):
     sysm, _ = di
     x = np.array([-3.0, 9.0])
-    assert eval_h(STEEP, sysm.hcf, x) == pytest.approx(0.0)
-    u, status = safety_filter(x, np.array([100.0]), [STEEP], sysm, fc)
-    assert status == STATUS_OPTIMAL
-    assert u[0] == pytest.approx(-27.0)
+    assert eval_h_batch(STEEP, sysm.hcf, x) == pytest.approx(0.0)
+    u, infeasible, _ = safety_filter_many(x[None], np.array([[100.0]]),
+                                          stack_candidates([STEEP]), sysm, fc)
+    assert not infeasible[0]
+    assert u[0, 0] == pytest.approx(-27.0)
     # grid oracle over the input axis
     grid = np.linspace(-300.0, 300.0, 60001)
     hdot = -9.0 - grid / 3.0
     feas = hdot >= -5.0 * 0.0
     best = grid[feas][np.argmin((grid[feas] - 100.0) ** 2)]
-    assert u[0] == pytest.approx(best, abs=0.01)
+    assert u[0, 0] == pytest.approx(best, abs=0.01)
 
 
 def test_filter_box_clamp(di, fc):
     sysm, _ = di
-    u, status = safety_filter(np.array([-9.0, -5.0]), np.array([-400.0]),
-                              [identity_candidate(2)], sysm, fc)
-    assert status == STATUS_OPTIMAL
-    assert u[0] == -300.0
+    u, infeasible, _ = safety_filter_many(np.array([[-9.0, -5.0]]), np.array([[-400.0]]),
+                                          stack_candidates([identity_candidate(2)]), sysm, fc)
+    assert not infeasible[0]
+    assert u[0, 0] == -300.0
 
 
 def test_filter_infeasible_zero_row(di, fc):
     sysm, _ = di
     # outside the set with the input column vanished: no input can help
-    u, status = safety_filter(np.array([0.5, -1.0]), np.array([0.0]),
-                              [identity_candidate(2)], sysm, fc)
-    assert status == STATUS_INFEASIBLE
-    assert -300.0 <= u[0] <= 300.0
+    u, infeasible, _ = safety_filter_many(np.array([[0.5, -1.0]]), np.array([[0.0]]),
+                                          stack_candidates([identity_candidate(2)]), sysm, fc)
+    assert infeasible[0]
+    assert -300.0 <= u[0, 0] <= 300.0
 
 
 def test_filter_idempotent_off_constraint(di, fc):
@@ -110,15 +111,16 @@ def test_filter_idempotent_off_constraint(di, fc):
         u_nom = rng.uniform(-300.0, 300.0)
         slacks = []
         for j, c in enumerate(cands):
-            grad = sysm.hcf.gradient(c.transform(x)) * c.scale
+            grad = sysm.hcf.gradient(x * c.scale + c.shift) * c.scale
             hdot = grad @ (sysm.drift(x) + sysm.actuation(x) @ np.array([u_nom]))
-            slacks.append(hdot + fc2.gain(j) * eval_h(c, sysm.hcf, x))
+            slacks.append(hdot + fc2.gain(j) * eval_h_batch(c, sysm.hcf, x))
         if min(slacks) < 1e-9:
             continue
         checked += 1
-        u, status = safety_filter(x, np.array([u_nom]), cands, sysm, fc2)
-        assert status == STATUS_OPTIMAL
-        assert abs(u[0] - u_nom) <= 1e-12
+        u, infeasible, _ = safety_filter_many(x[None], np.array([[u_nom]]),
+                                              stack_candidates(cands), sysm, fc2)
+        assert not infeasible[0]
+        assert abs(u[0, 0] - u_nom) <= 1e-12
 
 
 def test_filter_minimal_deviation(di, fc):
@@ -126,9 +128,10 @@ def test_filter_minimal_deviation(di, fc):
     rng = np.random.default_rng(1)
     x = np.array([-3.0, 9.0])
     u_nom = 100.0
-    u_star, _ = safety_filter(x, np.array([u_nom]), [STEEP], sysm, fc)
+    u_star, _, _ = safety_filter_many(x[None], np.array([[u_nom]]),
+                                      stack_candidates([STEEP]), sysm, fc)
     candidates = rng.uniform(-300.0, -27.0, 1000)   # feasible inputs at this state
-    assert np.all(np.abs(u_star[0] - u_nom) <= np.abs(candidates - u_nom) + 1e-9)
+    assert np.all(np.abs(u_star[0, 0] - u_nom) <= np.abs(candidates - u_nom) + 1e-9)
 
 
 def _scalar_clamp(rows, rhs, u_nom, box):
@@ -158,8 +161,8 @@ def test_filter_many_clamp_matches_scalar_rule_bit_for_bit(di, fc):
     u, infeasible, h = safety_filter_many(x, u_nom, stack_candidates(cands), sysm, fc3)
     clamped = 0
     for i in range(len(x)):
-        grads = [sysm.hcf.gradient(c.transform(x[i])) * c.scale for c in cands]
-        hs = [sysm.hcf.value(c.transform(x[i])) + c.offset for c in cands]
+        grads = [sysm.hcf.gradient(x[i] * c.scale + c.shift) * c.scale for c in cands]
+        hs = [sysm.hcf.value(x[i] * c.scale + c.shift) + c.offset for c in cands]
         assert h[i].tolist() == hs
         want = _scalar_clamp([gr @ sysm.actuation(x[i])[:, 0] for gr in grads],
                              [-fc3.gain(j) * hj - gr @ sysm.drift(x[i])
@@ -203,20 +206,20 @@ def test_filter_two_inputs_matches_grid_oracle():
         u_nom = rng.uniform(box.lower - 0.1, box.upper + 0.1)
         rows, rhs = np.empty((2, 2)), np.empty(2)
         for j, c in enumerate(cands):
-            grad_h = sysm.hcf.gradient(c.transform(x)) * c.scale
-            h = sysm.hcf.value(c.transform(x)) + c.offset
+            grad_h = sysm.hcf.gradient(x * c.scale + c.shift) * c.scale
+            h = sysm.hcf.value(x * c.scale + c.shift) + c.offset
             rows[j] = grad_h @ sysm.actuation(x)
             rhs[j] = -fc.gain(j) * h - grad_h @ sysm.drift(x)
         status, best = grid_oracle(QpProblem(hessian=2.0 * np.eye(2), linear=-2.0 * u_nom,
                                              ineq_rows=rows, ineq_rhs=rhs, box=box,
                                              constant=u_nom @ u_nom))
-        u, got = safety_filter(x, u_nom, cands, sysm, fc)
+        u, got, _ = safety_filter_many(x[None], u_nom[None], stack_candidates(cands), sysm, fc)
+        u = u[0]
         assert box.contains(u)
-        if status is QpStatus.INFEASIBLE:
-            assert got == STATUS_INFEASIBLE
+        assert got[0] == (status is QpStatus.INFEASIBLE)
+        if got[0]:
             infeasible += 1
             continue
-        assert got == STATUS_OPTIMAL
         assert abs(np.sum((u - u_nom) ** 2) - best) <= 1e-3
         active += np.min(np.abs(rows @ u - rhs)) <= 1e-9
     assert infeasible > 0 and active > 0
@@ -257,7 +260,7 @@ def test_simulate_rejects_unsafe_start(di, fc):
     sysm, _ = di
     cfg = SimConfig(x_init=[-4.0, 20.0], x_goal=[0.0, 0.0], horizon_T=1.0, dt=0.01,
                     kp=10.0)
-    assert eval_h(UNIFORM_SET, sysm.hcf, [-4.0, 20.0]) < 0.0
+    assert eval_h_batch(UNIFORM_SET, sysm.hcf, [-4.0, 20.0]) < 0.0
     with pytest.raises(ValueError):
         simulate(cfg, sysm, [UNIFORM_SET], fc)
     relaxed = SimConfig(x_init=[-4.0, 20.0], x_goal=[0.0, 0.0], horizon_T=0.2,
@@ -402,7 +405,7 @@ def test_interior_grid_clearance(di):
     eta = 1.5 * 0.01 * rates[0]
     assert starts.shape[0] > 100
     for x in starts[:: max(1, len(starts) // 50)]:
-        assert eval_h(STEEP, sysm.hcf, x) >= eta - 1e-12
+        assert eval_h_batch(STEEP, sysm.hcf, x) >= eta - 1e-12
     assert np.all(REFERENCE_BOUNDS.contains(starts))
 
 

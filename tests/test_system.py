@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from cbfsynth.simulator import _barriers
 from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, build_system,
-                             eval_h, eval_h_batch, eval_h_grad, identity_candidate,
-                             make_double_integrator,
-                             registered_systems)
+                             eval_h_batch, eval_h_stack, identity_candidate,
+                             make_double_integrator, registered_systems,
+                             stack_candidates)
 
 from conftest import REFERENCE_BOUNDS
 
@@ -44,46 +45,48 @@ def test_eval_h_identity_equals_z(di):
     ident = identity_candidate(2)
     rng = np.random.default_rng(0)
     pts = rng.uniform(REFERENCE_BOUNDS.lower, REFERENCE_BOUNDS.upper, (200, 2))
-    for x in pts:
-        assert eval_h(ident, sysm.hcf, x) == sysm.hcf.value(x)
+    assert np.array_equal(eval_h_batch(ident, sysm.hcf, pts), sysm.hcf.value(pts))
 
 
 def test_eval_h_reference_candidates(di):
     sysm, _ = di
     # per-axis scaling 1, 10/3 reproduces the steeper damped set
     steep = CbfCandidate([1.0, 10.0 / 3.0], [0.0, 0.0], 0.0)
-    assert eval_h(steep, sysm.hcf, [-3.0, 3.0]) == pytest.approx(2.0)
+    assert eval_h_batch(steep, sysm.hcf, [-3.0, 3.0]) == pytest.approx(2.0)
     # velocity cap as an affine constraint with an offset
     affine = HardConstraint(value=lambda x: -np.asarray(x, dtype=float)[..., 1],
                             gradient=lambda x: np.broadcast_to(
                                 np.array([0.0, -1.0]), np.asarray(x).shape).copy())
     cap = CbfCandidate([1.0, 1.0], [0.0, 0.0], 30.0)
-    assert eval_h(cap, affine, [0.0, 30.0]) == pytest.approx(0.0)
+    assert eval_h_batch(cap, affine, [0.0, 30.0]) == pytest.approx(0.0)
 
 
 def test_eval_h_grad(di):
+    """The chain-rule gradient the safety filter builds its rows from."""
     sysm, _ = di
     ident = identity_candidate(2)
-    for x in ([-5.0, 7.0], [-5.0, -7.0]):
-        assert np.allclose(eval_h_grad(ident, sysm.hcf, x), sysm.hcf.gradient(x))
+    x = np.array([[-5.0, 7.0], [-5.0, -7.0]])
+    _, grad = _barriers(stack_candidates([ident]), sysm.hcf, x)
+    assert np.allclose(grad[0], sysm.hcf.gradient(x))
     steep = CbfCandidate([1.0, 10.0 / 3.0], [0.0, 0.0], 0.0)
-    assert np.allclose(eval_h_grad(steep, sysm.hcf, [-3.0, 3.0]), [-1.0, -1.0 / 3.0])
+    _, grad = _barriers(stack_candidates([steep]), sysm.hcf, np.array([[-3.0, 3.0]]))
+    assert np.allclose(grad[0, 0], [-1.0, -1.0 / 3.0])
 
 
 def test_eval_h_grad_affine_chain_rule():
+    """For an affine z the gradient is a D and h the expanded affine form;
+    the values come from the same transform as the gradient."""
     rng = np.random.default_rng(1)
     a_row = rng.normal(size=3)
     affine = HardConstraint(
         value=lambda x: np.asarray(x, dtype=float) @ a_row + 0.7,
         gradient=lambda x: np.broadcast_to(a_row, np.asarray(x).shape).copy())
     cand = CbfCandidate(rng.uniform(0.1, 2.0, 3), rng.normal(size=3), rng.normal())
-    for _ in range(20):
-        x = rng.normal(size=3)
-        assert np.allclose(eval_h_grad(cand, affine, x), a_row * cand.scale,
-                           rtol=1e-12, atol=1e-12)
-        # composition agrees with the expanded affine form
-        expanded = a_row @ (cand.scale * x) + a_row @ cand.shift + 0.7 + cand.offset
-        assert eval_h(cand, affine, x) == pytest.approx(expanded, abs=1e-12)
+    x = rng.normal(size=(20, 3))
+    h, grad = _barriers(stack_candidates([cand]), affine, x)
+    assert np.allclose(grad[0], a_row * cand.scale, rtol=1e-12, atol=1e-12)
+    expanded = (cand.scale * x) @ a_row + a_row @ cand.shift + 0.7 + cand.offset
+    assert np.allclose(h[0], expanded, rtol=0.0, atol=1e-12)
 
 
 def test_gradient_matches_finite_differences(di):
@@ -153,10 +156,14 @@ def test_registry():
 
 
 def test_batched_evaluation_matches_scalar(di):
+    """Each state's h from the batch and from the stacked kernel equals
+    z(D x + c) + eps evaluated on that state alone, bit for bit."""
     sysm, _ = di
     rng = np.random.default_rng(2)
     pts = rng.uniform(REFERENCE_BOUNDS.lower, REFERENCE_BOUNDS.upper, (64, 2))
     cand = CbfCandidate([0.5, 2.0], [0.1, -3.0], 0.25)
     batch = eval_h_batch(cand, sysm.hcf, pts)
+    stacked = eval_h_stack([cand], sysm.hcf, pts)[0]
     for i, x in enumerate(pts):
-        assert batch[i] == eval_h(cand, sysm.hcf, x)
+        alone = float(sysm.hcf.value(x * cand.scale + cand.shift) + cand.offset)
+        assert batch[i] == alone and stacked[i] == alone
