@@ -137,6 +137,8 @@ def save_boundary(b: BoundarySet, path) -> str:
 
 
 def load_boundary(path, dim: int | None = None) -> BoundarySet:
+    """Read a stored boundary. Non-finite numbers, and with `dim` points of
+    another width, raise ValueError."""
     with open(path, "rb") as f:
         lines = f.read().decode().splitlines()
     if not lines:
@@ -146,5 +148,10 @@ def load_boundary(path, dim: int | None = None) -> BoundarySet:
         raise ValueError(f"{path}: unsupported boundary file version")
     pts = [json.loads(line)["x"] for line in lines[1:]]
     arr = np.array(pts, dtype=float) if pts else np.zeros((0, dim or 0))
-    return BoundarySet(arr, float(header["epsilon"]), header["source_checksum"],
+    epsilon = float(header["epsilon"])
+    if not (np.isfinite(arr).all() and np.isfinite(epsilon)):
+        raise ValueError(f"{path}: non-finite number")
+    if dim is not None and arr.shape[1:] != (dim,):
+        raise ValueError(f"{path}: points are not {dim} wide")
+    return BoundarySet(arr, epsilon, header["source_checksum"],
                        bool(header.get("empty_warning", False)))

@@ -246,7 +246,8 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
         with contextlib.suppress(IntegrityError):
             s = _load_samples(cfg, sample_path)
     if s is not None and s.checksum() == cached.get("output"):
-        print(f"sample: reusing {sample_path} (n={len(s)})")
+        print(f"sample: reusing {sample_path} (n={len(s)}, "
+              f"workers={smp.load_workers(len(s))})")
         code = EXIT_OK if s.converged else EXIT_NOT_CONVERGED
     else:
         s, code = _stage_sample(cfg, out)

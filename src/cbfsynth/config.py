@@ -185,8 +185,16 @@ class PipelineConfig:
         if (lo is None) != (hi is None):
             raise ValueError("volume_lower and volume_upper must be given together")
         region = None if lo is None else BoxSet(lo, hi)
-        if region is not None and region.dim != self.sampling_box().dim:
-            raise ValueError("volume region dimension differs from sampling bounds")
+        if region is not None:
+            box = self.sampling_box()
+            if region.dim != box.dim:
+                raise ValueError("volume region dimension differs from sampling bounds")
+            if region.volume() == 0.0:
+                raise ValueError("volume region has zero volume")
+            # overlap of positive width on every axis the box spans, a point on the rest
+            overlap = np.minimum(region.upper, box.upper) - np.maximum(region.lower, box.lower)
+            if np.any((overlap < 0) | ((overlap == 0) & (box.span > 0))):
+                raise ValueError("volume region does not overlap the sampling box")
         return FitConfig(mode=mode, num_cbfs=fc["num_cbfs"],
                          margin=boundary_eps if fc["margin"] == "auto" else fc["margin"],
                          objective=fc["objective"], restarts=fc["restarts"],

@@ -35,15 +35,16 @@ from __future__ import annotations
 import json
 import hashlib
 import math
-import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize as sopt
 
+from . import parallel
 from .boundary import BoundarySet
 from .qp import max_over_box
 from .sampler import SampleClass, SampleSet
@@ -566,14 +567,9 @@ def _block_passes(ctx: _SearchContext, theta: Array, steps: Array,
     return theta
 
 
-# (ctx, mode, steps) of the fit whose restarts are running. Forked workers
-# inherit it with the rest of the parent's memory; it is never pickled, and
-# cannot be, since the plant's value and gradient are closures.
-_search: tuple[_SearchContext, _Mode, Array] | None = None
-
-
-def _run(start: tuple[Array | None, list, list]) -> tuple[list, int, list[int]]:
-    """One restart of the fit in `_search`, from (seed, jitter, pool).
+def _run(ctx: _SearchContext, mode: _Mode, steps: Array,
+         start: tuple[Array | None, list, list]) -> tuple[list, int, list[int]]:
+    """One restart of the fit, from (seed, jitter, pool).
 
     A structured or warm seed is offered as is and refined by block passes
     with `jitter` where the mode has them; without a seed the run starts from
@@ -582,7 +578,6 @@ def _run(start: tuple[Array | None, list, list]) -> tuple[list, int, list[int]]:
     ok, objective, reason) from the full-set acceptance test, its objective
     evaluations and the steps of each of its boundary_probes calls.
     """
-    ctx, mode, steps = _search
     seed, jitter, pool = start
     ctx.root_steps.clear()
     offers = []
@@ -612,29 +607,6 @@ def _run(start: tuple[Array | None, list, list]) -> tuple[list, int, list[int]]:
     return offers, evaluations, list(ctx.root_steps)
 
 
-def _workers(runs: int) -> int:
-    """Worker processes for a fit of `runs` restarts: one per usable core, at
-    most one per restart, and 1 where processes cannot be forked."""
-    if not hasattr(os, "fork"):
-        return 1
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    return min(runs, cores)
-
-
-def _map_runs(starts: list, workers: int) -> list:
-    """`_run` over the starts, results in start order."""
-    if workers == 1:
-        return list(map(_run, starts))
-    import multiprocessing
-    import sys
-    # a forked child flushes the stdio buffers it inherits when it exits
-    sys.stdout.flush()
-    sys.stderr.flush()
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return pool.map(_run, starts, chunksize=1)
-
-
 def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
          input_box: BoxSet, cfg: FitConfig,
          warm: Sequence[Sequence[CbfCandidate]]) -> FitResult:
@@ -645,14 +617,13 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
     random stream and the choice of the best offer, so the driver makes
     every draw up front, in the order one restart after another would make
     them: the block-pass jitter of each seed, then each random restart's
-    `population` draws. The restarts then run as independent tasks on
-    `_workers(runs)` forked processes, or in this process where that is one,
-    as it is wherever fork is unavailable. Their offers are replayed in
+    `population` draws. The restarts then run as independent tasks through
+    `parallel.fork_map`, on `parallel.workers(runs)` forked processes, or
+    in this process where that is one. Their offers are replayed in
     restart order: the accepted candidate with the largest objective is
     kept, the first on ties, so neither the result nor the counts depend on
     the worker count.
     """
-    global _search
     mode = _MODES[name]
     ctx = _SearchContext(s, b, sys, input_box, replace(cfg, mode=name))
     cfg = ctx.cfg
@@ -671,12 +642,8 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
     starts = [(seed, jitter(), None) for seed in seeds]
     starts += [(None, [], [mode.random_theta(ctx, rng) for _ in range(cfg.population)])
                for _ in range(runs - len(seeds))]
-    workers = _workers(runs)
-    _search = (ctx, mode, steps)
-    try:
-        results = _map_runs(starts, workers)
-    finally:
-        _search = None
+    workers = parallel.workers(runs)
+    results = parallel.fork_map(partial(_run, ctx, mode, steps), starts, workers)
 
     best: list[CbfCandidate] | None = None
     best_obj = -np.inf

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .qp import min_zdot, zero_tolerance
 from .system import BoxSet, SystemModel
 
@@ -192,14 +193,9 @@ _CLASS_TEXT = tuple(f'],"class":"{_CODE_CLASS[code].value}","residual":'.encode(
                     for code in range(3))
 
 
-def canonical_bytes(s: SampleSet) -> bytes:
-    """The sample file: a JSON header line, then one JSON record per sample.
-
-    Every row comes from one format string; `%a` of a finite float is its
-    repr, the shortest round-trip decimal, which is also what `json.dumps`
-    writes.
-    """
-    lines = [json.dumps({
+def _header_bytes(s: SampleSet) -> bytes:
+    """The sample file's header line, without its newline."""
+    return json.dumps({
         "version": FORMAT_VERSION,
         "system": s.system_name,
         "bounds": {"lower": s.bounds.lower.tolist(), "upper": s.bounds.upper.tolist()},
@@ -207,11 +203,26 @@ def canonical_bytes(s: SampleSet) -> bytes:
         "zero_tol": s.zero_tol,
         "checkpoints": [{"n": n, "J": j} for n, j in s.tracker.history],
         "converged": s.converged,
-    }, separators=(",", ":")).encode()]
-    row = b'{"x":[' + b",".join([b"%a"] * s.states.shape[1]) + b"%s%a}"
-    lines += map(row.__mod__, zip(*s.states.T.tolist(),
-                                  map(_CLASS_TEXT.__getitem__, s.labels.tolist()),
-                                  s.residuals.tolist()))
+    }, separators=(",", ":")).encode()
+
+
+def _format_rows(states: Array, labels: Array, residuals: Array) -> list[bytes]:
+    """One record per sample, each without its newline.
+
+    Every row comes from one format string; `%a` of a finite float is its
+    repr, the shortest round-trip decimal, which is also what `json.dumps`
+    writes.
+    """
+    row = b'{"x":[' + b",".join([b"%a"] * states.shape[1]) + b"%s%a}"
+    return list(map(row.__mod__, zip(*states.T.tolist(),
+                                     map(_CLASS_TEXT.__getitem__, labels.tolist()),
+                                     residuals.tolist())))
+
+
+def canonical_bytes(s: SampleSet) -> bytes:
+    """The sample file: a JSON header line, then one JSON record per sample."""
+    lines = _format_rows(s.states, s.labels, s.residuals)
+    lines.insert(0, _header_bytes(s))
     lines.append(b"")
     return b"\n".join(lines)
 
@@ -225,51 +236,116 @@ def save_samples(s: SampleSet, path) -> str:
     return s._digest
 
 
-def load_samples(path) -> SampleSet:
-    """Read a sample file once, parse it, and check that it is canonical.
+# Rows each chunk of a load must hold before the load forks. On a 2-vCPU
+# x86-64 box, one process checks a row in about 6-7 us, and a two-worker pool
+# adds 20-85 ms to half of that (forking, returning and joining the arrays,
+# growing with the rows): two chunks break even near 2^12 rows each. The
+# floor keeps a margin of eight, since both costs move with the machine's load.
+ROW_FLOOR = 2 ** 15
 
-    The parsed set must reformat to exactly the bytes read, so any edit that
-    `canonical_bytes` would not write raises ValueError, as do rows whose
-    width is not the header's state dimension and non-finite numbers, which
-    `%a` writes as `nan` or `inf`.
-    """
-    with open(path, "rb") as f:
-        data = f.read()
-    head, _, body = data.partition(b"\n")
-    if not head:
-        raise ValueError(f"{path}: empty sample file")
-    header = json.loads(head)
-    version = header.get("version") if isinstance(header, dict) else None
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported sample file version {version}")
-    bounds = BoxSet(np.array(header["bounds"]["lower"]), np.array(header["bounds"]["upper"]))
-    n, dim = body.count(b"\n"), bounds.dim
+
+def load_workers(rows: int) -> int:
+    """Processes that check a file of `rows` sample rows: one per usable core,
+    but only while every chunk keeps at least ROW_FLOOR rows."""
+    return parallel.workers(rows // ROW_FLOOR)
+
+
+def _check_rows(chunk: bytes, dim: int) -> tuple[Array, Array, Array]:
+    """Parse whole sample rows and check that they are canonical; returns the
+    states, label codes and residuals. ValueError for a row whose width is not
+    `dim`, an unknown class, a non-finite number (`%a` writes `nan` or `inf`)
+    or any text `_format_rows` would not write."""
+    n = chunk.count(b"\n")
     # each row becomes "x_1,..,x_dim,code,residual," for one numeric parse
-    body = body.replace(b'{"x":[', b"").replace(b"}\n", b",")
+    body = chunk.replace(b'{"x":[', b"").replace(b"}\n", b",")
     for code, text in enumerate(_CLASS_TEXT):
         body = body.replace(text, b",%d," % code)
     values = np.fromstring(body, sep=",")
     if values.size != n * (dim + 2) or not np.isin(values[dim::dim + 2], list(_CODE_CLASS)).all():
-        raise ValueError(f"{path}: sample rows do not hold {dim} coordinates each")
+        raise ValueError(f"sample rows do not hold {dim} coordinates each")
     if not np.isfinite(values).all():
-        raise ValueError(f"{path}: sample rows hold non-finite numbers")
+        raise ValueError("sample rows hold non-finite numbers")
     values = values.reshape(n, dim + 2)
+    states, residuals = values[:, :dim].copy(), values[:, dim + 1].copy()
     labels = values[:, dim].astype(np.int8)
+    del body, values   # free the parse's copies before the reformat check
+    lines = _format_rows(states, labels, residuals)
+    lines.append(b"")
+    if b"\n".join(lines) != chunk:
+        raise ValueError("content does not match its canonical form")
+    return states, labels, residuals
+
+
+def _cuts(data: bytes, start: int, count: int) -> list[int]:
+    """Offsets cutting data[start:] into `count` chunks of about equal size,
+    each after a newline but the last; ValueError where no newline follows a
+    cut's target."""
+    cuts = [start]
+    for k in range(1, count):
+        end = data.find(b"\n", start + (len(data) - start) * k // count)
+        if end < 0:
+            raise ValueError("sample rows do not end in a newline")
+        cuts.append(end + 1)
+    cuts.append(len(data))
+    return cuts
+
+
+def load_samples(path) -> SampleSet:
+    """Read a sample file once, parse it, and check that it is canonical.
+
+    The header must be the one `canonical_bytes` writes for the parsed set,
+    and every row must reformat through `_format_rows` to exactly the bytes
+    read, so any edit that `canonical_bytes` would not write raises
+    ValueError, as do rows whose width is not the header's state dimension
+    and non-finite numbers, in the header (`NaN`) or in the rows (`nan`).
+
+    The rows are cut at line ends into `load_workers(rows)` chunks of about
+    equal size, checked by `_check_rows` through `parallel.fork_map`: on
+    forked workers, each slicing its chunk from this process's buffer, or in
+    this process where that is one. The parsed chunks are joined in order,
+    so neither the set, nor the digest, nor which files are refused depends
+    on the worker count.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    end = data.find(b"\n")
+    head = data if end < 0 else data[:end]
+    if not head:
+        raise ValueError(f"{path}: empty sample file")
+
+    def refuse(text: str):
+        raise ValueError(f"{path}: non-finite number {text} in the header")
+
+    header = json.loads(head, parse_constant=refuse)
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported sample file version {version}")
+    bounds = BoxSet(np.array(header["bounds"]["lower"]), np.array(header["bounds"]["upper"]))
+    start = len(head) + 1   # past the data's end where the header has no newline
+    count = load_workers(data.count(b"\n", start))
+    try:
+        cuts = _cuts(data, start, count)
+        chunks = parallel.fork_map(
+            lambda i: _check_rows(data[cuts[i]:cuts[i + 1]], bounds.dim), range(count), count)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    states, labels, residuals = (np.concatenate(part) for part in zip(*chunks))
+    del chunks
     s = SampleSet(
-        states=values[:, :dim].copy(),
+        states=states,
         labels=labels,
-        residuals=values[:, dim + 1].copy(),
+        residuals=residuals,
         bounds=bounds,
         seed=int(header["seed"]),
         zero_tol=float(header["zero_tol"]),
         tracker=JaccardTracker(
-            n_total=n, n_feasible=int(np.sum(labels == _CLASS_CODE[SampleClass.FEASIBLE])),
+            n_total=len(labels),
+            n_feasible=int(np.sum(labels == _CLASS_CODE[SampleClass.FEASIBLE])),
             history=[(c["n"], c["J"]) for c in header["checkpoints"]]),
         system_name=header["system"],
         converged=bool(header["converged"]),
     )
-    del body, values   # free the parse's copies before the reformat check
-    if canonical_bytes(s) != data:
+    if _header_bytes(s) + b"\n" != data[:start]:
         raise ValueError(f"{path}: content does not match its canonical form")
     s._digest = hashlib.sha256(data).hexdigest()
     return s

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cbfsynth.boundary import (auto_epsilon, boundary_bytes,
+from cbfsynth.boundary import (BoundarySet, auto_epsilon, boundary_bytes,
                                extract_boundary, load_boundary, save_boundary)
 from cbfsynth.sampler import JaccardTracker, SampleClass, SampleSet
 from cbfsynth.sampler import _CLASS_CODE  # stable code mapping used in files
@@ -154,3 +154,19 @@ def test_boundary_roundtrip(tmp_path, reference_run, reference_boundary):
     assert loaded.epsilon == reference_boundary.epsilon
     assert loaded.source_checksum == reference_run.checksum()
     assert boundary_bytes(loaded) == path.read_bytes()
+
+
+@pytest.mark.parametrize("points, epsilon", [
+    ([[-5.0, 10.0, 0.0]], 0.1),
+    ([[-5.0, np.nan]], 0.1),
+    ([[-5.0, np.inf]], 0.1),
+    ([[-5.0, 10.0]], np.nan),
+], ids=["3-wide", "nan-point", "inf-point", "nan-epsilon"])
+def test_load_boundary_rejects_wrong_width_and_non_finite(tmp_path, points, epsilon):
+    """Given the sampling dimension, a stored boundary whose points have
+    another width, or one holding NaN or Infinity, is refused."""
+    path = tmp_path / "boundary.jsonl"
+    save_boundary(BoundarySet(np.array(points), epsilon, "0" * 64), path)
+    with pytest.raises(ValueError):
+        load_boundary(path, dim=2)
+

@@ -151,6 +151,10 @@ _LATER_STAGE_VALUES = {
     "volume-lower-above-upper": ("population = 4", "population = 4\nvolume_lower = -5, 0\n"
                                                    "volume_upper = -6, 10"),
     "volume-lower-alone": ("population = 4", "population = 4\nvolume_lower = -10, -40"),
+    "volume-zero": ("population = 4", "population = 4\nvolume_lower = -10, -40\n"
+                                      "volume_upper = -10, 40"),
+    "volume-off-box": ("population = 4", "population = 4\nvolume_lower = 100, 100\n"
+                                         "volume_upper = 101, 101"),
     "repeated-mode": ("modes = uniform, multi", "modes = uniform, multi, uniform"),
     "no-modes": ("modes = uniform, multi", "modes ="),
 }
@@ -290,6 +294,10 @@ _CORRUPT = {"truncate": lambda data: data[:len(data) // 2],
             "nan-coordinate": lambda data: re.sub(rb'\n\{"x":\[[^,]+', b'\n{"x":[nan', data,
                                                   count=1),
             "nan-offset": lambda data: re.sub(rb'"offset":[^,}]+', b'"offset":NaN', data),
+            # `json.dumps` writes a non-finite header number as NaN, so this stays canonical
+            "nan-header-J": lambda data: re.sub(rb'"J":[^,}]+', b'"J":NaN', data, count=1),
+            "nan-boundary-epsilon": lambda data: re.sub(rb'"epsilon":[^,}]+', b'"epsilon":NaN',
+                                                        data),
             "widen-candidate": lambda data: data.replace(b'],"shift"', b',1.0],"shift"')
                                                 .replace(b'],"offset"', b',0.0],"offset"')}
 
@@ -302,8 +310,11 @@ _CORRUPT = {"truncate": lambda data: data[:len(data) // 2],
     ("boundary", "samples.jsonl", "nan-coordinate"),
     ("simulate", "candidates_uniform.json", "nan-offset"),
     ("simulate", "candidates_uniform.json", "widen-candidate"),
+    ("boundary", "samples.jsonl", "nan-header-J"),
+    ("fit", "boundary.jsonl", "nan-boundary-epsilon"),
 ], ids=["truncated-samples", "garbled-boundary", "truncated-candidates", "wide-sample-rows",
-        "nan-sample-coordinate", "nan-candidate-offset", "wide-candidate"])
+        "nan-sample-coordinate", "nan-candidate-offset", "wide-candidate", "nan-header-J",
+        "nan-boundary-epsilon"])
 def test_unparsable_artifact_is_integrity_failure(tmp_path, capsys, command, artifact,
                                                   corrupt):
     out = tmp_path / "out"
@@ -433,6 +444,24 @@ def test_pipeline_calls_fit_entry_through_module(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert main(["pipeline", "--config", str(cfg)]) == 0
     assert len(calls) == 1
+
+
+def test_reused_sample_line_reports_load_workers(tmp_path, capsys, monkeypatch):
+    """A reused sample file's line states the processes that checked it, after
+    the sample count, which a greedy `n=(\\d+)` match still reads."""
+    from cbfsynth import parallel, sampler
+    cfg = tiny_config(tmp_path, out=str(tmp_path / "out"))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    for floor, workers in ((sampler.ROW_FLOOR, 1), (64, 2)):
+        monkeypatch.setattr(sampler, "ROW_FLOOR", floor)
+        monkeypatch.setattr(parallel, "workers", lambda tasks: max(1, min(tasks, 2)))
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        stdout = capsys.readouterr().out
+        line = next(ln for ln in stdout.splitlines() if ln.startswith("sample:"))
+        assert line.startswith("sample: reusing ") and line.endswith(
+            f"(n=243, workers={workers})")
+        assert re.search(r"^sample: .*n=(\d+)", stdout, re.M).group(1) == "243"
 
 
 @pytest.mark.parametrize("edit", [

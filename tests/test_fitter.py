@@ -480,7 +480,7 @@ def test_fit_result_independent_of_worker_count(di, small_run, monkeypatch, mode
     search counts that one worker gives. With a warm tuple, every mode but
     the one-run case has more restarts than seeds, so both the random
     populations and the block-pass jitter are drawn up front."""
-    from cbfsynth import fitter
+    from cbfsynth import fitter, parallel
     sysm, input_box = di
     s, b = small_run
     cfg = FitConfig(mode=mode, num_cbfs=2, restarts=restarts, iterations=40,
@@ -488,7 +488,7 @@ def test_fit_result_independent_of_worker_count(di, small_run, monkeypatch, mode
     warm = [(CAP_CANDIDATE,)] if restarts > 1 else []
     results = []
     for workers in (1, 2):
-        monkeypatch.setattr(fitter, "_workers", lambda runs, workers=workers: workers)
+        monkeypatch.setattr(parallel, "workers", lambda tasks, workers=workers: workers)
         res = getattr(fitter, f"fit_{mode}")(s, b, sysm, input_box, cfg, warm=warm)
         assert res.counts.workers == workers
         results.append(res)

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
-from cbfsynth import sampler
+from cbfsynth import parallel, sampler
 from cbfsynth.qp import min_zdot, zero_tolerance
 from cbfsynth.sampler import (JaccardTracker, SampleClass, SampleSet, canonical_bytes,
                               classify_batch, draw_batch, load_samples, run_sampling,
@@ -279,47 +280,51 @@ def test_odd_values_roundtrip(tmp_path):
 
 
 def test_digest_is_recorded_at_save_and_load(tmp_path, di, monkeypatch):
-    """save_samples and load_samples each serialize the set once and record
-    its digest; checksum() then hashes nothing again."""
+    """save_samples and load_samples each format every row once, through the
+    row formatter canonical_bytes uses, and record the file's digest;
+    checksum() then formats and hashes nothing again."""
     sysm, input_box = di
     s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=200, delta=0.5,
                      growth=3.0, seed=5, n_start=243)
-    calls = []
-    original = sampler.canonical_bytes
+    rows = []
+    original = sampler._format_rows
 
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
+    def counting(states, *args):
+        rows.append(len(states))
+        return original(states, *args)
 
-    monkeypatch.setattr(sampler, "canonical_bytes", counting)
+    monkeypatch.setattr(sampler, "_format_rows", counting)
     path = tmp_path / "samples.jsonl"
     digest = save_samples(s, path)
-    assert len(calls) == 1
+    assert sum(rows) == len(s)
     assert s.checksum() == digest == hashlib.sha256(path.read_bytes()).hexdigest()
     loaded = load_samples(path)
-    assert len(calls) == 2
+    assert sum(rows) == 2 * len(s)
     assert loaded.checksum() == digest
-    assert len(calls) == 2
+    assert sum(rows) == 2 * len(s)
 
 
 def _misalign_rows(data: bytes) -> bytes:
-    """Give the first row one coordinate more (50.0) and the second one fewer,
-    so the file still holds as many numbers as rows of the right width."""
+    """Give the row after the first line one coordinate more (50.0) and the
+    next one fewer, so the file still holds as many numbers as rows of the
+    right width."""
     head, first, second, rest = data.split(b"\n", 3)
     second = b'{"x":[' + second.split(b",", 1)[1]
     return b"\n".join([head, first.replace(b"],", b",50.0],", 1), second, rest])
 
 
-@pytest.mark.parametrize("edit", [
-    lambda data: data.replace(b'"residual":', b'"residual": ', 1),
-    lambda data: data.replace(b"\n", b"\r\n"),
-    lambda data: data[:-1],
-    lambda data: data + b"\n",
-    lambda data: data.replace(b'"class":"', b'"class":"x', 1),
-    lambda data: data.replace(b'"x":[', b'"x":[1.0,', 1),
-    _misalign_rows,
-], ids=["space", "crlf", "no-final-newline", "blank-line", "unknown-class", "one-wide-row",
-        "misaligned-rows"])
+_NON_CANONICAL = {
+    "space": lambda data: data.replace(b'"residual":', b'"residual": ', 1),
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "no-final-newline": lambda data: data[:-1],
+    "blank-line": lambda data: data + b"\n",
+    "unknown-class": lambda data: data.replace(b'"class":"', b'"class":"x', 1),
+    "one-wide-row": lambda data: data.replace(b'"x":[', b'"x":[1.0,', 1),
+    "misaligned-rows": _misalign_rows,
+}
+
+
+@pytest.mark.parametrize("edit", list(_NON_CANONICAL.values()), ids=list(_NON_CANONICAL))
 def test_load_rejects_non_canonical(tmp_path, di, edit):
     sysm, input_box = di
     s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=200, delta=0.5,
@@ -329,3 +334,80 @@ def test_load_rejects_non_canonical(tmp_path, di, edit):
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ValueError):
         load_samples(path)
+
+
+# -- chunked load --------------------------------------------------------------
+
+def _force_workers(monkeypatch, count: int) -> None:
+    """Cut every load of at least 64 rows a chunk into `count` chunks, each
+    checked on its own forked worker."""
+    monkeypatch.setattr(sampler, "ROW_FLOOR", 64)
+    monkeypatch.setattr(parallel, "workers", lambda tasks: max(1, min(tasks, count)))
+
+
+@pytest.fixture(scope="module")
+def sample_file(tmp_path_factory, di):
+    """A saved 729-row sample set, its path and its bytes."""
+    sysm, input_box = di
+    s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=500, delta=0.5,
+                     growth=3.0, seed=5, n_start=243)
+    path = tmp_path_factory.mktemp("chunks") / "samples.jsonl"
+    save_samples(s, path)
+    return s, path, path.read_bytes()
+
+
+def test_chunked_load_matches_one_chunk(sample_file, monkeypatch):
+    """Two chunks on two workers give the arrays, bit for bit, the history
+    and the digest that one chunk in this process gives."""
+    s, path, data = sample_file
+    for count in (1, 2):
+        _force_workers(monkeypatch, count)
+        assert sampler.load_workers(len(s)) == count
+        loaded = load_samples(path)
+        assert loaded.states.view(np.int64).tolist() == s.states.view(np.int64).tolist()
+        assert loaded.residuals.view(np.int64).tolist() == s.residuals.view(np.int64).tolist()
+        assert loaded.labels.dtype == np.int8 and np.array_equal(loaded.labels, s.labels)
+        assert loaded.tracker == s.tracker
+        assert loaded.checksum() == hashlib.sha256(data).hexdigest()
+        assert canonical_bytes(loaded) == data
+
+
+def _row_starts(data: bytes) -> list[int]:
+    return [m.end() for m in re.finditer(b"\n", data)][:-1]
+
+
+@pytest.mark.parametrize("location", ["last-chunk", "at-cut", "across-cut"])
+@pytest.mark.parametrize("edit", list(_NON_CANONICAL.values()), ids=list(_NON_CANONICAL))
+def test_chunked_load_rejects_non_canonical(tmp_path, sample_file, monkeypatch, edit,
+                                            location):
+    """Every edit is refused when the load checks two chunks, applied from
+    the third-last row (all in the last chunk), from the first chunk's last
+    row, and from the row before that, where misaligned rows widen the first
+    chunk's last row and narrow the second chunk's first."""
+    _, _, data = sample_file
+    _force_workers(monkeypatch, 2)
+    starts = _row_starts(data)
+    cut = sampler._cuts(data, starts[0], 2)[1]
+    row = {"last-chunk": len(starts) - 3, "at-cut": starts.index(cut) - 1,
+           "across-cut": starts.index(cut) - 2}[location]
+    at = starts[row]
+    edited = data[:at] + edit(data[at:])
+    assert edited != data and (location != "last-chunk" or at > cut)
+    path = tmp_path / "samples.jsonl"
+    path.write_bytes(edited)
+    with pytest.raises(ValueError):
+        load_samples(path)
+
+
+def test_chunked_load_rejects_rows_without_newline_at_the_cut(tmp_path, sample_file,
+                                                              monkeypatch):
+    """No newline after the first quarter leaves the cut nowhere to fall: a
+    ValueError naming the file, not an IndexError or a hang."""
+    _, _, data = sample_file
+    _force_workers(monkeypatch, 2)
+    quarter = len(data) // 4
+    path = tmp_path / "samples.jsonl"
+    path.write_bytes(data[:quarter] + data[quarter:].replace(b"\n", b""))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: sample rows do not end"):
+        load_samples(path)
+
