@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .sampler import FORMAT_VERSION, SampleClass, SampleSet
 
@@ -71,6 +70,7 @@ def extract_boundary(s: SampleSet, epsilon: float,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    from scipy.spatial import cKDTree   # here, so that importing the package loads no scipy
     feas_mask = s.class_mask(SampleClass.FEASIBLE)
     feas_idx = np.flatnonzero(feas_mask)
     checksum = s.checksum()

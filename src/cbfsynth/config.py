@@ -25,7 +25,7 @@ import numpy as np
 
 from .fitter import MODES, FitConfig
 from .simulator import horizon_steps
-from .system import BoxSet
+from .system import BoxSet, build_system
 
 
 class ConfigError(Exception):
@@ -238,8 +238,15 @@ def parse_config(text: str) -> PipelineConfig:
         typed[name] = out
 
     _validate(typed)
-    raw = {name: {k: v for k, (v, _, _) in body.items()} for name, body in sections.items()}
     sys_params = {k: v for k, v in typed["system"].items() if k != "name"}
+    try:   # the registry's factory checks the name and the parameters
+        sysm, _ = build_system(typed["system"]["name"], sys_params)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"system: {exc.args[0]}") from None
+    if sysm.n != typed["sampling"]["lower"].size:
+        raise ConfigError(f"sampling bounds have {typed['sampling']['lower'].size} axes, "
+                          f"system {sysm.name!r} has {sysm.n} states")
+    raw = {name: {k: v for k, (v, _, _) in body.items()} for name, body in sections.items()}
     cfg = PipelineConfig(
         system_name=typed["system"]["name"],
         system_params=sys_params,
@@ -269,12 +276,18 @@ def _validate(typed: dict[str, dict[str, Any]]) -> None:
         raise ConfigError("sampling delta must lie in (0, 1]")
     if samp["growth"] <= 1.0:
         raise ConfigError("sampling growth must exceed 1")
+    if samp["n_start"] < 1:
+        raise ConfigError("sampling n_start must be at least 1")
+    if samp["zero_tol"] != "auto" and samp["zero_tol"] < 0:
+        raise ConfigError("sampling zero_tol must be nonnegative or auto")
     modes = typed["fit"]["modes"]
     if not modes or len(set(modes)) < len(modes):
         raise ConfigError("fit modes must list at least one mode, each once")
     sim = typed["simulate"]
     if sim["on_infeasible"] not in ("continue", "stop"):
         raise ConfigError("simulate on_infeasible must be continue or stop")
+    if not sim["x_init"]:
+        raise ConfigError("simulate x_init must list at least one state")
     for x0 in sim["x_init"]:
         if x0.size != samp["lower"].size:
             raise ConfigError("simulate x_init dimension differs from sampling bounds")

@@ -42,7 +42,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as sopt
 
 from . import parallel
 from .boundary import BoundarySet
@@ -498,10 +497,11 @@ def _hard_feasible(ctx: _SearchContext, mode: _Mode,
 
 
 def _nelder_mead(fun, x0: Array, steps: Array, maxiter: int) -> Array:
+    from scipy.optimize import minimize   # imported by _fit before the workers fork
     simplex = np.vstack([x0] + [x0 + steps * np.eye(x0.size)[i] for i in range(x0.size)])
-    res = sopt.minimize(fun, x0, method="Nelder-Mead",
-                        options={"initial_simplex": simplex, "maxiter": maxiter,
-                                 "maxfev": 4 * maxiter, "xatol": 1e-10, "fatol": 1e-12})
+    res = minimize(fun, x0, method="Nelder-Mead",
+                   options={"initial_simplex": simplex, "maxiter": maxiter,
+                            "maxfev": 4 * maxiter, "xatol": 1e-10, "fatol": 1e-12})
     return res.x
 
 
@@ -623,7 +623,11 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
     restart order: the accepted candidate with the largest objective is
     kept, the first on ties, so neither the result nor the counts depend on
     the worker count.
+
+    scipy's optimizer is imported here, in this process, so that the
+    workers inherit it instead of each importing it after the fork.
     """
+    import scipy.optimize  # noqa: F401
     mode = _MODES[name]
     ctx = _SearchContext(s, b, sys, input_box, replace(cfg, mode=name))
     cfg = ctx.cfg

@@ -5,6 +5,10 @@ The task reaches the workers through a module global that fork copies with
 the rest of the parent's memory. It is never pickled, and cannot always be,
 since a plant's value and gradient are closures; only the items and the
 results cross between processes.
+
+The workers inherit the modules the parent has imported, and only those. A
+module that a task imports lazily (as the fit does scipy's optimizer) must
+be imported before `fork_map` is called, or every worker imports it again.
 """
 
 from __future__ import annotations

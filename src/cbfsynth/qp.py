@@ -11,6 +11,12 @@ of a few, a handful of rows). The solver serves the runtime safety filter for
 more than one input (a single input takes a closed-form interval) and the QP
 oracle of acceptance criterion 3; per-sample feasibility and the fit's
 boundary checks use the closed forms `min_zdot` and `max_over_box` instead.
+
+Everything here runs on numpy alone except the phase-1 LP. Its solver,
+scipy's `linprog`, is the module attribute `qp.linprog`, imported on first
+access (a module `__getattr__`), so importing this module loads no scipy and
+only an infeasible problem does. `_phase1` calls through that attribute, so a
+function put in its place sees every phase-1 call.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .system import BoxSet
 
@@ -38,6 +44,16 @@ _FEAS_TOL = 1e-9
 _KKT_TOL = 1e-12
 # most negative Hessian eigenvalue taken as rounding of a PSD one
 _PSD_TOL = 1e-10
+
+
+def __getattr__(name: str):
+    """`linprog`, imported from scipy on first access and then kept as a
+    module attribute."""
+    if name == "linprog":
+        from scipy.optimize import linprog
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class QpStatus(enum.Enum):
@@ -127,7 +143,8 @@ def _phase1(A: Array, b: Array, box: BoxSet) -> tuple[Array, float]:
     c[-1] = -1.0
     A_ub = np.hstack([-A, np.ones((k, 1))])
     bounds = list(zip(box.lower, box.upper)) + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=-b, bounds=bounds, method="highs")
+    res = sys.modules[__name__].linprog(c, A_ub=A_ub, b_ub=-b, bounds=bounds,
+                                        method="highs")
     if not res.success:  # pragma: no cover - bounded LP with nonempty box
         raise RuntimeError(f"phase-1 LP failed: {res.message}")
     return box.clip(res.x[:m]), float(res.x[-1])

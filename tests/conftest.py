@@ -1,5 +1,11 @@
 """Shared fixtures: the double-integrator reference study, computed once."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +22,24 @@ AREA_Z = 720.0           # z >= 0
 AREA_FEASIBLE = 655.0    # input-feasible portion (velocity cap at 30)
 AREA_UNIFORM = 245.0     # best single uniformly-scaled set
 AREA_NONUNIFORM = 550.0  # best single per-axis-scaled set
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Run `code` in a new interpreter with `src` on the path and `args` as
+    `sys.argv[1:]`, and return its stdout. A nonzero exit fails the calling
+    test with the child's stderr.
+
+    The test process has imported whatever earlier tests imported; what a
+    fresh process loads can only be seen in one."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
 
 # input box of the two-input plant below
 TWO_INPUT_BOX = BoxSet([-1.0, -0.5], [0.5, 2.0])

@@ -8,6 +8,8 @@ import pytest
 from cbfsynth.cli import main
 from cbfsynth.config import ConfigError, load_config, parse_config
 
+from conftest import run_fresh
+
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "double_integrator.cfg"
 
 
@@ -106,6 +108,10 @@ def test_parse_value_errors():
         parse_config("[system]\nname = double_integrator\n"
                      "[sampling]\nlower = -1, -1\nupper = 1, 1\n"
                      "[simulate]\nx_init = 0, 0, 0\nx_goal = 0, 0\n")
+    with pytest.raises(ConfigError, match="3 axes, system 'double_integrator' has 2 states"):
+        parse_config("[system]\nname = double_integrator\n"
+                     "[sampling]\nlower = -1, -1, -1\nupper = 1, 1, 1\n"
+                     "[simulate]\nx_init = 0, 0, 0\nx_goal = 0, 0, 0\n")
 
 
 _FINITE_BASE = ("[system]\nname = double_integrator\n[sampling]\nlower = -1, -1\n"
@@ -157,6 +163,13 @@ _LATER_STAGE_VALUES = {
                                          "volume_upper = 101, 101"),
     "repeated-mode": ("modes = uniform, multi", "modes = uniform, multi, uniform"),
     "no-modes": ("modes = uniform, multi", "modes ="),
+    "x-init-empty": ("x_init = -9, -30", "x_init = ;"),
+    "system-name": ("name = double_integrator", "name = nosuch"),
+    "system-gamma2": ("name = double_integrator", "name = double_integrator\ngamma2 = -1"),
+    "system-input-box": ("name = double_integrator",
+                         "name = double_integrator\nu_min = 5\nu_max = -5"),
+    "n-start-zero": ("n_start = 243", "n_start = 0"),
+    "zero-tol-negative": ("n_start = 243", "n_start = 243\nzero_tol = -1"),
 }
 
 
@@ -174,6 +187,32 @@ def test_later_stage_values_rejected_at_parse(tmp_path, capsys, key):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert main(["pipeline", "--config", str(cfg)]) == 2
     assert not (out / "samples.jsonl").exists()
+
+
+def test_dry_run_and_simulate_load_no_scipy(tmp_path):
+    """Only boundary extraction, the fit and an infeasible QP's phase-1 LP
+    use scipy. A fresh process that imports the package, checks the config
+    with a dry run and simulates fitted candidates never loads it."""
+    cfg = tiny_config(tmp_path, out=str(tmp_path / "out"))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    out = run_fresh("""
+        import json
+        import sys
+
+        def scipy():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        import cbfsynth
+        loaded = {"import": scipy()}
+        from cbfsynth.cli import main
+        assert main(["pipeline", "--config", sys.argv[1], "--dry-run"]) == 0
+        loaded["dry-run"] = scipy()
+        assert main(["simulate", "--config", sys.argv[1]]) == 0
+        loaded["simulate"] = scipy()
+        print(json.dumps(loaded))
+    """, str(cfg))
+    assert "simulate[uniform] start 1" in out
+    assert json.loads(out.splitlines()[-1]) == {"import": [], "dry-run": [], "simulate": []}
 
 
 def test_zero_horizon_rejected_at_parse(tmp_path, capsys):

@@ -13,7 +13,7 @@ from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
                              eval_h_batch, eval_h_stack, identity_candidate)
 
 from conftest import (AREA_FEASIBLE, AREA_NONUNIFORM, AREA_UNIFORM, AREA_Z,
-                      REFERENCE_BOUNDS)
+                      REFERENCE_BOUNDS, run_fresh)
 
 UNIT = BoxSet([0.0, 0.0], [1.0, 1.0])
 UBOX1 = BoxSet([-1.0], [1.0])
@@ -502,6 +502,39 @@ def test_fit_result_independent_of_worker_count(di, small_run, monkeypatch, mode
     assert one.diagnostics == two.diagnostics
     assert one.counts == replace(two.counts, workers=1)
     assert one.counts.evaluations > 0 and one.counts.accepted > 0
+
+
+def test_fit_imports_optimizer_before_forking():
+    """The fit imports scipy's optimizer in this process before it forks its
+    restarts, so that the two workers inherit it rather than each importing
+    it again. Sampling and boundary extraction leave it unloaded."""
+    out = run_fresh("""
+        import sys
+        from cbfsynth import fitter, parallel
+        from cbfsynth.boundary import auto_epsilon, extract_boundary
+        from cbfsynth.sampler import run_sampling
+        from cbfsynth.system import BoxSet, build_system
+
+        sysm, input_box = build_system("double_integrator", {})
+        s = run_sampling(sysm, input_box, BoxSet([-10.0, -40.0], [0.0, 40.0]), n_min=500,
+                         delta=1.0, growth=3.0, seed=13, n_start=2187)
+        b = extract_boundary(s, auto_epsilon(s))
+        before = "scipy.optimize" in sys.modules
+        seen, fork_map = [], parallel.fork_map
+
+        def recording(task, items, count):
+            seen.append((count, "scipy.optimize" in sys.modules))
+            return fork_map(task, items, count)
+
+        parallel.fork_map = recording
+        parallel.workers = lambda tasks: 2
+        cfg = fitter.FitConfig(mode="uniform", restarts=2, iterations=40, population=4)
+        for fit in (fitter.fit_uniform, fitter.fit_nonuniform):
+            res = fit(s, b, sysm, input_box, cfg)
+            assert res.feasible and res.counts.workers == 2
+        print(before, seen)
+    """)
+    assert out.strip() == "False [(2, True), (2, True)]"
 
 
 def test_reference_fit_areas(reference_fits):

@@ -7,7 +7,7 @@ from cbfsynth.qp import (MAX_WORKING_SETS, QpProblem, QpStatus, max_over_box, mi
                          solve_box_qp, zero_tolerance)
 from cbfsynth.system import BoxSet, HardConstraint, SystemModel
 
-from conftest import TWO_INPUT_BOX, two_input_states, two_input_system
+from conftest import TWO_INPUT_BOX, run_fresh, two_input_states, two_input_system
 from qp_oracle import grid_oracle, random_problem
 
 
@@ -63,6 +63,34 @@ def test_infeasible_returns_least_violation():
     assert [v.tolist() for v in (sol.ineq_mult, sol.lower_mult, sol.upper_mult)] == \
         [[0.0], [0.0], [0.0]]
     assert sol.kkt_residual(p) == pytest.approx(6.0)
+
+
+def test_phase1_lp_loaded_on_first_use_and_called_through_module():
+    """Importing qp and solving a feasible problem load no scipy. The phase-1
+    LP of an infeasible problem goes through `qp.linprog`, so a counting
+    wrapper put there sees the call."""
+    out = run_fresh("""
+        import sys
+        from cbfsynth import qp
+        from cbfsynth.system import BoxSet
+
+        def problem(rhs):
+            return qp.QpProblem(hessian=[[2.0]], linear=[0.0], ineq_rows=[[1.0]],
+                                ineq_rhs=[rhs], box=BoxSet([-3.0], [3.0]))
+
+        feasible = qp.solve_box_qp(problem(1.0)).status.value
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        real, calls = qp.linprog, []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return real(*args, **kwargs)
+
+        qp.linprog = counting
+        infeasible = qp.solve_box_qp(problem(10.0))
+        print(feasible, loaded, infeasible.status.value, infeasible.argmin.tolist(), calls)
+    """)
+    assert out.split() == ["optimal", "[]", "infeasible", "[3.0]", "['highs']"]
 
 
 def test_validation_errors():
