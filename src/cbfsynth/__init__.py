@@ -12,8 +12,8 @@ from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
                      make_double_integrator, register_system,
                      registered_systems)
 from .qp import QpProblem, QpSolution, QpStatus, solve_box_qp
-from .sampler import (JaccardTracker, SampleClass, SampleSet, draw_batch,
-                      load_samples, run_sampling, save_samples)
+from .sampler import (JaccardTracker, SampleClass, SampleHeader, SampleSet, draw_batch,
+                      load_samples, read_header, run_sampling, save_samples)
 from .boundary import (BoundarySet, auto_epsilon, extract_boundary,
                        load_boundary, save_boundary)
 from .fitter import (FitConfig, FitResult, SearchCounts, VerificationReport,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import sys as _sys
 from dataclasses import replace
@@ -40,7 +39,13 @@ class IntegrityError(Exception):
 
 
 def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    with open(path, "rb") as f:
+        return smp._sha256(f)
+
+
+def _matches(path: Path, digest) -> bool:
+    """Whether the file exists and hashes to `digest`."""
+    return path.exists() and _file_digest(path) == digest
 
 
 def _load(loader, path: Path, **kwargs):
@@ -68,10 +73,10 @@ def _zero_tol(cfg: PipelineConfig) -> float:
     return smp.DEFAULT_ZERO_TOL if zero_tol == "auto" else zero_tol
 
 
-def _load_samples(cfg: PipelineConfig, path: Path) -> smp.SampleSet:
-    """Load the sample file; one drawn for another system, box, seed or
-    tolerance than the config's is stale."""
-    s = _load(smp.load_samples, path)
+def _fresh(cfg: PipelineConfig, path: Path, s):
+    """`s`, the sample set or header read from `path`; IntegrityError if it
+    is stale: drawn for another system, box, seed or tolerance than the
+    config's."""
     box = cfg.sampling_box()
     drawn = (s.system_name, s.bounds.lower.tolist(), s.bounds.upper.tolist(), s.seed, s.zero_tol)
     if drawn != (_build(cfg)[0].name, box.lower.tolist(), box.upper.tolist(),
@@ -79,6 +84,11 @@ def _load_samples(cfg: PipelineConfig, path: Path) -> smp.SampleSet:
         raise IntegrityError(f"{path}: sampled for another system, box, seed or zero_tol "
                              f"than the config's")
     return s
+
+
+def _load_samples(cfg: PipelineConfig, path: Path) -> smp.SampleSet:
+    """Load and fully check the sample file, and refuse it if it is stale."""
+    return _fresh(cfg, path, _load(smp.load_samples, path))
 
 
 # ---------------------------------------------------------------------------
@@ -102,28 +112,33 @@ def _stage_sample(cfg: PipelineConfig, out: Path) -> tuple[smp.SampleSet, int]:
     return s, (EXIT_OK if s.converged else EXIT_NOT_CONVERGED)
 
 
-def _stage_boundary(cfg: PipelineConfig, out: Path, s: smp.SampleSet) -> bnd.BoundarySet:
+def _stage_boundary(cfg: PipelineConfig, out: Path,
+                    s: smp.SampleSet) -> tuple[bnd.BoundarySet, str]:
     eps_cfg = cfg.boundary["epsilon"]
     eps = bnd.auto_epsilon(s) if eps_cfg == "auto" else float(eps_cfg)
     b = bnd.extract_boundary(s, eps, box_face_is_boundary=cfg.boundary["box_face_is_boundary"])
-    bnd.save_boundary(b, out / "boundary.jsonl")
+    digest = bnd.save_boundary(b, out / "boundary.jsonl")
     note = " (EMPTY; epsilon may be too small)" if b.empty_warning else ""
     print(f"boundary: {len(b)} points, epsilon={eps!r}{note} -> {out / 'boundary.jsonl'}")
-    return b
+    return b, digest
 
 
 def _stage_fit(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.BoundarySet,
-               checksums: dict[str, str]) -> tuple[dict[str, fit.FitResult], int]:
+               checksums: dict[str, str]
+               ) -> tuple[dict[str, fit.FitResult], dict[str, str], int]:
+    """Fit each configured mode; returns the results, the digest of each
+    candidates file written, and the exit code."""
     sysm, input_box = _build(cfg)
     results: dict[str, fit.FitResult] = {}
+    digests: dict[str, str] = {}
     warm: list[tuple] = []
     for mode in cfg.fit["modes"]:
         fcfg = cfg.fit_config(mode, b.epsilon)
         # looked up per call so that wrappers installed on the module are honoured
         res = getattr(fit, f"fit_{mode}")(s, b, sysm, input_box, fcfg, warm=warm)
         results[mode] = res
-        fit.save_fit(res, out / f"candidates_{mode}.json", cfg=fcfg,
-                     source_checksums=checksums)
+        digests[mode] = fit.save_fit(res, out / f"candidates_{mode}.json", cfg=fcfg,
+                                     source_checksums=checksums)
         c = res.counts
         search = (f"workers={c.workers} evaluations={c.evaluations} "
                   f"offers_accepted={c.accepted} offers_rejected={c.rejected} "
@@ -131,14 +146,14 @@ def _stage_fit(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.Boundary
                   f"root_steps_mean={c.root_steps_mean:.2f} root_steps_max={c.root_steps_max}")
         if not res.feasible:
             print(f"fit[{mode}]: INFEASIBLE: {res.diagnostics}; {search}")
-            return results, EXIT_INFEASIBLE
+            return results, digests, EXIT_INFEASIBLE
         ver = res.verification
         print(f"fit[{mode}]: objective={res.objective_value:.4f} "
               f"candidates={len(res.candidates)} containment={ver.containment_fraction:.4f} "
               f"boundary_ok={ver.boundary_cbf_feasible_fraction:.4f} "
               f"exists_input_ok={ver.prop2_feasible_fraction:.4f} {search}")
         warm.append(tuple(res.candidates))
-    return results, EXIT_OK
+    return results, digests, EXIT_OK
 
 
 def _stage_simulate(cfg: PipelineConfig, out: Path, mode: str,
@@ -201,7 +216,7 @@ def cmd_fit(args, cfg: PipelineConfig, out: Path) -> int:
     if stray:
         raise IntegrityError(f"{boundary_path}: {stray} point(s) are not feasible samples")
     checksums = {"samples": s.checksum(), "boundary": _file_digest(boundary_path)}
-    _, code = _stage_fit(cfg, out, s, b, checksums)
+    _, _, code = _stage_fit(cfg, out, s, b, checksums)
     return code
 
 
@@ -233,48 +248,68 @@ def _save_stage_state(out: Path, state: dict) -> None:
 
 
 def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
+    """Run sample -> boundary -> fit -> simulate and write the report.
+
+    A stage is reused when `stage_state.json` records its config sections,
+    the digests of its inputs and the digest of its output file as they are
+    now. Each artifact is hashed at most once per run. The sample file is
+    judged on its header and digest alone (`sampler.read_header`): the
+    state records a sample digest only after this code sampled and saved
+    the file or fully loaded and checked it, so a match vouches for the
+    rows. They are loaded and checked again only when the boundary or fit
+    stage has to run; the report reads n and J from the header.
+    """
     state = _load_stage_state(out)
     new_state: dict = {}
 
-    # sample stage (cached on config hash and file digest; a file that fails
-    # to load is a cache miss, not an integrity failure)
+    # sample stage (a file whose header fails to parse or is stale is a cache
+    # miss, not an integrity failure)
     sample_path = out / "samples.jsonl"
     sample_hash = cfg.section_hash("system", "sampling")
     cached = state.get("sample", {})
-    s = None
+    head = s = None
     if sample_path.exists() and cached.get("config_hash") == sample_hash:
         with contextlib.suppress(IntegrityError):
-            s = _load_samples(cfg, sample_path)
-    if s is not None and s.checksum() == cached.get("output"):
-        print(f"sample: reusing {sample_path} (n={len(s)}, "
-              f"workers={smp.load_workers(len(s))})")
-        code = EXIT_OK if s.converged else EXIT_NOT_CONVERGED
+            head = _fresh(cfg, sample_path, _load(smp.read_header, sample_path))
+    if head is not None and head.digest == cached.get("output"):
+        print(f"sample: reusing {sample_path} (n={head.n})")
+        code = EXIT_OK if head.converged else EXIT_NOT_CONVERGED
     else:
         s, code = _stage_sample(cfg, out)
+        head = s.header()
     if code != EXIT_OK:
         _save_stage_state(out, new_state)
         return code
-    new_state["sample"] = {"config_hash": sample_hash, "output": s.checksum()}
+    new_state["sample"] = {"config_hash": sample_hash, "output": head.digest}
+
+    def samples() -> smp.SampleSet:
+        """The sample set, loaded and checked on first use."""
+        nonlocal s
+        if s is None:
+            s = _load_samples(cfg, sample_path)
+            if s.checksum() != head.digest:
+                raise IntegrityError(f"{sample_path}: changed during the run")
+        return s
 
     # boundary stage
     boundary_path = out / "boundary.jsonl"
     boundary_hash = cfg.section_hash("system", "sampling", "boundary")
     cached = state.get("boundary", {})
-    if boundary_path.exists() and cached.get("config_hash") == boundary_hash \
-            and cached.get("input") == s.checksum() \
-            and cached.get("output") == _file_digest(boundary_path):
-        b = _load(bnd.load_boundary, boundary_path, dim=s.bounds.dim)
+    if cached.get("config_hash") == boundary_hash and cached.get("input") == head.digest \
+            and _matches(boundary_path, cached.get("output")):
+        b = _load(bnd.load_boundary, boundary_path, dim=head.bounds.dim)
+        boundary_digest = cached["output"]
         print(f"boundary: reusing {boundary_path} ({len(b)} points)")
     else:
-        b = _stage_boundary(cfg, out, s)
-    if b.source_checksum != s.checksum():
+        b, boundary_digest = _stage_boundary(cfg, out, samples())
+    if b.source_checksum != head.digest:
         print("error: boundary artifact does not match the sample file", file=_sys.stderr)
         return EXIT_INTEGRITY
-    new_state["boundary"] = {"config_hash": boundary_hash, "input": s.checksum(),
-                             "output": _file_digest(boundary_path)}
+    new_state["boundary"] = {"config_hash": boundary_hash, "input": head.digest,
+                             "output": boundary_digest}
 
     # fit stage
-    checksums = {"samples": s.checksum(), "boundary": _file_digest(boundary_path)}
+    checksums = {"samples": head.digest, "boundary": boundary_digest}
     fit_hash = cfg.section_hash("system", "sampling", "boundary", "fit")
     modes = cfg.fit["modes"]
     cached = state.get("fit", {})
@@ -282,33 +317,28 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     reusable = (cached.get("config_hash") == fit_hash
                 and cached.get("inputs") == checksums
                 and isinstance(outputs, dict)
-                and all((out / f"candidates_{m}.json").exists()
-                        and outputs.get(m) == _file_digest(out / f"candidates_{m}.json")
-                        for m in modes))
+                and all(_matches(out / f"candidates_{m}.json", outputs.get(m)) for m in modes))
     results: dict[str, fit.FitResult] = {}
     if reusable:
         for m in modes:
             results[m], _ = _load(fit.load_fit, out / f"candidates_{m}.json",
-                                  dim=s.bounds.dim)
+                                  dim=head.bounds.dim)
+        digests = {m: outputs[m] for m in modes}
         print(f"fit: reusing candidates for modes {modes}")
     else:
-        results, code = _stage_fit(cfg, out, s, b, checksums)
+        results, digests, code = _stage_fit(cfg, out, samples(), b, checksums)
         if code != EXIT_OK:
             _save_stage_state(out, new_state)
             return code
-    new_state["fit"] = {"config_hash": fit_hash, "inputs": checksums,
-                        "outputs": {m: _file_digest(out / f"candidates_{m}.json")
-                                    for m in modes}}
+    new_state["fit"] = {"config_hash": fit_hash, "inputs": checksums, "outputs": digests}
 
     # simulate stage (always re-run; cheap and deterministic)
-    all_manifests: dict[str, list[dict]] = {}
-    for mode in modes:
-        cand_digest = _file_digest(out / f"candidates_{mode}.json")
-        all_manifests[mode] = _stage_simulate(cfg, out, mode, results[mode], cand_digest)
+    all_manifests = {mode: _stage_simulate(cfg, out, mode, results[mode], digests[mode])
+                     for mode in modes}
     new_state["simulate"] = {"config_hash": cfg.section_hash(*_SCHEMA_ALL),
                              "modes": modes}
 
-    _write_report(cfg, out, s, b, results, all_manifests)
+    _write_report(cfg, out, head, b, results, all_manifests)
     _save_stage_state(out, new_state)
     print(f"report -> {out / 'report.md'}")
     return EXIT_OK
@@ -326,7 +356,7 @@ def _is_reference_setup(cfg: PipelineConfig) -> bool:
             and np.array_equal(box.upper, [0.0, 40.0]))
 
 
-def _write_report(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.BoundarySet,
+def _write_report(cfg: PipelineConfig, out: Path, head: smp.SampleHeader, b: bnd.BoundarySet,
                   results: dict[str, fit.FitResult], manifests: dict[str, list[dict]]) -> None:
     ref = _is_reference_setup(cfg)
     rows: list[tuple[str, str, str, str]] = []
@@ -335,11 +365,11 @@ def _write_report(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.Bound
         status = "n/a" if ok is None else ("pass" if ok else "FAIL")
         rows.append((name, value, target, status))
 
-    j = s.tracker.jaccard
+    n, j, converged = head.n, head.jaccard, head.converged
     row("feasible-fraction convergence",
-        f"n = {len(s)}, J = {j:.5f}, converged = {s.converged}",
+        f"n = {n}, J = {j:.5f}, converged = {converged}",
         "converged by n = 177147 with J = 0.819 +/- 0.02" if ref else "converged",
-        (s.converged and len(s) <= 177147 and abs(j - 0.819) <= 0.02) if ref else s.converged)
+        (converged and n <= 177147 and abs(j - 0.819) <= 0.02) if ref else converged)
 
     if ref and len(b):
         cap_pts = b.points[b.points[:, 0] < -3.5]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,31 @@ class JaccardTracker:
 
 
 @dataclass
+class SampleHeader:
+    """A sample file's header: what the set was drawn for, its (n, J)
+    checkpoints and whether it converged, with the digest of the whole file
+    where one was taken."""
+
+    system_name: str
+    bounds: BoxSet
+    seed: int
+    zero_tol: float
+    history: list[tuple[int, float]]
+    converged: bool
+    digest: str | None = None
+
+    @property
+    def n(self) -> int:
+        """Samples in the set, as its last checkpoint counts them."""
+        return self.history[-1][0]
+
+    @property
+    def jaccard(self) -> float:
+        """The set's feasible fraction, as its last checkpoint states it."""
+        return self.history[-1][1]
+
+
+@dataclass
 class SampleSet:
     """Classified samples stored column-wise for vectorized consumers."""
 
@@ -87,6 +113,12 @@ class SampleSet:
 
     def class_mask(self, label: SampleClass) -> Array:
         return self.labels == _CLASS_CODE[label]
+
+    def header(self) -> SampleHeader:
+        """The set's file header, with the digest recorded when the set was
+        last saved or loaded (None before either)."""
+        return SampleHeader(self.system_name, self.bounds, self.seed, self.zero_tol,
+                            self.tracker.history, self.converged, self._digest)
 
     def checksum(self) -> str:
         """Digest of the sample file: the one recorded when the set was last
@@ -193,16 +225,16 @@ _CLASS_TEXT = tuple(f'],"class":"{_CODE_CLASS[code].value}","residual":'.encode(
                     for code in range(3))
 
 
-def _header_bytes(s: SampleSet) -> bytes:
+def _header_bytes(h: SampleHeader) -> bytes:
     """The sample file's header line, without its newline."""
     return json.dumps({
         "version": FORMAT_VERSION,
-        "system": s.system_name,
-        "bounds": {"lower": s.bounds.lower.tolist(), "upper": s.bounds.upper.tolist()},
-        "seed": s.seed,
-        "zero_tol": s.zero_tol,
-        "checkpoints": [{"n": n, "J": j} for n, j in s.tracker.history],
-        "converged": s.converged,
+        "system": h.system_name,
+        "bounds": {"lower": h.bounds.lower.tolist(), "upper": h.bounds.upper.tolist()},
+        "seed": h.seed,
+        "zero_tol": h.zero_tol,
+        "checkpoints": [{"n": n, "J": j} for n, j in h.history],
+        "converged": h.converged,
     }, separators=(",", ":")).encode()
 
 
@@ -222,7 +254,7 @@ def _format_rows(states: Array, labels: Array, residuals: Array) -> list[bytes]:
 def canonical_bytes(s: SampleSet) -> bytes:
     """The sample file: a JSON header line, then one JSON record per sample."""
     lines = _format_rows(s.states, s.labels, s.residuals)
-    lines.insert(0, _header_bytes(s))
+    lines.insert(0, _header_bytes(s.header()))
     lines.append(b"")
     return b"\n".join(lines)
 
@@ -290,14 +322,84 @@ def _cuts(data: bytes, start: int, count: int) -> list[int]:
     return cuts
 
 
+# Bytes read at a time when a file is hashed, so no file is held whole.
+HASH_BLOCK = 1 << 20
+
+
+def _sha256(f, sha=None) -> str:
+    """Hex sha256 of the rest of binary file `f`, read in HASH_BLOCK blocks,
+    continuing `sha` where one is given."""
+    sha = sha or hashlib.sha256()
+    for block in iter(lambda: f.read(HASH_BLOCK), b""):
+        sha.update(block)
+    return sha.hexdigest()
+
+
+def _parse_header(line: bytes) -> SampleHeader:
+    """Parse and check a sample file's first line, newline included.
+
+    ValueError for an empty file, a format version other than
+    FORMAT_VERSION, a non-finite number (`NaN`, or a literal such as 1e400
+    that overflows), an empty checkpoint list, or any bytes other than
+    those `_header_bytes` writes for the parsed header.
+    """
+    if not line.rstrip(b"\n"):
+        raise ValueError("empty sample file")
+
+    def refuse(text: str):
+        raise ValueError(f"non-finite number {text} in the header")
+
+    def number(text: str) -> float:
+        value = float(text)
+        return value if math.isfinite(value) else refuse(text)
+
+    header = json.loads(line, parse_constant=refuse, parse_float=number)
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported sample file version {version}")
+    if not header["checkpoints"]:
+        raise ValueError("the header holds no checkpoint")
+    h = SampleHeader(
+        system_name=header["system"],
+        bounds=BoxSet(np.array(header["bounds"]["lower"]), np.array(header["bounds"]["upper"])),
+        seed=int(header["seed"]),
+        zero_tol=float(header["zero_tol"]),
+        history=[(c["n"], c["J"]) for c in header["checkpoints"]],
+        converged=bool(header["converged"]))
+    if _header_bytes(h) + b"\n" != line:
+        raise ValueError("content does not match its canonical form")
+    return h
+
+
+def read_header(path) -> SampleHeader:
+    """A sample file's checked header, with the digest of the whole file.
+
+    The header gets every check `load_samples` gives it; the file is hashed
+    in HASH_BLOCK blocks through the handle the header was read from, and no
+    row is parsed. The header's last checkpoint tells the set's n and J
+    only of a file `load_samples` accepts, since that checks them against
+    the rows: a digest recorded when the file was saved or fully loaded
+    vouches for the rest.
+    """
+    with open(path, "rb") as f:
+        line = f.readline()
+        try:
+            h = _parse_header(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        h.digest = _sha256(f, hashlib.sha256(line))
+    return h
+
+
 def load_samples(path) -> SampleSet:
     """Read a sample file once, parse it, and check that it is canonical.
 
-    The header must be the one `canonical_bytes` writes for the parsed set,
-    and every row must reformat through `_format_rows` to exactly the bytes
-    read, so any edit that `canonical_bytes` would not write raises
-    ValueError, as do rows whose width is not the header's state dimension
-    and non-finite numbers, in the header (`NaN`) or in the rows (`nan`).
+    The header gets `_parse_header`'s checks, as in `read_header`. Every row
+    must reformat through `_format_rows` to exactly the bytes read, so any
+    edit that `canonical_bytes` would not write raises ValueError, as do
+    rows whose width is not the header's state dimension and non-finite
+    numbers (`nan`). So does a last checkpoint whose n is not the row count,
+    or whose J is not the feasible rows' fraction bit for bit.
 
     The rows are cut at line ends into `load_workers(rows)` chunks of about
     equal size, checked by `_check_rows` through `parallel.fork_map`: on
@@ -308,44 +410,27 @@ def load_samples(path) -> SampleSet:
     """
     with open(path, "rb") as f:
         data = f.read()
-    end = data.find(b"\n")
-    head = data if end < 0 else data[:end]
-    if not head:
-        raise ValueError(f"{path}: empty sample file")
-
-    def refuse(text: str):
-        raise ValueError(f"{path}: non-finite number {text} in the header")
-
-    header = json.loads(head, parse_constant=refuse)
-    version = header.get("version") if isinstance(header, dict) else None
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported sample file version {version}")
-    bounds = BoxSet(np.array(header["bounds"]["lower"]), np.array(header["bounds"]["upper"]))
-    start = len(head) + 1   # past the data's end where the header has no newline
-    count = load_workers(data.count(b"\n", start))
+    start = data.find(b"\n") + 1 or len(data)
     try:
+        h = _parse_header(data[:start])
+        count = load_workers(data.count(b"\n", start))
         cuts = _cuts(data, start, count)
         chunks = parallel.fork_map(
-            lambda i: _check_rows(data[cuts[i]:cuts[i + 1]], bounds.dim), range(count), count)
+            lambda i: _check_rows(data[cuts[i]:cuts[i + 1]], h.bounds.dim), range(count), count)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     states, labels, residuals = (np.concatenate(part) for part in zip(*chunks))
     del chunks
-    s = SampleSet(
-        states=states,
-        labels=labels,
-        residuals=residuals,
-        bounds=bounds,
-        seed=int(header["seed"]),
-        zero_tol=float(header["zero_tol"]),
-        tracker=JaccardTracker(
-            n_total=len(labels),
-            n_feasible=int(np.sum(labels == _CLASS_CODE[SampleClass.FEASIBLE])),
-            history=[(c["n"], c["J"]) for c in header["checkpoints"]]),
-        system_name=header["system"],
-        converged=bool(header["converged"]),
-    )
-    if _header_bytes(s) + b"\n" != data[:start]:
-        raise ValueError(f"{path}: content does not match its canonical form")
+    tracker = JaccardTracker(
+        n_total=len(labels),
+        n_feasible=int(np.sum(labels == _CLASS_CODE[SampleClass.FEASIBLE])),
+        history=h.history)
+    # repr tells 243 from 243.0 and 0.0 from -0.0: the summary must match bit for bit
+    if repr(h.history[-1]) != repr((tracker.n_total, tracker.jaccard)):
+        raise ValueError(f"{path}: the last checkpoint (n, J) = {h.history[-1]} is not "
+                         f"that of its {tracker.n_total} rows")
+    s = SampleSet(states=states, labels=labels, residuals=residuals, bounds=h.bounds,
+                  seed=h.seed, zero_tol=h.zero_tol, tracker=tracker,
+                  system_name=h.system_name, converged=h.converged)
     s._digest = hashlib.sha256(data).hexdigest()
     return s

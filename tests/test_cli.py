@@ -335,6 +335,12 @@ _CORRUPT = {"truncate": lambda data: data[:len(data) // 2],
             "nan-offset": lambda data: re.sub(rb'"offset":[^,}]+', b'"offset":NaN', data),
             # `json.dumps` writes a non-finite header number as NaN, so this stays canonical
             "nan-header-J": lambda data: re.sub(rb'"J":[^,}]+', b'"J":NaN', data, count=1),
+            # json reads 1e400 as inf, past the check for NaN and Infinity
+            "overflow-header-seed": lambda data: re.sub(rb'"seed":\d+', b'"seed":1e400', data),
+            # canonical, but the summary is not that of the rows below it
+            "foreign-checkpoint": lambda data: re.sub(
+                rb'\{"n":\d+,"J":[^}]+\}\],"converged"', b'{"n":177147,"J":0.819}],"converged"',
+                data, count=1),
             "nan-boundary-epsilon": lambda data: re.sub(rb'"epsilon":[^,}]+', b'"epsilon":NaN',
                                                         data),
             "widen-candidate": lambda data: data.replace(b'],"shift"', b',1.0],"shift"')
@@ -351,9 +357,11 @@ _CORRUPT = {"truncate": lambda data: data[:len(data) // 2],
     ("simulate", "candidates_uniform.json", "widen-candidate"),
     ("boundary", "samples.jsonl", "nan-header-J"),
     ("fit", "boundary.jsonl", "nan-boundary-epsilon"),
+    ("boundary", "samples.jsonl", "foreign-checkpoint"),
+    ("boundary", "samples.jsonl", "overflow-header-seed"),
 ], ids=["truncated-samples", "garbled-boundary", "truncated-candidates", "wide-sample-rows",
         "nan-sample-coordinate", "nan-candidate-offset", "wide-candidate", "nan-header-J",
-        "nan-boundary-epsilon"])
+        "nan-boundary-epsilon", "foreign-checkpoint", "overflow-header-seed"])
 def test_unparsable_artifact_is_integrity_failure(tmp_path, capsys, command, artifact,
                                                   corrupt):
     out = tmp_path / "out"
@@ -485,22 +493,77 @@ def test_pipeline_calls_fit_entry_through_module(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_reused_sample_line_reports_load_workers(tmp_path, capsys, monkeypatch):
-    """A reused sample file's line states the processes that checked it, after
-    the sample count, which a greedy `n=(\\d+)` match still reads."""
-    from cbfsynth import parallel, sampler
+def test_reused_sample_line_reports_sample_count(tmp_path, capsys):
+    """A reused sample file's line ends with the header's sample count, which
+    `^sample: .*n=(\\d+)` reads; no row is checked, so no worker count."""
     cfg = tiny_config(tmp_path, out=str(tmp_path / "out"))
     assert main(["pipeline", "--config", str(cfg)]) == 0
-    for floor, workers in ((sampler.ROW_FLOOR, 1), (64, 2)):
-        monkeypatch.setattr(sampler, "ROW_FLOOR", floor)
-        monkeypatch.setattr(parallel, "workers", lambda tasks: max(1, min(tasks, 2)))
-        capsys.readouterr()
-        assert main(["pipeline", "--config", str(cfg)]) == 0
-        stdout = capsys.readouterr().out
-        line = next(ln for ln in stdout.splitlines() if ln.startswith("sample:"))
-        assert line.startswith("sample: reusing ") and line.endswith(
-            f"(n=243, workers={workers})")
-        assert re.search(r"^sample: .*n=(\d+)", stdout, re.M).group(1) == "243"
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    stdout = capsys.readouterr().out
+    line = next(ln for ln in stdout.splitlines() if ln.startswith("sample:"))
+    assert line.startswith("sample: reusing ") and line.endswith("(n=243)")
+    assert re.search(r"^sample: .*n=(\d+)", stdout, re.M).group(1) == "243"
+
+
+def _count_checked_loads(monkeypatch) -> list[int]:
+    """Count the rows `sampler.load_samples` checks, one entry per load."""
+    from cbfsynth import sampler
+    loads = []
+    original = sampler.load_samples
+
+    def counting(path):
+        s = original(path)
+        loads.append(len(s))
+        return s
+
+    monkeypatch.setattr(sampler, "load_samples", counting)
+    return loads
+
+
+def test_warm_pipeline_parses_no_sample_rows(tmp_path, monkeypatch):
+    """With every stage reused, the sample file is judged on its header and
+    digest: a run in which checking a row raises still exits 0, and every
+    artifact keeps its bytes."""
+    from cbfsynth import sampler
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out), modes="uniform, multi")
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    snapshot = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def no_rows(*args):
+        raise AssertionError("sample rows parsed on a warm run")
+
+    monkeypatch.setattr(sampler, "_check_rows", no_rows)
+    loads = _count_checked_loads(monkeypatch)
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert loads == []
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == snapshot
+
+
+@pytest.mark.parametrize("change", ["delete-boundary", "fit-value"])
+def test_pipeline_checks_sample_rows_once_when_a_later_stage_reruns(tmp_path, monkeypatch,
+                                                                    change):
+    """A reused sample file whose boundary or fit stage runs again is loaded
+    with the full row check exactly once, and the run reproduces the bytes
+    a cold run writes."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    if change == "fit-value":
+        cfg.write_text(cfg.read_text().replace("iterations = 40", "iterations = 41"))
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "cold")]) == 0
+        expected = {p.name: p.read_bytes() for p in (tmp_path / "cold").iterdir()}
+        cfg.write_text(cfg.read_text().replace("iterations = 41", "iterations = 40"))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    if change == "delete-boundary":
+        expected = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / "boundary.jsonl").unlink()
+    else:
+        cfg.write_text(cfg.read_text().replace("iterations = 40", "iterations = 41"))
+    loads = _count_checked_loads(monkeypatch)
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert loads == [243]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
 
 
 @pytest.mark.parametrize("edit", [

@@ -324,6 +324,81 @@ _NON_CANONICAL = {
 }
 
 
+def _edit_header(data: bytes, edit) -> bytes:
+    """Apply `edit` to the parsed header and write it back the way
+    `json.dumps` would, so the file stays canonical."""
+    head, rest = data.split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    return json.dumps(header, separators=(",", ":")).encode() + b"\n" + rest
+
+
+def _set_last(key, value):
+    return lambda header: header["checkpoints"][-1].update({key: value(header)})
+
+
+_CHECKPOINT_EDITS = {
+    "other-count": _set_last("n", lambda h: 177147),
+    "reference-summary": lambda h: h["checkpoints"][-1].update(n=177147, J=0.819),
+    "count-as-float": _set_last("n", lambda h: float(h["checkpoints"][-1]["n"])),
+    "J-one-ulp-up": _set_last("J", lambda h: float(np.nextafter(h["checkpoints"][-1]["J"], 2))),
+    "no-checkpoints": lambda h: h.update(checkpoints=[]),
+}
+
+
+@pytest.mark.parametrize("edit", list(_CHECKPOINT_EDITS.values()), ids=list(_CHECKPOINT_EDITS))
+def test_load_rejects_checkpoint_disagreeing_with_rows(tmp_path, di, edit):
+    """The last checkpoint must state the row count and the feasible fraction
+    of the rows, bit for bit, and a header must hold a checkpoint at all:
+    the header alone then tells a file's n and J."""
+    sysm, input_box = di
+    s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=200, delta=0.5,
+                     growth=3.0, seed=5, n_start=243)
+    path = tmp_path / "samples.jsonl"
+    save_samples(s, path)
+    data = path.read_bytes()
+    edited = _edit_header(data, edit)
+    assert edited != data
+    path.write_bytes(edited)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_samples(path)
+
+
+def test_read_header_checks_header_and_hashes_file(tmp_path, di, monkeypatch):
+    """read_header gives the set's header fields and the file's digest, and
+    parses no row; a header load_samples refuses, it refuses too."""
+    sysm, input_box = di
+    s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=200, delta=0.5,
+                     growth=3.0, seed=5, n_start=243)
+    path = tmp_path / "samples.jsonl"
+    digest = save_samples(s, path)
+
+    def no_rows(*args):
+        raise AssertionError("rows parsed")
+
+    monkeypatch.setattr(sampler, "_check_rows", no_rows)
+    monkeypatch.setattr(sampler, "HASH_BLOCK", 100)   # many blocks for a small file
+    head = sampler.read_header(path)
+    assert head.digest == digest
+    assert (head.system_name, head.seed, head.zero_tol, head.history) == \
+        (s.system_name, s.seed, s.zero_tol, s.tracker.history)
+    assert head.bounds.lower.tolist() == s.bounds.lower.tolist()
+    assert head.bounds.upper.tolist() == s.bounds.upper.tolist()
+    assert (head.n, head.jaccard, head.converged) == (len(s), s.tracker.jaccard, s.converged)
+    data = path.read_bytes()
+    edits = [lambda d: d.replace(b'"version":1', b'"version":2'),
+             lambda d: re.sub(rb'"J":[^,}]+', b'"J":NaN', d, count=1),
+             lambda d: re.sub(rb'"seed":\d+', b'"seed":1e400', d),
+             lambda d: d.replace(b'"seed":', b'"seed": ', 1),
+             lambda d: d.split(b"\n", 1)[0],
+             lambda d: b"",
+             lambda d: _edit_header(d, _CHECKPOINT_EDITS["no-checkpoints"])]
+    for edit in edits:
+        path.write_bytes(edit(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            sampler.read_header(path)
+
+
 @pytest.mark.parametrize("edit", list(_NON_CANONICAL.values()), ids=list(_NON_CANONICAL))
 def test_load_rejects_non_canonical(tmp_path, di, edit):
     sysm, input_box = di
