@@ -9,13 +9,12 @@ themselves count as non-feasible witnesses.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import FORMAT_VERSION, SampleClass, SampleSet
+from .sampler import FORMAT_VERSION, SampleClass, SampleSet, _write
 
 Array = np.ndarray
 
@@ -130,10 +129,7 @@ def boundary_bytes(b: BoundarySet) -> bytes:
 
 
 def save_boundary(b: BoundarySet, path) -> str:
-    data = boundary_bytes(b)
-    with open(path, "wb") as f:
-        f.write(data)
-    return hashlib.sha256(data).hexdigest()
+    return _write(path, boundary_bytes(b))
 
 
 def load_boundary(path, dim: int | None = None) -> BoundarySet:

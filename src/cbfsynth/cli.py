@@ -48,6 +48,14 @@ def _matches(path: Path, digest) -> bool:
     return path.exists() and _file_digest(path) == digest
 
 
+def _reusable(out: Path, cached: dict, inputs: dict, outputs: dict) -> bool:
+    """Whether a stage's `stage_state.json` entry `cached` records each of
+    `inputs` (its config hash and input digests) as they are now, and every
+    file named in `outputs` still hashes to the digest recorded for it."""
+    return (all(cached.get(key) == value for key, value in inputs.items())
+            and all(_matches(out / name, digest) for name, digest in outputs.items()))
+
+
 def _load(loader, path: Path, **kwargs):
     """Run an artifact loader; a file it cannot parse fails integrity, not config."""
     try:
@@ -156,8 +164,22 @@ def _stage_fit(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.Boundary
     return results, digests, EXIT_OK
 
 
-def _stage_simulate(cfg: PipelineConfig, out: Path, mode: str,
-                    res: fit.FitResult, cand_checksum: str) -> list[dict]:
+def _plan(cfg: PipelineConfig, res: fit.FitResult) -> list[dict | None]:
+    """Per configured start, None if the simulate stage runs it, or the
+    manifest of a skipped start: one outside the candidate set while
+    `require_safe_start` is on. Skipped starts are not written to disk."""
+    starts = np.array(cfg.simulate["x_init"])
+    h0 = eval_h_stack(res.candidates, _build(cfg)[0].hcf, starts).min(axis=0)
+    skip = cfg.simulate["require_safe_start"] & (h0 < 0.0)
+    return [{"start": x0.tolist(), "skipped": True, "min_h0": h} if sk else None
+            for x0, h, sk in zip(starts, h0, skip)]
+
+
+def _stage_simulate(cfg: PipelineConfig, out: Path, mode: str, res: fit.FitResult,
+                    cand_checksum: str, plan: list[dict | None]
+                    ) -> tuple[list[dict], dict[str, str]]:
+    """Run the closed loop from each start `plan` does not skip; returns the
+    manifests, skipped starts included, and the digest of each file written."""
     sysm, input_box = _build(cfg)
     sp = cfg.simulate
     fc = sim.FilterConfig(alphas=sp["kappa"], input_box=input_box)
@@ -166,29 +188,29 @@ def _stage_simulate(cfg: PipelineConfig, out: Path, mode: str,
                          dt=sp["dt"], kp=sp["kp"], require_safe_start=sp["require_safe_start"],
                          spline_T=None if sp["spline_t"] == "auto" else sp["spline_t"],
                          on_infeasible=sp["on_infeasible"])
-    h0 = eval_h_stack(res.candidates, sysm.hcf, starts).min(axis=0)
-    skip = scfg.require_safe_start & (h0 < 0.0)
-    trajs = iter(sim.simulate_many(starts[~skip], scfg, sysm, res.candidates, fc))
-    manifests = []
-    for idx, x0 in enumerate(starts, start=1):
-        if skip[idx - 1]:
+    ran = [mf is None for mf in plan]
+    trajs = iter(sim.simulate_many(starts[ran], scfg, sysm, res.candidates, fc))
+    manifests, digests = list(plan), {}
+    for idx, (x0, skipped) in enumerate(zip(starts, plan), start=1):
+        if skipped:
             print(f"simulate[{mode}] start {idx} {x0.tolist()}: skipped "
-                  f"(outside candidate set, min h = {h0[idx - 1]:.4g})")
-            manifests.append({"start": x0.tolist(), "skipped": True, "min_h0": h0[idx - 1]})
+                  f"(outside candidate set, min h = {skipped['min_h0']:.4g})")
             continue
         traj = next(trajs)
         rep = sim.check_invariance(traj, res.candidates, sysm.hcf)
-        csv_digest = traj.to_csv(out / f"traj_{mode}_{idx}.csv")
-        manifest = sim.run_manifest(replace(scfg, x_init=x0), traj, rep, cand_checksum, csv_digest)
+        csv_name, run_name = f"traj_{mode}_{idx}.csv", f"run_{mode}_{idx}.json"
+        digests[csv_name] = traj.to_csv(out / csv_name)
+        manifest = sim.run_manifest(replace(scfg, x_init=x0), traj, rep, cand_checksum,
+                                    digests[csv_name])
         manifest.update(mode=mode, skipped=False)
-        sim.save_manifest(manifest, out / f"run_{mode}_{idx}.json")
-        manifests.append(manifest)
+        digests[run_name] = sim.save_manifest(manifest, out / run_name)
+        manifests[idx - 1] = manifest
         active = np.any(traj.filtered_inputs != traj.nominal_inputs, axis=1).sum()
         print(f"simulate[{mode}] start {idx} {x0.tolist()}: steps={len(traj) - 1} "
               f"min_z={rep.min_z:.3e} breaches h/z={rep.h_breach_steps}/{rep.z_breach_steps} "
               f"infeasible={rep.infeasible_steps} filter_active={active} "
               f"terminal={traj.states[-1].round(4).tolist()}")
-    return manifests
+    return manifests, digests
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +249,19 @@ def cmd_simulate(args, cfg: PipelineConfig, out: Path) -> int:
     if not res.feasible or not res.candidates:
         print(f"error: {cand_path} holds no feasible candidates", file=_sys.stderr)
         return EXIT_INFEASIBLE
-    _stage_simulate(cfg, out, doc["mode"], res, _file_digest(cand_path))
+    _stage_simulate(cfg, out, doc["mode"], res, _file_digest(cand_path), _plan(cfg, res))
     return EXIT_OK
 
 
 def _load_stage_state(out: Path) -> dict:
-    path = out / "stage_state.json"
-    if path.exists():
-        try:
-            state = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            return {}
-        if isinstance(state, dict):
-            return {stage: entry for stage, entry in state.items() if isinstance(entry, dict)}
-    return {}
+    try:
+        state = json.loads((out / "stage_state.json").read_text())
+    except (FileNotFoundError, json.JSONDecodeError):
+        return {}
+    # an entry, or its `outputs`, that is not an object is no record at all
+    return ({stage: entry for stage, entry in state.items()
+             if isinstance(entry, dict) and isinstance(entry.get("outputs", {}), dict)}
+            if isinstance(state, dict) else {})
 
 
 def _save_stage_state(out: Path, state: dict) -> None:
@@ -251,13 +272,15 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     """Run sample -> boundary -> fit -> simulate and write the report.
 
     A stage is reused when `stage_state.json` records its config sections,
-    the digests of its inputs and the digest of its output file as they are
-    now. Each artifact is hashed at most once per run. The sample file is
-    judged on its header and digest alone (`sampler.read_header`): the
-    state records a sample digest only after this code sampled and saved
-    the file or fully loaded and checked it, so a match vouches for the
-    rows. They are loaded and checked again only when the boundary or fit
-    stage has to run; the report reads n and J from the header.
+    the digests of its inputs and the digests of its output files as they
+    are now. Each artifact is hashed at most once per run. The state records
+    an output digest only for bytes this code just wrote (or, for the sample
+    file, fully loaded and checked) from these inputs, and every stage is
+    deterministic, so a match vouches for the file. The sample file is
+    judged on its header and digest alone (`sampler.read_header`); its rows
+    are checked again only when the boundary or fit stage runs. A reused
+    simulate stage runs no closed loop: the report reads the run manifests
+    back and recomputes the skipped starts, never written (`_plan`).
     """
     state = _load_stage_state(out)
     new_state: dict = {}
@@ -295,8 +318,8 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     boundary_path = out / "boundary.jsonl"
     boundary_hash = cfg.section_hash("system", "sampling", "boundary")
     cached = state.get("boundary", {})
-    if cached.get("config_hash") == boundary_hash and cached.get("input") == head.digest \
-            and _matches(boundary_path, cached.get("output")):
+    if _reusable(out, cached, {"config_hash": boundary_hash, "input": head.digest},
+                 {boundary_path.name: cached.get("output")}):
         b = _load(bnd.load_boundary, boundary_path, dim=head.bounds.dim)
         boundary_digest = cached["output"]
         print(f"boundary: reusing {boundary_path} ({len(b)} points)")
@@ -313,16 +336,11 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     fit_hash = cfg.section_hash("system", "sampling", "boundary", "fit")
     modes = cfg.fit["modes"]
     cached = state.get("fit", {})
-    outputs = cached.get("outputs")
-    reusable = (cached.get("config_hash") == fit_hash
-                and cached.get("inputs") == checksums
-                and isinstance(outputs, dict)
-                and all(_matches(out / f"candidates_{m}.json", outputs.get(m)) for m in modes))
-    results: dict[str, fit.FitResult] = {}
-    if reusable:
-        for m in modes:
-            results[m], _ = _load(fit.load_fit, out / f"candidates_{m}.json",
-                                  dim=head.bounds.dim)
+    outputs = cached.get("outputs", {})
+    if _reusable(out, cached, {"config_hash": fit_hash, "inputs": checksums},
+                 {f"candidates_{m}.json": outputs.get(m) for m in modes}):
+        results = {m: _load(fit.load_fit, out / f"candidates_{m}.json", dim=head.bounds.dim)[0]
+                   for m in modes}
         digests = {m: outputs[m] for m in modes}
         print(f"fit: reusing candidates for modes {modes}")
     else:
@@ -332,13 +350,28 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
             return code
     new_state["fit"] = {"config_hash": fit_hash, "inputs": checksums, "outputs": digests}
 
-    # simulate stage (always re-run; cheap and deterministic)
-    all_manifests = {mode: _stage_simulate(cfg, out, mode, results[mode], digests[mode])
-                     for mode in modes}
-    new_state["simulate"] = {"config_hash": cfg.section_hash(*_SCHEMA_ALL),
-                             "modes": modes}
+    # simulate stage
+    sim_hash = cfg.section_hash(*_SCHEMA_ALL)
+    cached = state.get("simulate", {})
+    outputs = cached.get("outputs", {})
+    plans = {m: _plan(cfg, results[m]) for m in modes}
+    files = {name: outputs.get(name) for m, plan in plans.items()
+             for idx, mf in enumerate(plan, start=1) if mf is None
+             for name in (f"traj_{m}_{idx}.csv", f"run_{m}_{idx}.json")}
+    manifests: dict[str, list[dict]] = {}
+    if _reusable(out, cached, {"config_hash": sim_hash, "inputs": digests}, files):
+        for m, plan in plans.items():
+            manifests[m] = [mf or _load(sim.load_manifest, out / f"run_{m}_{idx}.json")
+                            for idx, mf in enumerate(plan, start=1)]
+            print(f"simulate[{m}]: reusing the runs of {plan.count(None)} of {len(plan)} starts")
+    else:
+        files = {}
+        for m, plan in plans.items():
+            manifests[m], written = _stage_simulate(cfg, out, m, results[m], digests[m], plan)
+            files.update(written)
+    new_state["simulate"] = {"config_hash": sim_hash, "inputs": digests, "outputs": files}
 
-    _write_report(cfg, out, head, b, results, all_manifests)
+    _write_report(cfg, out, head, b, results, manifests)
     _save_stage_state(out, new_state)
     print(f"report -> {out / 'report.md'}")
     return EXIT_OK
@@ -401,7 +434,7 @@ def _write_report(cfg: PipelineConfig, out: Path, head: smp.SampleHeader, b: bnd
         row(f"closed-loop safety [{m}]",
             f"{len(ran)} runs, {skipped} skipped, breaches = {breaches}, "
             f"infeasible steps = {infeas}",
-            "zero breaches and infeasible steps", breaches == 0 and infeas == 0)
+            "zero breaches and infeasible steps", bool(ran) and breaches == infeas == 0)
         if ref and m == "multi" and ran:
             worst = max(abs(mf["terminal_state"][0]) for mf in ran)
             row("terminal position error [multi]", f"{worst:.4f}", "<= 0.5", worst <= 0.5)

@@ -33,7 +33,6 @@ process. Results and search counts do not depend on the worker count.
 from __future__ import annotations
 
 import json
-import hashlib
 import math
 import warnings
 from collections import Counter
@@ -46,7 +45,7 @@ import numpy as np
 from . import parallel
 from .boundary import BoundarySet
 from .qp import max_over_box
-from .sampler import SampleClass, SampleSet
+from .sampler import SampleClass, SampleSet, _finite_json, _write
 from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
                      eval_h_batch, eval_h_stack, identity_candidate,
                      stack_candidates)
@@ -855,22 +854,14 @@ def save_fit(res: FitResult, path, cfg: FitConfig | None = None,
              source_checksums: dict[str, str] | None = None) -> str:
     data = (json.dumps(fit_result_dict(res, cfg, source_checksums),
                        separators=(",", ":"), sort_keys=False) + "\n").encode()
-    with open(path, "wb") as f:
-        f.write(data)
-    return hashlib.sha256(data).hexdigest()
+    return _write(path, data)
 
 
 def load_fit(path, dim: int | None = None) -> tuple[FitResult, dict]:
     """Read a stored fit; returns the result plus the raw document. Non-finite
     numbers, and with `dim` candidates of another width, raise ValueError."""
-    def finite(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: non-finite number {text}")
-        return value
-
     with open(path, "rb") as f:
-        doc = json.loads(f.read().decode(), parse_float=finite, parse_constant=finite)
+        doc = _finite_json(f.read())
     if doc.get("version") != FIT_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported fit file version")
     cands = [CbfCandidate(np.array(c["scale"]), np.array(c["shift"]), c["offset"])

@@ -261,10 +261,7 @@ def canonical_bytes(s: SampleSet) -> bytes:
 
 def save_samples(s: SampleSet, path) -> str:
     """Write the set; returns the content digest, which the set keeps."""
-    data = canonical_bytes(s)
-    with open(path, "wb") as f:
-        f.write(data)
-    s._digest = hashlib.sha256(data).hexdigest()
+    s._digest = _write(path, canonical_bytes(s))
     return s._digest
 
 
@@ -335,6 +332,26 @@ def _sha256(f, sha=None) -> str:
     return sha.hexdigest()
 
 
+def _write(path, data: bytes) -> str:
+    """Write an artifact's bytes; returns their sha256, so none is read back to be hashed."""
+    with open(path, "wb") as f:
+        f.write(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _finite_json(data: bytes):
+    """`json.loads` that raises ValueError for a non-finite number: `NaN`,
+    `Infinity`, or a literal such as 1e400 that overflows."""
+    def refuse(text: str):
+        raise ValueError(f"non-finite number {text}")
+
+    def number(text: str) -> float:
+        value = float(text)
+        return value if math.isfinite(value) else refuse(text)
+
+    return json.loads(data, parse_constant=refuse, parse_float=number)
+
+
 def _parse_header(line: bytes) -> SampleHeader:
     """Parse and check a sample file's first line, newline included.
 
@@ -345,15 +362,7 @@ def _parse_header(line: bytes) -> SampleHeader:
     """
     if not line.rstrip(b"\n"):
         raise ValueError("empty sample file")
-
-    def refuse(text: str):
-        raise ValueError(f"non-finite number {text} in the header")
-
-    def number(text: str) -> float:
-        value = float(text)
-        return value if math.isfinite(value) else refuse(text)
-
-    header = json.loads(line, parse_constant=refuse, parse_float=number)
+    header = _finite_json(line)
     version = header.get("version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported sample file version {version}")

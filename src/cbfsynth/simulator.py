@@ -11,13 +11,13 @@ the run.
 from __future__ import annotations
 
 import json
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .qp import QpProblem, QpStatus, solve_box_qp
+from .sampler import _finite_json, _write
 from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel, eval_h_stack,
                      stack_candidates)
 
@@ -41,9 +41,6 @@ class FilterConfig:
         if any(a <= 0 for a in alphas):
             raise ValueError("class-K gains must be positive")
         object.__setattr__(self, "alphas", alphas)
-
-    def gain(self, j: int) -> float:
-        return self.alphas[j % len(self.alphas)]
 
 
 def horizon_steps(horizon: float, dt: float) -> int:
@@ -102,10 +99,7 @@ class Trajectory:
                                  self.filtered_inputs, self.h_values, self.z_values])
         lines = [",".join(cols)] + [",".join(map(repr, row)) + "," + status
                                     for row, status in zip(table.tolist(), self.qp_statuses)]
-        data = ("\n".join(lines) + "\n").encode()
-        with open(path, "wb") as f:
-            f.write(data)
-        return hashlib.sha256(data).hexdigest()
+        return _write(path, ("\n".join(lines) + "\n").encode())
 
 
 def reference_spline(x_init: Array, x_goal: Array, T: float,
@@ -351,7 +345,16 @@ def run_manifest(cfg: SimConfig, traj: Trajectory, report: InvarianceReport,
     }
 
 
-def save_manifest(manifest: dict, path) -> None:
-    with open(path, "w") as f:
-        json.dump(manifest, f, separators=(",", ":"))
-        f.write("\n")
+def save_manifest(manifest: dict, path) -> str:
+    """Write a run manifest as compact JSON; returns the sha256 of the bytes written."""
+    return _write(path, (json.dumps(manifest, separators=(",", ":")) + "\n").encode())
+
+
+def load_manifest(path) -> dict:
+    """Read a manifest `save_manifest` wrote. A non-finite number, or a
+    document that is not a JSON object, raises ValueError."""
+    with open(path, "rb") as f:
+        doc = _finite_json(f.read())
+    if not isinstance(doc, dict):
+        raise ValueError("not a run manifest")
+    return doc

@@ -70,13 +70,10 @@ class HardConstraint:
     """State-only constraint z(x) >= 0 with its gradient dz/dx (a length-n row vector).
 
     `value` maps (..., n) -> (...) and `gradient` maps (..., n) -> (..., n).
-    `smooth_at`, when given, marks states where z is differentiable; finite
-    difference checks skip the complement (e.g. an indicator switching surface).
     """
 
     value: Callable[[Array], Array]
     gradient: Callable[[Array], Array]
-    smooth_at: Callable[[Array], Array] | None = None
 
 
 @dataclass(frozen=True)
@@ -213,10 +210,6 @@ def make_double_integrator(gamma1: float, gamma2: float) -> SystemModel:
         grad[..., 1] = -gamma2 * (vel > 0)
         return grad
 
-    def smooth_at(state: Array) -> Array:
-        # differentiable away from the indicator switch v = 0
-        return np.asarray(state, dtype=float)[..., 1] != 0.0
-
     def drift(state: Array) -> Array:
         state = np.asarray(state, dtype=float)
         out = np.zeros(state.shape, dtype=float)
@@ -229,7 +222,7 @@ def make_double_integrator(gamma1: float, gamma2: float) -> SystemModel:
         out[..., 1, 0] = 1.0
         return out
 
-    hcf = HardConstraint(value=value, gradient=gradient, smooth_at=smooth_at)
+    hcf = HardConstraint(value=value, gradient=gradient)
     return SystemModel(n=2, m=1, drift=drift, actuation=actuation, hcf=hcf,
                        name="double_integrator")
 

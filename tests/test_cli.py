@@ -192,7 +192,8 @@ def test_later_stage_values_rejected_at_parse(tmp_path, capsys, key):
 def test_dry_run_and_simulate_load_no_scipy(tmp_path):
     """Only boundary extraction, the fit and an infeasible QP's phase-1 LP
     use scipy. A fresh process that imports the package, checks the config
-    with a dry run and simulates fitted candidates never loads it."""
+    with a dry run, simulates fitted candidates and runs a pipeline that
+    reuses every stage never loads it."""
     cfg = tiny_config(tmp_path, out=str(tmp_path / "out"))
     assert main(["pipeline", "--config", str(cfg)]) == 0
     out = run_fresh("""
@@ -209,10 +210,15 @@ def test_dry_run_and_simulate_load_no_scipy(tmp_path):
         loaded["dry-run"] = scipy()
         assert main(["simulate", "--config", sys.argv[1]]) == 0
         loaded["simulate"] = scipy()
+        assert main(["pipeline", "--config", sys.argv[1]]) == 0
+        loaded["pipeline"] = scipy()
         print(json.dumps(loaded))
     """, str(cfg))
     assert "simulate[uniform] start 1" in out
-    assert json.loads(out.splitlines()[-1]) == {"import": [], "dry-run": [], "simulate": []}
+    for stage in ("sample", "boundary", "fit", "simulate[uniform]"):
+        assert f"\n{stage}: reusing " in out, stage
+    assert json.loads(out.splitlines()[-1]) == {"import": [], "dry-run": [], "simulate": [],
+                                                "pipeline": []}
 
 
 def test_zero_horizon_rejected_at_parse(tmp_path, capsys):
@@ -671,3 +677,139 @@ def test_simulate_line_reports_filter_active(tmp_path, capsys):
     active = sum(float(r.split(",")[nominal]) != float(r.split(",")[applied]) for r in rows)
     assert int(m.group(1)) == active > 0
     assert "filter_active" not in (out / "run_uniform_1.json").read_text()
+
+
+
+def _count_closed_loops(monkeypatch) -> list[int]:
+    """Count the starts each `simulator.simulate_many` call runs."""
+    from cbfsynth import simulator
+    calls = []
+    original = simulator.simulate_many
+
+    def counting(starts, *args, **kwargs):
+        calls.append(len(starts))
+        return original(starts, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "simulate_many", counting)
+    return calls
+
+
+def _forbid_fit_and_rows(monkeypatch):
+    """Make fitting any mode or checking a sample row raise."""
+    from cbfsynth import fitter, sampler
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a reused stage ran")
+
+    for mode in ("uniform", "nonuniform", "multi"):
+        monkeypatch.setattr(fitter, f"fit_{mode}", forbidden)
+    monkeypatch.setattr(sampler, "_check_rows", forbidden)
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_warm_pipeline_runs_no_closed_loop(tmp_path, monkeypatch, capsys):
+    """With every stage reused the closed loop never runs: a run in which
+    simulating raises exits 0, prints one reusing line per mode, and every
+    file in the output directory keeps its bytes."""
+    from cbfsynth import simulator
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out), modes="uniform, multi")
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    snapshot = _files(out)
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("closed loop ran on a warm run")
+
+    monkeypatch.setattr(simulator, "simulate_many", no_runs)
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    stdout = capsys.readouterr().out
+    lines = [ln for ln in stdout.splitlines() if ln.startswith("simulate[")]
+    assert lines == [f"simulate[{m}]: reusing the runs of 1 of 1 starts"
+                     for m in ("uniform", "multi")]
+    assert "filter_active=" not in stdout
+    assert _files(out) == snapshot
+
+
+@pytest.mark.parametrize("change", ["tamper-trajectory", "delete-manifest"])
+def test_pipeline_reruns_simulate_on_changed_run_file(tmp_path, monkeypatch, capsys, change):
+    """A trajectory or manifest that no longer hashes to its recorded digest
+    re-runs the simulate stage alone, which restores every byte."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    snapshot = _files(out)
+    if change == "tamper-trajectory":
+        (out / "traj_uniform_1.csv").write_bytes(snapshot["traj_uniform_1.csv"] + b"\n")
+    else:
+        (out / "run_uniform_1.json").unlink()
+    _forbid_fit_and_rows(monkeypatch)
+    calls = _count_closed_loops(monkeypatch)
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    stdout = capsys.readouterr().out
+    for stage in ("sample", "boundary", "fit"):
+        assert re.search(rf"^{stage}: reusing ", stdout, re.M), stage
+    assert calls == [1]
+    assert _files(out) == snapshot
+
+
+def test_simulate_setting_reruns_only_simulate(tmp_path, monkeypatch):
+    """Editing a [simulate] value re-runs the closed loop without refitting,
+    and writes what a cold run with the new value writes."""
+    out, cold = tmp_path / "out", tmp_path / "cold"
+    cfg = tiny_config(tmp_path, out=str(out))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    cfg.write_text(cfg.read_text().replace("horizon = 0.5", "horizon = 0.5\nkp = 7.0"))
+    assert main(["pipeline", "--config", str(cfg), "--out", str(cold)]) == 0
+    _forbid_fit_and_rows(monkeypatch)
+    calls = _count_closed_loops(monkeypatch)
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert calls == [1]
+    assert _files(out) == _files(cold)
+    assert json.loads((out / "run_uniform_1.json").read_text())["config"]["kp"] == 7.0
+
+
+@pytest.mark.parametrize("x_init", ["-9, -30; -1, 35", "-1, 35"],
+                         ids=["one-skipped", "all-skipped"])
+def test_warm_pipeline_reproduces_skipped_starts(tmp_path, monkeypatch, x_init):
+    """A start outside the fitted set is skipped and writes no file; the
+    warm run recomputes it from h at the starts and writes the same report.
+    A closed-loop row with no run behind it shows nothing, so it reads FAIL,
+    with the same measured and target text as a passing row."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    cfg.write_text(cfg.read_text().replace("x_init = -9, -30", f"x_init = {x_init}"))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    runs = 1 if x_init.startswith("-9") else 0
+    assert len(list(out.glob("run_*.json"))) == runs
+    row = (f"| closed-loop safety [uniform] | {runs} runs, 1 skipped, breaches = 0, "
+           f"infeasible steps = 0 | zero breaches and infeasible steps | "
+           f"{'pass' if runs else 'FAIL'} |")
+    assert row in (out / "report.md").read_text().splitlines()
+    snapshot = _files(out)
+    calls = _count_closed_loops(monkeypatch)
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert calls == []
+    assert _files(out) == snapshot
+
+
+def test_pipeline_upgrades_simulate_state_without_digests(tmp_path, monkeypatch):
+    """A simulate entry that records only its config hash and modes, as
+    written before run digests were kept, re-runs the simulate stage alone."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out), modes="uniform, multi")
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    snapshot = _files(out)
+    state = json.loads(snapshot["stage_state.json"])
+    state["simulate"] = {"config_hash": state["simulate"]["config_hash"],
+                         "modes": ["uniform", "multi"]}
+    (out / "stage_state.json").write_text(json.dumps(state, indent=1, sort_keys=True) + "\n")
+    _forbid_fit_and_rows(monkeypatch)
+    calls = _count_closed_loops(monkeypatch)
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert calls == [1, 1]
+    assert _files(out) == snapshot

@@ -113,7 +113,7 @@ def test_filter_idempotent_off_constraint(di, fc):
         for j, c in enumerate(cands):
             grad = sysm.hcf.gradient(x * c.scale + c.shift) * c.scale
             hdot = grad @ (sysm.drift(x) + sysm.actuation(x) @ np.array([u_nom]))
-            slacks.append(hdot + fc2.gain(j) * eval_h_batch(c, sysm.hcf, x))
+            slacks.append(hdot + fc2.alphas[j % len(fc2.alphas)] * eval_h_batch(c, sysm.hcf, x))
         if min(slacks) < 1e-9:
             continue
         checked += 1
@@ -165,7 +165,7 @@ def test_filter_many_clamp_matches_scalar_rule_bit_for_bit(di, fc):
         hs = [sysm.hcf.value(x[i] * c.scale + c.shift) + c.offset for c in cands]
         assert h[i].tolist() == hs
         want = _scalar_clamp([gr @ sysm.actuation(x[i])[:, 0] for gr in grads],
-                             [-fc3.gain(j) * hj - gr @ sysm.drift(x[i])
+                             [-fc3.alphas[j % len(fc3.alphas)] * hj - gr @ sysm.drift(x[i])
                               for j, (gr, hj) in enumerate(zip(grads, hs))],
                              float(u_nom[i, 0]), fc3.input_box)
         if want is not None:
@@ -209,7 +209,7 @@ def test_filter_two_inputs_matches_grid_oracle():
             grad_h = sysm.hcf.gradient(x * c.scale + c.shift) * c.scale
             h = sysm.hcf.value(x * c.scale + c.shift) + c.offset
             rows[j] = grad_h @ sysm.actuation(x)
-            rhs[j] = -fc.gain(j) * h - grad_h @ sysm.drift(x)
+            rhs[j] = -fc.alphas[j % len(fc.alphas)] * h - grad_h @ sysm.drift(x)
         status, best = grid_oracle(QpProblem(hessian=2.0 * np.eye(2), linear=-2.0 * u_nom,
                                              ineq_rows=rows, ineq_rhs=rhs, box=box,
                                              constant=u_nom @ u_nom))
