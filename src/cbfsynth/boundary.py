@@ -9,6 +9,7 @@ themselves count as non-feasible witnesses.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -59,6 +60,63 @@ def auto_epsilon(s: SampleSet) -> float:
     return 2.0 * (1.0 / n_samples) ** (1.0 / n_eff)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """ValueError unless the neighborhood radius is positive."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+
+
+def _rank(table: Array, values: Array) -> Array:
+    """Index of each value in the sorted unique `table`, -1 where it is absent."""
+    pos = np.minimum(np.searchsorted(table, values), table.size - 1)
+    return np.where(table[pos] == values, pos, -1)
+
+
+def _has_neighbor(queries: Array, points: Array, epsilon: float,
+                  same: bool = False) -> Array:
+    """Per query row, whether a row of `points` (another row, if `same`: one
+    array) lies within `epsilon`. Cells of side epsilon are widened by 2^-40
+    of epsilon and of the largest coordinate, so rounding never puts a pair
+    within epsilon two cells apart; a cell id folds in one axis rank at a time
+    and re-ranks, so no key exceeds N^2. A query visits its own cell, then its
+    neighbors, a point at a time, and stops at its first witness: O(N) memory."""
+    found = np.zeros(len(queries), dtype=bool)
+    if not len(queries) or not len(points):
+        return found
+    reach = max(np.abs(queries).max(), np.abs(points).max())
+    side = epsilon * (1.0 + 2.0 ** -40) + reach * 2.0 ** -40
+    cell_p, cell_q = (np.floor(x / side).astype(np.int64) for x in (points, queries))
+    tables = []           # per axis: occupied cell coordinates, occupied id prefixes
+    cell_id = np.zeros(len(points), dtype=np.int64)
+    for k in range(points.shape[1]):
+        coords, rank = np.unique(cell_p[:, k], return_inverse=True)
+        prefixes, cell_id = np.unique(cell_id * coords.size + rank, return_inverse=True)
+        tables.append((coords, prefixes))
+    counts = np.bincount(cell_id)
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(cell_id, kind="stable")
+    for offset in itertools.product((0, -1, 1), repeat=len(tables)):   # own cell first
+        todo = np.flatnonzero(~found)
+        key = np.zeros(todo.size, dtype=np.int64)
+        for k, (coords, prefixes) in enumerate(tables):
+            rank = _rank(coords, cell_q[todo, k] + offset[k])
+            key = np.where(rank >= 0, _rank(prefixes, key * coords.size + rank), -1)
+            todo, key = todo[key >= 0], key[key >= 0]
+        first, count, t = starts[key], counts[key], 0
+        while todo.size:
+            j = order[first + t]
+            diff = queries[todo] - points[j]
+            sq = diff[:, 0] * diff[:, 0]   # summed in axis order, as a KD-tree sums < 8 axes
+            for k in range(1, diff.shape[1]):
+                sq += diff[:, k] * diff[:, k]
+            hit = (np.sqrt(sq) <= epsilon) & ((j != todo) if same else True)
+            found[todo[hit]] = True
+            t += 1
+            keep = ~hit & (count > t)
+            todo, first, count = todo[keep], first[keep], count[keep]
+    return found
+
+
 def extract_boundary(s: SampleSet, epsilon: float,
                      box_face_is_boundary: bool = False) -> BoundarySet:
     """Feasible samples with both a feasible and a non-feasible epsilon-neighbor.
@@ -66,10 +124,12 @@ def extract_boundary(s: SampleSet, epsilon: float,
     With `box_face_is_boundary`, proximity to a sampling-box face substitutes
     for the non-feasible witness. An empty result is returned with a warning
     flag rather than raised.
+
+    Neighbors come from a cell grid (Bentley, Stanat & Williams, 1977) in
+    numpy alone. It is exact: pairs within epsilon lie in neighboring cells,
+    and each pair gets a KD-tree's test, sqrt(sum of squares) <= epsilon.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    from scipy.spatial import cKDTree   # here, so that importing the package loads no scipy
+    _check_epsilon(epsilon)
     feas_mask = s.class_mask(SampleClass.FEASIBLE)
     feas_idx = np.flatnonzero(feas_mask)
     checksum = s.checksum()
@@ -78,27 +138,12 @@ def extract_boundary(s: SampleSet, epsilon: float,
 
     norm = normalize_states(s, s.states)
     feas_pts = norm[feas_idx]
-
-    if feas_idx.size >= 2:
-        feas_tree = cKDTree(feas_pts)
-        d_feas = feas_tree.query(feas_pts, k=2)[0][:, 1]
-        has_y1 = d_feas <= epsilon
-    else:
-        has_y1 = np.zeros(feas_idx.size, dtype=bool)
-
-    other_pts = norm[~feas_mask]
-    if other_pts.shape[0]:
-        d_other = cKDTree(other_pts).query(feas_pts, k=1)[0]
-        has_y2 = d_other <= epsilon
-    else:
-        has_y2 = np.zeros(feas_idx.size, dtype=bool)
-
-    if box_face_is_boundary:
-        face_dist = np.minimum(feas_pts, 1.0 - feas_pts).min(axis=1)
-        has_y2 |= face_dist <= epsilon
-
-    keep = has_y1 & has_y2
-    points = s.states[feas_idx[keep]]
+    has_y1 = _has_neighbor(feas_pts, feas_pts, epsilon, same=True)
+    near_face = np.minimum(feas_pts, 1.0 - feas_pts).min(axis=1) <= epsilon
+    has_y2 = near_face & box_face_is_boundary
+    ask = has_y1 & ~has_y2     # a witness matters only where the other is there
+    has_y2[ask] = _has_neighbor(feas_pts[ask], norm[~feas_mask], epsilon)
+    points = s.states[feas_idx[has_y1 & has_y2]]
     return BoundarySet(points, float(epsilon), checksum, empty_warning=points.shape[0] == 0)
 
 

@@ -23,7 +23,9 @@ from typing import Any
 
 import numpy as np
 
+from .boundary import _check_epsilon
 from .fitter import MODES, FitConfig
+from .sampler import _check_schedule
 from .simulator import horizon_steps
 from .system import BoxSet, build_system
 
@@ -268,16 +270,16 @@ def parse_config(text: str) -> PipelineConfig:
 
 def _validate(typed: dict[str, dict[str, Any]]) -> None:
     samp = typed["sampling"]
-    if samp["lower"].size != samp["upper"].size:
-        raise ConfigError("sampling lower/upper dimensions differ")
-    if np.any(samp["lower"] > samp["upper"]):
-        raise ConfigError("sampling lower exceeds upper")
-    if not 0.0 < samp["delta"] <= 1.0:
-        raise ConfigError("sampling delta must lie in (0, 1]")
-    if samp["growth"] <= 1.0:
-        raise ConfigError("sampling growth must exceed 1")
-    if samp["n_start"] < 1:
-        raise ConfigError("sampling n_start must be at least 1")
+    try:
+        BoxSet(samp["lower"], samp["upper"])
+        _check_schedule(samp["n_min"], samp["delta"], samp["growth"], samp["n_start"])
+    except ValueError as exc:
+        raise ConfigError(f"sampling: {exc}") from None
+    if typed["boundary"]["epsilon"] != "auto":
+        try:
+            _check_epsilon(typed["boundary"]["epsilon"])
+        except ValueError as exc:
+            raise ConfigError(f"boundary: {exc}") from None
     if samp["zero_tol"] != "auto" and samp["zero_tol"] < 0:
         raise ConfigError("sampling zero_tol must be nonnegative or auto")
     modes = typed["fit"]["modes"]
@@ -288,11 +290,8 @@ def _validate(typed: dict[str, dict[str, Any]]) -> None:
         raise ConfigError("simulate on_infeasible must be continue or stop")
     if not sim["x_init"]:
         raise ConfigError("simulate x_init must list at least one state")
-    for x0 in sim["x_init"]:
-        if x0.size != samp["lower"].size:
-            raise ConfigError("simulate x_init dimension differs from sampling bounds")
-    if sim["x_goal"].size != samp["lower"].size:
-        raise ConfigError("simulate x_goal dimension differs from sampling bounds")
+    if any(x.size != samp["lower"].size for x in sim["x_init"] + [sim["x_goal"]]):
+        raise ConfigError("simulate x_init and x_goal must have the sampling bounds' dimension")
     if sim["kp"] <= 0:
         raise ConfigError("simulate kp must be positive")
     if min(sim["kappa"]) <= 0:

@@ -19,8 +19,9 @@ size over the integration region V:
 
 The decision spaces are tiny, so the search is Nelder-Mead on a penalized
 objective with structured and random restarts, followed by a coordinate-wise
-golden-section polish. One driver runs all three programs from a per-mode
-table. Incumbents are accepted only when hard-feasible on the full sample set.
+golden-section polish; the Nelder-Mead is this module's own, so the fit needs
+numpy alone. One driver runs all three programs from a per-mode table.
+Incumbents are accepted only when hard-feasible on the full sample set.
 
 The restarts are independent tasks. The driver makes every random draw up
 front, in the order a search running one restart after another would make
@@ -36,7 +37,8 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from contextlib import suppress
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -495,13 +497,61 @@ def _hard_feasible(ctx: _SearchContext, mode: _Mode,
     return True, obj, ""
 
 
+class _EvaluationCap(Exception):
+    """Nelder-Mead's evaluation cap is reached."""
+
+
 def _nelder_mead(fun, x0: Array, steps: Array, maxiter: int) -> Array:
-    from scipy.optimize import minimize   # imported by _fit before the workers fork
-    simplex = np.vstack([x0] + [x0 + steps * np.eye(x0.size)[i] for i in range(x0.size)])
-    res = minimize(fun, x0, method="Nelder-Mead",
-                   options={"initial_simplex": simplex, "maxiter": maxiter,
-                            "maxfev": 4 * maxiter, "xatol": 1e-10, "fatol": 1e-12})
-    return res.x
+    """Nelder-Mead (Nelder & Mead, 1965) from the simplex x0, x0 + steps_i e_i:
+    step for step scipy 1.17.1's with that simplex, no bounds, maxfev 4 maxiter,
+    xatol 1e-10 and fatol 1e-12, in its arithmetic and reorderings, stopping at
+    the evaluation cap in mid-iteration. `fun` gets a copy of each point."""
+    n = x0.size
+    sim = np.vstack([x0] + [x0 + steps * np.eye(n)[i] for i in range(n)])
+    fsim, calls, iterations = np.full(n + 1, np.inf), 0, 1
+
+    def f(x):
+        nonlocal calls
+        if calls >= 4 * maxiter:
+            raise _EvaluationCap
+        calls += 1
+        return fun(np.copy(x))
+
+    def order(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    with suppress(_EvaluationCap):
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    sim, fsim = order(*order(sim, fsim))
+    while calls < 4 * maxiter and iterations < maxiter:
+        with suppress(_EvaluationCap):
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-10
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:   # contract outside the simplex if xr beats the worst, else inside
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr if outside else fxc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:   # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        sim, fsim = order(sim, fsim)
+    return sim[0]
 
 
 def _golden_polish(fun, x: Array, steps: Array, rounds: int = 2) -> Array:
@@ -621,12 +671,9 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
     in this process where that is one. Their offers are replayed in
     restart order: the accepted candidate with the largest objective is
     kept, the first on ties, so neither the result nor the counts depend on
-    the worker count.
-
-    scipy's optimizer is imported here, in this process, so that the
-    workers inherit it instead of each importing it after the fork.
+    the worker count. The search needs numpy alone, so the workers import
+    nothing after the fork.
     """
-    import scipy.optimize  # noqa: F401
     mode = _MODES[name]
     ctx = _SearchContext(s, b, sys, input_box, replace(cfg, mode=name))
     cfg = ctx.cfg
@@ -825,12 +872,7 @@ def fit_result_dict(res: FitResult, cfg: FitConfig | None = None,
             for c in res.candidates
         ],
         "objective_value": res.objective_value,
-        "verification": {
-            "containment_fraction": res.verification.containment_fraction,
-            "boundary_cbf_feasible_fraction": res.verification.boundary_cbf_feasible_fraction,
-            "prop2_feasible_fraction": res.verification.prop2_feasible_fraction,
-            "empty_warning": res.verification.empty_warning,
-        },
+        "verification": asdict(res.verification),
         "redundancy": [[i, j, bool(flag)] for i, j, flag in res.redundancy_flags],
         "diagnostics": res.diagnostics,
     }
@@ -868,16 +910,12 @@ def load_fit(path, dim: int | None = None) -> tuple[FitResult, dict]:
              for c in doc["candidates"]]
     if dim is not None and any(c.dim != dim for c in cands):
         raise ValueError(f"{path}: candidates are not {dim} wide")
-    ver = doc["verification"]
-    res = FitResult(
+    return FitResult(
         candidates=cands,
         objective_value=float(doc["objective_value"]),
-        verification=VerificationReport(
-            ver["containment_fraction"], ver["boundary_cbf_feasible_fraction"],
-            ver["prop2_feasible_fraction"], ver.get("empty_warning", False)),
+        verification=VerificationReport(**doc["verification"]),
         redundancy_flags=[(int(i), int(j), bool(f)) for i, j, f in doc["redundancy"]],
         mode=doc["mode"],
         feasible=bool(doc["feasible"]),
         diagnostics=doc.get("diagnostics", ""),
-    )
-    return res, doc
+    ), doc

@@ -7,8 +7,10 @@ since a plant's value and gradient are closures; only the items and the
 results cross between processes.
 
 The workers inherit the modules the parent has imported, and only those. A
-module that a task imports lazily (as the fit does scipy's optimizer) must
-be imported before `fork_map` is called, or every worker imports it again.
+module that a task imports lazily (as `qp` imports scipy's LP solver on its
+first infeasible problem) must be imported before `fork_map` is called, or
+every worker imports it again. Neither the fit's restarts nor the loader's
+chunks import one.
 """
 
 from __future__ import annotations

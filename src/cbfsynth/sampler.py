@@ -164,6 +164,16 @@ def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
     return labels, residuals
 
 
+def _check_schedule(n_min: int, delta: float, growth: float, n_start: int) -> None:
+    """ValueError unless `run_sampling`'s growth schedule can start and stop."""
+    if min(n_min, n_start) < 1:
+        raise ValueError("n_min and n_start must be at least 1")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    if growth <= 1.0:
+        raise ValueError("growth must exceed 1")
+
+
 def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
                  n_min: int, delta: float, growth: float, seed: int,
                  n_start: int = 243, n_max: int = 2_000_000,
@@ -174,12 +184,7 @@ def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
     checkpoint with n >= n_min and |J_k - J_{k-1}| <= delta; exceeding n_max
     returns the data collected so far with `converged` set to False.
     """
-    if n_min < 1:
-        raise ValueError("n_min must be >= 1")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    if growth <= 1.0:
-        raise ValueError("growth must exceed 1")
+    _check_schedule(n_min, delta, growth, n_start)
     rng = np.random.Generator(np.random.Philox(key=seed))
     tracker = JaccardTracker()
     chunks_states, chunks_labels, chunks_res = [], [], []

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from cbfsynth.boundary import (BoundarySet, auto_epsilon, boundary_bytes,
-                               extract_boundary, load_boundary, save_boundary)
+from cbfsynth.boundary import (BoundarySet, _has_neighbor, auto_epsilon, boundary_bytes,
+                               extract_boundary, load_boundary, normalize_states,
+                               save_boundary)
 from cbfsynth.sampler import JaccardTracker, SampleClass, SampleSet
 from cbfsynth.sampler import _CLASS_CODE  # stable code mapping used in files
 from cbfsynth.system import BoxSet
@@ -96,6 +98,69 @@ def test_monotone_in_epsilon():
         pts = {tuple(p) for p in extract_boundary(s, eps).points}
         assert prev <= pts
         prev = pts
+
+
+def _kdtree_has_neighbor(queries, points, eps, same=False):
+    """The oracle: a KD-tree's nearest distance other than the query itself."""
+    if len(points) < 1 + same:
+        return np.zeros(len(queries), dtype=bool)
+    return cKDTree(points).query(queries, k=1 + same)[0].reshape(len(queries), -1)[:, -1] <= eps
+
+
+def _kdtree_boundary(s, eps, box_face_is_boundary):
+    """Boundary rows of `s` from KD-tree nearest distances."""
+    feas = s.class_mask(F)
+    norm = normalize_states(s, s.states)
+    y1 = _kdtree_has_neighbor(norm[feas], norm[feas], eps, same=True)
+    y2 = _kdtree_has_neighbor(norm[feas], norm[~feas], eps)
+    if box_face_is_boundary:
+        y2 |= np.minimum(norm[feas], 1.0 - norm[feas]).min(axis=1) <= eps
+    return s.states[np.flatnonzero(feas)[y1 & y2]]
+
+
+def _point_sets(dim, rng):
+    """Random feasible / other sets: uniform, on a lattice of pitch 1/8 (pairs
+    exactly 1/8 apart on an axis, and some duplicated), one feasible point,
+    and no other point."""
+    lattice = rng.integers(0, 9, size=(300, dim)) / 8.0
+    yield rng.uniform(size=(300, dim)), rng.uniform(size=(200, dim))
+    yield np.vstack([lattice, lattice[:50]]), rng.integers(0, 9, size=(100, dim)) / 8.0
+    yield lattice[:1], lattice[1:]
+    yield rng.uniform(size=(300, dim)), np.zeros((0, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_grid_neighbors_match_kdtree(dim):
+    """The cell-grid neighbor test gives a KD-tree's masks, within the
+    feasible set and against the other set, at every radius: 1e-12 (a grid
+    of more than 2^63 cells in 2 or more axes, so no linear cell key), 1e-300
+    (cell coordinates beyond int64 unless the cells are widened), radii that
+    pairs on the 1/8 lattice meet exactly, and one wider than the box."""
+    rng = np.random.default_rng(40 + dim)
+    for feas, other in _point_sets(dim, rng):
+        for eps in (1e-300, 1e-12, 0.01, 0.1, 0.125, 0.125 * np.sqrt(2), 0.25, 2.0):
+            with np.errstate(all="raise"):   # no overflowing cast
+                same, cross = (_has_neighbor(feas, feas, eps, same=True),
+                               _has_neighbor(feas, other, eps))
+            assert np.array_equal(same, _kdtree_has_neighbor(feas, feas, eps, same=True))
+            assert np.array_equal(cross, _kdtree_has_neighbor(feas, other, eps))
+
+
+@pytest.mark.parametrize("box_face_is_boundary", [False, True])
+def test_extract_boundary_matches_kdtree(box_face_is_boundary):
+    """Whole extraction against the KD-tree's, on a box that is not the unit
+    box, with duplicated rows and a tiny radius whose grid has more than
+    2^63 cells."""
+    rng = np.random.default_rng(7)
+    box = BoxSet([-10.0, -40.0], [0.0, 40.0])
+    states = box.lower + rng.uniform(size=(1500, 2)) * box.span
+    states = np.vstack([states, states[:100]])
+    labels = [F if x[1] < 30.0 and x[0] + x[1] ** 2 / 160 < 0 else I for x in states]
+    s = _make_set(states, labels, box)
+    for eps in (1e-12, 0.01, 0.04, 0.1):
+        b = extract_boundary(s, eps, box_face_is_boundary=box_face_is_boundary)
+        assert np.array_equal(b.points, _kdtree_boundary(s, eps, box_face_is_boundary))
+    assert len(b) > 0
 
 
 def test_boundary_subset_of_feasible(reference_run, reference_boundary):

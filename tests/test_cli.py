@@ -169,6 +169,9 @@ _LATER_STAGE_VALUES = {
     "system-input-box": ("name = double_integrator",
                          "name = double_integrator\nu_min = 5\nu_max = -5"),
     "n-start-zero": ("n_start = 243", "n_start = 0"),
+    "n-min-zero": ("n_min = 200", "n_min = 0"),
+    "boundary-epsilon-zero": ("[fit]", "[boundary]\nepsilon = 0\n\n[fit]"),
+    "boundary-epsilon-negative": ("[fit]", "[boundary]\nepsilon = -0.5\n\n[fit]"),
     "zero-tol-negative": ("n_start = 243", "n_start = 243\nzero_tol = -1"),
 }
 
@@ -190,12 +193,11 @@ def test_later_stage_values_rejected_at_parse(tmp_path, capsys, key):
 
 
 def test_dry_run_and_simulate_load_no_scipy(tmp_path):
-    """Only boundary extraction, the fit and an infeasible QP's phase-1 LP
-    use scipy. A fresh process that imports the package, checks the config
-    with a dry run, simulates fitted candidates and runs a pipeline that
-    reuses every stage never loads it."""
+    """Only an infeasible QP's phase-1 LP uses scipy. A fresh process that
+    imports the package, checks the config with a dry run, runs a cold
+    pipeline, simulates the fitted candidates and runs a pipeline that reuses
+    every stage never loads it."""
     cfg = tiny_config(tmp_path, out=str(tmp_path / "out"))
-    assert main(["pipeline", "--config", str(cfg)]) == 0
     out = run_fresh("""
         import json
         import sys
@@ -208,16 +210,20 @@ def test_dry_run_and_simulate_load_no_scipy(tmp_path):
         from cbfsynth.cli import main
         assert main(["pipeline", "--config", sys.argv[1], "--dry-run"]) == 0
         loaded["dry-run"] = scipy()
+        assert main(["pipeline", "--config", sys.argv[1]]) == 0
+        loaded["cold pipeline"] = scipy()
         assert main(["simulate", "--config", sys.argv[1]]) == 0
         loaded["simulate"] = scipy()
         assert main(["pipeline", "--config", sys.argv[1]]) == 0
         loaded["pipeline"] = scipy()
         print(json.dumps(loaded))
     """, str(cfg))
+    assert " points, epsilon=" in out and "\nfit[uniform]: objective=" in out   # cold stages
     assert "simulate[uniform] start 1" in out
     for stage in ("sample", "boundary", "fit", "simulate[uniform]"):
         assert f"\n{stage}: reusing " in out, stage
-    assert json.loads(out.splitlines()[-1]) == {"import": [], "dry-run": [], "simulate": [],
+    assert json.loads(out.splitlines()[-1]) == {"import": [], "dry-run": [],
+                                                "cold pipeline": [], "simulate": [],
                                                 "pipeline": []}
 
 

@@ -2,11 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize, rosen
 
 from cbfsynth.boundary import auto_epsilon, extract_boundary
 from cbfsynth.fitter import (ROOT_H_TOL, ROOT_MAX_STEPS, ROOT_WIDTH, FitConfig,
-                             _SearchContext, check_redundancy, fit_multi, fit_uniform,
-                             load_fit, save_fit, verify_candidate)
+                             _nelder_mead, _SearchContext, check_redundancy, fit_multi,
+                             fit_uniform, load_fit, save_fit, verify_candidate)
 from cbfsynth.qp import QpProblem, solve_box_qp
 from cbfsynth.sampler import run_sampling
 from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
@@ -504,10 +505,10 @@ def test_fit_result_independent_of_worker_count(di, small_run, monkeypatch, mode
     assert one.counts.evaluations > 0 and one.counts.accepted > 0
 
 
-def test_fit_imports_optimizer_before_forking():
-    """The fit imports scipy's optimizer in this process before it forks its
-    restarts, so that the two workers inherit it rather than each importing
-    it again. Sampling and boundary extraction leave it unloaded."""
+def test_fit_forks_without_scipy():
+    """The fit's search needs numpy alone: no scipy module is loaded when it
+    forks its restarts, nor after the fits. Sampling and boundary extraction
+    leave scipy unloaded too."""
     out = run_fresh("""
         import sys
         from cbfsynth import fitter, parallel
@@ -515,15 +516,17 @@ def test_fit_imports_optimizer_before_forking():
         from cbfsynth.sampler import run_sampling
         from cbfsynth.system import BoxSet, build_system
 
+        def scipy():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
         sysm, input_box = build_system("double_integrator", {})
         s = run_sampling(sysm, input_box, BoxSet([-10.0, -40.0], [0.0, 40.0]), n_min=500,
                          delta=1.0, growth=3.0, seed=13, n_start=2187)
         b = extract_boundary(s, auto_epsilon(s))
-        before = "scipy.optimize" in sys.modules
         seen, fork_map = [], parallel.fork_map
 
         def recording(task, items, count):
-            seen.append((count, "scipy.optimize" in sys.modules))
+            seen.append((count, scipy()))
             return fork_map(task, items, count)
 
         parallel.fork_map = recording
@@ -532,9 +535,66 @@ def test_fit_imports_optimizer_before_forking():
         for fit in (fitter.fit_uniform, fitter.fit_nonuniform):
             res = fit(s, b, sysm, input_box, cfg)
             assert res.feasible and res.counts.workers == 2
-        print(before, seen)
+        print(seen, scipy())
     """)
-    assert out.strip() == "False [(2, True), (2, True)]"
+    assert out.strip() == "[(2, []), (2, [])] []"
+
+
+def _scipy_nelder_mead(fun, x0, steps, maxiter):
+    """The oracle: scipy's Nelder-Mead with the options `_nelder_mead` follows."""
+    simplex = np.vstack([x0] + [x0 + steps * np.eye(x0.size)[i] for i in range(x0.size)])
+    return minimize(fun, x0, method="Nelder-Mead",
+                    options={"initial_simplex": simplex, "maxiter": maxiter,
+                             "maxfev": 4 * maxiter, "xatol": 1e-10, "fatol": 1e-12}).x
+
+
+def _nelder_mead_runs(fun, x0, steps, maxiter):
+    """The points each implementation evaluates, in order, and its result."""
+    runs = []
+    for method in (_nelder_mead, _scipy_nelder_mead):
+        points = []
+
+        def recording(x):
+            points.append(x.copy())
+            return fun(x)
+
+        x = method(recording, x0.copy(), steps, maxiter)
+        runs.append(([p.tobytes() for p in points], x.tobytes(), points))
+    return runs
+
+
+def _only_at(x0):
+    """0 at `x0` and 1 elsewhere: every reflection and contraction ties with
+    the worst vertex, so each iteration shrinks the simplex."""
+    return lambda x: 0.0 if np.array_equal(x, x0) else 1.0
+
+
+@pytest.mark.parametrize("case", ["rosen-2d", "rosen-5d", "tied", "shrink", "cap-mid-shrink"])
+def test_nelder_mead_matches_scipy(case):
+    """`_nelder_mead` evaluates the points scipy's Nelder-Mead evaluates, in
+    the same order and bit for bit, and returns its x: on Rosenbrock, on an
+    objective with tied values, on one that shrinks every iteration, and
+    when the evaluation cap (4 * maxiter) falls in the middle of a shrink."""
+    rng = np.random.default_rng(11)
+    dim = {"rosen-2d": 2, "rosen-5d": 5}.get(case, 4)
+    x0, steps, maxiter = rng.normal(size=dim), rng.uniform(0.05, 0.5, size=dim), 300
+    fun = rosen
+    if case == "tied":
+        fun = lambda x: float(np.round(np.sum(x * x), 1))   # noqa: E731
+    elif case in ("shrink", "cap-mid-shrink"):
+        fun = _only_at(x0)
+        maxiter = 5 if case == "cap-mid-shrink" else 40
+    (ours, x_ours, points), (theirs, x_theirs, _) = _nelder_mead_runs(fun, x0, steps, maxiter)
+    assert ours == theirs and x_ours == x_theirs
+    if case.startswith("rosen"):
+        assert rosen(np.frombuffer(x_ours)) < rosen(x0)
+    if case == "shrink":   # the first shrink moves each vertex halfway to x0
+        vertex = x0 + steps * np.eye(dim)[0]
+        assert any(np.array_equal(p, x0 + 0.5 * (vertex - x0)) for p in points)
+    if case == "cap-mid-shrink":
+        # 5 initial points and two iterations of 6 (a reflection, a contraction
+        # and four shrink points) make 17; the cap of 20 falls in the third shrink
+        assert len(ours) == 4 * maxiter
 
 
 def test_reference_fit_areas(reference_fits):
