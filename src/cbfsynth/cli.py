@@ -76,19 +76,14 @@ def _build(cfg: PipelineConfig):
     return build_system(cfg.system_name, cfg.system_params)
 
 
-def _zero_tol(cfg: PipelineConfig) -> float:
-    zero_tol = cfg.sampling["zero_tol"]
-    return smp.DEFAULT_ZERO_TOL if zero_tol == "auto" else zero_tol
-
-
 def _fresh(cfg: PipelineConfig, path: Path, s):
     """`s`, the sample set or header read from `path`; IntegrityError if it
     is stale: drawn for another system, box, seed or tolerance than the
     config's."""
-    box = cfg.sampling_box()
+    sa = cfg.sampling_args()
     drawn = (s.system_name, s.bounds.lower.tolist(), s.bounds.upper.tolist(), s.seed, s.zero_tol)
-    if drawn != (_build(cfg)[0].name, box.lower.tolist(), box.upper.tolist(),
-                 cfg.sampling["seed"], _zero_tol(cfg)):
+    if drawn != (_build(cfg)[0].name, sa["bounds"].lower.tolist(), sa["bounds"].upper.tolist(),
+                 sa["seed"], sa["zero_tol"]):
         raise IntegrityError(f"{path}: sampled for another system, box, seed or zero_tol "
                              f"than the config's")
     return s
@@ -104,11 +99,7 @@ def _load_samples(cfg: PipelineConfig, path: Path) -> smp.SampleSet:
 
 def _stage_sample(cfg: PipelineConfig, out: Path) -> tuple[smp.SampleSet, int]:
     sysm, input_box = _build(cfg)
-    sp = cfg.sampling
-    s = smp.run_sampling(sysm, input_box, cfg.sampling_box(),
-                         n_min=sp["n_min"], delta=sp["delta"], growth=sp["growth"],
-                         seed=sp["seed"], n_start=sp["n_start"], n_max=sp["n_max"],
-                         zero_tol=_zero_tol(cfg))
+    s = smp.run_sampling(sysm, input_box, **cfg.sampling_args())
     smp.save_samples(s, out / "samples.jsonl")
     deltas = s.tracker.deltas()
     lines = ["n,J,dJ"]
@@ -181,13 +172,8 @@ def _stage_simulate(cfg: PipelineConfig, out: Path, mode: str, res: fit.FitResul
     """Run the closed loop from each start `plan` does not skip; returns the
     manifests, skipped starts included, and the digest of each file written."""
     sysm, input_box = _build(cfg)
-    sp = cfg.simulate
-    fc = sim.FilterConfig(alphas=sp["kappa"], input_box=input_box)
-    starts = np.array(sp["x_init"])
-    scfg = sim.SimConfig(x_init=starts[0], x_goal=sp["x_goal"], horizon_T=sp["horizon"],
-                         dt=sp["dt"], kp=sp["kp"], require_safe_start=sp["require_safe_start"],
-                         spline_T=None if sp["spline_t"] == "auto" else sp["spline_t"],
-                         on_infeasible=sp["on_infeasible"])
+    scfg, fc = cfg.sim_config(), cfg.filter_config(input_box)
+    starts = np.array(cfg.simulate["x_init"])
     ran = [mf is None for mf in plan]
     trajs = iter(sim.simulate_many(starts[ran], scfg, sysm, res.candidates, fc))
     manifests, digests = list(plan), {}

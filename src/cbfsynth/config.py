@@ -19,14 +19,15 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
 
 from .boundary import _check_epsilon
 from .fitter import MODES, FitConfig
-from .sampler import _check_schedule
-from .simulator import horizon_steps
+from .sampler import DEFAULT_ZERO_TOL, _check_schedule
+from .simulator import FilterConfig, SimConfig
 from .system import BoxSet, build_system
 
 
@@ -180,6 +181,30 @@ class PipelineConfig:
     def sampling_box(self) -> BoxSet:
         return BoxSet(self.sampling["lower"], self.sampling["upper"])
 
+    def sampling_args(self) -> dict[str, Any]:
+        """`run_sampling`'s keyword settings, zero_tol `auto` resolved; ValueError if unusable."""
+        sp = self.sampling
+        zero_tol = DEFAULT_ZERO_TOL if sp["zero_tol"] == "auto" else sp["zero_tol"]
+        if zero_tol < 0:
+            raise ValueError("zero_tol must be nonnegative or auto")
+        _check_schedule(sp["n_min"], sp["delta"], sp["growth"], sp["n_start"], sp["n_max"])
+        return dict(bounds=self.sampling_box(), zero_tol=zero_tol,
+                    **{k: sp[k] for k in ("n_min", "delta", "growth", "seed", "n_start", "n_max")})
+
+    def sim_config(self) -> SimConfig:
+        """The closed loop's settings, `x_init` being the first start; ValueError if unusable."""
+        sp = self.simulate
+        if sp["horizon"] <= 0:   # a zero-step run cannot back the report's safety rows
+            raise ValueError("horizon must be positive")
+        return SimConfig(x_init=sp["x_init"][0], x_goal=sp["x_goal"], horizon_T=sp["horizon"],
+                         dt=sp["dt"], kp=sp["kp"], require_safe_start=sp["require_safe_start"],
+                         spline_T=None if sp["spline_t"] == "auto" else sp["spline_t"],
+                         on_infeasible=sp["on_infeasible"])
+
+    def filter_config(self, input_box: BoxSet) -> FilterConfig:
+        """The safety filter's settings for the plant's `input_box`; ValueError if unusable."""
+        return FilterConfig(alphas=self.simulate["kappa"], input_box=input_box)
+
     def fit_config(self, mode: str, boundary_eps: float) -> FitConfig:
         """One mode's fit settings, margin `auto` being `boundary_eps`; ValueError if unusable."""
         fc = self.fit
@@ -242,7 +267,7 @@ def parse_config(text: str) -> PipelineConfig:
     _validate(typed)
     sys_params = {k: v for k, v in typed["system"].items() if k != "name"}
     try:   # the registry's factory checks the name and the parameters
-        sysm, _ = build_system(typed["system"]["name"], sys_params)
+        sysm, input_box = build_system(typed["system"]["name"], sys_params)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"system: {exc.args[0]}") from None
     if sysm.n != typed["sampling"]["lower"].size:
@@ -259,20 +284,22 @@ def parse_config(text: str) -> PipelineConfig:
         output_dir=typed["output"]["dir"],
         raw_sections=raw,
     )
-    for mode in cfg.fit["modes"]:
+    for section, build in [("sampling", cfg.sampling_args), ("simulate", cfg.sim_config),
+                           ("simulate", partial(cfg.filter_config, input_box)),
+                           # the boundary epsilon is not known before extraction
+                           *(("fit", partial(cfg.fit_config, m, 0.0)) for m in cfg.fit["modes"])]:
         try:
-            cfg.fit_config(mode, boundary_eps=0.0)   # not known before extraction
+            build()
         except ValueError as exc:
-            raise ConfigError(f"fit: {exc}") from None
+            raise ConfigError(f"{section}: {exc}") from None
     cfg.fit["modes"] = sorted(cfg.fit["modes"], key=MODES.index)   # run order
     return cfg
 
 
 def _validate(typed: dict[str, dict[str, Any]]) -> None:
-    samp = typed["sampling"]
+    samp, sim = typed["sampling"], typed["simulate"]
     try:
-        BoxSet(samp["lower"], samp["upper"])
-        _check_schedule(samp["n_min"], samp["delta"], samp["growth"], samp["n_start"])
+        box = BoxSet(samp["lower"], samp["upper"])
     except ValueError as exc:
         raise ConfigError(f"sampling: {exc}") from None
     if typed["boundary"]["epsilon"] != "auto":
@@ -280,30 +307,16 @@ def _validate(typed: dict[str, dict[str, Any]]) -> None:
             _check_epsilon(typed["boundary"]["epsilon"])
         except ValueError as exc:
             raise ConfigError(f"boundary: {exc}") from None
-    if samp["zero_tol"] != "auto" and samp["zero_tol"] < 0:
-        raise ConfigError("sampling zero_tol must be nonnegative or auto")
     modes = typed["fit"]["modes"]
     if not modes or len(set(modes)) < len(modes):
         raise ConfigError("fit modes must list at least one mode, each once")
-    sim = typed["simulate"]
-    if sim["on_infeasible"] not in ("continue", "stop"):
-        raise ConfigError("simulate on_infeasible must be continue or stop")
     if not sim["x_init"]:
         raise ConfigError("simulate x_init must list at least one state")
-    if any(x.size != samp["lower"].size for x in sim["x_init"] + [sim["x_goal"]]):
+    if any(x.size != box.dim for x in sim["x_init"] + [sim["x_goal"]]):
         raise ConfigError("simulate x_init and x_goal must have the sampling bounds' dimension")
-    if sim["kp"] <= 0:
-        raise ConfigError("simulate kp must be positive")
-    if min(sim["kappa"]) <= 0:
-        raise ConfigError("simulate kappa gains must be positive")
-    if sim["spline_t"] != "auto" and sim["spline_t"] <= 0:
-        raise ConfigError("simulate spline_t must be positive or auto")
-    if sim["horizon"] <= 0:
-        raise ConfigError("simulate horizon must be positive")
-    try:
-        horizon_steps(sim["horizon"], sim["dt"])
-    except ValueError as exc:
-        raise ConfigError(f"simulate: {exc}") from None
+    # the fitted set is backed by samples only inside the box
+    if not box.contains(np.array(sim["x_init"])).all():
+        raise ConfigError("simulate x_init must lie inside the sampling box")
 
 
 def load_config(path) -> PipelineConfig:

@@ -1,5 +1,5 @@
-"""Independent tasks on forked worker processes: the fit's restarts and the
-sample loader's row chunks.
+"""Independent tasks on forked worker processes: the fit's restarts, the only
+work in the package that forks.
 
 The task reaches the workers through a module global that fork copies with
 the rest of the parent's memory. It is never pickled, and cannot always be,
@@ -9,8 +9,7 @@ results cross between processes.
 The workers inherit the modules the parent has imported, and only those. A
 module that a task imports lazily (as `qp` imports scipy's LP solver on its
 first infeasible problem) must be imported before `fork_map` is called, or
-every worker imports it again. Neither the fit's restarts nor the loader's
-chunks import one.
+every worker imports it again. The fit's restarts import none.
 """
 
 from __future__ import annotations

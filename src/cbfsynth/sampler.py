@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import parallel
 from .qp import min_zdot, zero_tolerance
 from .system import BoxSet, SystemModel
 
@@ -164,10 +163,12 @@ def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
     return labels, residuals
 
 
-def _check_schedule(n_min: int, delta: float, growth: float, n_start: int) -> None:
+def _check_schedule(n_min: int, delta: float, growth: float, n_start: int, n_max: int) -> None:
     """ValueError unless `run_sampling`'s growth schedule can start and stop."""
     if min(n_min, n_start) < 1:
         raise ValueError("n_min and n_start must be at least 1")
+    if n_start > n_max:
+        raise ValueError("n_start must not exceed n_max")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     if growth <= 1.0:
@@ -184,7 +185,7 @@ def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
     checkpoint with n >= n_min and |J_k - J_{k-1}| <= delta; exceeding n_max
     returns the data collected so far with `converged` set to False.
     """
-    _check_schedule(n_min, delta, growth, n_start)
+    _check_schedule(n_min, delta, growth, n_start, n_max)
     rng = np.random.Generator(np.random.Philox(key=seed))
     tracker = JaccardTracker()
     chunks_states, chunks_labels, chunks_res = [], [], []
@@ -270,28 +271,14 @@ def save_samples(s: SampleSet, path) -> str:
     return s._digest
 
 
-# Rows each chunk of a load must hold before the load forks. On a 2-vCPU
-# x86-64 box, one process checks a row in about 6-7 us, and a two-worker pool
-# adds 20-85 ms to half of that (forking, returning and joining the arrays,
-# growing with the rows): two chunks break even near 2^12 rows each. The
-# floor keeps a margin of eight, since both costs move with the machine's load.
-ROW_FLOOR = 2 ** 15
-
-
-def load_workers(rows: int) -> int:
-    """Processes that check a file of `rows` sample rows: one per usable core,
-    but only while every chunk keeps at least ROW_FLOOR rows."""
-    return parallel.workers(rows // ROW_FLOOR)
-
-
-def _check_rows(chunk: bytes, dim: int) -> tuple[Array, Array, Array]:
+def _check_rows(rows: bytes, dim: int) -> tuple[Array, Array, Array]:
     """Parse whole sample rows and check that they are canonical; returns the
     states, label codes and residuals. ValueError for a row whose width is not
     `dim`, an unknown class, a non-finite number (`%a` writes `nan` or `inf`)
     or any text `_format_rows` would not write."""
-    n = chunk.count(b"\n")
+    n = rows.count(b"\n")
     # each row becomes "x_1,..,x_dim,code,residual," for one numeric parse
-    body = chunk.replace(b'{"x":[', b"").replace(b"}\n", b",")
+    body = rows.replace(b'{"x":[', b"").replace(b"}\n", b",")
     for code, text in enumerate(_CLASS_TEXT):
         body = body.replace(text, b",%d," % code)
     values = np.fromstring(body, sep=",")
@@ -305,23 +292,9 @@ def _check_rows(chunk: bytes, dim: int) -> tuple[Array, Array, Array]:
     del body, values   # free the parse's copies before the reformat check
     lines = _format_rows(states, labels, residuals)
     lines.append(b"")
-    if b"\n".join(lines) != chunk:
+    if b"\n".join(lines) != rows:
         raise ValueError("content does not match its canonical form")
     return states, labels, residuals
-
-
-def _cuts(data: bytes, start: int, count: int) -> list[int]:
-    """Offsets cutting data[start:] into `count` chunks of about equal size,
-    each after a newline but the last; ValueError where no newline follows a
-    cut's target."""
-    cuts = [start]
-    for k in range(1, count):
-        end = data.find(b"\n", start + (len(data) - start) * k // count)
-        if end < 0:
-            raise ValueError("sample rows do not end in a newline")
-        cuts.append(end + 1)
-    cuts.append(len(data))
-    return cuts
 
 
 # Bytes read at a time when a file is hashed, so no file is held whole.
@@ -413,28 +386,18 @@ def load_samples(path) -> SampleSet:
     edit that `canonical_bytes` would not write raises ValueError, as do
     rows whose width is not the header's state dimension and non-finite
     numbers (`nan`). So does a last checkpoint whose n is not the row count,
-    or whose J is not the feasible rows' fraction bit for bit.
-
-    The rows are cut at line ends into `load_workers(rows)` chunks of about
-    equal size, checked by `_check_rows` through `parallel.fork_map`: on
-    forked workers, each slicing its chunk from this process's buffer, or in
-    this process where that is one. The parsed chunks are joined in order,
-    so neither the set, nor the digest, nor which files are refused depends
-    on the worker count.
+    or whose J is not the feasible rows' fraction bit for bit. Each
+    ValueError names the file. All rows are checked in this process, by one
+    `_check_rows` call.
     """
     with open(path, "rb") as f:
         data = f.read()
     start = data.find(b"\n") + 1 or len(data)
     try:
         h = _parse_header(data[:start])
-        count = load_workers(data.count(b"\n", start))
-        cuts = _cuts(data, start, count)
-        chunks = parallel.fork_map(
-            lambda i: _check_rows(data[cuts[i]:cuts[i + 1]], h.bounds.dim), range(count), count)
+        states, labels, residuals = _check_rows(data[start:], h.bounds.dim)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    states, labels, residuals = (np.concatenate(part) for part in zip(*chunks))
-    del chunks
     tracker = JaccardTracker(
         n_total=len(labels),
         n_feasible=int(np.sum(labels == _CLASS_CODE[SampleClass.FEASIBLE])),

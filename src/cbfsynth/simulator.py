@@ -39,7 +39,7 @@ class FilterConfig:
     def __post_init__(self):
         alphas = tuple(float(a) for a in np.atleast_1d(np.asarray(self.alphas, dtype=float)))
         if any(a <= 0 for a in alphas):
-            raise ValueError("class-K gains must be positive")
+            raise ValueError("kappa gains must be positive")
         object.__setattr__(self, "alphas", alphas)
 
 
@@ -72,6 +72,10 @@ class SimConfig:
         object.__setattr__(self, "x_init", np.atleast_1d(np.asarray(self.x_init, dtype=float)))
         object.__setattr__(self, "x_goal", np.atleast_1d(np.asarray(self.x_goal, dtype=float)))
         horizon_steps(self.horizon_T, self.dt)
+        if self.kp <= 0:
+            raise ValueError("kp must be positive")
+        if self.spline_T is not None and self.spline_T <= 0:
+            raise ValueError("spline_T must be positive")
         if self.on_infeasible not in ("continue", "stop"):
             raise ValueError("on_infeasible must be 'continue' or 'stop'")
 
@@ -104,13 +108,11 @@ class Trajectory:
 
 def reference_spline(x_init: Array, x_goal: Array, T: float,
                      n_pos: int = 1) -> Callable[[float], Array]:
-    """Cubic reference over the leading position components, held after T.
+    """Cubic reference over the leading position components, held after T > 0.
 
     Uses the smoothstep polynomial 3 tau^2 - 2 tau^3, the unique cubic through
     the endpoints with zero slope at both. (S, n) starts give (S, n_pos) values.
     """
-    if T <= 0:
-        raise ValueError("spline duration must be positive")
     p0, p1 = (np.array(p, dtype=float, ndmin=1)[..., :n_pos] for p in (x_init, x_goal))
 
     def xi(t: float) -> Array:
@@ -123,8 +125,6 @@ def reference_spline(x_init: Array, x_goal: Array, T: float,
 
 def nominal_controller(x: Array, xi: Array, kp: float) -> Array:
     """Proportional tracking of the position components, kp (xi - x_pos), per leading index."""
-    if kp <= 0:
-        raise ValueError("kp must be positive")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     return kp * (xi - np.asarray(x, dtype=float)[..., :xi.shape[-1]])
 

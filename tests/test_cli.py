@@ -173,6 +173,10 @@ _LATER_STAGE_VALUES = {
     "boundary-epsilon-zero": ("[fit]", "[boundary]\nepsilon = 0\n\n[fit]"),
     "boundary-epsilon-negative": ("[fit]", "[boundary]\nepsilon = -0.5\n\n[fit]"),
     "zero-tol-negative": ("n_start = 243", "n_start = 243\nzero_tol = -1"),
+    "n-max-below-n-start": ("n_start = 243", "n_start = 243\nn_max = -5"),
+    "x-init-outside-box": ("x_init = -9, -30", "x_init = -9, -30; -1.7e308, -1e308"),
+    "on-infeasible": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\non_infeasible = explode"),
+    "dt-zero": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\ndt = 0"),
 }
 
 

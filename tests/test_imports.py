@@ -9,12 +9,17 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cbfsynth"
 SCIPY_ALLOWED = {"qp.py"}
 
 
-def _imported_roots(tree: ast.AST):
-    for node in ast.walk(tree):
+def _imported(path: Path):
+    """(line, dotted name) of each module `path` imports, at module level or
+    inside a function, a relative import's under `cbfsynth`. `from m import
+    a` gives `m` and `m.a`, as `a` may be a submodule."""
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            yield node.lineno, node.module.split(".")[0]
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["cbfsynth" * bool(node.level), node.module]))
+            yield node.lineno, base
+            yield from ((node.lineno, f"{base}.{alias.name}") for alias in node.names)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -23,12 +28,20 @@ def test_no_scipy_import_outside_phase1(path):
     function, so a cold pipeline runs on numpy alone."""
     if path.name in SCIPY_ALLOWED:
         return
-    found = [line for line, root in _imported_roots(ast.parse(path.read_text()))
-             if root == "scipy"]
+    found = [line for line, name in _imported(path) if name.split(".")[0] == "scipy"]
     assert not found, f"{path.name} imports scipy at line(s) {found}"
 
 
 def test_import_scan_sees_qp_phase1():
     """The scan finds the import it allows, so it is not blind."""
-    tree = ast.parse((SRC / "qp.py").read_text())
-    assert "scipy" in {root for _, root in _imported_roots(tree)}
+    assert "scipy" in {name.split(".")[0] for _, name in _imported(SRC / "qp.py")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_parallel_imported_by_fitter_only(path):
+    """No package module but `fitter` imports `parallel`, in any form, so the
+    fit's restarts stay the one forked path; the scan sees `fitter`'s import."""
+    found = [line for line, name in _imported(path) if name == "cbfsynth.parallel"]
+    assert bool(found) == (path.name == "fitter.py"), \
+        f"{path.name} imports parallel at line(s) {found}"
+

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
-from cbfsynth import parallel, sampler
+from cbfsynth import sampler
 from cbfsynth.qp import min_zdot, zero_tolerance
 from cbfsynth.sampler import (JaccardTracker, SampleClass, SampleSet, canonical_bytes,
                               classify_batch, draw_batch, load_samples, run_sampling,
@@ -177,6 +177,9 @@ def test_run_sampling_validation(di):
         run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=10, delta=0.0, growth=3.0, seed=0)
     with pytest.raises(ValueError):
         run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=10, delta=0.1, growth=1.0, seed=0)
+    with pytest.raises(ValueError, match="n_max"):
+        run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=10, delta=0.1, growth=3.0, seed=0,
+                     n_start=243, n_max=-5)
 
 
 def test_jaccard_increment_bound(reference_run):
@@ -313,6 +316,12 @@ def _misalign_rows(data: bytes) -> bytes:
     return b"\n".join([head, first.replace(b"],", b",50.0],", 1), second, rest])
 
 
+def _drop_newlines(data: bytes) -> bytes:
+    """Join every row after the first quarter of the file into one line."""
+    quarter = len(data) // 4
+    return data[:quarter] + data[quarter:].replace(b"\n", b"")
+
+
 _NON_CANONICAL = {
     "space": lambda data: data.replace(b'"residual":', b'"residual": ', 1),
     "crlf": lambda data: data.replace(b"\n", b"\r\n"),
@@ -321,6 +330,7 @@ _NON_CANONICAL = {
     "unknown-class": lambda data: data.replace(b'"class":"', b'"class":"x', 1),
     "one-wide-row": lambda data: data.replace(b'"x":[', b'"x":[1.0,', 1),
     "misaligned-rows": _misalign_rows,
+    "newlines-dropped": _drop_newlines,
 }
 
 
@@ -407,82 +417,5 @@ def test_load_rejects_non_canonical(tmp_path, di, edit):
     path = tmp_path / "samples.jsonl"
     save_samples(s, path)
     path.write_bytes(edit(path.read_bytes()))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         load_samples(path)
-
-
-# -- chunked load --------------------------------------------------------------
-
-def _force_workers(monkeypatch, count: int) -> None:
-    """Cut every load of at least 64 rows a chunk into `count` chunks, each
-    checked on its own forked worker."""
-    monkeypatch.setattr(sampler, "ROW_FLOOR", 64)
-    monkeypatch.setattr(parallel, "workers", lambda tasks: max(1, min(tasks, count)))
-
-
-@pytest.fixture(scope="module")
-def sample_file(tmp_path_factory, di):
-    """A saved 729-row sample set, its path and its bytes."""
-    sysm, input_box = di
-    s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=500, delta=0.5,
-                     growth=3.0, seed=5, n_start=243)
-    path = tmp_path_factory.mktemp("chunks") / "samples.jsonl"
-    save_samples(s, path)
-    return s, path, path.read_bytes()
-
-
-def test_chunked_load_matches_one_chunk(sample_file, monkeypatch):
-    """Two chunks on two workers give the arrays, bit for bit, the history
-    and the digest that one chunk in this process gives."""
-    s, path, data = sample_file
-    for count in (1, 2):
-        _force_workers(monkeypatch, count)
-        assert sampler.load_workers(len(s)) == count
-        loaded = load_samples(path)
-        assert loaded.states.view(np.int64).tolist() == s.states.view(np.int64).tolist()
-        assert loaded.residuals.view(np.int64).tolist() == s.residuals.view(np.int64).tolist()
-        assert loaded.labels.dtype == np.int8 and np.array_equal(loaded.labels, s.labels)
-        assert loaded.tracker == s.tracker
-        assert loaded.checksum() == hashlib.sha256(data).hexdigest()
-        assert canonical_bytes(loaded) == data
-
-
-def _row_starts(data: bytes) -> list[int]:
-    return [m.end() for m in re.finditer(b"\n", data)][:-1]
-
-
-@pytest.mark.parametrize("location", ["last-chunk", "at-cut", "across-cut"])
-@pytest.mark.parametrize("edit", list(_NON_CANONICAL.values()), ids=list(_NON_CANONICAL))
-def test_chunked_load_rejects_non_canonical(tmp_path, sample_file, monkeypatch, edit,
-                                            location):
-    """Every edit is refused when the load checks two chunks, applied from
-    the third-last row (all in the last chunk), from the first chunk's last
-    row, and from the row before that, where misaligned rows widen the first
-    chunk's last row and narrow the second chunk's first."""
-    _, _, data = sample_file
-    _force_workers(monkeypatch, 2)
-    starts = _row_starts(data)
-    cut = sampler._cuts(data, starts[0], 2)[1]
-    row = {"last-chunk": len(starts) - 3, "at-cut": starts.index(cut) - 1,
-           "across-cut": starts.index(cut) - 2}[location]
-    at = starts[row]
-    edited = data[:at] + edit(data[at:])
-    assert edited != data and (location != "last-chunk" or at > cut)
-    path = tmp_path / "samples.jsonl"
-    path.write_bytes(edited)
-    with pytest.raises(ValueError):
-        load_samples(path)
-
-
-def test_chunked_load_rejects_rows_without_newline_at_the_cut(tmp_path, sample_file,
-                                                              monkeypatch):
-    """No newline after the first quarter leaves the cut nowhere to fall: a
-    ValueError naming the file, not an IndexError or a hang."""
-    _, _, data = sample_file
-    _force_workers(monkeypatch, 2)
-    quarter = len(data) // 4
-    path = tmp_path / "samples.jsonl"
-    path.write_bytes(data[:quarter] + data[quarter:].replace(b"\n", b""))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: sample rows do not end"):
-        load_samples(path)
-
