@@ -419,3 +419,41 @@ def test_load_rejects_non_canonical(tmp_path, di, edit):
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         load_samples(path)
+
+
+# -- edits deep in a long file -------------------------------------------------
+
+@pytest.fixture(scope="module")
+def sample_file(tmp_path_factory, di):
+    """A saved 729-row sample set's bytes."""
+    sysm, input_box = di
+    s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=500, delta=0.5,
+                     growth=3.0, seed=5, n_start=243)
+    path = tmp_path_factory.mktemp("long") / "samples.jsonl"
+    save_samples(s, path)
+    return path.read_bytes()
+
+
+def _row_starts(data: bytes) -> list[int]:
+    return [m.end() for m in re.finditer(b"\n", data)][:-1]
+
+
+@pytest.mark.parametrize("location", ["last-chunk", "at-cut", "across-cut"])
+@pytest.mark.parametrize("edit", list(_NON_CANONICAL.values()), ids=list(_NON_CANONICAL))
+def test_chunked_load_rejects_non_canonical(tmp_path, sample_file, edit, location):
+    """The rows are checked as one chunk, so every edit is refused wherever it
+    starts: at the third-last row ("last-chunk"), at the row before the first
+    row past the middle byte ("at-cut"), or one row earlier ("across-cut"),
+    where misaligned rows widen one row in the middle of the file and narrow
+    the next."""
+    starts = _row_starts(sample_file)
+    middle = next(at for at in starts if at >= len(sample_file) // 2)
+    row = {"last-chunk": len(starts) - 3, "at-cut": starts.index(middle) - 1,
+           "across-cut": starts.index(middle) - 2}[location]
+    at = starts[row]
+    edited = sample_file[:at] + edit(sample_file[at:])
+    assert edited != sample_file and row > 0
+    path = tmp_path / "samples.jsonl"
+    path.write_bytes(edited)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_samples(path)

@@ -38,6 +38,15 @@ def test_spline_midpoint_and_endpoints():
     assert (xi(4.0)[0] - xi(4.0 - eps)[0]) / eps == pytest.approx(0.0, abs=1e-4)
 
 
+def test_spline_validation():
+    """The spline duration is checked once, in SimConfig, before any closed
+    loop hands it to reference_spline."""
+    for spline_T in (0.0, -1.0):
+        with pytest.raises(ValueError, match="spline_T"):
+            SimConfig(x_init=[0.0, 0.0], x_goal=[0.0, 0.0], horizon_T=1.0, dt=0.1, kp=1.0,
+                      spline_T=spline_T)
+
+
 def test_nominal_controller():
     assert nominal_controller(np.array([-9.0, 15.0]), np.array([-9.0]), 10.0)[0] == 0.0
     assert nominal_controller(np.array([-9.0, 15.0]), np.array([-4.0]), 10.0)[0] == \
@@ -442,8 +451,5 @@ def test_sim_config_validation():
         SimConfig(x_init=[0.0, 0.0], x_goal=[0.0, 0.0], horizon_T=1.0, dt=0.3, kp=1.0)
     with pytest.raises(ValueError, match="kp"):
         SimConfig(x_init=[0.0, 0.0], x_goal=[0.0, 0.0], horizon_T=1.0, dt=0.1, kp=0.0)
-    with pytest.raises(ValueError, match="spline"):
-        SimConfig(x_init=[0.0, 0.0], x_goal=[0.0, 0.0], horizon_T=1.0, dt=0.1, kp=1.0,
-                  spline_T=0.0)
     with pytest.raises(ValueError):
         FilterConfig(alphas=[0.0], input_box=BoxSet([-1.0], [1.0]))
