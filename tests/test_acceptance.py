@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from cbfsynth.cli import main
+from cbfsynth.fitter import load_fit
 from cbfsynth.qp import QpStatus, solve_box_qp
-from cbfsynth.sampler import run_sampling
+from cbfsynth.sampler import read_header, run_sampling
 from cbfsynth.simulator import (FilterConfig, SimConfig, check_invariance, horizon_steps,
                                 interior_grid, safety_filter_many, simulate, step)
 from cbfsynth.system import CbfCandidate, eval_h_batch, identity_candidate, stack_candidates
 
 from conftest import AREA_FEASIBLE, REFERENCE_BOUNDS, REFERENCE_SEED
+from exact_area import exact_area, fit_problems
 from qp_oracle import grid_oracle, random_problem
 
 J_ORACLE = 655.0 / 800.0
@@ -212,7 +214,8 @@ def test_criterion_7_adversarial_invariance(di, label, cands):
 
 
 def test_criterion_8_pipeline_determinism(tmp_path):
-    """Two pipeline runs with the same seed write byte-identical artifacts."""
+    """Two pipeline runs with the same seed write byte-identical artifacts,
+    and the fits pass the closed-form checks of the reference fits."""
     config = f"""
 [system]
 name = double_integrator
@@ -252,4 +255,10 @@ dir = out
     assert files_a == files_b and files_a
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-    _report(8, f"{len(files_a)} artifacts byte-identical across repeated runs")
+    fits = {mode: load_fit(out_a / f"candidates_{mode}.json")[0]
+            for mode in ("uniform", "nonuniform", "multi")}
+    n = read_header(out_a / "samples.jsonl").n
+    assert fit_problems(fits, REFERENCE_BOUNDS, n) == []
+    multi = exact_area(fits["multi"].candidates, REFERENCE_BOUNDS)
+    _report(8, f"{len(files_a)} artifacts byte-identical across repeated runs; "
+               f"exact multi area {multi:.2f}, every fitted set in the kernel")
