@@ -18,9 +18,9 @@ size over the integration region V:
                  accuracy of 30 bisections.
 
 The decision spaces are tiny, so the search is Nelder-Mead on a penalized
-objective with structured and random restarts, followed by a coordinate-wise
-golden-section polish; the Nelder-Mead is this module's own, so the fit needs
-numpy alone. One driver runs all three programs from a per-mode table.
+objective with structured and random restarts; the Nelder-Mead is this
+module's own, so the fit needs numpy alone. One driver runs all three
+programs from a per-mode table.
 Incumbents are accepted only when hard-feasible on the full sample set.
 
 The restarts are independent tasks. The driver makes every random draw up
@@ -34,7 +34,6 @@ process. Results and search counts do not depend on the worker count.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from collections import Counter
 from contextlib import suppress
@@ -441,7 +440,7 @@ class _Mode:
     build: Callable[[_SearchContext, Array], list[CbfCandidate]]
     seeds: Callable          # (ctx, warm tuples) -> structured and warm starts
     random_theta: Callable   # (ctx, rng) -> one random start
-    steps: Callable          # ctx -> per-coordinate Nelder-Mead and polish steps
+    steps: Callable          # ctx -> per-coordinate Nelder-Mead steps
     key_offset: int = 0      # added to the fit seed for the restart stream
     exists_input: Callable | None = None   # (ctx, cands, h_sub, want) -> (passing, total)
     checked_at: str = ""     # what exists_input counts, for rejection reasons
@@ -554,40 +553,6 @@ def _nelder_mead(fun, x0: Array, steps: Array, maxiter: int) -> Array:
     return sim[0]
 
 
-def _golden_polish(fun, x: Array, steps: Array, rounds: int = 2) -> Array:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x = x.copy()
-    fx = fun(x)
-    for _ in range(rounds):
-        for i in range(x.size):
-            a, b = x[i] - steps[i], x[i] + steps[i]
-
-            def along(v, i=i):
-                trial = x.copy()
-                trial[i] = v
-                return fun(trial)
-
-            c = b - inv_phi * (b - a)
-            d = a + inv_phi * (b - a)
-            fc, fd = along(c), along(d)
-            for _ in range(24):
-                if fc <= fd:
-                    b, d, fd = d, c, fc
-                    c = b - inv_phi * (b - a)
-                    fc = along(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + inv_phi * (b - a)
-                    fd = along(d)
-            best = 0.5 * (a + b)
-            f_best = along(best)
-            if f_best < fx:
-                x[i] = best
-                fx = f_best
-        steps = steps * 0.25
-    return x
-
-
 def _block_passes(ctx: _SearchContext, theta: Array, steps: Array,
                   jitter: Sequence[Sequence[Array]], fun, offer) -> Array:
     """Block-coordinate passes, one per row of `jitter`: hold all tuples but one fixed.
@@ -622,10 +587,11 @@ def _run(ctx: _SearchContext, mode: _Mode, steps: Array,
 
     A structured or warm seed is offered as is and refined by block passes
     with `jitter` where the mode has them; without a seed the run starts from
-    the best of the random draws in `pool`. Nelder-Mead and a golden-section
-    polish follow. Returns the run's offers in order, each as (candidates,
-    ok, objective, reason) from the full-set acceptance test, its objective
-    evaluations and the steps of each of its boundary_probes calls.
+    the best of the random draws in `pool`. Nelder-Mead follows, and its
+    result is the run's last offer. Returns the run's offers in order, each
+    as (candidates, ok, objective, reason) from the full-set acceptance test,
+    its objective evaluations and the steps of each of its boundary_probes
+    calls.
     """
     seed, jitter, pool = start
     ctx.root_steps.clear()
@@ -650,8 +616,6 @@ def _run(ctx: _SearchContext, mode: _Mode, steps: Array,
         theta = min(pool, key=fun)
         offer(theta)
     theta = _nelder_mead(fun, theta, steps, ctx.cfg.iterations)
-    offer(theta)
-    theta = _golden_polish(fun, theta, steps)
     offer(theta)
     return offers, evaluations, list(ctx.root_steps)
 

@@ -644,11 +644,13 @@ def test_fit_line_reports_search_counts(tmp_path, capsys):
 
 
 # sha256 of the candidate files below, as written by commit c01309c, whose
-# search ran its restarts one after another from one random stream
+# search ran its restarts one after another from one random stream, with its
+# two golden-section polish lines (the polish and its offer) removed; the
+# unmodified commit writes the same uniform and nonuniform files
 _SEQUENTIAL_SEARCH_DIGESTS = {
     "uniform": "fb7d8879b17f855b3c7f04da5c8879dbfd6c4c48324e755069263a85885c327d",
     "nonuniform": "04f380973dcf6696653c81cdbdb7b6857d1c24c179d564fde965e6f81decadff",
-    "multi": "66fedc4fa58d5dbb95c4df81c5b1a2a8be5be2c7b87d974599db8cc2629b717d",
+    "multi": "7f51ee3e389612f6b69ea566c660f0c1eb7aef7d3a428df3f35b2f6e67294359",
 }
 
 

@@ -424,7 +424,7 @@ def test_fit_multi_keeps_seed_when_block_passes_fail(monkeypatch):
     """
     from cbfsynth import fitter
 
-    def corrupting_passes(ctx, theta, steps, rng, fun, offer):
+    def corrupting_passes(ctx, theta, steps, jitter, fun, offer):
         block = 2 * ctx.n + 1
         theta[:] = 5.0
         theta[2 * ctx.n::block] = -1e9          # h < 0 everywhere: encloses nothing
@@ -433,7 +433,6 @@ def test_fit_multi_keeps_seed_when_block_passes_fail(monkeypatch):
 
     monkeypatch.setattr(fitter, "_block_passes", corrupting_passes)
     monkeypatch.setattr(fitter, "_nelder_mead", lambda fun, x0, steps, maxiter: x0.copy())
-    monkeypatch.setattr(fitter, "_golden_polish", lambda fun, x, steps: x.copy())
     sysm = _flat_system(1.0)
     s = run_sampling(sysm, UBOX1, UNIT, n_min=200, delta=1.0, growth=3.0, seed=12,
                      n_start=243)
@@ -503,6 +502,20 @@ def test_fit_result_independent_of_worker_count(di, small_run, monkeypatch, mode
     assert one.diagnostics == two.diagnostics
     assert one.counts == replace(two.counts, workers=1)
     assert one.counts.evaluations > 0 and one.counts.accepted > 0
+
+
+def test_search_offers_per_restart(di, small_run):
+    """A restart offers the acceptance test its start, the result of each
+    block pass over each tuple (multi only) and its Nelder-Mead result, and
+    nothing more: one multi restart over 2 tuples makes 1 + 2 * 2 + 1 offers,
+    and each of uniform's 3 structured seeds makes 2."""
+    sysm, input_box = di
+    s, b = small_run
+    budget = dict(restarts=1, iterations=20, population=4)
+    multi = fit_multi(s, b, sysm, input_box, FitConfig(mode="multi", num_cbfs=2, **budget))
+    assert multi.counts.accepted + multi.counts.rejected == 1 + 2 * 2 + 1
+    uniform = fit_uniform(s, b, sysm, input_box, FitConfig(**budget))
+    assert uniform.counts.accepted + uniform.counts.rejected == 3 * 2
 
 
 def test_fit_forks_without_scipy():
