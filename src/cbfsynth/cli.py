@@ -140,6 +140,7 @@ def _stage_fit(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.Boundary
                                      source_checksums=checksums)
         c = res.counts
         search = (f"workers={c.workers} evaluations={c.evaluations} "
+                  f"score_calls={c.score_calls} "
                   f"offers_accepted={c.accepted} offers_rejected={c.rejected} "
                   f"probe_calls={c.probe_calls} "
                   f"root_steps_mean={c.root_steps_mean:.2f} root_steps_max={c.root_steps_max}")

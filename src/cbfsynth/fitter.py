@@ -23,6 +23,10 @@ module's own, so the fit needs numpy alone. One driver runs all three
 programs from a per-mode table.
 Incumbents are accepted only when hard-feasible on the full sample set.
 
+The score kernel scores a block of parameter vectors per call: Nelder-Mead's
+initial simplex, each shrink and a random restart's pool each cost one pass
+of numpy dispatch, and each score equals that of its vector alone, bit for bit.
+
 The restarts are independent tasks. The driver makes every random draw up
 front, in the order a search running one restart after another would make
 them, runs the restarts on forked worker processes (one per usable core, at
@@ -52,6 +56,7 @@ from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
                      stack_candidates)
 
 Array = np.ndarray
+Block = tuple[Array, Array, Array]   # (B, s, n) scales, (B, s, n) shifts, (B, s) offsets
 
 # incumbents must keep the non-feasible fraction of the enclosed samples below this
 CONTAINMENT_REJECT_TOL = 1e-3
@@ -110,9 +115,10 @@ class SearchCounts:
     """What one fit's search did. Printed with the fit, never saved."""
 
     evaluations: int = 0        # penalized objective evaluations
+    score_calls: int = 0        # score kernel calls, each over a block of evaluations
     accepted: int = 0           # offers passing the full-set acceptance test
     rejected: int = 0           # offers failing it
-    probe_calls: int = 0        # boundary_probes calls of the search
+    probe_calls: int = 0        # probed tuples with a chord (root_steps entries)
     root_steps_mean: float = 0.0
     root_steps_max: int = 0
     workers: int = 1            # processes the restarts ran on
@@ -169,7 +175,7 @@ class _SearchContext:
         self.bdrift = sys.drift(self.bpoints)
         self.bact = sys.actuation(self.bpoints)
 
-        # chord pool for active-boundary probes (multi mode)
+        # chord pool for active-boundary probes (multi mode), and its a then b ends
         rng = np.random.Generator(np.random.Philox(key=cfg.seed + 0x9E3779B9))
         n_sub = self.states_sub.shape[0]
         pool = min(4096, n_sub * (n_sub - 1) // 2) if n_sub > 1 else 0
@@ -178,42 +184,51 @@ class _SearchContext:
             self.pool_b = rng.integers(0, n_sub, size=pool)
         else:
             self.pool_a = self.pool_b = np.zeros(0, dtype=int)
+        self.ends = np.concatenate([self.pool_a, self.pool_b])    # in the subsample
+        self.ends_full = np.arange(len(s))[self.sub][self.ends]   # among all samples
 
         span = s.bounds.span
         self.z_scale = float(np.max(np.abs(self.hcf.value(self.states_sub))) + 1.0)
         self.c_scale = np.maximum(span, 1.0)
         self.span_w = np.where(span > 0, span, 1.0)
         self.grad_probe = self.states_sub[:512]
-        self.root_steps: list[int] = []   # steps of each boundary_probes call
+        self.root_steps: list[int] = []   # steps of each tuple's boundary probes
 
-    # -- candidate evaluation ------------------------------------------------
+    # -- candidate evaluation, a block of B tuples at a time --------------------
 
-    def metrics(self, cands: Sequence[CbfCandidate], h_rows: Array,
-                full: bool = False) -> tuple[float, float, int]:
-        """(objective, non-feasible fraction of enclosed, enclosed count).
+    def metrics(self, block: Block, full: bool = False) -> tuple[Array, Array, Array, Array]:
+        """Per tuple: (objective, non-feasible fraction of enclosed, enclosed
+        count), and the (B, s, 2 P) h values at the chord pool's `ends`.
 
-        `h_rows` are the candidates' (s, N) values on the search subsample,
-        or on every sample when `full`. With a positive margin the
-        containment test inflates each set by the buffer, so the delivered
-        zero-superlevel set sits strictly inside the feasible samples.
+        The barrier values run over the search subsample, or over every
+        sample when `full`, one tuple's (s, N) rows at a time, so no (B, s, N)
+        array is built. With a positive margin the containment test inflates
+        each set by the buffer, so the delivered zero-superlevel set sits
+        strictly inside the feasible samples.
         """
-        in_v, feas, n_in_v = ((self.in_v, self.feas, self.n_in_v) if full
-                              else (self.in_v_sub, self.feas_sub, self.n_in_v_sub))
-        hmin = np.minimum.reduce(h_rows, axis=0)
-        inside = (hmin >= 0.0) & in_v
-        n_inside = int(np.count_nonzero(inside))
-        if self.cfg.objective == "sample_count":
-            area = n_inside / n_in_v * self.vol
-        else:
-            area = float(np.mean(np.maximum(hmin[in_v], 0.0))) * self.vol
-        shifts = self.margin_shifts(cands)
-        if shifts is not None:
-            guard = (np.minimum.reduce(h_rows + shifts[:, None], axis=0) >= 0.0) & in_v
-        else:
-            guard = inside
-        n_guard = int(np.count_nonzero(guard))
-        viol = float(np.count_nonzero(guard & ~feas)) / n_guard if n_guard else 0.0
-        return area, viol, n_inside
+        scale, shift, offset = block
+        states, in_v, feas, n_in_v, ends = (
+            (self.states, self.in_v, self.feas, self.n_in_v, self.ends_full) if full else
+            (self.states_sub, self.in_v_sub, self.feas_sub, self.n_in_v_sub, self.ends))
+        shifts = self.margin_shifts(block)
+        area, viol, n_inside = np.zeros(len(offset)), np.zeros(len(offset)), []
+        h_ends = np.empty(offset.shape + ends.shape)
+        for b in range(len(offset)):
+            h_rows = self.hcf.value(states * scale[b, :, None] + shift[b, :, None]) \
+                + offset[b, :, None]
+            h_ends[b] = h_rows.take(ends, axis=1)
+            hmin = np.minimum.reduce(h_rows, axis=0)
+            inside = (hmin >= 0.0) & in_v
+            n_inside.append(int(np.count_nonzero(inside)))
+            if self.cfg.objective == "sample_count":
+                area[b] = n_inside[b] / n_in_v * self.vol
+            else:
+                area[b] = float(np.mean(np.maximum(hmin[in_v], 0.0))) * self.vol
+            if shifts is not None:
+                inside = (np.minimum.reduce(h_rows + shifts[b, :, None], axis=0) >= 0.0) & in_v
+            n_guard = int(np.count_nonzero(inside))
+            viol[b] = float(np.count_nonzero(inside & ~feas)) / n_guard if n_guard else 0.0
+        return area, viol, np.array(n_inside), h_ends
 
     # -- constraints ----------------------------------------------------------
 
@@ -224,7 +239,7 @@ class _SearchContext:
         through the typical gradient magnitude (in box-normalized coordinates)
         rather than applied to raw h values, which the free candidate scale
         could otherwise inflate away. One candidate's (n,) scale and shift
-        give a scalar; s stacked (s, n) rows give (s,) values.
+        give a scalar; stacked (..., n) rows give (...) values.
         """
         scale, shift = scale[..., None, :], shift[..., None, :]
         grad = self.hcf.gradient(self.grad_probe * scale + shift) * (scale * self.span_w)
@@ -232,39 +247,39 @@ class _SearchContext:
         grad = np.ascontiguousarray(grad)
         return np.maximum(np.mean(np.linalg.norm(grad, axis=-1), axis=-1), 1e-12)
 
-    def offset_cap(self, scale: Array, shift: Array) -> float:
-        """Largest offset keeping h <= -margin buffer at every boundary sample.
-
-        With no boundary samples the constraint is vacuous; the offset is then
-        set to exactly enclose the in-region samples.
-        """
+    def capped(self, scale: Array, shift: Array) -> Block:
+        """The block of one-candidate tuples with (B, n) `scale` and `shift`
+        and the largest offsets keeping h <= -margin buffer at every boundary
+        sample. With no boundary samples the constraint is vacuous; the
+        offset then exactly encloses the in-region samples."""
         if self.bpoints.shape[0]:
-            zb = self.hcf.value(self.bpoints * scale + shift)
+            zb = self.hcf.value(self.bpoints * scale[:, None] + shift[:, None])
             buffer = self.cfg.margin * self.h_unit(scale, shift) if self.cfg.margin else 0.0
-            return float(-np.max(zb) - buffer)
-        z_in = self.hcf.value(self.states[self.in_v] * scale + shift)
-        return float(-np.min(z_in))
+            offset = -np.max(zb, axis=-1) - buffer
+        else:   # one tuple at a time: no (B, N, n) array
+            offset = np.array([-np.min(self.hcf.value(self.states[self.in_v] * d + c))
+                               for d, c in zip(scale, shift)])
+        return scale[:, None], shift[:, None], offset[:, None]
 
-    def margin_shifts(self, cands: Sequence[CbfCandidate]) -> Array | None:
-        """Per-candidate h offsets realizing the margin buffer, or None if zero."""
-        if not self.cfg.margin:
-            return None
-        scale, shift, _ = stack_candidates(cands)
-        return self.cfg.margin * self.h_unit(scale, shift)
+    def margin_shifts(self, block: Block) -> Array | None:
+        """(B, s) h offsets realizing the margin buffer, or None if zero."""
+        return self.cfg.margin * self.h_unit(*block[:2]) if self.cfg.margin else None
 
-    def prop2_pass(self, scale: Array) -> tuple[int, int]:
-        """(passing, total) for the exists-input condition at boundary samples."""
-        return self._dz_pass(scale, self.bgrad, self.bdrift, self.bact)
+    def prop2_pass(self, scale: Array) -> tuple[Array, Array]:
+        """(passing, total) for the exists-input condition at boundary
+        samples, per row of (..., n) scales."""
+        ok = self._dz_pass(scale[..., None, :], self.bgrad, self.bdrift, self.bact)
+        return np.sum(ok, axis=-1), np.full(ok.shape[:-1], ok.shape[-1])
 
-    def boundary_probes(self, cands: Sequence[CbfCandidate], h_rows: Array,
-                        want: int) -> tuple[Array, Array]:
+    def boundary_probes(self, block: Block, h_ends: Array, want: int) -> tuple[Array, Array]:
         """Probe states on each {h_j = 0, min_i h_i >= 0} by bracketed Illinois steps.
 
         Chords run between enclosed and h_j-negative subsample points, the
-        first `want` of the pool per candidate. On the chord x(t) = a + t (b - a)
+        first `want` of the pool per candidate, chosen from `h_ends` (see
+        `metrics`). On the chord x(t) = a + t (b - a)
         a bracket [t_a, t_b], first [0, 1], keeps h_j >= tol / 2 at t_a and
         h_j < tol / 2 at t_b, with tol = ROOT_H_TOL (1 + max(|h_j(a)|, |h_j(b)|)).
-        All chords step at once, to the regula falsi point of the bracket's
+        All chords of the block step at once, to the regula falsi point of the bracket's
         end values (Dowell & Jarratt's Illinois rule halves the kept end's
         value whenever the same end is replaced twice in a row), or to the
         midpoint when the bracket has not halved over the last two steps.
@@ -278,28 +293,32 @@ class _SearchContext:
         piece of h_j is solved in one step, and the midpoint fallback at
         least halves every bracket in three steps, which bounds the loop by
         ROOT_MAX_STEPS. Probes leaving the intersection are discarded.
-        Returns the probes and, per probe, the index of the candidate whose
-        zero level set it lies on, and appends the number of steps taken to
-        `root_steps`.
+        Returns the probes and, per probe, the index b s + j of candidate j
+        of tuple b whose zero level set it lies on. For each tuple with a
+        chord, in order, it appends to `root_steps` the number of steps in
+        which one of that tuple's chords was still live.
         """
-        if not self.pool_a.size:
+        count, pool = block[2].shape[1], self.pool_a.size
+        if not pool:
             return np.zeros((0, self.n)), np.zeros(0, dtype=int)
-        enclosed = np.minimum.reduce(h_rows, axis=0).take(self.pool_a) >= 0.0
-        h_b = h_rows.take(self.pool_b, axis=1)
-        ks = [np.flatnonzero(row)[:want] for row in enclosed & (h_b < 0.0)]
+        h_a, h_b = h_ends[..., :pool], h_ends[..., pool:]
+        enclosed = np.minimum.reduce(h_a, axis=1) >= 0.0
+        ks = [np.flatnonzero(row)[:want]
+              for row in (enclosed[:, None] & (h_b < 0.0)).reshape(-1, pool)]
         k = np.concatenate(ks)
         owner = np.repeat(np.arange(len(ks)), [c.size for c in ks])
         if not k.size:
             return np.zeros((0, self.n)), owner
         ia = self.pool_a[k]
-        fa, fb = h_rows[owner, ia], h_b[owner, k]
+        fa, fb = h_a.reshape(-1, pool)[owner, k], h_b.reshape(-1, pool)[owner, k]
         tol = ROOT_H_TOL * (1.0 + np.maximum(fa, -fb))
         # every chord operand column-major, like the states: a step's loops
         # then run down unit-stride columns of all of them at once
         xa0 = np.asfortranarray(self.states_sub[ia])
         dx = np.asfortranarray(self.states_sub[self.pool_b[k]]) - xa0
         xa = xa0.copy()
-        scale, shift, offset = (np.asfortranarray(p[owner]) for p in stack_candidates(cands))
+        scale, shift, offset = (np.asfortranarray(p.reshape(-1, *p.shape[2:])[owner])
+                                for p in block)
         # aim at h_j = tol / 2: a root computed to within rounding then lands
         # in [0, tol] on whichever side of it, and the chord is done
         aim = 0.5 * tol
@@ -308,12 +327,14 @@ class _SearchContext:
         live = fa > tol
         last_pos = np.zeros(k.size, dtype=bool)
         width_back = (np.full(k.size, np.inf), np.full(k.size, np.inf))
+        live_steps = np.zeros(k.size, dtype=int)
         steps = 0
         while steps < ROOT_MAX_STEPS:
             width = tb - ta
             live &= width > ROOT_WIDTH
             if not live.any():
                 break
+            live_steps += live
             frac = np.where(width > 0.5 * width_back[0], 0.5, ga / (ga - gb))
             width_back = (width_back[1], width)
             t = np.minimum(ta + width * frac, tb)
@@ -330,61 +351,70 @@ class _SearchContext:
             ta, tb = np.where(pos, t, ta), np.where(pos, tb, t)
             last_pos = pos
             steps += 1
-        self.root_steps.append(steps)
-        h_all = eval_h_stack(cands, self.hcf, xa)
-        h_max = np.zeros(len(cands))
+        # a chord is live over a prefix of the steps: a tuple's count is its longest
+        tuples = owner // count
+        bounds = np.searchsorted(tuples, np.arange(len(block[2]) + 1))
+        self.root_steps += np.maximum.reduceat(
+            live_steps, bounds[:-1][bounds[:-1] < bounds[1:]]).tolist()
+        # every candidate of each chord's tuple at its probe, (s, K)
+        scale, shift, offset = (p.swapaxes(0, 1)[:, tuples] for p in block)
+        h_all = self.hcf.value(xa * scale + shift) + offset
+        h_max = np.zeros(block[2].size)
         np.maximum.at(h_max, owner, np.max(np.abs(h_all), axis=0))
         on_active = np.all(h_all >= -1e-7 * (1.0 + h_max[owner]), axis=0)
         return xa[on_active], owner[on_active]
 
-    def multi_dz_pass(self, cands: Sequence[CbfCandidate], h_rows: Array,
-                      want: int) -> tuple[int, int]:
-        """Exists-input condition at active-boundary probes of every candidate."""
-        probes, owner = self.boundary_probes(cands, h_rows, want)
-        return self._dz_pass(stack_candidates(cands)[0][owner], self.hcf.gradient(probes),
-                             self.sys.drift(probes), self.sys.actuation(probes))
+    def multi_dz_pass(self, block: Block, h_ends: Array, want: int) -> tuple[Array, Array]:
+        """Exists-input condition at active-boundary probes of every candidate:
+        (passing, total) per tuple."""
+        probes, owner = self.boundary_probes(block, h_ends, want)
+        ok = self._dz_pass(block[0].reshape(-1, self.n)[owner], self.hcf.gradient(probes),
+                           self.sys.drift(probes), self.sys.actuation(probes))
+        tuples = owner // block[2].shape[1]
+        return (np.bincount(tuples[ok], minlength=len(block[2])),
+                np.bincount(tuples, minlength=len(block[2])))
 
-    def _dz_pass(self, scale: Array, grad: Array, drift: Array,
-                 act: Array) -> tuple[int, int]:
-        """(passing, total) of: some input makes dz/dx Dbar xdot >= 0, with
-        Dbar = diag(0, d_2 - d_1, ..., d_n - d_1) from `scale` (one per row,
-        or one shared by every row)."""
+    def _dz_pass(self, scale: Array, grad: Array, drift: Array, act: Array) -> Array:
+        """Whether some input makes dz/dx Dbar xdot >= 0, per (..., n) row of
+        `grad`, with Dbar = diag(0, d_2 - d_1, ..., d_n - d_1) from the
+        matching row of `scale`."""
         dbar = scale - scale[..., :1]
         dbar[..., 0] = 0.0
-        ok = self.sup_rate(grad * dbar, drift, act)[0] >= 0.0
-        return int(np.sum(ok)), ok.size
+        return self.sup_rate(grad * dbar, drift, act)[0] >= 0.0
 
     def sup_rate(self, w: Array, drift: Array, act: Array) -> tuple[Array, Array]:
-        """sup over the input box of w (f + g u), and w f, for (b, n) rows w at
-        (b, n) drifts f and (b, n, m) actuations g."""
+        """sup over the input box of w (f + g u), and w f, for (..., n) rows w
+        at (..., n) drifts f and (..., n, m) actuations g."""
         bias = np.sum(w * drift, axis=-1)
-        return max_over_box(np.einsum("bn,bnm->bm", w, act), bias, self.input_box), bias
+        return max_over_box(np.einsum("...n,...nm->...m", w, act), bias, self.input_box), bias
 
 
 # ---------------------------------------------------------------------------
 # Parameter vector <-> candidates
 
-def _build_uniform(ctx: _SearchContext, theta: Array) -> list[CbfCandidate]:
-    d = max(float(theta[0]), _MIN_UNIFORM_SCALE)
-    scale = np.full(ctx.n, d)
-    shift = np.asarray(theta[1:1 + ctx.n], dtype=float)
-    return [CbfCandidate(scale, shift, ctx.offset_cap(scale, shift))]
+def _block(cands: Sequence[CbfCandidate]) -> Block:
+    """One tuple of candidates as a block."""
+    return tuple(p[None] for p in stack_candidates(cands))
 
 
-def _build_nonuniform(ctx: _SearchContext, theta: Array) -> list[CbfCandidate]:
-    scale = np.maximum(np.asarray(theta[:ctx.n], dtype=float), 0.0)
-    shift = np.asarray(theta[ctx.n:2 * ctx.n], dtype=float)
-    return [CbfCandidate(scale, shift, ctx.offset_cap(scale, shift))]
+def _candidates(block: Block) -> list[CbfCandidate]:
+    """The first tuple of a block as candidates."""
+    return [CbfCandidate(*p) for p in zip(*(p[0] for p in block))]
 
 
-def _build_multi(ctx: _SearchContext, theta: Array) -> list[CbfCandidate]:
-    n, block = ctx.n, 2 * ctx.n + 1
-    cands = []
-    for j in range(ctx.cfg.num_cbfs):
-        t = theta[j * block:(j + 1) * block]
-        scale = np.maximum(np.asarray(t[:n], dtype=float), 0.0)
-        cands.append(CbfCandidate(scale, np.asarray(t[n:2 * n], dtype=float), float(t[2 * n])))
-    return cands
+def _build_uniform(ctx: _SearchContext, thetas: Array) -> Block:
+    scale = np.repeat(np.maximum(thetas[:, :1], _MIN_UNIFORM_SCALE), ctx.n, axis=1)
+    return ctx.capped(scale, thetas[:, 1:1 + ctx.n])
+
+
+def _build_nonuniform(ctx: _SearchContext, thetas: Array) -> Block:
+    return ctx.capped(np.maximum(thetas[:, :ctx.n], 0.0), thetas[:, ctx.n:2 * ctx.n])
+
+
+def _build_multi(ctx: _SearchContext, thetas: Array) -> Block:
+    n = ctx.n
+    t = thetas.reshape(len(thetas), ctx.cfg.num_cbfs, 2 * n + 1)
+    return np.maximum(t[..., :n], 0.0), t[..., n:2 * n], t[..., 2 * n]
 
 
 def _seeds_uniform(ctx: _SearchContext, warm) -> list[Array]:
@@ -437,12 +467,12 @@ def _steps_multi(ctx: _SearchContext) -> Array:
 class _Mode:
     """One fit program, as the shared search driver sees it."""
 
-    build: Callable[[_SearchContext, Array], list[CbfCandidate]]
+    build: Callable[[_SearchContext, Array], Block]   # (B, d) thetas -> their block
     seeds: Callable          # (ctx, warm tuples) -> structured and warm starts
     random_theta: Callable   # (ctx, rng) -> one random start
     steps: Callable          # ctx -> per-coordinate Nelder-Mead steps
     key_offset: int = 0      # added to the fit seed for the restart stream
-    exists_input: Callable | None = None   # (ctx, cands, h_sub, want) -> (passing, total)
+    exists_input: Callable | None = None   # (ctx, block, h_ends, want) -> (passing, total)
     checked_at: str = ""     # what exists_input counts, for rejection reasons
     block_passes: bool = False
 
@@ -456,7 +486,7 @@ _MODES = {
         _build_nonuniform, _seeds_nonuniform,
         lambda ctx, rng: _random_scales_shift(ctx, rng, ctx.n),
         lambda ctx: np.concatenate([0.25 * np.ones(ctx.n), 0.1 * ctx.c_scale]),
-        exists_input=lambda ctx, cands, h_sub, want: ctx.prop2_pass(cands[0].scale),
+        exists_input=lambda ctx, block, h_ends, want: ctx.prop2_pass(block[0][:, 0]),
         checked_at="boundary samples"),
     "multi": _Mode(
         _build_multi, _seeds_multi, _random_multi, _steps_multi, key_offset=1,
@@ -468,28 +498,26 @@ _MODES = {
 # ---------------------------------------------------------------------------
 # Penalized search
 
-def _score(ctx: _SearchContext, mode: _Mode, cands: Sequence[CbfCandidate]) -> float:
-    h_rows = eval_h_stack(cands, ctx.hcf, ctx.states_sub)
-    area, viol, _ = ctx.metrics(cands, h_rows)
+def _score(ctx: _SearchContext, mode: _Mode, block: Block) -> Array:
+    """The penalized objective of each tuple of the block, (B,)."""
+    area, viol, _, h_ends = ctx.metrics(block)
     score = -area + 3.0 * ctx.vol * viol
     if mode.exists_input is not None:
-        ok, total = mode.exists_input(ctx, cands, h_rows, 48)
-        if total:
-            score += 2.0 * ctx.vol * (total - ok) / total
+        ok, total = mode.exists_input(ctx, block, h_ends, 48)
+        score += 2.0 * ctx.vol * (total - ok) / np.maximum(total, 1)
     return score
 
 
-def _hard_feasible(ctx: _SearchContext, mode: _Mode,
-                   cands: Sequence[CbfCandidate]) -> tuple[bool, float, str]:
-    """Full-set acceptance test; returns (ok, objective, reason)."""
-    h_rows = eval_h_stack(cands, ctx.hcf, ctx.states)
-    obj, viol, n_inside = ctx.metrics(cands, h_rows, full=True)
+def _hard_feasible(ctx: _SearchContext, mode: _Mode, block: Block) -> tuple[bool, float, str]:
+    """Full-set acceptance test of a block of one tuple; returns (ok, objective, reason)."""
+    (obj,), (viol,), (n_inside,), h_ends = ctx.metrics(block, full=True)
+    obj = float(obj)
     if n_inside == 0:
         return False, obj, "candidate set encloses no samples"
     if viol > CONTAINMENT_REJECT_TOL:
         return False, obj, f"containment violation {viol:.2e}"
     if mode.exists_input is not None:
-        ok, total = mode.exists_input(ctx, cands, h_rows[:, ctx.sub], ctx.cfg.probes)
+        (ok,), (total,) = mode.exists_input(ctx, block, h_ends, ctx.cfg.probes)
         if total and ok < total:
             return False, obj, (f"exists-input condition failed at {total - ok} "
                                 f"{mode.checked_at}")
@@ -504,25 +532,35 @@ def _nelder_mead(fun, x0: Array, steps: Array, maxiter: int) -> Array:
     """Nelder-Mead (Nelder & Mead, 1965) from the simplex x0, x0 + steps_i e_i:
     step for step scipy 1.17.1's with that simplex, no bounds, maxfev 4 maxiter,
     xatol 1e-10 and fatol 1e-12, in its arithmetic and reorderings, stopping at
-    the evaluation cap in mid-iteration. `fun` gets a copy of each point."""
+    the evaluation cap in mid-iteration.
+
+    `fun` scores a block: a copy of k points as a (k, n) array in, (k,) values
+    out. The initial simplex and each shrink, whose points are all known
+    before any is scored, go as one block (parallel direct search: Dennis &
+    Torczon, 1991); every other step is a block of one. A block is cut at
+    the cap as the one-point loop would stop: of the initial simplex only
+    the first cap vertices are scored, and in a shrink the vertex at the cap
+    is moved but not scored.
+    """
     n = x0.size
     sim = np.vstack([x0] + [x0 + steps * np.eye(n)[i] for i in range(n)])
     fsim, calls, iterations = np.full(n + 1, np.inf), 0, 1
 
-    def f(x):
+    def f(xs):
+        """Values of the rows of `xs` below the cap; raises at the cap."""
         nonlocal calls
-        if calls >= 4 * maxiter:
+        xs = xs[:4 * maxiter - calls]
+        if not len(xs):
             raise _EvaluationCap
-        calls += 1
-        return fun(np.copy(x))
+        calls += len(xs)
+        return fun(np.array(xs))
 
     def order(sim, fsim):
         ind = np.argsort(fsim)
         return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
-    with suppress(_EvaluationCap):
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
+    scored = f(sim)
+    fsim[:scored.size] = scored
     sim, fsim = order(*order(sim, fsim))
     while calls < 4 * maxiter and iterations < maxiter:
         with suppress(_EvaluationCap):
@@ -531,23 +569,26 @@ def _nelder_mead(fun, x0: Array, steps: Array, maxiter: int) -> Array:
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
+            fxr = f(xr[None])[0]
             if fxr < fsim[0]:
                 xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
+                fxe = f(xe[None])[0]
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:   # contract outside the simplex if xr beats the worst, else inside
                 outside = fxr < fsim[-1]
                 xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
+                fxc = f(xc[None])[0]
                 if fxc <= fxr if outside else fxc < fsim[-1]:
                     sim[-1], fsim[-1] = xc, fxc
                 else:   # shrink toward the best vertex
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
+                    moved = slice(1, 1 + min(n, 4 * maxiter - calls + 1))
+                    sim[moved] = sim[0] + 0.5 * (sim[moved] - sim[0])
+                    scored = f(sim[moved])
+                    fsim[1:1 + scored.size] = scored
+                    if scored.size < n:
+                        raise _EvaluationCap
             iterations += 1
         sim, fsim = order(sim, fsim)
     return sim[0]
@@ -561,7 +602,9 @@ def _block_passes(ctx: _SearchContext, theta: Array, steps: Array,
     specialize into whatever cap the data demands; `jitter[p][j - 1]` is the
     standard normal draw for tuple j in pass p. `_fit` makes these draws,
     two passes' worth per seed, before any restart runs, in the order the
-    passes use them.
+    passes use them. `fun` scores a block of full vectors; each pass's
+    Nelder-Mead sends it its blocks of one tuple's slice, completed with the
+    others held fixed.
     """
     block = theta.size // ctx.cfg.num_cbfs
     steps_one = steps[:block]
@@ -570,9 +613,9 @@ def _block_passes(ctx: _SearchContext, theta: Array, steps: Array,
         for j in range(ctx.cfg.num_cbfs):
             sel = slice(j * block, (j + 1) * block)
 
-            def block_fun(tj, sel=sel):
-                trial = theta.copy()
-                trial[sel] = tj
+            def block_fun(tjs, sel=sel):
+                trial = np.tile(theta, (len(tjs), 1))
+                trial[:, sel] = tjs
                 return fun(trial)
 
             tj0 = theta[sel] + (draws[j - 1] * 1e-3 * steps_one if j > 0 else 0.0)
@@ -582,30 +625,30 @@ def _block_passes(ctx: _SearchContext, theta: Array, steps: Array,
 
 
 def _run(ctx: _SearchContext, mode: _Mode, steps: Array,
-         start: tuple[Array | None, list, list]) -> tuple[list, int, list[int]]:
+         start: tuple[Array | None, list, list]) -> tuple[list, int, int, list[int]]:
     """One restart of the fit, from (seed, jitter, pool).
 
     A structured or warm seed is offered as is and refined by block passes
     with `jitter` where the mode has them; without a seed the run starts from
-    the best of the random draws in `pool`. Nelder-Mead follows, and its
-    result is the run's last offer. Returns the run's offers in order, each
-    as (candidates, ok, objective, reason) from the full-set acceptance test,
-    its objective evaluations and the steps of each of its boundary_probes
-    calls.
+    the first best of the random draws in `pool`, all scored in one block.
+    Nelder-Mead follows, and its result is the run's last offer. Returns the
+    run's offers in order, each as (candidates, ok, objective, reason) from
+    the full-set acceptance test, its objective evaluations, its score kernel
+    calls and the steps of each tuple its boundary probes ran on.
     """
     seed, jitter, pool = start
     ctx.root_steps.clear()
     offers = []
-    evaluations = 0
+    evaluations = calls = 0
 
-    def fun(theta):
-        nonlocal evaluations
-        evaluations += 1
-        return _score(ctx, mode, mode.build(ctx, theta))
+    def fun(thetas):
+        nonlocal evaluations, calls
+        evaluations, calls = evaluations + len(thetas), calls + 1
+        return _score(ctx, mode, mode.build(ctx, thetas))
 
     def offer(theta):
-        cands = mode.build(ctx, theta.copy())   # candidates view theta; block passes edit it
-        offers.append((cands, *_hard_feasible(ctx, mode, cands)))
+        block = mode.build(ctx, theta.copy()[None])   # candidates view it; block passes edit theta
+        offers.append((_candidates(block), *_hard_feasible(ctx, mode, block)))
 
     if seed is not None:
         theta = np.array(seed, dtype=float)
@@ -613,11 +656,11 @@ def _run(ctx: _SearchContext, mode: _Mode, steps: Array,
         if mode.block_passes:
             theta = _block_passes(ctx, theta, steps, jitter, fun, offer)
     else:
-        theta = min(pool, key=fun)
+        theta = pool[int(np.argmin(fun(np.array(pool))))]
         offer(theta)
     theta = _nelder_mead(fun, theta, steps, ctx.cfg.iterations)
     offer(theta)
-    return offers, evaluations, list(ctx.root_steps)
+    return offers, evaluations, calls, list(ctx.root_steps)
 
 
 def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
@@ -662,10 +705,10 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
     best: list[CbfCandidate] | None = None
     best_obj = -np.inf
     reasons: Counter = Counter()
-    evaluations = accepted = 0
+    evaluations = calls = accepted = 0
     root_steps: list[int] = []
-    for offers, run_evaluations, run_steps in results:
-        evaluations += run_evaluations
+    for offers, run_evaluations, run_calls, run_steps in results:
+        evaluations, calls = evaluations + run_evaluations, calls + run_calls
         root_steps += run_steps
         for cands, ok, obj, reason in offers:
             accepted += ok
@@ -674,7 +717,7 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
             elif not ok and reason:
                 reasons[reason] += 1
     steps_taken = root_steps or [0]
-    counts = SearchCounts(evaluations, accepted, sum(reasons.values()), len(root_steps),
+    counts = SearchCounts(evaluations, calls, accepted, sum(reasons.values()), len(root_steps),
                           float(np.mean(steps_taken)), max(steps_taken), workers)
     return replace(_finalize(ctx, best, reasons, b, runs), counts=counts)
 
@@ -705,7 +748,7 @@ def _finalize(ctx: _SearchContext, best: list[CbfCandidate] | None, reasons: Cou
                           f"the optimum is attainable with fewer tuples")
             cands = [c for k, c in enumerate(cands) if k not in drop]
 
-    objective, _, _ = ctx.metrics(cands, eval_h_stack(cands, ctx.hcf, ctx.states), full=True)
+    objective = float(ctx.metrics(_block(cands), full=True)[0][0])
     report = verify_candidate(cands, ctx.s, ctx.sys, ctx.input_box,
                               probes=cfg.probes, boundary=b, seed=cfg.seed)
     return FitResult(cands, objective, report, flags, cfg.mode)
@@ -804,16 +847,16 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
     n_inside = int(np.sum(inside))
     containment = float(np.sum(inside & ctx.feas)) / n_inside if n_inside else 1.0
 
-    pts, owner = ctx.boundary_probes(cands, h_all[:, ctx.sub], probes)
-    scale, shift, _ = (p[owner] for p in stack_candidates(cands))
+    block = _block(cands)
+    pts, owner = ctx.boundary_probes(block, h_all.take(ctx.ends_full, axis=1)[None], probes)
+    scale, shift, _ = (p[0][owner] for p in block)
     sup, bias = ctx.sup_rate(hcf.gradient(pts * scale + shift) * scale,
                              sys.drift(pts), sys.actuation(pts))
     held = sup >= -1e-9 * (1.0 + np.abs(bias))
     boundary_frac = int(np.count_nonzero(held)) / held.size if held.size else 1.0
 
-    passes = [ctx.prop2_pass(cand.scale) for cand in cands]
-    total = sum(t for _, t in passes)
-    prop2_frac = sum(ok for ok, _ in passes) / total if total else 1.0
+    ok, total = (int(np.sum(c)) for c in ctx.prop2_pass(block[0][0]))
+    prop2_frac = ok / total if total else 1.0
 
     return VerificationReport(containment, boundary_frac, prop2_frac,
                               empty_warning=n_inside == 0)

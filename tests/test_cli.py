@@ -613,9 +613,10 @@ def test_seed_override_changes_samples(tmp_path):
 
 
 def test_fit_line_reports_search_counts(tmp_path, capsys):
-    """Each fit line states the search's worker processes, evaluations,
-    accepted and rejected offers and root steps per probe call; none of it
-    reaches the artifacts."""
+    """Each fit line states the search's worker processes, evaluations, score
+    kernel calls, accepted and rejected offers and root steps per probe call;
+    none of it reaches the artifacts. No mode makes more kernel calls than
+    evaluations, and multi, whose shrinks are scored as blocks, makes fewer."""
     from cbfsynth.fitter import ROOT_MAX_STEPS
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out), modes="uniform, multi")
@@ -625,22 +626,26 @@ def test_fit_line_reports_search_counts(tmp_path, capsys):
     assert main(["fit", "--config", str(cfg)]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("fit[")]
     assert len(lines) == 2
-    pattern = (r"evaluations=(\d+) offers_accepted=(\d+) offers_rejected=(\d+) "
-               r"probe_calls=(\d+) root_steps_mean=([\d.]+) root_steps_max=(\d+)$")
+    pattern = (r"evaluations=(\d+) score_calls=(\d+) offers_accepted=(\d+) "
+               r"offers_rejected=(\d+) probe_calls=(\d+) root_steps_mean=([\d.]+) "
+               r"root_steps_max=(\d+)$")
     counts = {}
     for mode, line in zip(("uniform", "multi"), lines):
         assert line.startswith(f"fit[{mode}]: objective=")
         m = re.search(pattern, line)
         assert m, line
         counts[mode] = [float(v) for v in m.groups()]
-        evals, accepted, _, _, mean, top = counts[mode]
+        evals, calls, accepted, _, _, mean, top = counts[mode]
         assert evals > 0 and accepted > 0 and mean <= top <= ROOT_MAX_STEPS
+        assert 0 < calls <= evals
         assert int(re.search(r" workers=(\d+) evaluations=", line).group(1)) >= 1
         text = (out / f"candidates_{mode}.json").read_text()
         assert "evaluations" not in text and "root_steps" not in text
+        assert "score_calls" not in text
         assert "workers" not in text
-    assert counts["uniform"][3:] == [0.0, 0.0, 0.0]
-    assert counts["multi"][3] > 0 and counts["multi"][5] > 0
+    assert counts["uniform"][4:] == [0.0, 0.0, 0.0]
+    assert counts["multi"][4] > 0 and counts["multi"][6] > 0
+    assert counts["multi"][1] < counts["multi"][0]
 
 
 # sha256 of the candidate files below, as written by commit c01309c, whose

@@ -5,9 +5,10 @@ import pytest
 from scipy.optimize import minimize, rosen
 
 from cbfsynth.boundary import auto_epsilon, extract_boundary
-from cbfsynth.fitter import (ROOT_H_TOL, ROOT_MAX_STEPS, ROOT_WIDTH, FitConfig,
-                             _nelder_mead, _SearchContext, check_redundancy, fit_multi,
-                             fit_uniform, load_fit, save_fit, verify_candidate)
+from cbfsynth.fitter import (MODES, ROOT_H_TOL, ROOT_MAX_STEPS, ROOT_WIDTH, FitConfig,
+                             _block, _MODES, _nelder_mead, _score, _SearchContext,
+                             check_redundancy, fit_multi, fit_uniform, load_fit, save_fit,
+                             verify_candidate)
 from cbfsynth.qp import QpProblem, solve_box_qp
 from cbfsynth.sampler import run_sampling
 from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
@@ -39,7 +40,7 @@ def test_estimate_identity_matches_constraint_area(di, reference_run):
     sysm, input_box = di
     ctx = _SearchContext(reference_run, None, sysm, input_box, FitConfig(mode="uniform"))
     cands = [identity_candidate(2)]
-    size = ctx.metrics(cands, eval_h_stack(cands, sysm.hcf, ctx.states), full=True)[0]
+    size = ctx.metrics(_block(cands), full=True)[0][0]
     assert size == pytest.approx(AREA_Z, rel=0.02)
 
 
@@ -48,7 +49,7 @@ def test_estimate_reference_pair_matches_feasible_area(di, reference_run):
     ctx = _SearchContext(reference_run, None, sysm, input_box,
                          FitConfig(mode="multi", num_cbfs=2))
     cands = [identity_candidate(2), CAP_CANDIDATE]
-    size = ctx.metrics(cands, eval_h_stack(cands, sysm.hcf, ctx.states), full=True)[0]
+    size = ctx.metrics(_block(cands), full=True)[0][0]
     assert size == pytest.approx(AREA_FEASIBLE, rel=0.02)
 
 
@@ -56,7 +57,7 @@ def test_estimate_empty_set(di, reference_run):
     sysm, input_box = di
     ctx = _SearchContext(reference_run, None, sysm, input_box, FitConfig())
     sunk = [CbfCandidate([1.0, 1.0], [0.0, 0.0], -1e6)]
-    assert ctx.metrics(sunk, eval_h_stack(sunk, sysm.hcf, ctx.states), full=True)[0] == 0.0
+    assert ctx.metrics(_block(sunk), full=True)[0][0] == 0.0
 
 
 def test_estimate_validation(di, reference_run):
@@ -65,7 +66,7 @@ def test_estimate_validation(di, reference_run):
     sysm, input_box = di
     ctx = _SearchContext(reference_run, None, sysm, input_box, FitConfig())
     with pytest.raises(ValueError):
-        ctx.metrics([], np.zeros((0, len(reference_run))), full=True)
+        ctx.metrics((np.zeros((1, 0, 2)), np.zeros((1, 0, 2)), np.zeros((1, 0))), full=True)
     degenerate = FitConfig(volume_region=BoxSet([0.0, 0.0], [0.0, 1.0]))
     with pytest.raises(ValueError, match="zero volume"):
         _SearchContext(reference_run, None, sysm, input_box, degenerate)
@@ -78,7 +79,7 @@ def test_integral_objective_positive_part(di, reference_run):
     sysm, input_box = di
     ctx = _SearchContext(reference_run, None, sysm, input_box, FitConfig(objective="integral"))
     cands = [identity_candidate(2)]
-    val = ctx.metrics(cands, eval_h_stack(cands, sysm.hcf, ctx.states), full=True)[0]
+    val = ctx.metrics(_block(cands), full=True)[0][0]
     # mean of max(z, 0) over the box times its volume, computed directly
     z = sysm.hcf.value(reference_run.states)
     assert val == pytest.approx(float(np.mean(np.maximum(z, 0.0))) * 800.0, rel=1e-12)
@@ -100,11 +101,11 @@ def test_sample_count_invariant_under_positive_rescaling():
                      n_start=729)
     ctx = _SearchContext(s, None, sysm, UBOX1, FitConfig())
     base = CbfCandidate([1.0, 2.0], [0.1, -0.2], 0.05)
-    v0 = ctx.metrics([base], eval_h_stack([base], hcf, ctx.states), full=True)[0]
+    v0 = ctx.metrics(_block([base]), full=True)[0][0]
     for zeta in (0.5, 2.0, 7.3):
         scaled = [CbfCandidate(zeta * base.scale, zeta * base.shift,
                                zeta * base.offset + (zeta - 1.0) * intercept)]
-        assert ctx.metrics(scaled, eval_h_stack(scaled, hcf, ctx.states), full=True)[0] == v0
+        assert ctx.metrics(_block(scaled), full=True)[0][0] == v0
 
 
 def test_check_redundancy_identical(di):
@@ -209,7 +210,7 @@ def test_h_unit_stacked_matches_single(di, reference_run, reference_boundary):
     ctx = _SearchContext(reference_run, reference_boundary, sysm, input_box, cfg)
     cands = [identity_candidate(2), CAP_CANDIDATE, CbfCandidate([1.7, 0.3], [0.5, -3.0], -0.8)]
     single = [cfg.margin * ctx.h_unit(c.scale, c.shift) for c in cands]
-    assert np.array_equal(ctx.margin_shifts(cands), np.array(single))
+    assert np.array_equal(ctx.margin_shifts(_block(cands))[0], np.array(single))
 
 
 def _chords(ctx, h_rows, j, want):
@@ -253,7 +254,7 @@ def test_boundary_probes_match_per_candidate_bisection(di, reference_run, want):
     ctx = _SearchContext(reference_run, None, sysm, input_box,
                          FitConfig(mode="multi", num_cbfs=2))
     h_rows = eval_h_stack(cands, sysm.hcf, ctx.states_sub)
-    roots, owner = ctx.boundary_probes(cands, h_rows, want)
+    roots, owner = ctx.boundary_probes(_block(cands), ctx.metrics(_block(cands))[3], want)
     for j, cand in enumerate(cands):
         xa, xb = _chords(ctx, h_rows, j, want)
         expect = _bisect(cand, sysm.hcf, xa, xb)
@@ -300,7 +301,7 @@ def test_boundary_probes_bisect_where_the_secant_stalls():
     cand = CbfCandidate([1.0, 1.0], [0.0, 0.0], 1.0 - 1e-6)
     h_rows = eval_h_stack([cand], sysm.hcf, ctx.states_sub)
     a, b = _chords(ctx, h_rows, 0, 256)
-    roots, owner = ctx.boundary_probes([cand], h_rows, 256)
+    roots, owner = ctx.boundary_probes(_block([cand]), ctx.metrics(_block([cand]))[3], 256)
     assert roots.shape == a.shape and a.shape[0] == 256
     assert np.all(owner == 0)
     gap = c - roots[:, 0]
@@ -502,6 +503,136 @@ def test_fit_result_independent_of_worker_count(di, small_run, monkeypatch, mode
     assert one.diagnostics == two.diagnostics
     assert one.counts == replace(two.counts, workers=1)
     assert one.counts.evaluations > 0 and one.counts.accepted > 0
+    assert 0 < one.counts.score_calls <= one.counts.evaluations
+
+
+# the search counts that commit c569c30, whose kernel scored one point per
+# call, makes on test_search_counts_match_sequential_scoring's budget
+_PINNED_COUNTS = {
+    "uniform": (274, 8, 0, 0, 0.0, 0),
+    "nonuniform": (150, 8, 0, 0, 0.0, 0),
+    "multi": (3605, 11, 9, 3614, 5.662147205312673, 17),
+}
+
+
+def test_search_counts_match_sequential_scoring(di, small_run):
+    """Scoring Nelder-Mead's simplex in blocks changes no search count: each
+    mode, warm-started from the earlier ones as the pipeline does, makes the
+    evaluations, offers, probe calls and root steps that commit c569c30 made
+    scoring one point at a time. Multi's random restart scores its whole
+    `population` pool in one block."""
+    from cbfsynth import fitter
+    sysm, input_box = di
+    s, b = small_run
+    warm = []
+    for mode in MODES:
+        cfg = FitConfig(mode=mode, num_cbfs=2, margin=b.epsilon, restarts=4, iterations=20,
+                        population=4, seed=3)
+        res = getattr(fitter, f"fit_{mode}")(s, b, sysm, input_box, cfg, warm=warm)
+        c = res.counts
+        assert (c.evaluations, c.accepted, c.rejected, c.probe_calls, c.root_steps_mean,
+                c.root_steps_max) == _PINNED_COUNTS[mode]
+        assert 0 < c.score_calls < c.evaluations
+        warm.append(tuple(res.candidates))
+
+
+def _score_alone(ctx, mode, thetas):
+    """Each row scored as a block of one: the scores and each row's root steps."""
+    scores, steps = [], []
+    for theta in thetas:
+        ctx.root_steps.clear()
+        scores.append(_score(ctx, mode, mode.build(ctx, theta[None]))[0])
+        steps.append(list(ctx.root_steps))
+    return np.array(scores), steps
+
+
+@pytest.mark.parametrize("objective", ["sample_count", "integral"])
+@pytest.mark.parametrize("margin", ["0", "auto"])
+@pytest.mark.parametrize("region", ["box", "narrow"])
+@pytest.mark.parametrize("name", MODES)
+def test_score_kernel_is_batch_invariant(di, small_run, name, region, margin, objective):
+    """A block of tuples scores each tuple, bit for bit, as a block of that
+    tuple alone does, and appends its root steps in the same order: blocks of
+    1, 5, 11 and `population` rows, in every mode, with and without a margin,
+    for both objectives and with a volume region narrower than the sampling
+    box. The rows are the mode's seeds, small steps from them and random
+    starts; multi's include a tuple enclosing nothing, whose probes find no
+    chord."""
+    sysm, input_box = di
+    s, b = small_run
+    narrow = BoxSet([-8.0, -30.0], [-1.0, 30.0]) if region == "narrow" else None
+    cfg = FitConfig(mode=name, num_cbfs=2, objective=objective, population=8,
+                    margin=b.epsilon if margin == "auto" else 0.0, volume_region=narrow)
+    ctx = _SearchContext(s, b, sysm, input_box, cfg)
+    assert ctx.in_v.all() == (narrow is None)
+    mode = _MODES[name]
+    rng = np.random.default_rng(5)
+    seeds = mode.seeds(ctx, [(identity_candidate(2), CAP_CANDIDATE)])
+    steps = mode.steps(ctx)
+    thetas = seeds + [seed + steps * rng.uniform(-1.0, 1.0, steps.size)
+                      for seed in seeds for _ in range(4)]
+    thetas += [mode.random_theta(ctx, rng) for _ in range(23 - len(thetas))]
+    thetas = np.array(thetas)
+    if name == "multi":
+        thetas[3, 2 * ctx.n::2 * ctx.n + 1] = -1e9    # h < 0 everywhere
+    alone, alone_steps = _score_alone(ctx, mode, thetas)
+    if name == "multi":
+        assert alone_steps[3] == [] and sum(map(len, alone_steps)) > len(thetas) // 2
+    for size in (1, 5, 11, cfg.population):
+        for i in range(0, len(thetas), size):
+            ctx.root_steps.clear()
+            got = _score(ctx, mode, mode.build(ctx, thetas[i:i + size]))
+            assert got.tobytes() == alone[i:i + size].tobytes()
+            assert ctx.root_steps == [k for row in alone_steps[i:i + size] for k in row]
+
+
+def _jump_or_ramp_system(c: float) -> SystemModel:
+    """`_jump_system`'s z = 1 - 2 1{x0 > c} where x1 >= 0, and the ramp
+    z = c - x0 where x1 < 0; no dynamics."""
+    hcf = HardConstraint(
+        value=lambda x: np.where(np.asarray(x, dtype=float)[..., 1] >= 0.0,
+                                 1.0 - 2.0 * (np.asarray(x, dtype=float)[..., 0] > c),
+                                 c - np.asarray(x, dtype=float)[..., 0]),
+        gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    return replace(_jump_system(c), hcf=hcf, name="jump-or-ramp")
+
+
+def test_boundary_probes_batch_mixes_one_step_and_stalling_chords():
+    """One block holds tuples whose chords end in one step (the ramp, shifted
+    below x1 = 0), tuples on the jump of
+    test_boundary_probes_bisect_where_the_secant_stalls, where the midpoint
+    fallback takes many steps, and a tuple enclosing nothing. Each tuple's
+    metrics, probes, owners and root steps are those it gets alone; its
+    owners count from its own first row."""
+    c = 0.3141592653589793
+    sysm = _jump_or_ramp_system(c)
+    s = run_sampling(sysm, UBOX1, UNIT, n_min=200, delta=1.0, growth=3.0, seed=9,
+                     n_start=729)
+    ctx = _SearchContext(s, None, sysm, UBOX1, FitConfig())
+    ramp = CbfCandidate([1.0, 1.0], [0.0, -2.0], 0.0)
+    jump = CbfCandidate([1.0, 1.0], [0.0, 0.0], 1.0 - 1e-6)
+    wide = CbfCandidate([1.0, 1.0], [0.0, -2.0], 0.5)
+    sunk = CbfCandidate([1.0, 1.0], [0.0, 0.0], -1e9)
+    tuples = [(ramp, wide), (jump, wide), (sunk, ramp), (wide, jump), (ramp, ramp)]
+    alone = []
+    for tup in tuples:
+        ctx.root_steps.clear()
+        block = _block(tup)
+        metrics = ctx.metrics(block)
+        alone.append((metrics, ctx.boundary_probes(block, metrics[3], 256), ctx.root_steps[:]))
+    assert alone[0][2] == [1] and alone[2][2] == []
+    assert alone[1][2][0] > 3 and alone[3][2][0] > 3
+    block = tuple(np.concatenate(p) for p in zip(*(_block(tup) for tup in tuples)))
+    ctx.root_steps.clear()
+    metrics = ctx.metrics(block)
+    probes, owner = ctx.boundary_probes(block, metrics[3], 256)
+    assert ctx.root_steps == [k for *_, steps in alone for k in steps]
+    for b, ((one, (p1, o1), _), tup) in enumerate(zip(alone, tuples)):
+        for got, expect in zip(metrics, one):
+            assert got[b:b + 1].tobytes() == expect.tobytes()
+        mine = owner // 2 == b
+        assert probes[mine].tobytes() == p1.tobytes()
+        assert np.array_equal(owner[mine] - 2 * b, o1)
 
 
 def test_search_offers_per_restart(di, small_run):
@@ -562,17 +693,23 @@ def _scipy_nelder_mead(fun, x0, steps, maxiter):
 
 
 def _nelder_mead_runs(fun, x0, steps, maxiter):
-    """The points each implementation evaluates, in order, and its result."""
+    """The points each implementation evaluates, in order, with each block
+    `_nelder_mead` scores flattened in row order; its result; and the row
+    count of each block (scipy's points are blocks of one)."""
     runs = []
-    for method in (_nelder_mead, _scipy_nelder_mead):
-        points = []
+    for blocks in (True, False):
+        points, sizes = [], []
 
-        def recording(x):
-            points.append(x.copy())
-            return fun(x)
+        def recording(xs):
+            sizes.append(len(xs))
+            points.extend(x.copy() for x in xs)
+            return [fun(x) for x in xs]
 
-        x = method(recording, x0.copy(), steps, maxiter)
-        runs.append(([p.tobytes() for p in points], x.tobytes(), points))
+        if blocks:
+            x = _nelder_mead(lambda xs: np.array(recording(xs)), x0.copy(), steps, maxiter)
+        else:
+            x = _scipy_nelder_mead(lambda x: recording(x[None])[0], x0.copy(), steps, maxiter)
+        runs.append(([p.tobytes() for p in points], x.tobytes(), points, sizes))
     return runs
 
 
@@ -582,12 +719,14 @@ def _only_at(x0):
     return lambda x: 0.0 if np.array_equal(x, x0) else 1.0
 
 
-@pytest.mark.parametrize("case", ["rosen-2d", "rosen-5d", "tied", "shrink", "cap-mid-shrink"])
+@pytest.mark.parametrize("case", ["rosen-2d", "rosen-5d", "tied", "shrink", "cap-mid-shrink",
+                                  "cap-in-initial-simplex"])
 def test_nelder_mead_matches_scipy(case):
     """`_nelder_mead` evaluates the points scipy's Nelder-Mead evaluates, in
     the same order and bit for bit, and returns its x: on Rosenbrock, on an
-    objective with tied values, on one that shrinks every iteration, and
-    when the evaluation cap (4 * maxiter) falls in the middle of a shrink."""
+    objective with tied values, on one that shrinks every iteration, when
+    the evaluation cap (4 * maxiter) falls in the middle of a shrink, and
+    when it falls before the last vertex of the initial simplex."""
     rng = np.random.default_rng(11)
     dim = {"rosen-2d": 2, "rosen-5d": 5}.get(case, 4)
     x0, steps, maxiter = rng.normal(size=dim), rng.uniform(0.05, 0.5, size=dim), 300
@@ -597,17 +736,26 @@ def test_nelder_mead_matches_scipy(case):
     elif case in ("shrink", "cap-mid-shrink"):
         fun = _only_at(x0)
         maxiter = 5 if case == "cap-mid-shrink" else 40
-    (ours, x_ours, points), (theirs, x_theirs, _) = _nelder_mead_runs(fun, x0, steps, maxiter)
+    elif case == "cap-in-initial-simplex":
+        maxiter = 1
+    (ours, x_ours, points, sizes), (theirs, x_theirs, _, _) = \
+        _nelder_mead_runs(fun, x0, steps, maxiter)
     assert ours == theirs and x_ours == x_theirs
     if case.startswith("rosen"):
         assert rosen(np.frombuffer(x_ours)) < rosen(x0)
     if case == "shrink":   # the first shrink moves each vertex halfway to x0
         vertex = x0 + steps * np.eye(dim)[0]
         assert any(np.array_equal(p, x0 + 0.5 * (vertex - x0)) for p in points)
+        # the initial simplex is one block of n + 1 points and each shrink one
+        # block of n, after a reflection and a contraction; 5 + 25 * 6 = 155
+        # points leave 5 below the cap of 160, so the 26th shrink scores 3
+        assert sizes == [dim + 1] + [1, 1, dim] * 25 + [1, 1, 3]
     if case == "cap-mid-shrink":
         # 5 initial points and two iterations of 6 (a reflection, a contraction
         # and four shrink points) make 17; the cap of 20 falls in the third shrink
         assert len(ours) == 4 * maxiter
+    if case == "cap-in-initial-simplex":   # the cap of 4 leaves the 5th vertex unscored
+        assert len(ours) == 4 * maxiter and sizes == [4]
 
 
 def test_reference_fit_areas(reference_fits):
