@@ -397,11 +397,6 @@ def _block(cands: Sequence[CbfCandidate]) -> Block:
     return tuple(p[None] for p in stack_candidates(cands))
 
 
-def _candidates(block: Block) -> list[CbfCandidate]:
-    """The first tuple of a block as candidates."""
-    return [CbfCandidate(*p) for p in zip(*(p[0] for p in block))]
-
-
 def _build_uniform(ctx: _SearchContext, thetas: Array) -> Block:
     scale = np.repeat(np.maximum(thetas[:, :1], _MIN_UNIFORM_SCALE), ctx.n, axis=1)
     return ctx.capped(scale, thetas[:, 1:1 + ctx.n])
@@ -648,7 +643,8 @@ def _run(ctx: _SearchContext, mode: _Mode, steps: Array,
 
     def offer(theta):
         block = mode.build(ctx, theta.copy()[None])   # candidates view it; block passes edit theta
-        offers.append((_candidates(block), *_hard_feasible(ctx, mode, block)))
+        cands = [CbfCandidate(*p) for p in zip(*(p[0] for p in block))]
+        offers.append((cands, *_hard_feasible(ctx, mode, block)))
 
     if seed is not None:
         theta = np.array(seed, dtype=float)
