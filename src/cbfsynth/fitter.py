@@ -276,10 +276,10 @@ class _SearchContext:
 
         Chords run between enclosed and h_j-negative subsample points, the
         first `want` of the pool per candidate, chosen from `h_ends` (see
-        `metrics`). On the chord x(t) = a + t (b - a)
-        a bracket [t_a, t_b], first [0, 1], keeps h_j >= tol / 2 at t_a and
-        h_j < tol / 2 at t_b, with tol = ROOT_H_TOL (1 + max(|h_j(a)|, |h_j(b)|)).
-        All chords of the block step at once, to the regula falsi point of the bracket's
+        `metrics`). On the chord x(t) = a + t (b - a) a bracket [t_a, t_b],
+        first [0, 1], keeps h_j >= tol / 2 at t_a and h_j < tol / 2 at t_b,
+        with tol = ROOT_H_TOL (1 + max(|h_j(a)|, |h_j(b)|)). All chords of the
+        block step at once, to the regula falsi point of the bracket's
         end values (Dowell & Jarratt's Illinois rule halves the kept end's
         value whenever the same end is replaced twice in a row), or to the
         midpoint when the bracket has not halved over the last two steps.
