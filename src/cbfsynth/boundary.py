@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import FORMAT_VERSION, SampleClass, SampleSet, _write
+from .sampler import SampleClass, SampleSet, _write
 
 Array = np.ndarray
+BOUNDARY_FORMAT_VERSION = 1   # versioned apart from the sample file's FORMAT_VERSION
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def stray_points(b: BoundarySet, s: SampleSet) -> int:
 
 def boundary_bytes(b: BoundarySet) -> bytes:
     lines = [json.dumps({
-        "version": FORMAT_VERSION,
+        "version": BOUNDARY_FORMAT_VERSION,
         "epsilon": b.epsilon,
         "normalized": True,
         "source_checksum": b.source_checksum,
@@ -185,7 +186,7 @@ def load_boundary(path, dim: int | None = None) -> BoundarySet:
     if not lines:
         raise ValueError(f"{path}: empty boundary file")
     header = json.loads(lines[0])
-    if header.get("version") != FORMAT_VERSION:
+    if header.get("version") != BOUNDARY_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported boundary file version")
     pts = [json.loads(line)["x"] for line in lines[1:]]
     arr = np.array(pts, dtype=float) if pts else np.zeros((0, dim or 0))

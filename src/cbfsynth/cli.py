@@ -57,11 +57,13 @@ def _reusable(out: Path, cached: dict, inputs: dict, outputs: dict) -> bool:
 
 
 def _load(loader, path: Path, **kwargs):
-    """Run an artifact loader; a file it cannot parse fails integrity, not config."""
+    """Run an artifact loader; a file it cannot parse fails integrity, not
+    config. The message names the file once, whether or not the loader's did."""
     try:
         return loader(path, **kwargs)
     except (ValueError, KeyError, TypeError) as exc:
-        raise IntegrityError(f"{path}: cannot parse: {exc}") from None
+        reason = str(exc).removeprefix(f"{path}: ")
+        raise IntegrityError(f"{path}: cannot parse: {reason}") from None
 
 
 def _resolve(args) -> tuple[PipelineConfig, Path]:
@@ -78,14 +80,15 @@ def _build(cfg: PipelineConfig):
 
 def _fresh(cfg: PipelineConfig, path: Path, s):
     """`s`, the sample set or header read from `path`; IntegrityError if it
-    is stale: drawn for another system, box, seed or tolerance than the
-    config's."""
-    sa = cfg.sampling_args()
-    drawn = (s.system_name, s.bounds.lower.tolist(), s.bounds.upper.tolist(), s.seed, s.zero_tol)
-    if drawn != (_build(cfg)[0].name, sa["bounds"].lower.tolist(), sa["bounds"].upper.tolist(),
-                 sa["seed"], sa["zero_tol"]):
-        raise IntegrityError(f"{path}: sampled for another system, box, seed or zero_tol "
-                             f"than the config's")
+    is stale: drawn for another system, plant parameters, box, seed or
+    tolerance than the config's."""
+    sa, sysm = cfg.sampling_args(), _build(cfg)[0]
+    drawn = (s.system_name, s.system_params, s.bounds.lower.tolist(), s.bounds.upper.tolist(),
+             s.seed, s.zero_tol)
+    if drawn != (sysm.name, sysm.params, sa["bounds"].lower.tolist(),
+                 sa["bounds"].upper.tolist(), sa["seed"], sa["zero_tol"]):
+        raise IntegrityError(f"{path}: sampled for another system, plant parameters, box, seed "
+                             f"or zero_tol than the config's")
     return s
 
 

@@ -219,21 +219,15 @@ def solve_box_qp(p: QpProblem) -> QpSolution:
 def min_zdot(lf: float | Array, lg: Array, input_box: BoxSet) -> tuple[Array, Array]:
     """Closed-form (argmin, min) of (lf + lg . u)^2 over u in the box.
 
-    Batched: lf is (...), lg is (..., m). Over the box lg . u sweeps the
-    interval between the vertices u_lo and u_hi that minimize and maximize it,
-    so the minimum is the squared distance from -lf to that interval, attained
-    on the segment from u_lo to u_hi. The m = 1 case keeps the division form,
-    whose rounding the sample files record, and returns the box midpoint
-    where the input does not enter.
+    Batched: lf is (...), lg is (..., m), for every m. Over the box lg . u
+    sweeps the interval between the vertices u_lo and u_hi that minimize and
+    maximize it, so the minimum is the squared distance from -lf to that
+    interval, attained on the segment from u_lo to u_hi (at u_lo where the
+    input does not enter).
     """
     lf = np.asarray(lf, dtype=float)
     lg = np.asarray(lg, dtype=float)
     lower, upper = input_box.lower, input_box.upper
-    if lg.shape[-1] == 1:
-        active = lg[..., 0] != 0.0
-        a = np.where(active, lg[..., 0], 1.0)
-        u = np.where(active, np.clip(-lf / a, lower[0], upper[0]), input_box.midpoint()[0])
-        return u[..., None], (lf + lg[..., 0] * u) ** 2
     u_lo = np.where(lg > 0.0, lower, upper)
     u_hi = np.where(lg > 0.0, upper, lower)
     lo = np.sum(lg * u_lo, axis=-1)

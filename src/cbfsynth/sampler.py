@@ -28,7 +28,7 @@ from .system import BoxSet, SystemModel
 
 Array = np.ndarray
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_ZERO_TOL = 1e-9
 
 
@@ -73,6 +73,7 @@ class SampleHeader:
     where one was taken."""
 
     system_name: str
+    system_params: dict[str, float]
     bounds: BoxSet
     seed: int
     zero_tol: float
@@ -97,12 +98,12 @@ class SampleSet:
 
     states: Array                  # (N, n)
     labels: Array                  # (N,) int8 codes
-    residuals: Array               # (N,)
     bounds: BoxSet
     seed: int
     zero_tol: float                # coefficient of the scale-aware threshold
     tracker: JaccardTracker
     system_name: str = "anonymous"
+    system_params: dict[str, float] = field(default_factory=dict)   # the plant's, resolved
     converged: bool = True
     # sha256 of the file form, recorded by save_samples / load_samples
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
@@ -116,8 +117,8 @@ class SampleSet:
     def header(self) -> SampleHeader:
         """The set's file header, with the digest recorded when the set was
         last saved or loaded (None before either)."""
-        return SampleHeader(self.system_name, self.bounds, self.seed, self.zero_tol,
-                            self.tracker.history, self.converged, self._digest)
+        return SampleHeader(self.system_name, self.system_params, self.bounds, self.seed,
+                            self.zero_tol, self.tracker.history, self.converged, self._digest)
 
     def checksum(self) -> str:
         """Digest of the sample file: the one recorded when the set was last
@@ -135,13 +136,13 @@ def draw_batch(bounds: BoxSet, count: int, rng: np.random.Generator) -> Array:
 
 
 def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
-                   zero_tol: float | None = None) -> tuple[Array, Array]:
-    """Vectorized classification; returns (label codes, residuals).
+                   zero_tol: float | None = None) -> Array:
+    """Vectorized classification; returns the (N,) int8 label codes.
 
-    The residual min over the input box of (L_f z + L_g z . u)^2 is taken in
-    closed form by `qp.min_zdot`. `zero_tol` is the coefficient of the
-    scale-aware threshold coeff * (1 + L_f z(x)^2); None selects the default.
-    There are no cross-sample reductions, so batch order cannot affect labels.
+    A state with z >= 0 is feasible when the min over the input box of
+    (L_f z + L_g z . u)^2, taken in closed form by `qp.min_zdot`, is at most
+    coeff * (1 + L_f z(x)^2), with coeff `zero_tol` (None selects the default).
+    No cross-sample reductions, so batch order cannot affect labels.
     """
     states = np.asarray(states, dtype=float)
     coeff = DEFAULT_ZERO_TOL if zero_tol is None else zero_tol
@@ -159,8 +160,7 @@ def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
     labels = np.full(states.shape[0], _CLASS_CODE[SampleClass.INFEASIBLE], dtype=np.int8)
     labels[outside] = _CLASS_CODE[SampleClass.OUTSIDE]
     labels[feasible] = _CLASS_CODE[SampleClass.FEASIBLE]
-    residuals = np.where(outside, 0.0, residuals)
-    return labels, residuals
+    return labels
 
 
 def _check_schedule(n_min: int, delta: float, growth: float, n_start: int, n_max: int) -> None:
@@ -188,17 +188,16 @@ def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
     _check_schedule(n_min, delta, growth, n_start, n_max)
     rng = np.random.Generator(np.random.Philox(key=seed))
     tracker = JaccardTracker()
-    chunks_states, chunks_labels, chunks_res = [], [], []
+    chunks_states, chunks_labels = [], []
     target = int(n_start)
     converged = False
     prev_j = 0.0
     while True:
         new = target - tracker.n_total
         states = draw_batch(bounds, new, rng)
-        labels, residuals = classify_batch(sys, input_box, states, zero_tol)
+        labels = classify_batch(sys, input_box, states, zero_tol)
         chunks_states.append(states)
         chunks_labels.append(labels)
-        chunks_res.append(residuals)
         tracker.n_total += new
         tracker.n_feasible += int(np.sum(labels == _CLASS_CODE[SampleClass.FEASIBLE]))
         tracker.checkpoint()
@@ -213,12 +212,12 @@ def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
     return SampleSet(
         states=np.vstack(chunks_states),
         labels=np.concatenate(chunks_labels),
-        residuals=np.concatenate(chunks_res),
         bounds=bounds,
         seed=int(seed),
         zero_tol=DEFAULT_ZERO_TOL if zero_tol is None else float(zero_tol),
         tracker=tracker,
         system_name=sys.name,
+        system_params=dict(sys.params),
         converged=converged,
     )
 
@@ -226,9 +225,8 @@ def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
 # ---------------------------------------------------------------------------
 # Line-delimited JSON persistence (bit-exact round trip)
 
-# the text between a row's coordinates and its residual, by class code
-_CLASS_TEXT = tuple(f'],"class":"{_CODE_CLASS[code].value}","residual":'.encode()
-                    for code in range(3))
+# the text after a row's coordinates, by class code
+_CLASS_TEXT = tuple(f'],"class":"{_CODE_CLASS[code].value}"}}'.encode() for code in range(3))
 
 
 def _header_bytes(h: SampleHeader) -> bytes:
@@ -236,6 +234,7 @@ def _header_bytes(h: SampleHeader) -> bytes:
     return json.dumps({
         "version": FORMAT_VERSION,
         "system": h.system_name,
+        "params": dict(sorted(h.system_params.items())),
         "bounds": {"lower": h.bounds.lower.tolist(), "upper": h.bounds.upper.tolist()},
         "seed": h.seed,
         "zero_tol": h.zero_tol,
@@ -244,22 +243,21 @@ def _header_bytes(h: SampleHeader) -> bytes:
     }, separators=(",", ":")).encode()
 
 
-def _format_rows(states: Array, labels: Array, residuals: Array) -> list[bytes]:
+def _format_rows(states: Array, labels: Array) -> list[bytes]:
     """One record per sample, each without its newline.
 
     Every row comes from one format string; `%a` of a finite float is its
     repr, the shortest round-trip decimal, which is also what `json.dumps`
     writes.
     """
-    row = b'{"x":[' + b",".join([b"%a"] * states.shape[1]) + b"%s%a}"
+    row = b'{"x":[' + b",".join([b"%a"] * states.shape[1]) + b"%s"
     return list(map(row.__mod__, zip(*states.T.tolist(),
-                                     map(_CLASS_TEXT.__getitem__, labels.tolist()),
-                                     residuals.tolist())))
+                                     map(_CLASS_TEXT.__getitem__, labels.tolist()))))
 
 
 def canonical_bytes(s: SampleSet) -> bytes:
     """The sample file: a JSON header line, then one JSON record per sample."""
-    lines = _format_rows(s.states, s.labels, s.residuals)
+    lines = _format_rows(s.states, s.labels)
     lines.insert(0, _header_bytes(s.header()))
     lines.append(b"")
     return b"\n".join(lines)
@@ -271,30 +269,29 @@ def save_samples(s: SampleSet, path) -> str:
     return s._digest
 
 
-def _check_rows(rows: bytes, dim: int) -> tuple[Array, Array, Array]:
+def _check_rows(rows: bytes, dim: int) -> tuple[Array, Array]:
     """Parse whole sample rows and check that they are canonical; returns the
-    states, label codes and residuals. ValueError for a row whose width is not
+    states and label codes. ValueError for a row whose width is not
     `dim`, an unknown class, a non-finite number (`%a` writes `nan` or `inf`)
     or any text `_format_rows` would not write."""
     n = rows.count(b"\n")
-    # each row becomes "x_1,..,x_dim,code,residual," for one numeric parse
-    body = rows.replace(b'{"x":[', b"").replace(b"}\n", b",")
+    # each row becomes "x_1,..,x_dim,code," for one numeric parse
+    body = rows.replace(b'{"x":[', b"")
     for code, text in enumerate(_CLASS_TEXT):
-        body = body.replace(text, b",%d," % code)
+        body = body.replace(text + b"\n", b",%d," % code)
     values = np.fromstring(body, sep=",")
-    if values.size != n * (dim + 2) or not np.isin(values[dim::dim + 2], list(_CODE_CLASS)).all():
+    if values.size != n * (dim + 1) or not np.isin(values[dim::dim + 1], list(_CODE_CLASS)).all():
         raise ValueError(f"sample rows do not hold {dim} coordinates each")
     if not np.isfinite(values).all():
         raise ValueError("sample rows hold non-finite numbers")
-    values = values.reshape(n, dim + 2)
-    states, residuals = values[:, :dim].copy(), values[:, dim + 1].copy()
-    labels = values[:, dim].astype(np.int8)
+    values = values.reshape(n, dim + 1)
+    states, labels = values[:, :dim].copy(), values[:, dim].astype(np.int8)
     del body, values   # free the parse's copies before the reformat check
-    lines = _format_rows(states, labels, residuals)
+    lines = _format_rows(states, labels)
     lines.append(b"")
     if b"\n".join(lines) != rows:
         raise ValueError("content does not match its canonical form")
-    return states, labels, residuals
+    return states, labels
 
 
 # Bytes read at a time when a file is hashed, so no file is held whole.
@@ -348,6 +345,7 @@ def _parse_header(line: bytes) -> SampleHeader:
         raise ValueError("the header holds no checkpoint")
     h = SampleHeader(
         system_name=header["system"],
+        system_params=dict(header["params"]),
         bounds=BoxSet(np.array(header["bounds"]["lower"]), np.array(header["bounds"]["upper"])),
         seed=int(header["seed"]),
         zero_tol=float(header["zero_tol"]),
@@ -395,7 +393,7 @@ def load_samples(path) -> SampleSet:
     start = data.find(b"\n") + 1 or len(data)
     try:
         h = _parse_header(data[:start])
-        states, labels, residuals = _check_rows(data[start:], h.bounds.dim)
+        states, labels = _check_rows(data[start:], h.bounds.dim)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     tracker = JaccardTracker(
@@ -406,8 +404,8 @@ def load_samples(path) -> SampleSet:
     if repr(h.history[-1]) != repr((tracker.n_total, tracker.jaccard)):
         raise ValueError(f"{path}: the last checkpoint (n, J) = {h.history[-1]} is not "
                          f"that of its {tracker.n_total} rows")
-    s = SampleSet(states=states, labels=labels, residuals=residuals, bounds=h.bounds,
-                  seed=h.seed, zero_tol=h.zero_tol, tracker=tracker,
-                  system_name=h.system_name, converged=h.converged)
+    s = SampleSet(states=states, labels=labels, bounds=h.bounds, seed=h.seed,
+                  zero_tol=h.zero_tol, tracker=tracker, system_name=h.system_name,
+                  system_params=h.system_params, converged=h.converged)
     s._digest = hashlib.sha256(data).hexdigest()
     return s

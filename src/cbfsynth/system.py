@@ -15,7 +15,7 @@ entry must depend only on its own state, whatever the layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -61,9 +61,6 @@ class BoxSet:
     def clip(self, x: Array) -> Array:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
-    def midpoint(self) -> Array:
-        return 0.5 * (self.lower + self.upper)
-
 
 @dataclass(frozen=True)
 class HardConstraint:
@@ -86,6 +83,8 @@ class SystemModel:
     actuation: Callable[[Array], Array]
     hcf: HardConstraint
     name: str = "anonymous"
+    # the registry factory's parameter table, defaults and input bounds included
+    params: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -237,5 +236,5 @@ def _double_integrator_factory(params: Mapping[str, float]) -> tuple[SystemModel
         raise ValueError(f"unknown double_integrator parameters: {sorted(unknown)}; "
                          f"accepted: {sorted(_DI_DEFAULTS)}")
     p = dict(_DI_DEFAULTS, **params)
-    sys = make_double_integrator(p["gamma1"], p["gamma2"])
+    sys = replace(make_double_integrator(p["gamma1"], p["gamma2"]), params=p)
     return sys, BoxSet(np.array([p["u_min"]]), np.array([p["u_max"]]))

@@ -18,8 +18,8 @@ def _make_set(states, labels, bounds):
     tracker = JaccardTracker(n_total=len(codes),
                              n_feasible=int(np.sum(codes == _CLASS_CODE[SampleClass.FEASIBLE])))
     tracker.checkpoint()
-    return SampleSet(states=states, labels=codes, residuals=np.zeros(len(codes)),
-                     bounds=bounds, seed=0, zero_tol=1e-9, tracker=tracker)
+    return SampleSet(states=states, labels=codes, bounds=bounds, seed=0, zero_tol=1e-9,
+                     tracker=tracker)
 
 
 UNIT = BoxSet([0.0, 0.0], [1.0, 1.0])

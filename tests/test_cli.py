@@ -13,6 +13,9 @@ from conftest import run_fresh
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "double_integrator.cfg"
 
 
+_PLANT = "name = double_integrator"
+
+
 def tiny_config(tmp_path: Path, out: str, modes: str = "uniform", seed: int = 3,
                 delta: str = "1.0", margin: str = "auto",
                 extra_sampling: str = "") -> Path:
@@ -290,7 +293,7 @@ def test_boundary_detects_tampering(tmp_path):
     assert main(["sample", "--config", str(cfg)]) == 0
     path = out / "samples.jsonl"
     lines = path.read_text().splitlines()
-    lines[1] = lines[1].replace('"residual":', '"residual": ')   # break canonical form
+    lines[1] = lines[1].replace('"class":', '"class": ')   # break canonical form
     path.write_text("\n".join(lines) + "\n")
     assert main(["boundary", "--config", str(cfg)]) == 4
 
@@ -399,10 +402,12 @@ def test_unparsable_artifact_is_integrity_failure(tmp_path, capsys, command, art
     ("boundary", lambda text: text, ["--seed", "77"]),
     ("fit", lambda text: text.replace("upper = 0.0, 40.0", "upper = 5.0, 40.0"), []),
     ("boundary", lambda text: text.replace("seed = 3", "seed = 3\nzero_tol = 1e-6"), []),
-], ids=["seed", "bounds", "zero-tol"])
+    ("boundary", lambda text: text.replace(_PLANT, _PLANT + "\ngamma2 = 0.3"), []),
+    ("fit", lambda text: text.replace(_PLANT, _PLANT + "\ngamma2 = 0.3"), []),
+], ids=["seed", "bounds", "zero-tol", "plant-boundary", "plant-fit"])
 def test_stale_sample_file_is_integrity_failure(tmp_path, capsys, command, edit, argv):
-    """A sample file drawn for another seed, box or tolerance than the config's
-    is stale: the standalone stages refuse it instead of using it."""
+    """A sample file drawn for another seed, box, tolerance or plant than the
+    config's is stale: the standalone stages refuse it instead of using it."""
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out))
     for stage in ("sample", "boundary"):
@@ -412,6 +417,58 @@ def test_stale_sample_file_is_integrity_failure(tmp_path, capsys, command, edit,
     assert main([command, "--config", str(cfg), *argv]) == 4
     err = capsys.readouterr().err
     assert err.startswith("integrity error:") and err.count("\n") == 1
+
+
+def test_explicit_default_plant_parameter_matches_default(tmp_path):
+    """The header records the plant's resolved parameters, so a config that
+    spells out a default value names the plant a config leaving it out does."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    assert main(["sample", "--config", str(cfg)]) == 0
+    head = json.loads((out / "samples.jsonl").read_text().split("\n", 1)[0])
+    assert head["params"] == {"gamma1": 0.0, "gamma2": 0.1, "u_max": 300.0, "u_min": -300.0}
+    cfg.write_text(cfg.read_text().replace(_PLANT, _PLANT + "\ngamma2 = 0.1\nu_max = 300"))
+    assert main(["boundary", "--config", str(cfg)]) == 0
+
+
+def test_pipeline_resamples_a_file_drawn_for_another_plant(tmp_path):
+    """A sample file whose digest the stage state records, but which was drawn
+    for another plant than the config's, is a cache miss: sampled again."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(tmp_path / "default"))
+    assert main(["sample", "--config", str(cfg)]) == 0
+    other = (tmp_path / "default" / "samples.jsonl").read_bytes()
+    cfg.write_text(cfg.read_text().replace(_PLANT, _PLANT + "\ngamma2 = 0.3"))
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    own = (out / "samples.jsonl").read_bytes()
+    assert own != other
+    (out / "samples.jsonl").write_bytes(other)
+    state = json.loads((out / "stage_state.json").read_text())
+    state["sample"]["output"] = hashlib.sha256(other).hexdigest()
+    (out / "stage_state.json").write_text(json.dumps(state))
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "samples.jsonl").read_bytes() == own
+
+
+@pytest.mark.parametrize("command, artifact, corrupt", [
+    ("boundary", "samples.jsonl", lambda data: data.replace(b'"class":', b'"class": ', 1)),
+    ("simulate", "candidates_uniform.json",
+     lambda data: data.replace(b'"version":1', b'"version":9', 1)),
+], ids=["samples", "candidates"])
+def test_integrity_error_names_the_file_once(tmp_path, capsys, command, artifact, corrupt):
+    """A loader's message already starts with the file's path; the one
+    integrity line holds that path exactly once."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    for stage in ("sample", "boundary", "fit"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    path = out / artifact
+    path.write_bytes(corrupt(path.read_bytes()))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("integrity error:") and err.count("\n") == 1
+    assert err.count(str(path)) == 1, err
 
 
 def test_explicit_default_zero_tol_matches_auto(tmp_path):
@@ -484,7 +541,7 @@ def test_pipeline_caching_and_stage_isolation(tmp_path):
         assert (out / f).read_bytes() == snapshot[f]
     # a non-canonical edit of the sample file is a cache miss: re-sampled, not refused
     path = out / "samples.jsonl"
-    path.write_bytes(snapshot["samples.jsonl"].replace(b'"residual":', b'"residual": ', 1))
+    path.write_bytes(snapshot["samples.jsonl"].replace(b'"class":', b'"class": ', 1))
     assert main(["pipeline", "--config", str(cfg)]) == 0
     for f in files:
         assert (out / f).read_bytes() == snapshot[f]
@@ -648,14 +705,16 @@ def test_fit_line_reports_search_counts(tmp_path, capsys):
     assert counts["multi"][1] < counts["multi"][0]
 
 
-# sha256 of the candidate files below, as written by commit c01309c, whose
+# sha256 of the candidate documents below with their `source_checksums`
+# removed (the digests of the input files, which change with the sample file's
+# format and say nothing of the search), as written by commit c01309c, whose
 # search ran its restarts one after another from one random stream, with its
 # two golden-section polish lines (the polish and its offer) removed; the
 # unmodified commit writes the same uniform and nonuniform files
 _SEQUENTIAL_SEARCH_DIGESTS = {
-    "uniform": "fb7d8879b17f855b3c7f04da5c8879dbfd6c4c48324e755069263a85885c327d",
-    "nonuniform": "04f380973dcf6696653c81cdbdb7b6857d1c24c179d564fde965e6f81decadff",
-    "multi": "7f51ee3e389612f6b69ea566c660f0c1eb7aef7d3a428df3f35b2f6e67294359",
+    "uniform": "57bd58562f21ac6529ff473ddd91b7a28d8994b5ecfdac5cf8103d2f44d16c38",
+    "nonuniform": "0e19b4b54a733e0df4b4a2bf97cdc8811b1d32aca114eba0629a437322d54036",
+    "multi": "1af75dbadc0c29b68c0082d4b009ddd2d475adb4e8cf61e8b1d0896452f12610",
 }
 
 
@@ -672,7 +731,10 @@ def test_fit_draws_match_sequential_search(tmp_path):
         assert main([stage, "--config", str(cfg)]) == 0
     for mode, digest in _SEQUENTIAL_SEARCH_DIGESTS.items():
         data = (out / f"candidates_{mode}.json").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest, mode
+        doc = json.loads(data)
+        del doc["source_checksums"]
+        search = (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+        assert hashlib.sha256(search).hexdigest() == digest, mode
 
 
 def test_simulate_line_reports_filter_active(tmp_path, capsys):

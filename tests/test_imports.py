@@ -45,3 +45,32 @@ def test_parallel_imported_by_fitter_only(path):
     assert bool(found) == (path.name == "fitter.py"), \
         f"{path.name} imports parallel at line(s) {found}"
 
+
+
+def _format_version_uses(path: Path) -> list[int]:
+    """Lines of `path` that import `FORMAT_VERSION` from any module or read it
+    off one (`smp.FORMAT_VERSION`)."""
+    tree = ast.parse(path.read_text())
+    return sorted({line for line, name in _imported(path) if name.endswith(".FORMAT_VERSION")}
+                  | {node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "FORMAT_VERSION"})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_sample_format_version_used_by_sampler_only(path):
+    """No package module but `sampler` imports the sample file's
+    `FORMAT_VERSION` or reads it off the module, so a sample-file bump
+    relabels no other artifact."""
+    found = _format_version_uses(path)
+    assert not found or path.name == "sampler.py", \
+        f"{path.name} uses FORMAT_VERSION at line(s) {found}"
+
+
+def test_format_version_scan_sees_both_forms(tmp_path):
+    """The scan finds an import of the name and a read off the module, so it
+    is not blind."""
+    path = tmp_path / "probe.py"
+    path.write_text("from .sampler import FORMAT_VERSION\n"
+                    "from . import sampler as smp\n"
+                    "v = smp.FORMAT_VERSION\n")
+    assert _format_version_uses(path) == [1, 3]
