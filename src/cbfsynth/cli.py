@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import sys as _sys
 from dataclasses import replace
@@ -70,12 +71,17 @@ def _resolve(args) -> tuple[PipelineConfig, Path]:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.sampling["seed"] = args.seed
-        cfg.raw_sections.setdefault("sampling", {})["seed"] = str(args.seed)
     return cfg, Path(cfg.output_dir if args.out is None else args.out)
 
 
 def _build(cfg: PipelineConfig):
     return build_system(cfg.system_name, cfg.system_params)
+
+
+def _key(settings) -> str:
+    """A stage's `config_hash`: the digest of its resolved settings as sorted-key JSON."""
+    text = json.dumps(settings, sort_keys=True, default=smp._jsonable)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _fresh(cfg: PipelineConfig, path: Path, s):
@@ -221,9 +227,7 @@ def cmd_fit(args, cfg: PipelineConfig, out: Path) -> int:
     s = _load_samples(cfg, out / "samples.jsonl")
     b = _load(bnd.load_boundary, boundary_path, dim=s.bounds.dim)
     if b.source_checksum != s.checksum():
-        print(f"error: {boundary_path} was extracted from a different sample file",
-              file=_sys.stderr)
-        return EXIT_INTEGRITY
+        raise IntegrityError(f"{boundary_path}: extracted from a different sample file")
     stray = bnd.stray_points(b, s)
     if stray:
         raise IntegrityError(f"{boundary_path}: {stray} point(s) are not feasible samples")
@@ -261,16 +265,18 @@ def _save_stage_state(out: Path, state: dict) -> None:
 def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     """Run sample -> boundary -> fit -> simulate and write the report.
 
-    A stage is reused when `stage_state.json` records its config sections,
-    the digests of its inputs and the digests of its output files as they
-    are now. Each artifact is hashed at most once per run. The state records
-    an output digest only for bytes this code just wrote (or, for the sample
-    file, fully loaded and checked) from these inputs, and every stage is
-    deterministic, so a match vouches for the file. The sample file is
-    judged on its header and digest alone (`sampler.read_header`); its rows
-    are checked again only when the boundary or fit stage runs. A reused
-    simulate stage runs no closed loop: the report reads the run manifests
-    back and recomputes the skipped starts, never written (`_plan`).
+    A stage is reused when `stage_state.json` records its own resolved
+    settings (`_key`), the digests of its inputs and the digests of its
+    output files as they are now; the settings of the stages above reach it
+    only through those input digests. Each artifact is hashed at most once
+    per run. The state records an output digest only for bytes this code
+    just wrote (or, for the sample file, fully loaded and checked) from
+    these inputs, and every stage is deterministic, so a match vouches for
+    the file. The sample file is judged on its header and digest alone
+    (`sampler.read_header`); its rows are checked again only when the
+    boundary or fit stage runs. A reused simulate stage runs no closed loop:
+    the report reads the run manifests back and recomputes the skipped
+    starts, never written (`_plan`).
     """
     state = _load_stage_state(out)
     new_state: dict = {}
@@ -278,7 +284,8 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     # sample stage (a file whose header fails to parse or is stale is a cache
     # miss, not an integrity failure)
     sample_path = out / "samples.jsonl"
-    sample_hash = cfg.section_hash("system", "sampling")
+    sysm = _build(cfg)[0]
+    sample_hash = _key((sysm.name, sysm.params, cfg.sampling_args()))
     cached = state.get("sample", {})
     head = s = None
     if sample_path.exists() and cached.get("config_hash") == sample_hash:
@@ -306,7 +313,7 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
 
     # boundary stage
     boundary_path = out / "boundary.jsonl"
-    boundary_hash = cfg.section_hash("system", "sampling", "boundary")
+    boundary_hash = _key(cfg.boundary)
     cached = state.get("boundary", {})
     if _reusable(out, cached, {"config_hash": boundary_hash, "input": head.digest},
                  {boundary_path.name: cached.get("output")}):
@@ -316,14 +323,13 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     else:
         b, boundary_digest = _stage_boundary(cfg, out, samples())
     if b.source_checksum != head.digest:
-        print("error: boundary artifact does not match the sample file", file=_sys.stderr)
-        return EXIT_INTEGRITY
+        raise IntegrityError(f"{boundary_path}: extracted from a different sample file")
     new_state["boundary"] = {"config_hash": boundary_hash, "input": head.digest,
                              "output": boundary_digest}
 
     # fit stage
     checksums = {"samples": head.digest, "boundary": boundary_digest}
-    fit_hash = cfg.section_hash("system", "sampling", "boundary", "fit")
+    fit_hash = _key(cfg.fit)
     modes = cfg.fit["modes"]
     cached = state.get("fit", {})
     outputs = cached.get("outputs", {})
@@ -341,7 +347,7 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     new_state["fit"] = {"config_hash": fit_hash, "inputs": checksums, "outputs": digests}
 
     # simulate stage
-    sim_hash = cfg.section_hash(*_SCHEMA_ALL)
+    sim_hash = _key(cfg.simulate)
     cached = state.get("simulate", {})
     outputs = cached.get("outputs", {})
     plans = {m: _plan(cfg, results[m]) for m in modes}
@@ -365,9 +371,6 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     _save_stage_state(out, new_state)
     print(f"report -> {out / 'report.md'}")
     return EXIT_OK
-
-
-_SCHEMA_ALL = ("system", "sampling", "boundary", "fit", "simulate", "output")
 
 
 def _is_reference_setup(cfg: PipelineConfig) -> bool:

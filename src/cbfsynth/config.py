@@ -15,10 +15,9 @@ line and column.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any
 
@@ -167,16 +166,6 @@ class PipelineConfig:
     fit: dict[str, Any]
     simulate: dict[str, Any]
     output_dir: str
-    raw_sections: dict[str, dict[str, str]] = field(default_factory=dict)
-
-    def section_hash(self, *names: str) -> str:
-        """Digest of the given sections' canonical key = value text."""
-        parts = []
-        for name in names:
-            body = self.raw_sections.get(name, {})
-            parts.append(f"[{name}]")
-            parts.extend(f"{k}={v}" for k, v in sorted(body.items()))
-        return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
     def sampling_box(self) -> BoxSet:
         return BoxSet(self.sampling["lower"], self.sampling["upper"])
@@ -273,7 +262,6 @@ def parse_config(text: str) -> PipelineConfig:
     if sysm.n != typed["sampling"]["lower"].size:
         raise ConfigError(f"sampling bounds have {typed['sampling']['lower'].size} axes, "
                           f"system {sysm.name!r} has {sysm.n} states")
-    raw = {name: {k: v for k, (v, _, _) in body.items()} for name, body in sections.items()}
     cfg = PipelineConfig(
         system_name=typed["system"]["name"],
         system_params=sys_params,
@@ -282,7 +270,6 @@ def parse_config(text: str) -> PipelineConfig:
         fit=typed["fit"],
         simulate=typed["simulate"],
         output_dir=typed["output"]["dir"],
-        raw_sections=raw,
     )
     for section, build in [("sampling", cfg.sampling_args), ("simulate", cfg.sim_config),
                            ("simulate", partial(cfg.filter_config, input_box)),

@@ -50,7 +50,7 @@ import numpy as np
 from . import parallel
 from .boundary import BoundarySet
 from .qp import max_over_box
-from .sampler import SampleClass, SampleSet, _finite_json, _write
+from .sampler import SampleClass, SampleSet, _finite_json, _jsonable, _write
 from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
                      eval_h_batch, eval_h_stack, identity_candidate,
                      stack_candidates)
@@ -75,7 +75,8 @@ MODES = ("uniform", "nonuniform", "multi")
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Mode, constraint strictness, objective and search budget."""
+    """Mode, constraint strictness, objective and search budget. The field
+    order is the key order of the candidates file's `config_echo`."""
 
     mode: str = "uniform"                      # uniform | nonuniform | multi
     num_cbfs: int = 1
@@ -85,8 +86,8 @@ class FitConfig:
     iterations: int = 400
     population: int = 32
     seed: int = 0
-    volume_region: BoxSet | None = None
     probes: int = 256
+    volume_region: BoxSet | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -880,16 +881,7 @@ def fit_result_dict(res: FitResult, cfg: FitConfig | None = None,
         "diagnostics": res.diagnostics,
     }
     if cfg is not None:
-        doc["config_echo"] = {
-            "mode": cfg.mode, "num_cbfs": cfg.num_cbfs, "margin": cfg.margin,
-            "objective": cfg.objective, "restarts": cfg.restarts,
-            "iterations": cfg.iterations, "population": cfg.population,
-            "seed": cfg.seed, "probes": cfg.probes,
-            "volume_region": None if cfg.volume_region is None else {
-                "lower": cfg.volume_region.lower.tolist(),
-                "upper": cfg.volume_region.upper.tolist(),
-            },
-        }
+        doc["config_echo"] = asdict(cfg)
     if source_checksums:
         doc["source_checksums"] = dict(sorted(source_checksums.items()))
     return doc
@@ -898,7 +890,7 @@ def fit_result_dict(res: FitResult, cfg: FitConfig | None = None,
 def save_fit(res: FitResult, path, cfg: FitConfig | None = None,
              source_checksums: dict[str, str] | None = None) -> str:
     data = (json.dumps(fit_result_dict(res, cfg, source_checksums),
-                       separators=(",", ":"), sort_keys=False) + "\n").encode()
+                       separators=(",", ":"), default=_jsonable) + "\n").encode()
     return _write(path, data)
 
 

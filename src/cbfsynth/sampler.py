@@ -19,7 +19,7 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -325,6 +325,11 @@ def _finite_json(data: bytes):
         return value if math.isfinite(value) else refuse(text)
 
     return json.loads(data, parse_constant=refuse, parse_float=number)
+
+
+def _jsonable(obj):
+    """`json.dumps`'s fallback: an array as its list, a dataclass as its fields."""
+    return obj.tolist() if isinstance(obj, np.ndarray) else asdict(obj)
 
 
 def _parse_header(line: bytes) -> SampleHeader:

@@ -11,13 +11,13 @@ the run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .qp import QpProblem, QpStatus, solve_box_qp
-from .sampler import _finite_json, _write
+from .sampler import _finite_json, _jsonable, _write
 from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel, eval_h_stack,
                      stack_candidates)
 
@@ -57,7 +57,8 @@ def horizon_steps(horizon: float, dt: float) -> int:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Initial/goal states, horizon and controller gain. Runs are deterministic."""
+    """Initial/goal states, horizon and controller gain. Runs are deterministic.
+    The field order is the key order of a run manifest's `config`."""
 
     x_init: Array
     x_goal: Array
@@ -328,12 +329,7 @@ def check_invariance(traj: Trajectory, cands: Sequence[CbfCandidate],
 def run_manifest(cfg: SimConfig, traj: Trajectory, report: InvarianceReport,
                  candidates_checksum: str | None, csv_checksum: str) -> dict:
     return {
-        "config": {
-            "x_init": cfg.x_init.tolist(), "x_goal": cfg.x_goal.tolist(),
-            "horizon_T": cfg.horizon_T, "dt": cfg.dt, "kp": cfg.kp,
-            "require_safe_start": cfg.require_safe_start,
-            "spline_T": cfg.spline_T, "on_infeasible": cfg.on_infeasible,
-        },
+        "config": asdict(cfg),
         "candidates_checksum": candidates_checksum,
         "trajectory_checksum": csv_checksum,
         "steps": len(traj) - 1,
@@ -347,7 +343,8 @@ def run_manifest(cfg: SimConfig, traj: Trajectory, report: InvarianceReport,
 
 def save_manifest(manifest: dict, path) -> str:
     """Write a run manifest as compact JSON; returns the sha256 of the bytes written."""
-    return _write(path, (json.dumps(manifest, separators=(",", ":")) + "\n").encode())
+    return _write(path, (json.dumps(manifest, separators=(",", ":"), default=_jsonable)
+                         + "\n").encode())
 
 
 def load_manifest(path) -> dict:

@@ -298,14 +298,39 @@ def test_boundary_detects_tampering(tmp_path):
     assert main(["boundary", "--config", str(cfg)]) == 4
 
 
-def test_fit_detects_stale_boundary(tmp_path):
+def _assert_one_integrity_line(err: str, path: Path) -> None:
+    assert err.startswith("integrity error:") and err.count("\n") == 1, err
+    assert err.count(str(path)) == 1, err
+
+
+def test_fit_detects_stale_boundary(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out))
     assert main(["sample", "--config", str(cfg)]) == 0
     assert main(["boundary", "--config", str(cfg)]) == 0
     cfg2 = tiny_config(tmp_path, out=str(out), seed=99)
     assert main(["sample", "--config", str(cfg2)]) == 0   # regenerated samples
+    capsys.readouterr()
     assert main(["fit", "--config", str(cfg2)]) == 4
+    _assert_one_integrity_line(capsys.readouterr().err, out / "boundary.jsonl")
+
+
+def test_pipeline_detects_stale_boundary(tmp_path, capsys):
+    """A boundary file whose digest the stage state records, but which was
+    extracted from another sample file, fails integrity with one line."""
+    out, other = tmp_path / "out", tmp_path / "other"
+    cfg = tiny_config(tmp_path, out=str(out))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    for stage in ("sample", "boundary"):
+        assert main([stage, "--config", str(cfg), "--out", str(other), "--seed", "99"]) == 0
+    data = (other / "boundary.jsonl").read_bytes()
+    (out / "boundary.jsonl").write_bytes(data)
+    state = json.loads((out / "stage_state.json").read_text())
+    state["boundary"]["output"] = hashlib.sha256(data).hexdigest()
+    (out / "stage_state.json").write_text(json.dumps(state))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg)]) == 4
+    _assert_one_integrity_line(capsys.readouterr().err, out / "boundary.jsonl")
 
 
 def _infeasible_row(out: Path) -> str:
@@ -466,9 +491,7 @@ def test_integrity_error_names_the_file_once(tmp_path, capsys, command, artifact
     path.write_bytes(corrupt(path.read_bytes()))
     capsys.readouterr()
     assert main([command, "--config", str(cfg)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("integrity error:") and err.count("\n") == 1
-    assert err.count(str(path)) == 1, err
+    _assert_one_integrity_line(capsys.readouterr().err, path)
 
 
 def test_explicit_default_zero_tol_matches_auto(tmp_path):
@@ -850,6 +873,60 @@ def test_simulate_setting_reruns_only_simulate(tmp_path, monkeypatch):
     assert calls == [1]
     assert _files(out) == _files(cold)
     assert json.loads((out / "run_uniform_1.json").read_text())["config"]["kp"] == 7.0
+
+
+def _reusing_stages(stdout: str) -> list[str]:
+    return [ln.split(":")[0] for ln in stdout.splitlines() if ": reusing " in ln]
+
+
+def test_respelled_config_runs_no_stage(tmp_path, monkeypatch, capsys):
+    """Each stage is keyed on its resolved settings, so a config that spells
+    the same settings otherwise (a padded seed, a default plant parameter and
+    `zero_tol` written out, the modes in another order) reuses every stage
+    and leaves every file's bytes as they were."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out), modes="uniform, multi")
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    snapshot = _files(out)
+    text = cfg.read_text()
+    for old, new in [("seed = 3", "seed = 03"), (_PLANT, _PLANT + "\ngamma2 = 0.1"),
+                     ("growth = 3.0", "growth = 3.0\nzero_tol = 1e-9"),
+                     ("modes = uniform, multi", "modes = multi, uniform")]:
+        assert old in text
+        text = text.replace(old, new, 1)
+    cfg.write_text(text)
+    _forbid_fit_and_rows(monkeypatch)
+    calls = _count_closed_loops(monkeypatch)
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert _reusing_stages(capsys.readouterr().out) == [
+        "sample", "boundary", "fit", "simulate[uniform]", "simulate[multi]"]
+    assert calls == []
+    assert _files(out) == snapshot
+
+
+def test_sampling_edit_with_same_samples_reruns_only_sample(tmp_path, monkeypatch, capsys):
+    """An `n_max` edit that the run never reaches re-samples, writes the same
+    sample file, and so reuses the boundary, fit and simulate stages."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    snapshot = _files(out)
+    cfg.write_text(cfg.read_text().replace("growth = 3.0", "growth = 3.0\nn_max = 1999999"))
+    _forbid_fit_and_rows(monkeypatch)
+    calls = _count_closed_loops(monkeypatch)
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    stdout = capsys.readouterr().out
+    assert re.search(r"^sample: n=243 ", stdout, re.M)
+    assert _reusing_stages(stdout) == ["boundary", "fit", "simulate[uniform]"]
+    assert calls == []
+    files = _files(out)
+    old_state = json.loads(snapshot.pop("stage_state.json"))
+    new_state = json.loads(files.pop("stage_state.json"))
+    assert files == snapshot
+    assert old_state.pop("sample")["config_hash"] != new_state.pop("sample")["config_hash"]
+    assert new_state == old_state
 
 
 @pytest.mark.parametrize("x_init", ["-9, -30; -1, 35", "-1, 35"],
