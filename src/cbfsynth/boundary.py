@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,8 +180,8 @@ def save_boundary(b: BoundarySet, path) -> str:
 
 
 def load_boundary(path, dim: int | None = None) -> BoundarySet:
-    """Read a stored boundary. Non-finite numbers, and with `dim` points of
-    another width, raise ValueError."""
+    """Read a stored boundary. Mistyped or inconsistent header fields, non-finite
+    numbers, and with `dim` points of another width, raise ValueError."""
     with open(path, "rb") as f:
         lines = f.read().decode().splitlines()
     if not lines:
@@ -189,11 +190,16 @@ def load_boundary(path, dim: int | None = None) -> BoundarySet:
     if header.get("version") != BOUNDARY_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported boundary file version")
     pts = [json.loads(line)["x"] for line in lines[1:]]
+    checks = {"normalized": header.get("normalized") is True,
+              "epsilon": type(header.get("epsilon")) in (int, float),
+              "source_checksum": re.fullmatch("[0-9a-f]{64}", str(header.get("source_checksum"))),
+              "empty_warning": header.get("empty_warning") is (not pts)}
+    if not all(checks.values()):
+        raise ValueError(f"{path}: bad header field {next(k for k, v in checks.items() if not v)}")
     arr = np.array(pts, dtype=float) if pts else np.zeros((0, dim or 0))
     epsilon = float(header["epsilon"])
     if not (np.isfinite(arr).all() and np.isfinite(epsilon)):
         raise ValueError(f"{path}: non-finite number")
     if dim is not None and arr.shape[1:] != (dim,):
         raise ValueError(f"{path}: points are not {dim} wide")
-    return BoundarySet(arr, epsilon, header["source_checksum"],
-                       bool(header.get("empty_warning", False)))
+    return BoundarySet(arr, epsilon, header["source_checksum"], header["empty_warning"])

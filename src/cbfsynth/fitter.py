@@ -26,6 +26,8 @@ Incumbents are accepted only when hard-feasible on the full sample set.
 The score kernel scores a block of parameter vectors per call: Nelder-Mead's
 initial simplex, each shrink and a random restart's pool each cost one pass
 of numpy dispatch, and each score equals that of its vector alone, bit for bit.
+A one-point Nelder-Mead step passes a cut, the value at which it would reject
+its point; containment terms at the cut skip the exists-input penalty (>= 0).
 
 The restarts are independent tasks. The driver makes every random draw up
 front, in the order a search running one restart after another would make
@@ -197,9 +199,9 @@ class _SearchContext:
 
     # -- candidate evaluation, a block of B tuples at a time --------------------
 
-    def metrics(self, block: Block, full: bool = False) -> tuple[Array, Array, Array, Array]:
+    def metrics(self, block: Block, full: bool = False, ends: bool = True) -> tuple[Array, ...]:
         """Per tuple: (objective, non-feasible fraction of enclosed, enclosed
-        count), and the (B, s, 2 P) h values at the chord pool's `ends`.
+        count), and, if `ends`, the (B, s, 2 P) h values at the chord pool's `ends`.
 
         The barrier values run over the search subsample, or over every
         sample when `full`, one tuple's (s, N) rows at a time, so no (B, s, N)
@@ -208,16 +210,17 @@ class _SearchContext:
         strictly inside the feasible samples.
         """
         scale, shift, offset = block
-        states, in_v, feas, n_in_v, ends = (
+        states, in_v, feas, n_in_v, at = (
             (self.states, self.in_v, self.feas, self.n_in_v, self.ends_full) if full else
             (self.states_sub, self.in_v_sub, self.feas_sub, self.n_in_v_sub, self.ends))
         shifts = self.margin_shifts(block)
         area, viol, n_inside = np.zeros(len(offset)), np.zeros(len(offset)), []
-        h_ends = np.empty(offset.shape + ends.shape)
+        h_ends = np.empty(offset.shape + at.shape) if ends else None
         for b in range(len(offset)):
             h_rows = self.hcf.value(states * scale[b, :, None] + shift[b, :, None]) \
                 + offset[b, :, None]
-            h_ends[b] = h_rows.take(ends, axis=1)
+            if ends:
+                h_ends[b] = h_rows.take(at, axis=1)
             hmin = np.minimum.reduce(h_rows, axis=0)
             inside = (hmin >= 0.0) & in_v
             n_inside.append(int(np.count_nonzero(inside)))
@@ -471,6 +474,7 @@ class _Mode:
     exists_input: Callable | None = None   # (ctx, block, h_ends, want) -> (passing, total)
     checked_at: str = ""     # what exists_input counts, for rejection reasons
     block_passes: bool = False
+    reads_ends: bool = False   # exists_input reads h at the chord pool's ends
 
 
 _MODES = {
@@ -487,18 +491,18 @@ _MODES = {
     "multi": _Mode(
         _build_multi, _seeds_multi, _random_multi, _steps_multi, key_offset=1,
         exists_input=_SearchContext.multi_dz_pass, checked_at="probes",
-        block_passes=True),
+        block_passes=True, reads_ends=True),
 }
 
 
 # ---------------------------------------------------------------------------
 # Penalized search
 
-def _score(ctx: _SearchContext, mode: _Mode, block: Block) -> Array:
-    """The penalized objective of each tuple of the block, (B,)."""
-    area, viol, _, h_ends = ctx.metrics(block)
+def _score(ctx: _SearchContext, mode: _Mode, block: Block, cut: float = np.inf) -> Array:
+    """Each tuple's penalized objective, (B,), or its containment terms if all reach `cut`."""
+    area, viol, _, h_ends = ctx.metrics(block, ends=mode.reads_ends)
     score = -area + 3.0 * ctx.vol * viol
-    if mode.exists_input is not None:
+    if mode.exists_input is not None and not np.all(score >= cut):
         ok, total = mode.exists_input(ctx, block, h_ends, 48)
         score += 2.0 * ctx.vol * (total - ok) / np.maximum(total, 1)
     return score
@@ -506,7 +510,7 @@ def _score(ctx: _SearchContext, mode: _Mode, block: Block) -> Array:
 
 def _hard_feasible(ctx: _SearchContext, mode: _Mode, block: Block) -> tuple[bool, float, str]:
     """Full-set acceptance test of a block of one tuple; returns (ok, objective, reason)."""
-    (obj,), (viol,), (n_inside,), h_ends = ctx.metrics(block, full=True)
+    (obj,), (viol,), (n_inside,), h_ends = ctx.metrics(block, full=True, ends=mode.reads_ends)
     obj = float(obj)
     if n_inside == 0:
         return False, obj, "candidate set encloses no samples"
@@ -530,26 +534,28 @@ def _nelder_mead(fun, x0: Array, steps: Array, maxiter: int) -> Array:
     xatol 1e-10 and fatol 1e-12, in its arithmetic and reorderings, stopping at
     the evaluation cap in mid-iteration.
 
-    `fun` scores a block: a copy of k points as a (k, n) array in, (k,) values
-    out. The initial simplex and each shrink, whose points are all known
-    before any is scored, go as one block (parallel direct search: Dennis &
-    Torczon, 1991); every other step is a block of one. A block is cut at
-    the cap as the one-point loop would stop: of the initial simplex only
-    the first cap vertices are scored, and in a shrink the vertex at the cap
-    is moved but not scored.
+    `fun` scores a block: a copy of k points as a (k, n) array and a cut in,
+    (k,) values out. The initial simplex and each shrink, whose points are all
+    known before any is scored, go as one block (parallel direct search: Dennis
+    & Torczon, 1991); every other step is a block of one. A block is cut at the
+    cap as the one-point loop would stop: of the initial simplex only the first
+    cap vertices are scored, and in a shrink the vertex at the cap is moved but
+    not scored. A one-point step rejects its point unread at a value >= its cut,
+    which `fun` may return instead: fsim[-1] (reflection, inside contraction),
+    fxr (expansion), the float after fxr (outside contraction); blocks pass inf.
     """
     n = x0.size
     sim = np.vstack([x0] + [x0 + steps * np.eye(n)[i] for i in range(n)])
     fsim, calls, iterations = np.full(n + 1, np.inf), 0, 1
 
-    def f(xs):
+    def f(xs, cut=np.inf):
         """Values of the rows of `xs` below the cap; raises at the cap."""
         nonlocal calls
         xs = xs[:4 * maxiter - calls]
         if not len(xs):
             raise _EvaluationCap
         calls += len(xs)
-        return fun(np.array(xs))
+        return fun(np.array(xs), cut)
 
     def order(sim, fsim):
         ind = np.argsort(fsim)
@@ -565,17 +571,17 @@ def _nelder_mead(fun, x0: Array, steps: Array, maxiter: int) -> Array:
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
-            fxr = f(xr[None])[0]
+            fxr = f(xr[None], fsim[-1])[0]
             if fxr < fsim[0]:
                 xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe[None])[0]
+                fxe = f(xe[None], fxr)[0]
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:   # contract outside the simplex if xr beats the worst, else inside
                 outside = fxr < fsim[-1]
                 xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc[None])[0]
+                fxc = f(xc[None], np.nextafter(fxr, np.inf) if outside else fsim[-1])[0]
                 if fxc <= fxr if outside else fxc < fsim[-1]:
                     sim[-1], fsim[-1] = xc, fxc
                 else:   # shrink toward the best vertex
@@ -609,10 +615,10 @@ def _block_passes(ctx: _SearchContext, theta: Array, steps: Array,
         for j in range(ctx.cfg.num_cbfs):
             sel = slice(j * block, (j + 1) * block)
 
-            def block_fun(tjs, sel=sel):
+            def block_fun(tjs, cut, sel=sel):
                 trial = np.tile(theta, (len(tjs), 1))
                 trial[:, sel] = tjs
-                return fun(trial)
+                return fun(trial, cut)
 
             tj0 = theta[sel] + (draws[j - 1] * 1e-3 * steps_one if j > 0 else 0.0)
             theta[sel] = _nelder_mead(block_fun, tj0, steps_one, block_iters)
@@ -637,10 +643,10 @@ def _run(ctx: _SearchContext, mode: _Mode, steps: Array,
     offers = []
     evaluations = calls = 0
 
-    def fun(thetas):
+    def fun(thetas, cut=np.inf):
         nonlocal evaluations, calls
         evaluations, calls = evaluations + len(thetas), calls + 1
-        return _score(ctx, mode, mode.build(ctx, thetas))
+        return _score(ctx, mode, mode.build(ctx, thetas), cut)
 
     def offer(theta):
         block = mode.build(ctx, theta.copy()[None])   # candidates view it; block passes edit theta
@@ -745,7 +751,7 @@ def _finalize(ctx: _SearchContext, best: list[CbfCandidate] | None, reasons: Cou
                           f"the optimum is attainable with fewer tuples")
             cands = [c for k, c in enumerate(cands) if k not in drop]
 
-    objective = float(ctx.metrics(_block(cands), full=True)[0][0])
+    objective = float(ctx.metrics(_block(cands), full=True, ends=False)[0][0])
     report = verify_candidate(cands, ctx.s, ctx.sys, ctx.input_box,
                               probes=cfg.probes, boundary=b, seed=cfg.seed)
     return FitResult(cands, objective, report, flags, cfg.mode)

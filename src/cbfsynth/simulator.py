@@ -185,9 +185,7 @@ def safety_filter_many(x: Array, u_nom: Array, stacked: tuple[Array, Array, Arra
 
 def step(sys: SystemModel, x: Array, u: Array, dt: float) -> Array:
     """Classical RK4 on xdot = f(x) + g(x) u with the input held over the step,
-    for (..., n) states and (..., m) inputs."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    for (..., n) states and (..., m) inputs. `SimConfig` refuses a dt <= 0."""
     x = np.asarray(x, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))[..., None]
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -235,3 +237,28 @@ def test_load_boundary_rejects_wrong_width_and_non_finite(tmp_path, points, epsi
     with pytest.raises(ValueError):
         load_boundary(path, dim=2)
 
+
+
+@pytest.mark.parametrize("field, value", [
+    ("normalized", [1, 2, 3]),
+    ("normalized", False),
+    ("epsilon", "0.1"),
+    ("epsilon", True),
+    ("source_checksum", "0" * 63),
+    ("source_checksum", 7),
+    ("empty_warning", "no"),
+    ("empty_warning", True),
+], ids=["list-normalized", "false-normalized", "string-epsilon", "bool-epsilon",
+        "short-checksum", "number-checksum", "string-empty-warning",
+        "empty-warning-with-points"])
+def test_load_boundary_checks_every_header_field(tmp_path, field, value):
+    """A header field of the wrong type, or an `empty_warning` that does not
+    say whether the file holds points, is refused."""
+    path = tmp_path / "boundary.jsonl"
+    save_boundary(BoundarySet(np.array([[-5.0, 10.0]]), 0.1, "0" * 64), path)
+    head, _, body = path.read_text().partition("\n")
+    header = json.loads(head)
+    header[field] = value
+    path.write_text(json.dumps(header, separators=(",", ":")) + "\n" + body)
+    with pytest.raises(ValueError, match=field):
+        load_boundary(path, dim=2)

@@ -388,7 +388,16 @@ _CORRUPT = {"truncate": lambda data: data[:len(data) // 2],
             "nan-boundary-epsilon": lambda data: re.sub(rb'"epsilon":[^,}]+', b'"epsilon":NaN',
                                                         data),
             "widen-candidate": lambda data: data.replace(b'],"shift"', b',1.0],"shift"')
-                                                .replace(b'],"offset"', b',0.0],"offset"')}
+                                                .replace(b'],"offset"', b',0.0],"offset"'),
+            # boundary header fields of the wrong type, or out of step with the points
+            "list-boundary-normalized": lambda data: data.replace(b'"normalized":true',
+                                                                  b'"normalized":[1,2,3]'),
+            "string-boundary-epsilon": lambda data: re.sub(rb'"epsilon":([^,}]+)',
+                                                           rb'"epsilon":"\1"', data),
+            "string-boundary-empty-warning": lambda data: data.replace(
+                b'"empty_warning":false', b'"empty_warning":"no"'),
+            "boundary-empty-warning-with-points": lambda data: data.replace(
+                b'"empty_warning":false', b'"empty_warning":true')}
 
 
 @pytest.mark.parametrize("command, artifact, corrupt", [
@@ -403,9 +412,15 @@ _CORRUPT = {"truncate": lambda data: data[:len(data) // 2],
     ("fit", "boundary.jsonl", "nan-boundary-epsilon"),
     ("boundary", "samples.jsonl", "foreign-checkpoint"),
     ("boundary", "samples.jsonl", "overflow-header-seed"),
+    ("fit", "boundary.jsonl", "list-boundary-normalized"),
+    ("fit", "boundary.jsonl", "string-boundary-epsilon"),
+    ("fit", "boundary.jsonl", "string-boundary-empty-warning"),
+    ("fit", "boundary.jsonl", "boundary-empty-warning-with-points"),
 ], ids=["truncated-samples", "garbled-boundary", "truncated-candidates", "wide-sample-rows",
         "nan-sample-coordinate", "nan-candidate-offset", "wide-candidate", "nan-header-J",
-        "nan-boundary-epsilon", "foreign-checkpoint", "overflow-header-seed"])
+        "nan-boundary-epsilon", "foreign-checkpoint", "overflow-header-seed",
+        "list-boundary-normalized", "string-boundary-epsilon", "string-boundary-empty-warning",
+        "boundary-empty-warning-with-points"])
 def test_unparsable_artifact_is_integrity_failure(tmp_path, capsys, command, artifact,
                                                   corrupt):
     out = tmp_path / "out"

@@ -515,25 +515,84 @@ _PINNED_COUNTS = {
 }
 
 
-def test_search_counts_match_sequential_scoring(di, small_run):
-    """Scoring Nelder-Mead's simplex in blocks changes no search count: each
-    mode, warm-started from the earlier ones as the pipeline does, makes the
-    evaluations, offers, probe calls and root steps that commit c569c30 made
-    scoring one point at a time. Multi's random restart scores its whole
-    `population` pool in one block."""
+def _drop_cut(monkeypatch):
+    """Make the fit's score kernel ignore Nelder-Mead's cut, so every
+    evaluation runs its exists-input check, as before the kernel had one."""
+    from cbfsynth import fitter
+    score = fitter._score
+    monkeypatch.setattr(fitter, "_score",
+                        lambda ctx, mode, block, cut=np.inf: score(ctx, mode, block))
+
+
+def _warm_fits(di, small_run, **settings) -> dict:
+    """Each mode's fit, warm-started from the earlier ones as the pipeline does."""
     from cbfsynth import fitter
     sysm, input_box = di
     s, b = small_run
-    warm = []
+    fits, warm = {}, []
     for mode in MODES:
-        cfg = FitConfig(mode=mode, num_cbfs=2, margin=b.epsilon, restarts=4, iterations=20,
-                        population=4, seed=3)
-        res = getattr(fitter, f"fit_{mode}")(s, b, sysm, input_box, cfg, warm=warm)
-        c = res.counts
-        assert (c.evaluations, c.accepted, c.rejected, c.probe_calls, c.root_steps_mean,
-                c.root_steps_max) == _PINNED_COUNTS[mode]
-        assert 0 < c.score_calls < c.evaluations
-        warm.append(tuple(res.candidates))
+        cfg = FitConfig(mode=mode, num_cbfs=2, **settings)
+        fits[mode] = getattr(fitter, f"fit_{mode}")(s, b, sysm, input_box, cfg, warm=warm)
+        warm.append(tuple(fits[mode].candidates))
+    return fits
+
+
+def test_search_counts_match_sequential_scoring(di, small_run, monkeypatch):
+    """Scoring Nelder-Mead's simplex in blocks changes no search count: each
+    mode, warm-started from the earlier ones as the pipeline does, makes the
+    evaluations, offers, probe calls and root steps that commit c569c30 made
+    scoring one point at a time, once the kernel ignores the cut. Multi's
+    random restart scores its whole `population` pool in one block. With
+    the cut, the same evaluations and offers run, and multi probes less."""
+    settings = dict(margin=small_run[1].epsilon, restarts=4, iterations=20, population=4,
+                    seed=3)
+    with monkeypatch.context() as patch:
+        _drop_cut(patch)
+        uncut = _warm_fits(di, small_run, **settings)
+    fits = _warm_fits(di, small_run, **settings)
+    for mode in MODES:
+        u, c = uncut[mode].counts, fits[mode].counts
+        assert (u.evaluations, u.accepted, u.rejected, u.probe_calls, u.root_steps_mean,
+                u.root_steps_max) == _PINNED_COUNTS[mode]
+        assert 0 < u.score_calls < u.evaluations
+        assert (c.evaluations, c.accepted, c.rejected) == (u.evaluations, u.accepted, u.rejected)
+    assert fits["multi"].counts.probe_calls < uncut["multi"].counts.probe_calls
+
+
+def test_cut_changes_no_fit(di, small_run, monkeypatch):
+    """Skipping the exists-input check of steps that Nelder-Mead's cut
+    rejects changes no fit: in every mode, warm-started as the pipeline
+    does, the real fit and one whose kernel ignores the cut give the same
+    candidate bytes, objective, verification, redundancy flags, evaluations,
+    score calls and offers. On one worker, multi makes fewer probe calls and
+    nonuniform fewer exists-input checks at the boundary samples."""
+    from cbfsynth import parallel
+    monkeypatch.setattr(parallel, "workers", lambda tasks: 1)
+    checks = []
+    prop2_pass = _SearchContext.prop2_pass
+    monkeypatch.setattr(_SearchContext, "prop2_pass",
+                        lambda ctx, scale: checks.append(1) or prop2_pass(ctx, scale))
+    settings = dict(restarts=3, iterations=40, population=4, seed=7)
+    with monkeypatch.context() as patch:
+        _drop_cut(patch)
+        uncut = _warm_fits(di, small_run, **settings)
+    uncut_checks, checks[:] = len(checks), []
+    fits = _warm_fits(di, small_run, **settings)
+    for mode in MODES:
+        got, want = fits[mode], uncut[mode]
+        assert got.feasible and want.feasible
+        assert [(c.scale.tobytes(), c.shift.tobytes(), c.offset) for c in got.candidates] \
+            == [(c.scale.tobytes(), c.shift.tobytes(), c.offset) for c in want.candidates]
+        assert got.objective_value == want.objective_value
+        assert got.verification == want.verification
+        assert got.redundancy_flags == want.redundancy_flags
+        g, w = got.counts, want.counts
+        assert (g.evaluations, g.score_calls, g.accepted, g.rejected) \
+            == (w.evaluations, w.score_calls, w.accepted, w.rejected)
+        if mode != "multi":
+            assert g == w
+    assert fits["multi"].counts.probe_calls < uncut["multi"].counts.probe_calls
+    assert len(checks) < uncut_checks
 
 
 def _score_alone(ctx, mode, thetas):
@@ -584,6 +643,36 @@ def test_score_kernel_is_batch_invariant(di, small_run, name, region, margin, ob
             got = _score(ctx, mode, mode.build(ctx, thetas[i:i + size]))
             assert got.tobytes() == alone[i:i + size].tobytes()
             assert ctx.root_steps == [k for row in alone_steps[i:i + size] for k in row]
+
+
+@pytest.mark.parametrize("name", ["nonuniform", "multi"])
+def test_score_stops_at_the_cut(di, small_run, name):
+    """Given a cut, the kernel returns a tuple's containment terms
+    L = -area + 3 vol viol, running no probe, when L reaches the cut, and
+    its full score, bit for bit, when L is below it. The full score is never
+    below L. Inputs of one sign, u in [0.5, 1], give some of the random
+    tuples here a penalty."""
+    sysm, _ = di
+    s, b = small_run
+    ctx = _SearchContext(s, b, sysm, BoxSet([0.5], [1.0]),
+                         FitConfig(mode=name, num_cbfs=2, margin=b.epsilon))
+    mode = _MODES[name]
+    rng = np.random.default_rng(5)
+    penalized = probed = 0
+    for _ in range(16):
+        block = mode.build(ctx, mode.random_theta(ctx, rng)[None])
+        area, viol = ctx.metrics(block)[:2]
+        low = -area + 3.0 * ctx.vol * viol
+        ctx.root_steps.clear()
+        full = _score(ctx, mode, block)
+        assert full[0] >= low[0]
+        penalized += full[0] > low[0]
+        probed += bool(ctx.root_steps)
+        ctx.root_steps.clear()
+        assert _score(ctx, mode, block, low[0]).tobytes() == low.tobytes()
+        assert ctx.root_steps == []
+        assert _score(ctx, mode, block, np.nextafter(low[0], np.inf)).tobytes() == full.tobytes()
+    assert penalized and (probed or name == "nonuniform")
 
 
 def _jump_or_ramp_system(c: float) -> SystemModel:
@@ -692,24 +781,33 @@ def _scipy_nelder_mead(fun, x0, steps, maxiter):
                              "maxfev": 4 * maxiter, "xatol": 1e-10, "fatol": 1e-12}).x
 
 
-def _nelder_mead_runs(fun, x0, steps, maxiter):
+def _nelder_mead_runs(fun, x0, steps, maxiter, use_cut=False):
     """The points each implementation evaluates, in order, with each block
-    `_nelder_mead` scores flattened in row order; its result; and the row
-    count of each block (scipy's points are blocks of one)."""
+    `_nelder_mead` scores flattened in row order; its result; the row count
+    and cut of each block (scipy's points are blocks of one, without a cut);
+    and how many values `_nelder_mead`'s `fun` returned as the cut in place
+    of a larger true value, which it does wherever it can when `use_cut`."""
     runs = []
     for blocks in (True, False):
-        points, sizes = [], []
+        points, sizes, cuts, bounded = [], [], [], 0
 
-        def recording(xs):
+        def recording(xs, cut=np.inf):
+            nonlocal bounded
             sizes.append(len(xs))
+            cuts.append(cut)
             points.extend(x.copy() for x in xs)
-            return [fun(x) for x in xs]
+            values = [fun(x) for x in xs]
+            if not use_cut:
+                return values
+            bounded += sum(v > cut for v in values)
+            return [cut if v >= cut else v for v in values]
 
         if blocks:
-            x = _nelder_mead(lambda xs: np.array(recording(xs)), x0.copy(), steps, maxiter)
+            x = _nelder_mead(lambda xs, cut: np.array(recording(xs, cut)), x0.copy(), steps,
+                             maxiter)
         else:
             x = _scipy_nelder_mead(lambda x: recording(x[None])[0], x0.copy(), steps, maxiter)
-        runs.append(([p.tobytes() for p in points], x.tobytes(), points, sizes))
+        runs.append(([p.tobytes() for p in points], x.tobytes(), points, sizes, cuts, bounded))
     return runs
 
 
@@ -720,27 +818,37 @@ def _only_at(x0):
 
 
 @pytest.mark.parametrize("case", ["rosen-2d", "rosen-5d", "tied", "shrink", "cap-mid-shrink",
-                                  "cap-in-initial-simplex"])
+                                  "cap-in-initial-simplex", "rosen-cut", "tied-cut",
+                                  "rough-cut"])
 def test_nelder_mead_matches_scipy(case):
     """`_nelder_mead` evaluates the points scipy's Nelder-Mead evaluates, in
     the same order and bit for bit, and returns its x: on Rosenbrock, on an
     objective with tied values, on one that shrinks every iteration, when
     the evaluation cap (4 * maxiter) falls in the middle of a shrink, and
-    when it falls before the last vertex of the initial simplex."""
+    when it falls before the last vertex of the initial simplex. In the
+    `-cut` cases its `fun` returns the step's cut wherever the true value is
+    at or above it, while scipy's gets the true values; the rough objective
+    makes every kind of step reject its point now and then."""
     rng = np.random.default_rng(11)
-    dim = {"rosen-2d": 2, "rosen-5d": 5}.get(case, 4)
+    dim = {"rosen-2d": 2, "rosen-5d": 5, "rosen-cut": 3}.get(case, 4)
     x0, steps, maxiter = rng.normal(size=dim), rng.uniform(0.05, 0.5, size=dim), 300
     fun = rosen
-    if case == "tied":
+    if case.startswith("tied"):
         fun = lambda x: float(np.round(np.sum(x * x), 1))   # noqa: E731
     elif case in ("shrink", "cap-mid-shrink"):
         fun = _only_at(x0)
         maxiter = 5 if case == "cap-mid-shrink" else 40
     elif case == "cap-in-initial-simplex":
         maxiter = 1
-    (ours, x_ours, points, sizes), (theirs, x_theirs, _, _) = \
-        _nelder_mead_runs(fun, x0, steps, maxiter)
+    elif case == "rough-cut":
+        fun = lambda x: float(np.sin(1e3 * x @ np.arange(1.0, dim + 1)))   # noqa: E731
+    (ours, x_ours, points, sizes, cuts, bounded), (theirs, x_theirs, *_) = \
+        _nelder_mead_runs(fun, x0, steps, maxiter, use_cut=case.endswith("-cut"))
     assert ours == theirs and x_ours == x_theirs
+    # blocks of more than one point carry no cut
+    assert all(np.isinf(cut) for cut, size in zip(cuts, sizes) if size > 1)
+    if case.endswith("-cut"):   # the cut stood in for larger values, on Rosenbrock often
+        assert bounded > (len(ours) // 4 if case != "tied-cut" else 0)
     if case.startswith("rosen"):
         assert rosen(np.frombuffer(x_ours)) < rosen(x0)
     if case == "shrink":   # the first shrink moves each vertex halfway to x0

@@ -233,8 +233,8 @@ def test_step_exact_for_double_integrator(di):
     assert np.allclose(out, [0.1, 1.0], atol=1e-15)
     out = step(sysm, np.array([0.0, 0.0]), np.array([2.0]), 0.1)
     assert np.allclose(out, [0.01, 0.2], atol=1e-15)
-    with pytest.raises(ValueError):
-        step(sysm, np.array([0.0, 0.0]), np.array([0.0]), 0.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        SimConfig(x_init=[0.0, 0.0], x_goal=[0.0, 0.0], horizon_T=1.0, dt=0.0, kp=1.0)
 
 
 def test_step_matches_closed_form_flow(di):
