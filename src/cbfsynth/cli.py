@@ -26,7 +26,7 @@ from . import fitter as fit
 from . import sampler as smp
 from . import simulator as sim
 from .config import ConfigError, PipelineConfig, load_config
-from .system import build_system, eval_h_stack
+from .system import barrier, build_system, stack_candidates
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,8 +99,16 @@ def _fresh(cfg: PipelineConfig, path: Path, s):
 
 
 def _load_samples(cfg: PipelineConfig, path: Path) -> smp.SampleSet:
-    """Load and fully check the sample file, and refuse it if it is stale."""
-    return _fresh(cfg, path, _load(smp.load_samples, path))
+    """Load and fully check the sample file, and refuse it if it is stale or
+    contradicts its own header: a row outside the header's box, or a label
+    other than the one the header's plant gives its row."""
+    s = _fresh(cfg, path, _load(smp.load_samples, path))
+    sysm, input_box = _build(cfg)
+    if not s.bounds.contains(s.states).all():
+        raise IntegrityError(f"{path}: a sample row lies outside the header's box")
+    if not np.array_equal(smp.classify_batch(sysm, input_box, s.states, s.zero_tol), s.labels):
+        raise IntegrityError(f"{path}: a sample label is not the one the header's plant gives")
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +178,8 @@ def _plan(cfg: PipelineConfig, res: fit.FitResult) -> list[dict | None]:
     manifest of a skipped start: one outside the candidate set while
     `require_safe_start` is on. Skipped starts are not written to disk."""
     starts = np.array(cfg.simulate["x_init"])
-    h0 = eval_h_stack(res.candidates, _build(cfg)[0].hcf, starts).min(axis=0)
+    params = [p[:, None] for p in stack_candidates(res.candidates)]
+    h0 = barrier(_build(cfg)[0].hcf, starts, params).min(axis=0)
     skip = cfg.simulate["require_safe_start"] & (h0 < 0.0)
     return [{"start": x0.tolist(), "skipped": True, "min_h0": h} if sk else None
             for x0, h, sk in zip(starts, h0, skip)]

@@ -53,9 +53,8 @@ from . import parallel
 from .boundary import BoundarySet
 from .qp import max_over_box
 from .sampler import SampleClass, SampleSet, _finite_json, _jsonable, _write
-from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
-                     eval_h_batch, eval_h_stack, identity_candidate,
-                     stack_candidates)
+from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel, barrier,
+                     eval_h_batch, identity_candidate, stack_candidates)
 
 Array = np.ndarray
 Block = tuple[Array, Array, Array]   # (B, s, n) scales, (B, s, n) shifts, (B, s) offsets
@@ -158,7 +157,7 @@ class _SearchContext:
             raise ValueError("volume region has zero volume")
         self.n = s.bounds.dim
 
-        # column-major, the layout eval_h_stack takes, so no kernel call copies
+        # column-major, so z's per-coordinate work runs down unit-stride columns
         self.states = np.asfortranarray(s.states)
         self.feas = s.class_mask(SampleClass.FEASIBLE)
         self.in_v = self.region.contains(self.states)
@@ -217,8 +216,8 @@ class _SearchContext:
         area, viol, n_inside = np.zeros(len(offset)), np.zeros(len(offset)), []
         h_ends = np.empty(offset.shape + at.shape) if ends else None
         for b in range(len(offset)):
-            h_rows = self.hcf.value(states * scale[b, :, None] + shift[b, :, None]) \
-                + offset[b, :, None]
+            h_rows = barrier(self.hcf, states, (scale[b, :, None], shift[b, :, None],
+                                                offset[b, :, None]))
             if ends:
                 h_ends[b] = h_rows.take(at, axis=1)
             hmin = np.minimum.reduce(h_rows, axis=0)
@@ -256,12 +255,12 @@ class _SearchContext:
         and the largest offsets keeping h <= -margin buffer at every boundary
         sample. With no boundary samples the constraint is vacuous; the
         offset then exactly encloses the in-region samples."""
-        if self.bpoints.shape[0]:
-            zb = self.hcf.value(self.bpoints * scale[:, None] + shift[:, None])
+        if self.bpoints.shape[0]:   # offset -0.0: z + -0.0 is z, a -0.0 too
+            zb = barrier(self.hcf, self.bpoints, (scale[:, None], shift[:, None], -0.0))
             buffer = self.cfg.margin * self.h_unit(scale, shift) if self.cfg.margin else 0.0
             offset = -np.max(zb, axis=-1) - buffer
         else:   # one tuple at a time: no (B, N, n) array
-            offset = np.array([-np.min(self.hcf.value(self.states[self.in_v] * d + c))
+            offset = np.array([-np.min(barrier(self.hcf, self.states[self.in_v], (d, c, -0.0)))
                                for d, c in zip(scale, shift)])
         return scale[:, None], shift[:, None], offset[:, None]
 
@@ -321,8 +320,7 @@ class _SearchContext:
         xa0 = np.asfortranarray(self.states_sub[ia])
         dx = np.asfortranarray(self.states_sub[self.pool_b[k]]) - xa0
         xa = xa0.copy()
-        scale, shift, offset = (np.asfortranarray(p.reshape(-1, *p.shape[2:])[owner])
-                                for p in block)
+        params = [np.asfortranarray(p.reshape(-1, *p.shape[2:])[owner]) for p in block]
         # aim at h_j = tol / 2: a root computed to within rounding then lands
         # in [0, tol] on whichever side of it, and the chord is done
         aim = 0.5 * tol
@@ -343,7 +341,7 @@ class _SearchContext:
             width_back = (width_back[1], width)
             t = np.minimum(ta + width * frac, tb)
             x = xa0 + t[:, None] * dx
-            f = self.hcf.value(x * scale + shift) + offset
+            f = barrier(self.hcf, x, params)
             nonneg = f >= 0.0
             np.copyto(xa, x, where=(nonneg & live)[:, None])
             live &= ~(nonneg & (f <= tol))
@@ -361,8 +359,7 @@ class _SearchContext:
         self.root_steps += np.maximum.reduceat(
             live_steps, bounds[:-1][bounds[:-1] < bounds[1:]]).tolist()
         # every candidate of each chord's tuple at its probe, (s, K)
-        scale, shift, offset = (p.swapaxes(0, 1)[:, tuples] for p in block)
-        h_all = self.hcf.value(xa * scale + shift) + offset
+        h_all = barrier(self.hcf, xa, [p.swapaxes(0, 1)[:, tuples] for p in block])
         h_max = np.zeros(block[2].size)
         np.maximum.at(h_max, owner, np.max(np.abs(h_all), axis=0))
         on_active = np.all(h_all >= -1e-7 * (1.0 + h_max[owner]), axis=0)
@@ -843,18 +840,16 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
     """
     if not cands:
         raise ValueError("need at least one candidate")
-    hcf = sys.hcf
     ctx = _SearchContext(s, boundary, sys, input_box, FitConfig(seed=seed, probes=probes))
-    h_all = eval_h_stack(cands, hcf, ctx.states)
+    block = _block(cands)
+    h_all = barrier(sys.hcf, ctx.states, [p[0][:, None] for p in block])
     inside = h_all.min(axis=0) >= 0.0
     n_inside = int(np.sum(inside))
     containment = float(np.sum(inside & ctx.feas)) / n_inside if n_inside else 1.0
 
-    block = _block(cands)
     pts, owner = ctx.boundary_probes(block, h_all.take(ctx.ends_full, axis=1)[None], probes)
-    scale, shift, _ = (p[0][owner] for p in block)
-    sup, bias = ctx.sup_rate(hcf.gradient(pts * scale + shift) * scale,
-                             sys.drift(pts), sys.actuation(pts))
+    _, grad = barrier(sys.hcf, pts, [p[0][owner] for p in block], grad=True)
+    sup, bias = ctx.sup_rate(grad, sys.drift(pts), sys.actuation(pts))
     held = sup >= -1e-9 * (1.0 + np.abs(bias))
     boundary_frac = int(np.count_nonzero(held)) / held.size if held.size else 1.0
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from .qp import QpProblem, QpStatus, solve_box_qp
 from .sampler import _finite_json, _jsonable, _write
-from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel, eval_h_stack,
-                     stack_candidates)
+from .system import BoxSet, CbfCandidate, HardConstraint, SystemModel, barrier, stack_candidates
 
 Array = np.ndarray
 
@@ -130,15 +129,6 @@ def nominal_controller(x: Array, xi: Array, kp: float) -> Array:
     return kp * (xi - np.asarray(x, dtype=float)[..., :xi.shape[-1]])
 
 
-def _barriers(stacked: tuple[Array, Array, Array], hcf: HardConstraint,
-              x: Array) -> tuple[Array, Array]:
-    """(s, S) values h = z(D x + c) + eps and (s, S, n) chain-rule gradients
-    dh/dx = dz/dx(D x + c) D at (S, n) states, from one (s, S, n) transform."""
-    scale, shift, offset = stacked
-    y = x * scale[:, None] + shift[:, None]
-    return hcf.value(y) + offset[:, None], hcf.gradient(y) * scale[:, None]
-
-
 def safety_filter_many(x: Array, u_nom: Array, stacked: tuple[Array, Array, Array],
                        sys: SystemModel, fc: FilterConfig) -> tuple[Array, Array, Array]:
     """Project (S, m) nominal inputs at (S, n) states onto the inputs keeping
@@ -153,7 +143,7 @@ def safety_filter_many(x: Array, u_nom: Array, stacked: tuple[Array, Array, Arra
     """
     if not stacked[2].size:
         raise ValueError("safety filter needs at least one candidate")
-    h, grad = _barriers(stacked, sys.hcf, x)
+    h, grad = barrier(sys.hcf, x, [p[:, None] for p in stacked], grad=True)
     # one row per candidate and state: (dh/dx g) u >= -kappa h - dh/dx f
     rows = (grad[..., None, :] @ sys.actuation(x))[..., 0, :]
     rhs = (-np.array(fc.alphas * len(h))[:len(h), None] * h
@@ -207,17 +197,14 @@ def simulate_many(starts: Array, cfg: SimConfig, sys: SystemModel,
     """Run the closed loop from each row of (S, n) `starts` at once.
 
     `cfg` supplies all but the start (its `x_init` is not read). Each step
-    evaluates every barrier once for all running starts, and the filter rows
-    and the recorded h values both come from it. With `on_infeasible = "stop"`
-    a start ends at its first infeasible step and is not integrated further.
+    evaluates every barrier once for all running starts; the filter rows, the
+    recorded h values and, at the first step, `require_safe_start` read it.
+    With `on_infeasible = "stop"` a start ends at its first infeasible step.
     An empty candidate list disables the filter (inputs are only box-clamped),
     which reproduces the unfiltered baseline.
     """
     x = np.array(starts, dtype=float, ndmin=2)
     n_runs, s = len(x), len(cands)
-    h0 = eval_h_stack(cands, sys.hcf, x).min(initial=np.inf) if s else np.inf
-    if cfg.require_safe_start and h0 < 0.0:
-        raise ValueError(f"initial state lies outside the candidate set (min h = {h0:.6g})")
     steps_count = horizon_steps(cfg.horizon_T, cfg.dt)
     spline_T = max(cfg.horizon_T / 2.0, cfg.dt) if cfg.spline_T is None else cfg.spline_T
     xi = reference_spline(x, cfg.x_goal, spline_T, n_pos=sys.m)
@@ -236,6 +223,8 @@ def simulate_many(starts: Array, cfg: SimConfig, sys: SystemModel,
             u, infeasible[live, k], h_hist[live, k] = safety_filter_many(x, u_nom, stacked, sys, fc)
         else:
             u = fc.input_box.clip(u_nom)
+        if not k and cfg.require_safe_start and (h0 := h_hist[:, 0].min(initial=np.inf)) < 0.0:
+            raise ValueError(f"initial state lies outside the candidate set (min h = {h0:.6g})")
         states[live, k], u_nom_hist[live, k], u_hist[live, k] = x, u_nom, u
         stop = infeasible[live, k]
         if cfg.on_infeasible == "stop" and stop.any():
@@ -273,26 +262,11 @@ def hdot_rate_bound(cands: Sequence[CbfCandidate], region: BoxSet, sys: SystemMo
     limits how far h can fall within one zero-order-hold step.
     """
     grid = _grid(region, per_axis)
-    _, grad_h = _barriers(stack_candidates(cands), sys.hcf, grid)
+    _, grad_h = barrier(sys.hcf, grid, [p[:, None] for p in stack_candidates(cands)], grad=True)
     lf = np.sum(grad_h * sys.drift(grid), axis=-1)
     lg = np.einsum("sbn,bnm->sbm", grad_h, sys.actuation(grid))
     u_extreme = np.maximum(np.abs(input_box.lower), np.abs(input_box.upper))
     return np.max(np.abs(lf) + np.abs(lg) @ u_extreme, axis=1)
-
-
-def interior_grid(cands: Sequence[CbfCandidate], region: BoxSet, sys: SystemModel,
-                  input_box: BoxSet, per_axis: int, dt: float,
-                  safety_factor: float = 1.5) -> Array:
-    """Grid of start states strictly inside the candidate set.
-
-    Interior means every barrier clears eta_j = safety_factor dt sup|hdot_j|,
-    the distance h_j can travel before the discrete filter reacts; grid points
-    closer to the boundary than one step cannot be certified by a sampled-time
-    filter and are excluded.
-    """
-    eta = safety_factor * dt * hdot_rate_bound(cands, region, sys, input_box)
-    grid = _grid(region, per_axis)
-    return grid[np.all(eval_h_stack(cands, sys.hcf, grid) >= eta[:, None], axis=0)]
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ All state-dependent callables (z, dz/dx, f, g) broadcast over leading axes:
 they accept (..., n) arrays and return (...), (..., n), (..., n) and
 (..., n, m) respectively. This keeps batch classification and set-size
 estimation fully vectorized. They may receive column-major or strided arrays
-(the fit keeps its states column-major, see `eval_h_stack`), and each output
-entry must depend only on its own state, whatever the layout.
+(the fit keeps its states column-major), and each output entry must depend
+only on its own state, whatever the layout.
 """
 
 from __future__ import annotations
@@ -48,11 +48,8 @@ class BoxSet:
     def span(self) -> Array:
         return self.upper - self.lower
 
-    def volume(self, skip_degenerate: bool = False) -> float:
-        span = self.span
-        if skip_degenerate:
-            span = span[span > 0]
-        return float(np.prod(span)) if span.size else 0.0
+    def volume(self) -> float:
+        return float(np.prod(self.span)) if self.dim else 0.0
 
     def contains(self, x: Array, tol: float = 0.0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -125,33 +122,28 @@ def identity_candidate(n: int) -> CbfCandidate:
     return CbfCandidate(np.ones(n), np.zeros(n), 0.0)
 
 
+def barrier(hcf: HardConstraint, x: Array, params: Sequence[Array],
+            grad: bool = False) -> Array | tuple[Array, Array]:
+    """h = z(D x + c) + eps at (..., n) states `x`, and with `grad` also dh/dx = dz/dx D.
+
+    `params` is (scale, shift, offset), broadcast against `x` as numpy does:
+    `[p[:, None] for p in stack_candidates(cands)]` gives s candidates over N
+    states. Each value is its single-state result bit for bit, in any layout."""
+    scale, shift, offset = params
+    y = x * scale + shift
+    h = hcf.value(y) + offset
+    return (h, hcf.gradient(y) * scale) if grad else h
+
+
 def eval_h_batch(cand: CbfCandidate, hcf: HardConstraint, states: Array) -> Array:
     """Barrier value h(x) = z(D x + c) + eps over an (..., n) batch of states."""
-    return hcf.value(np.asarray(states, dtype=float) * cand.scale + cand.shift) + cand.offset
+    return barrier(hcf, np.asarray(states, dtype=float), (cand.scale, cand.shift, cand.offset))
 
 
 def stack_candidates(cands: Sequence[CbfCandidate]) -> tuple[Array, Array, Array]:
     """Parameters of s candidates as (s, n) scales, (s, n) shifts and (s,) offsets."""
     return (np.array([c.scale for c in cands]), np.array([c.shift for c in cands]),
             np.array([c.offset for c in cands]))
-
-
-def eval_h_stack(cands: Sequence[CbfCandidate], hcf: HardConstraint, states: Array) -> Array:
-    """(s, N) values of s candidates over an (N, n) batch in one (s, N, n) z call.
-
-    The states are taken column-major. The (s, N, n) argument then holds each
-    coordinate of each candidate as one unit-stride run of N values, so z's
-    per-coordinate work (`x[..., i]`, comparisons, products) streams through
-    memory instead of stepping over the n-wide state axis. Row-major states
-    cost one (N, n) copy; the fit search keeps its states column-major and
-    pays none.
-
-    Elementwise the same arithmetic as `eval_h_batch`, so each row equals the
-    single-candidate result bit for bit.
-    """
-    scale, shift, offset = stack_candidates(cands)
-    x = np.asfortranarray(states, dtype=float)
-    return hcf.value(x * scale[:, None] + shift[:, None]) + offset[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbfsynth import (BoxSet, HardConstraint, SystemModel, auto_epsilon, build_system,
-                      draw_batch, extract_boundary, run_sampling)
+from cbfsynth import (BoxSet, HardConstraint, SystemModel, auto_epsilon, barrier,
+                      build_system, draw_batch, extract_boundary, run_sampling)
 from cbfsynth.fitter import FitConfig, fit_multi, fit_nonuniform, fit_uniform
+from cbfsynth.simulator import _grid, hdot_rate_bound
+from cbfsynth.system import stack_candidates
 
 REFERENCE_BOUNDS = BoxSet([-10.0, -40.0], [0.0, 40.0])
 REFERENCE_SEED = 3
@@ -39,6 +41,21 @@ def run_fresh(code: str, *args: str) -> str:
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def interior_grid(cands, region: BoxSet, sys: SystemModel, input_box: BoxSet,
+                  per_axis: int, dt: float, safety_factor: float = 1.5) -> np.ndarray:
+    """Grid of start states strictly inside the candidate set.
+
+    Interior means every barrier clears eta_j = safety_factor dt sup|hdot_j|,
+    the distance h_j can travel before the discrete filter reacts; grid points
+    closer to the boundary than one step cannot be certified by a sampled-time
+    filter and are excluded.
+    """
+    eta = safety_factor * dt * hdot_rate_bound(cands, region, sys, input_box)
+    grid = _grid(region, per_axis)
+    params = [p[:, None] for p in stack_candidates(cands)]
+    return grid[np.all(barrier(sys.hcf, grid, params) >= eta[:, None], axis=0)]
 
 
 # input box of the two-input plant below

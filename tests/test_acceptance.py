@@ -15,10 +15,10 @@ from cbfsynth.fitter import load_fit
 from cbfsynth.qp import QpStatus, solve_box_qp
 from cbfsynth.sampler import read_header, run_sampling
 from cbfsynth.simulator import (FilterConfig, SimConfig, check_invariance, horizon_steps,
-                                interior_grid, safety_filter_many, simulate, step)
+                                safety_filter_many, simulate, step)
 from cbfsynth.system import CbfCandidate, eval_h_batch, identity_candidate, stack_candidates
 
-from conftest import AREA_FEASIBLE, REFERENCE_BOUNDS, REFERENCE_SEED
+from conftest import AREA_FEASIBLE, REFERENCE_BOUNDS, REFERENCE_SEED, interior_grid
 from exact_area import exact_area, fit_problems
 from qp_oracle import grid_oracle, random_problem
 

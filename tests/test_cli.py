@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -488,6 +489,55 @@ def test_pipeline_resamples_a_file_drawn_for_another_plant(tmp_path):
     (out / "stage_state.json").write_text(json.dumps(state))
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "samples.jsonl").read_bytes() == own
+
+
+def _move_row(x: list[float]):
+    """Edit: the first sample row moved to `x`, its label kept."""
+    def edit(rows: list[dict]) -> None:
+        rows[0]["x"] = x
+    return edit
+
+
+def _swap_labels(rows: list[dict]) -> None:
+    """Edit: the labels of the first feasible and first infeasible row swapped,
+    which keeps every class count and so the checkpoint's J."""
+    i = next(k for k, r in enumerate(rows) if r["class"] == "feasible")
+    j = next(k for k, r in enumerate(rows) if r["class"] == "infeasible")
+    rows[i]["class"], rows[j]["class"] = rows[j]["class"], rows[i]["class"]
+
+
+@pytest.mark.parametrize("command", ["boundary", "fit"])
+@pytest.mark.parametrize("edit", [_move_row([5.0, 0.0]), _move_row([1e300, -12.6]),
+                                  _swap_labels],
+                         ids=["row-outside-box", "row-far-outside-box", "swapped-labels"])
+def test_sample_rows_contradicting_their_header_are_refused(tmp_path, capsys, command, edit):
+    """A canonical sample file whose rows contradict its own header (a row
+    outside the header's box, or labels the header's plant does not give)
+    fails integrity in the standalone stages that read it: one line, exit 4,
+    no warning. The fit stage gets a boundary file extracted from the edited
+    rows, so only the rows themselves can refuse it."""
+    from cbfsynth.boundary import extract_boundary, save_boundary
+    from cbfsynth.sampler import load_samples
+
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    assert main(["sample", "--config", str(cfg)]) == 0
+    path = out / "samples.jsonl"
+    head, *lines = path.read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    edit(rows)
+    path.write_text("\n".join([head] + [json.dumps(r, separators=(",", ":")) for r in rows])
+                    + "\n")
+    s = load_samples(path)   # still a well-formed file
+    save_boundary(extract_boundary(s, 0.05), out / "boundary.jsonl")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg)]) == 4
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("integrity error:") and err.count("\n") == 1
+    assert not (out / "candidates_uniform.json").exists()
 
 
 @pytest.mark.parametrize("command, artifact, corrupt", [

@@ -11,8 +11,8 @@ from cbfsynth.fitter import (MODES, ROOT_H_TOL, ROOT_MAX_STEPS, ROOT_WIDTH, FitC
                              verify_candidate)
 from cbfsynth.qp import QpProblem, solve_box_qp
 from cbfsynth.sampler import run_sampling
-from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
-                             eval_h_batch, eval_h_stack, identity_candidate)
+from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel, barrier,
+                             eval_h_batch, identity_candidate, stack_candidates)
 
 from conftest import (AREA_FEASIBLE, AREA_NONUNIFORM, AREA_UNIFORM, AREA_Z,
                       REFERENCE_BOUNDS, run_fresh)
@@ -167,7 +167,10 @@ _LAYOUTS = {
     pytest.param(k, layout, id=str(k) if layout == "c" else f"{k}-{layout}")
     for k in (1, 2, 3) for layout in _LAYOUTS])
 def test_eval_h_stack_matches_per_candidate(di, count, layout):
-    """Every memory layout of the states gives the row-major values bit for bit."""
+    """`barrier` over stacked candidates, and over candidates paired row by
+    row with the states as the chord probes pair them, gives the row-major
+    values of one `eval_h_batch` call per candidate bit for bit, in every
+    memory layout of the states."""
     sysm, _ = di
     base = np.random.default_rng(4).uniform(REFERENCE_BOUNDS.lower,
                                             REFERENCE_BOUNDS.upper, (771, 2))
@@ -179,7 +182,17 @@ def test_eval_h_stack_matches_per_candidate(di, count, layout):
              CbfCandidate([1.7, 0.3], [0.5, -3.0], -0.8)][:count]
     expect = np.stack([eval_h_batch(c, sysm.hcf, np.ascontiguousarray(states))
                        for c in cands])
-    assert np.array_equal(eval_h_stack(cands, sysm.hcf, states), expect)
+    assert np.array_equal(_h_rows(cands, sysm.hcf, states), expect)
+    # each state with its own candidate's (N, n) column-major parameters
+    owner = np.arange(len(states)) % count
+    paired = [np.asfortranarray(p[owner]) for p in stack_candidates(cands)]
+    assert np.array_equal(barrier(sysm.hcf, states, paired),
+                          expect[owner, np.arange(len(states))])
+
+
+def _h_rows(cands, hcf, states):
+    """(s, N) values of s candidates over N states, from one barrier call."""
+    return barrier(hcf, states, [p[:, None] for p in stack_candidates(cands)])
 
 
 def test_fit_and_verify_ignore_sample_layout(di):
@@ -253,7 +266,7 @@ def test_boundary_probes_match_per_candidate_bisection(di, reference_run, want):
     cands = [identity_candidate(2), CAP_CANDIDATE]
     ctx = _SearchContext(reference_run, None, sysm, input_box,
                          FitConfig(mode="multi", num_cbfs=2))
-    h_rows = eval_h_stack(cands, sysm.hcf, ctx.states_sub)
+    h_rows = _h_rows(cands, sysm.hcf, ctx.states_sub)
     roots, owner = ctx.boundary_probes(_block(cands), ctx.metrics(_block(cands))[3], want)
     for j, cand in enumerate(cands):
         xa, xb = _chords(ctx, h_rows, j, want)
@@ -299,7 +312,7 @@ def test_boundary_probes_bisect_where_the_secant_stalls():
                      n_start=729)
     ctx = _SearchContext(s, None, sysm, UBOX1, FitConfig())
     cand = CbfCandidate([1.0, 1.0], [0.0, 0.0], 1.0 - 1e-6)
-    h_rows = eval_h_stack([cand], sysm.hcf, ctx.states_sub)
+    h_rows = _h_rows([cand], sysm.hcf, ctx.states_sub)
     a, b = _chords(ctx, h_rows, 0, 256)
     roots, owner = ctx.boundary_probes(_block([cand]), ctx.metrics(_block([cand]))[3], 256)
     assert roots.shape == a.shape and a.shape[0] == 256
@@ -320,7 +333,7 @@ def test_verify_identity_alone_matches_qp_oracle(di, reference_run, reference_bo
                            boundary=reference_boundary)
     ctx = _SearchContext(reference_run, reference_boundary, sysm, input_box,
                          FitConfig(mode="nonuniform", num_cbfs=2, probes=256))
-    h_rows = eval_h_stack([ident], sysm.hcf, ctx.states_sub)
+    h_rows = _h_rows([ident], sysm.hcf, ctx.states_sub)
     pts = _reference_probes(ctx, [ident], 0, h_rows, 256)
     passing = 0
     for x in pts:

@@ -74,3 +74,46 @@ def test_format_version_scan_sees_both_forms(tmp_path):
                     "from . import sampler as smp\n"
                     "v = smp.FORMAT_VERSION\n")
     assert _format_version_uses(path) == [1, 3]
+
+
+def _h_formula_lines(path: Path) -> list[int]:
+    """Lines of `path` where a `.value(...)` call, a constraint's z, is an
+    operand of `+` or `+=`: the barrier formula z(D x + c) + eps."""
+    def z_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "value")
+
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+            operands = (node.value,)
+        else:
+            continue
+        if any(map(z_call, operands)):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_barrier_formed_in_system_only(path):
+    """No package module but `system` adds an offset to z(...), so every
+    barrier value comes from `system.barrier`, the one evaluation kernel."""
+    found = _h_formula_lines(path)
+    assert not found or path.name == "system.py", \
+        f"{path.name} forms z(...) + eps at line(s) {found}"
+
+
+def test_barrier_scan_sees_the_kernel(tmp_path):
+    """The scan finds `barrier`'s own formula, the only one in `system`, and
+    each form it looks for, so it is not blind."""
+    source = (SRC / "system.py").read_text().splitlines()
+    lines = _h_formula_lines(SRC / "system.py")
+    assert len(lines) == 1 and "hcf.value(y) + offset" in source[lines[0] - 1]
+    path = tmp_path / "probe.py"
+    path.write_text("h = hcf.value(x * d + c) + eps\n"
+                    "h = eps + self.hcf.value(y)\n"
+                    "h += sys.hcf.value(y)\n"
+                    "g = hcf.value(y) - eps\n")
+    assert _h_formula_lines(path) == [1, 2, 3]

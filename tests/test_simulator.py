@@ -3,7 +3,7 @@ import pytest
 
 from cbfsynth import simulator
 from cbfsynth.simulator import (FilterConfig, SimConfig, check_invariance,
-                                hdot_rate_bound, interior_grid, nominal_controller,
+                                hdot_rate_bound, nominal_controller,
                                 reference_spline, safety_filter_many,
                                 simulate, simulate_many, step, STATUS_INFEASIBLE,
                                 STATUS_NOMINAL, STATUS_OPTIMAL)
@@ -11,7 +11,7 @@ from cbfsynth.qp import QpProblem, QpStatus
 from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, SystemModel,
                              eval_h_batch, identity_candidate, stack_candidates)
 
-from conftest import REFERENCE_BOUNDS, TWO_INPUT_BOX, two_input_system
+from conftest import REFERENCE_BOUNDS, TWO_INPUT_BOX, interior_grid, two_input_system
 from qp_oracle import grid_oracle
 
 CAP_CANDIDATE = CbfCandidate([0.0, 10.0], [0.0, 0.0], 30.0)

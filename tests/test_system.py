@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cbfsynth.simulator import _barriers
-from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, build_system,
-                             eval_h_batch, eval_h_stack, identity_candidate,
+from cbfsynth.system import (BoxSet, CbfCandidate, HardConstraint, barrier, build_system,
+                             eval_h_batch, identity_candidate,
                              make_double_integrator, registered_systems,
                              stack_candidates)
 
@@ -66,10 +65,11 @@ def test_eval_h_grad(di):
     sysm, _ = di
     ident = identity_candidate(2)
     x = np.array([[-5.0, 7.0], [-5.0, -7.0]])
-    _, grad = _barriers(stack_candidates([ident]), sysm.hcf, x)
+    _, grad = barrier(sysm.hcf, x, [p[:, None] for p in stack_candidates([ident])], grad=True)
     assert np.allclose(grad[0], sysm.hcf.gradient(x))
     steep = CbfCandidate([1.0, 10.0 / 3.0], [0.0, 0.0], 0.0)
-    _, grad = _barriers(stack_candidates([steep]), sysm.hcf, np.array([[-3.0, 3.0]]))
+    _, grad = barrier(sysm.hcf, np.array([[-3.0, 3.0]]),
+                      [p[:, None] for p in stack_candidates([steep])], grad=True)
     assert np.allclose(grad[0, 0], [-1.0, -1.0 / 3.0])
 
 
@@ -83,7 +83,7 @@ def test_eval_h_grad_affine_chain_rule():
         gradient=lambda x: np.broadcast_to(a_row, np.asarray(x).shape).copy())
     cand = CbfCandidate(rng.uniform(0.1, 2.0, 3), rng.normal(size=3), rng.normal())
     x = rng.normal(size=(20, 3))
-    h, grad = _barriers(stack_candidates([cand]), affine, x)
+    h, grad = barrier(affine, x, [p[:, None] for p in stack_candidates([cand])], grad=True)
     assert np.allclose(grad[0], a_row * cand.scale, rtol=1e-12, atol=1e-12)
     expanded = (cand.scale * x) @ a_row + a_row @ cand.shift + 0.7 + cand.offset
     assert np.allclose(h[0], expanded, rtol=0.0, atol=1e-12)
@@ -167,7 +167,7 @@ def test_batched_evaluation_matches_scalar(di):
     pts = rng.uniform(REFERENCE_BOUNDS.lower, REFERENCE_BOUNDS.upper, (64, 2))
     cand = CbfCandidate([0.5, 2.0], [0.1, -3.0], 0.25)
     batch = eval_h_batch(cand, sysm.hcf, pts)
-    stacked = eval_h_stack([cand], sysm.hcf, pts)[0]
+    stacked = barrier(sysm.hcf, pts, [p[:, None] for p in stack_candidates([cand])])[0]
     for i, x in enumerate(pts):
         alone = float(sysm.hcf.value(x * cand.scale + cand.shift) + cand.offset)
         assert batch[i] == alone and stacked[i] == alone
