@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _check_epsilon
 from .sampler import SampleClass, SampleSet, _write
 
 Array = np.ndarray
 BOUNDARY_FORMAT_VERSION = 1   # versioned apart from the sample file's FORMAT_VERSION
+_NOT_BRACKET = bytes(sorted(set(range(256)) - set(b"[]{}\n")))
 
 
 @dataclass(frozen=True)
@@ -60,12 +62,6 @@ def auto_epsilon(s: SampleSet) -> float:
         raise ValueError("need at least 2 samples to set a neighborhood radius")
     n_eff = _active_axes(s).size
     return 2.0 * (1.0 / n_samples) ** (1.0 / n_eff)
-
-
-def _check_epsilon(epsilon: float) -> None:
-    """ValueError unless the neighborhood radius is positive."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
 
 
 def _rank(table: Array, values: Array) -> Array:
@@ -149,16 +145,6 @@ def extract_boundary(s: SampleSet, epsilon: float,
     return BoundarySet(points, float(epsilon), checksum, empty_warning=points.shape[0] == 0)
 
 
-def stray_points(b: BoundarySet, s: SampleSet) -> int:
-    """Number of boundary points that are not feasible rows of `s`.
-
-    Extraction keeps feasible sample rows only, so any other point was put
-    into the boundary after extraction.
-    """
-    feasible = {x.tobytes() for x in s.states[s.class_mask(SampleClass.FEASIBLE)]}
-    return sum(x.tobytes() not in feasible for x in b.points)
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 
@@ -189,7 +175,16 @@ def load_boundary(path, dim: int | None = None) -> BoundarySet:
     header = json.loads(lines[0])
     if header.get("version") != BOUNDARY_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported boundary file version")
-    pts = [json.loads(line)["x"] for line in lines[1:]]
+    rows = json.loads("[" + ",".join(lines[1:]) + "]")
+    # one row a line: as many rows as lines, and each line's brackets outside
+    # strings pair up on it, so no row spans two lines to leave room for another
+    marks = re.sub(r'"[^"\\]*(?:\\.[^"\\]*)*"', "", "\n".join(lines[1:])).encode()
+    marks = marks.translate(None, _NOT_BRACKET)
+    while (paired := marks.replace(b"[]", b"").replace(b"{}", b"")) != marks:
+        marks = paired
+    if len(rows) != len(lines) - 1 or marks.strip(b"\n"):
+        raise ValueError(f"{path}: a line does not hold one row")
+    pts = [row["x"] for row in rows]
     checks = {"normalized": header.get("normalized") is True,
               "epsilon": type(header.get("epsilon")) in (int, float),
               "source_checksum": re.fullmatch("[0-9a-f]{64}", str(header.get("source_checksum"))),

@@ -128,14 +128,19 @@ def _stage_sample(cfg: PipelineConfig, out: Path) -> tuple[smp.SampleSet, int]:
     return s, (EXIT_OK if s.converged else EXIT_NOT_CONVERGED)
 
 
-def _stage_boundary(cfg: PipelineConfig, out: Path,
-                    s: smp.SampleSet) -> tuple[bnd.BoundarySet, str]:
+def _extract(cfg: PipelineConfig, s: smp.SampleSet) -> bnd.BoundarySet:
+    """The boundary the config's settings extract from `s`."""
     eps_cfg = cfg.boundary["epsilon"]
     eps = bnd.auto_epsilon(s) if eps_cfg == "auto" else float(eps_cfg)
-    b = bnd.extract_boundary(s, eps, box_face_is_boundary=cfg.boundary["box_face_is_boundary"])
+    return bnd.extract_boundary(s, eps, box_face_is_boundary=cfg.boundary["box_face_is_boundary"])
+
+
+def _stage_boundary(cfg: PipelineConfig, out: Path,
+                    s: smp.SampleSet) -> tuple[bnd.BoundarySet, str]:
+    b = _extract(cfg, s)
     digest = bnd.save_boundary(b, out / "boundary.jsonl")
     note = " (EMPTY; epsilon may be too small)" if b.empty_warning else ""
-    print(f"boundary: {len(b)} points, epsilon={eps!r}{note} -> {out / 'boundary.jsonl'}")
+    print(f"boundary: {len(b)} points, epsilon={b.epsilon!r}{note} -> {out / 'boundary.jsonl'}")
     return b, digest
 
 
@@ -234,12 +239,12 @@ def cmd_boundary(args, cfg: PipelineConfig, out: Path) -> int:
 def cmd_fit(args, cfg: PipelineConfig, out: Path) -> int:
     boundary_path = out / "boundary.jsonl"
     s = _load_samples(cfg, out / "samples.jsonl")
-    b = _load(bnd.load_boundary, boundary_path, dim=s.bounds.dim)
-    if b.source_checksum != s.checksum():
-        raise IntegrityError(f"{boundary_path}: extracted from a different sample file")
-    stray = bnd.stray_points(b, s)
-    if stray:
-        raise IntegrityError(f"{boundary_path}: {stray} point(s) are not feasible samples")
+    b = _extract(cfg, s)
+    # the file must hold the bytes the boundary stage writes for these samples,
+    # so a stale file, or a point dropped, added, moved or retyped, fails
+    if bnd.boundary_bytes(b) != boundary_path.read_bytes():
+        raise IntegrityError(f"{boundary_path}: not the boundary the config extracts "
+                             f"from its sample file")
     checksums = {"samples": s.checksum(), "boundary": _file_digest(boundary_path)}
     _, _, code = _stage_fit(cfg, out, s, b, checksums)
     return code
@@ -249,6 +254,8 @@ def cmd_simulate(args, cfg: PipelineConfig, out: Path) -> int:
     mode = args.mode or cfg.fit["modes"][-1]
     cand_path = Path(args.candidates) if args.candidates else out / f"candidates_{mode}.json"
     res, doc = _load(fit.load_fit, cand_path, dim=cfg.sampling_box().dim)
+    if not args.candidates and res.mode != mode:
+        raise IntegrityError(f"{cand_path}: holds the candidates of mode {res.mode!r}")
     if not res.feasible or not res.candidates:
         print(f"error: {cand_path} holds no feasible candidates", file=_sys.stderr)
         return EXIT_INFEASIBLE

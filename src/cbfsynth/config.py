@@ -1,4 +1,5 @@
-"""Pipeline configuration: a small sectioned key = value text format.
+"""The settings layer: each stage's settings type and check, and the config
+text they are built from. No package module but `system` is imported here.
 
 Grammar (one construct per line):
 
@@ -19,15 +20,115 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
-from .boundary import _check_epsilon
-from .fitter import MODES, FitConfig
-from .sampler import DEFAULT_ZERO_TOL, _check_schedule
-from .simulator import FilterConfig, SimConfig
 from .system import BoxSet, build_system
+
+DEFAULT_ZERO_TOL = 1e-9
+# the fit modes in run order: each mode is warm-started from every earlier one
+MODES = ("uniform", "nonuniform", "multi")
+
+
+def _check_schedule(n_min: int, delta: float, growth: float, n_start: int, n_max: int) -> None:
+    """ValueError unless `run_sampling`'s growth schedule can start and stop."""
+    if min(n_min, n_start) < 1:
+        raise ValueError("n_min and n_start must be at least 1")
+    if n_start > n_max:
+        raise ValueError("n_start must not exceed n_max")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    if growth <= 1.0:
+        raise ValueError("growth must exceed 1")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """ValueError unless the neighborhood radius is positive."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """Mode, constraint strictness, objective and search budget. The field
+    order is the key order of the candidates file's `config_echo`."""
+
+    mode: str = "uniform"                      # uniform | nonuniform | multi
+    num_cbfs: int = 1
+    margin: float = 0.0
+    objective: str = "sample_count"            # sample_count | integral
+    restarts: int = 8
+    iterations: int = 400
+    population: int = 32
+    seed: int = 0
+    probes: int = 256
+    volume_region: BoxSet | None = None
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown fit mode {self.mode!r}")
+        if self.objective not in ("sample_count", "integral"):
+            raise ValueError(f"unknown objective {self.objective!r}")
+        if self.margin < 0:
+            raise ValueError("margin must be nonnegative")
+        if self.mode == "multi" and self.num_cbfs < 2:
+            raise ValueError("multi mode needs num_cbfs >= 2")
+        for key in ("restarts", "iterations", "population", "probes"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
+
+
+@dataclass(frozen=True)
+class FilterConfig:
+    """Per-candidate linear class-K gains and the admissible input box."""
+
+    alphas: Sequence[float]
+    input_box: BoxSet
+
+    def __post_init__(self):
+        alphas = tuple(float(a) for a in np.atleast_1d(np.asarray(self.alphas, dtype=float)))
+        if any(a <= 0 for a in alphas):
+            raise ValueError("kappa gains must be positive")
+        object.__setattr__(self, "alphas", alphas)
+
+
+def horizon_steps(horizon: float, dt: float) -> int:
+    """Number of dt steps in the horizon; dt must divide it to within 1e-9 steps."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    steps = horizon / dt
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError(f"dt = {dt!r} does not divide the horizon {horizon!r}")
+    return round(steps)
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Initial/goal states, horizon and controller gain. Runs are deterministic.
+    The field order is the key order of a run manifest's `config`."""
+
+    x_init: np.ndarray
+    x_goal: np.ndarray
+    horizon_T: float
+    dt: float
+    kp: float
+    require_safe_start: bool = True
+    spline_T: float | None = None     # defaults to horizon_T / 2, then hold
+    on_infeasible: str = "continue"   # continue | stop
+
+    def __post_init__(self):
+        object.__setattr__(self, "x_init", np.atleast_1d(np.asarray(self.x_init, dtype=float)))
+        object.__setattr__(self, "x_goal", np.atleast_1d(np.asarray(self.x_goal, dtype=float)))
+        horizon_steps(self.horizon_T, self.dt)
+        if self.kp <= 0:
+            raise ValueError("kp must be positive")
+        if self.spline_T is not None and self.spline_T <= 0:
+            raise ValueError("spline_T must be positive")
+        if self.on_infeasible not in ("continue", "stop"):
+            raise ValueError("on_infeasible must be 'continue' or 'stop'")
 
 
 class ConfigError(Exception):

@@ -51,6 +51,7 @@ import numpy as np
 
 from . import parallel
 from .boundary import BoundarySet
+from .config import MODES, FitConfig
 from .qp import max_over_box
 from .sampler import SampleClass, SampleSet, _finite_json, _jsonable, _write
 from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel, barrier,
@@ -69,40 +70,6 @@ _MIN_UNIFORM_SCALE = 1e-9
 ROOT_H_TOL = 1e-12
 ROOT_WIDTH = 2.0 ** -30
 ROOT_MAX_STEPS = 90
-
-# the fit modes in run order: each mode is warm-started from every earlier one
-MODES = ("uniform", "nonuniform", "multi")
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Mode, constraint strictness, objective and search budget. The field
-    order is the key order of the candidates file's `config_echo`."""
-
-    mode: str = "uniform"                      # uniform | nonuniform | multi
-    num_cbfs: int = 1
-    margin: float = 0.0
-    objective: str = "sample_count"            # sample_count | integral
-    restarts: int = 8
-    iterations: int = 400
-    population: int = 32
-    seed: int = 0
-    probes: int = 256
-    volume_region: BoxSet | None = None
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown fit mode {self.mode!r}")
-        if self.objective not in ("sample_count", "integral"):
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
-        if self.mode == "multi" and self.num_cbfs < 2:
-            raise ValueError("multi mode needs num_cbfs >= 2")
-        for key in ("restarts", "iterations", "population", "probes"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1")
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -897,16 +864,19 @@ def save_fit(res: FitResult, path, cfg: FitConfig | None = None,
 
 def load_fit(path, dim: int | None = None) -> tuple[FitResult, dict]:
     """Read a stored fit; returns the result plus the raw document. Non-finite
-    numbers, and with `dim` candidates of another width, raise ValueError."""
+    numbers, an unknown mode, any text `save_fit` would not write for the
+    result read (a mistyped field reads as another value), and with `dim`
+    candidates of another width, raise ValueError."""
     with open(path, "rb") as f:
-        doc = _finite_json(f.read())
-    if doc.get("version") != FIT_FORMAT_VERSION:
+        data = f.read()
+    doc = _finite_json(data)
+    if not isinstance(doc, dict) or doc.get("version") != FIT_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported fit file version")
     cands = [CbfCandidate(np.array(c["scale"]), np.array(c["shift"]), c["offset"])
              for c in doc["candidates"]]
     if dim is not None and any(c.dim != dim for c in cands):
         raise ValueError(f"{path}: candidates are not {dim} wide")
-    return FitResult(
+    res = FitResult(
         candidates=cands,
         objective_value=float(doc["objective_value"]),
         verification=VerificationReport(**doc["verification"]),
@@ -914,4 +884,9 @@ def load_fit(path, dim: int | None = None) -> tuple[FitResult, dict]:
         mode=doc["mode"],
         feasible=bool(doc["feasible"]),
         diagnostics=doc.get("diagnostics", ""),
-    ), doc
+    )
+    echo = {k: doc[k] for k in ("config_echo", "source_checksums") if k in doc}
+    if res.mode not in MODES or data != (json.dumps({**fit_result_dict(res), **echo},
+                                                    separators=(",", ":")) + "\n").encode():
+        raise ValueError(f"{path}: content does not match its canonical form")
+    return res, doc

@@ -23,13 +23,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_ZERO_TOL, _check_schedule
 from .qp import min_zdot, zero_tolerance
 from .system import BoxSet, SystemModel
 
 Array = np.ndarray
 
 FORMAT_VERSION = 2
-DEFAULT_ZERO_TOL = 1e-9
 
 
 class SampleClass(enum.Enum):
@@ -161,18 +161,6 @@ def classify_batch(sys: SystemModel, input_box: BoxSet, states: Array,
     labels[outside] = _CLASS_CODE[SampleClass.OUTSIDE]
     labels[feasible] = _CLASS_CODE[SampleClass.FEASIBLE]
     return labels
-
-
-def _check_schedule(n_min: int, delta: float, growth: float, n_start: int, n_max: int) -> None:
-    """ValueError unless `run_sampling`'s growth schedule can start and stop."""
-    if min(n_min, n_start) < 1:
-        raise ValueError("n_min and n_start must be at least 1")
-    if n_start > n_max:
-        raise ValueError("n_start must not exceed n_max")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    if growth <= 1.0:
-        raise ValueError("growth must exceed 1")
 
 
 def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import FilterConfig, SimConfig, horizon_steps
 from .qp import QpProblem, QpStatus, solve_box_qp
 from .sampler import _finite_json, _jsonable, _write
 from .system import BoxSet, CbfCandidate, HardConstraint, SystemModel, barrier, stack_candidates
@@ -26,58 +27,6 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_NOMINAL = "nominal"          # no candidates: plain box-clamped controller
 _SIDES = np.array([[1.0], [-1.0]])  # sign of a filter row's input coefficient: lower, upper
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    """Per-candidate linear class-K gains and the admissible input box."""
-
-    alphas: Sequence[float]
-    input_box: BoxSet
-
-    def __post_init__(self):
-        alphas = tuple(float(a) for a in np.atleast_1d(np.asarray(self.alphas, dtype=float)))
-        if any(a <= 0 for a in alphas):
-            raise ValueError("kappa gains must be positive")
-        object.__setattr__(self, "alphas", alphas)
-
-
-def horizon_steps(horizon: float, dt: float) -> int:
-    """Number of dt steps in the horizon; dt must divide it to within 1e-9 steps."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    steps = horizon / dt
-    if abs(steps - round(steps)) > 1e-9:
-        raise ValueError(f"dt = {dt!r} does not divide the horizon {horizon!r}")
-    return round(steps)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Initial/goal states, horizon and controller gain. Runs are deterministic.
-    The field order is the key order of a run manifest's `config`."""
-
-    x_init: Array
-    x_goal: Array
-    horizon_T: float
-    dt: float
-    kp: float
-    require_safe_start: bool = True
-    spline_T: float | None = None     # defaults to horizon_T / 2, then hold
-    on_infeasible: str = "continue"   # continue | stop
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_init", np.atleast_1d(np.asarray(self.x_init, dtype=float)))
-        object.__setattr__(self, "x_goal", np.atleast_1d(np.asarray(self.x_goal, dtype=float)))
-        horizon_steps(self.horizon_T, self.dt)
-        if self.kp <= 0:
-            raise ValueError("kp must be positive")
-        if self.spline_T is not None and self.spline_T <= 0:
-            raise ValueError("spline_T must be positive")
-        if self.on_infeasible not in ("continue", "stop"):
-            raise ValueError("on_infeasible must be 'continue' or 'stop'")
 
 
 @dataclass

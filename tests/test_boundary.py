@@ -262,3 +262,32 @@ def test_load_boundary_checks_every_header_field(tmp_path, field, value):
     path.write_text(json.dumps(header, separators=(",", ":")) + "\n" + body)
     with pytest.raises(ValueError, match=field):
         load_boundary(path, dim=2)
+
+
+@pytest.mark.parametrize("body", [
+    '{"x":[-5.0,10.0]},{"x":[-4.0,11.0]}\n{"x":[-3.0,12.0]}\n',
+    '{"x":[-5.0,10.0]}\n\n{"x":[-4.0,11.0]}\n',
+    '{"x":[-5.0,10.0]}\n[-4.0,11.0]\n',
+    '{"x":[-5.0,10.0]}\n{"y":[-4.0,11.0]}\n',
+    '{"x":[-5.0\n10.0]}\n{"x":[-4.0,11.0]},{"x":[-3.0,12.0]}\n',   # the join's comma completes it
+    '{"x":[-5.0,10.0],"pad":[[1\n2]]}\n{"x":[-4.0,11.0]},{"x":[-3.0,12.0]}\n',
+], ids=["two-rows-on-a-line", "blank-line", "line-not-an-object", "row-without-x",
+        "row-across-lines", "padded-row-across-lines"])
+def test_load_boundary_refuses_a_line_that_is_not_one_row(tmp_path, body):
+    """The rows are parsed in one call, yet a file is refused unless each line
+    is one row with `x`: a row broken over two lines is refused even where
+    another line holds two rows to keep the count."""
+    path = tmp_path / "boundary.jsonl"
+    save_boundary(BoundarySet(np.zeros((3, 2)), 0.1, "0" * 64), path)
+    path.write_text(path.read_text().partition("\n")[0] + "\n" + body)
+    with pytest.raises((ValueError, KeyError, TypeError)):
+        load_boundary(path, dim=2)
+
+
+def test_load_boundary_reads_rows_with_strings_holding_brackets(tmp_path):
+    """Brackets inside a row's strings do not count towards its nesting."""
+    path = tmp_path / "boundary.jsonl"
+    save_boundary(BoundarySet(np.zeros((1, 2)), 0.1, "0" * 64), path)
+    path.write_text(path.read_text().partition("\n")[0] + "\n"
+                    + '{"x":[-5.0,10.0],"note":"a]{\\"["}\n')
+    assert load_boundary(path, dim=2).points.tolist() == [[-5.0, 10.0]]

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -371,6 +373,13 @@ def _widen_rows(data: bytes) -> bytes:
     return head + b"\n" + body.replace(b'{"x":[', b'{"x":[0.0,')
 
 
+def _split_boundary_row(data: bytes) -> bytes:
+    """Break the first boundary row over two lines and put the next two rows on
+    one line, so the file keeps as many lines as rows."""
+    head, first, second, third, rest = data.split(b"\n", 4)
+    return b"\n".join([head, first.replace(b",", b"\n", 1), second + b"," + third, rest])
+
+
 _CORRUPT = {"truncate": lambda data: data[:len(data) // 2],
             "append": lambda data: data + b"{garbled\n",
             "widen": _widen_rows,
@@ -398,7 +407,14 @@ _CORRUPT = {"truncate": lambda data: data[:len(data) // 2],
             "string-boundary-empty-warning": lambda data: data.replace(
                 b'"empty_warning":false', b'"empty_warning":"no"'),
             "boundary-empty-warning-with-points": lambda data: data.replace(
-                b'"empty_warning":false', b'"empty_warning":true')}
+                b'"empty_warning":false', b'"empty_warning":true'),
+            # boundary lines that are not one row each
+            "two-rows-on-a-line": lambda data: data.replace(b'}\n{"x"', b'},{"x"', 1),
+            "blank-line": lambda data: data.replace(b'}\n{"x"', b'}\n\n{"x"', 1),
+            "line-not-an-object": lambda data: re.sub(rb'\n\{"x":(\[[^\]]*\])\}', rb'\n\1',
+                                                      data, count=1),
+            "row-without-x": lambda data: data.replace(b'{"x":', b'{"y":', 1),
+            "row-across-lines": _split_boundary_row}
 
 
 @pytest.mark.parametrize("command, artifact, corrupt", [
@@ -417,11 +433,18 @@ _CORRUPT = {"truncate": lambda data: data[:len(data) // 2],
     ("fit", "boundary.jsonl", "string-boundary-epsilon"),
     ("fit", "boundary.jsonl", "string-boundary-empty-warning"),
     ("fit", "boundary.jsonl", "boundary-empty-warning-with-points"),
+    ("fit", "boundary.jsonl", "two-rows-on-a-line"),
+    ("fit", "boundary.jsonl", "blank-line"),
+    ("fit", "boundary.jsonl", "line-not-an-object"),
+    ("fit", "boundary.jsonl", "row-without-x"),
+    ("fit", "boundary.jsonl", "row-across-lines"),
 ], ids=["truncated-samples", "garbled-boundary", "truncated-candidates", "wide-sample-rows",
         "nan-sample-coordinate", "nan-candidate-offset", "wide-candidate", "nan-header-J",
         "nan-boundary-epsilon", "foreign-checkpoint", "overflow-header-seed",
         "list-boundary-normalized", "string-boundary-epsilon", "string-boundary-empty-warning",
-        "boundary-empty-warning-with-points"])
+        "boundary-empty-warning-with-points", "two-boundary-rows-on-a-line",
+        "blank-boundary-line", "boundary-line-not-an-object", "boundary-row-without-x",
+        "boundary-row-across-lines"])
 def test_unparsable_artifact_is_integrity_failure(tmp_path, capsys, command, artifact,
                                                   corrupt):
     out = tmp_path / "out"
@@ -557,6 +580,131 @@ def test_integrity_error_names_the_file_once(tmp_path, capsys, command, artifact
     capsys.readouterr()
     assert main([command, "--config", str(cfg)]) == 4
     _assert_one_integrity_line(capsys.readouterr().err, path)
+
+
+# -- seeded corruption of every artifact -------------------------------------
+
+def _on_row(edit):
+    """Apply `edit` to one row line of a line-per-record file, chosen by the
+    seeded generator; the header line is never chosen."""
+    def apply(data: bytes, rng: random.Random) -> bytes:
+        lines = data.split(b"\n")
+        row = rng.randrange(1, len(lines) - 1)
+        lines[row] = edit(lines[row])
+        return b"\n".join(lines)
+    return apply
+
+
+def _truncate(data: bytes, rng: random.Random) -> bytes:
+    return data[:rng.randrange(1, len(data) - 1)]
+
+
+def _truncate_at_line_end(data: bytes, rng: random.Random) -> bytes:
+    """Whole rows dropped from the end: each kept line is intact."""
+    lines = data.split(b"\n")
+    return b"\n".join(lines[:rng.randrange(2, len(lines) - 1)]) + b"\n"
+
+
+def _swap_two_labels(data: bytes, rng: random.Random) -> bytes:
+    lines = data.split(b"\n")
+    rows = {label: [i for i, line in enumerate(lines) if line.endswith(b'"%s"}' % label)]
+            for label in (b"feasible", b"infeasible")}
+    i, j = (rng.choice(rows[label]) for label in (b"feasible", b"infeasible"))
+    lines[i] = lines[i].replace(b'"feasible"}', b'"infeasible"}')
+    lines[j] = lines[j].replace(b'"infeasible"}', b'"feasible"}')
+    return b"\n".join(lines)
+
+
+def _sub(pattern: bytes, repl: bytes):
+    return lambda data, rng: re.sub(pattern, repl, data, count=1)
+
+
+_FIRST_COORDINATE = rb'"x":\[([^,\]]+)'
+
+# artifact -> (the standalone stages that read it, {edit name: edit(data, rng)})
+_EDITS = {
+    "samples.jsonl": (("boundary", "fit"), {
+        "coordinate-as-string": _on_row(lambda row: re.sub(_FIRST_COORDINATE, rb'"x":["\1"', row)),
+        "seed-as-string": _sub(rb'"seed":(\d+)', rb'"seed":"\1"'),
+        "row-out-of-box": _on_row(lambda row: re.sub(_FIRST_COORDINATE, b'"x":[5.0', row)),
+        "labels-swapped": _swap_two_labels,
+        "truncated": _truncate,
+        "truncated-at-a-line-end": _truncate_at_line_end,
+        "class-deleted": _on_row(lambda row: re.sub(rb',"class":"[a-z]+"', b"", row)),
+        "zero-tol-deleted": _sub(rb'"zero_tol":[^,]+,', b""),
+    }),
+    "boundary.jsonl": (("fit",), {
+        "coordinate-as-string": _on_row(lambda row: re.sub(_FIRST_COORDINATE, rb'"x":["\1"', row)),
+        "epsilon-as-string": _sub(rb'"epsilon":([^,]+)', rb'"epsilon":"\1"'),
+        "row-out-of-box": _on_row(lambda row: re.sub(_FIRST_COORDINATE, b'"x":[5.0', row)),
+        "normalized-flipped": _sub(rb'"normalized":true', b'"normalized":false'),
+        "truncated": _truncate,
+        "truncated-at-a-line-end": _truncate_at_line_end,
+        "checksum-deleted": _sub(rb',"source_checksum":"[0-9a-f]+"', b""),
+        "x-deleted": _on_row(lambda row: row.replace(b'"x":', b'"y":')),
+    }),
+    "candidates_uniform.json": (("simulate",), {
+        "document-as-list": lambda data, rng: b"[" + data.rstrip() + b"]\n",
+        "offset-as-string": _sub(rb'"offset":([^,}]+)', rb'"offset":"\1"'),
+        "offset-as-bool": _sub(rb'"offset":([^,}]+)', b'"offset":true'),
+        "scale-as-string": _sub(rb'"scale":\[([^,\]]+)', rb'"scale":["\1"'),
+        "feasible-as-string": _sub(rb'"feasible":true', b'"feasible":"yes"'),
+        "mode-swapped": _sub(rb'"mode":"uniform","feasible"', b'"mode":"multi","feasible"'),
+        "truncated": _truncate,
+        "shift-deleted": _sub(rb'"shift":\[[^\]]*\],', b""),
+        "verification-deleted": _sub(rb'"verification":\{[^}]*\},', b""),
+    }),
+    # read by `pipeline` alone
+    "run_uniform_1.json": ((), {"truncated": _truncate,
+                                "steps-as-string": _sub(rb'"steps":(\d+)', rb'"steps":"\1"')}),
+    "traj_uniform_1.csv": ((), {"truncated": _truncate}),
+    "stage_state.json": ((), {"truncated": _truncate}),
+}
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """A tiny cold pipeline's output directory and its files' bytes."""
+    root = tmp_path_factory.mktemp("clean")
+    assert main(["pipeline", "--config", str(tiny_config(root, out=str(root / "out")))]) == 0
+    return root / "out", {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+
+
+def _run_quietly(capsys, argv: list[str]) -> tuple[int, str, list]:
+    """Exit code, stderr and warnings of one command."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, capsys.readouterr().err, caught
+
+
+@pytest.mark.parametrize("artifact, edit", [(a, e) for a, (_, edits) in _EDITS.items()
+                                            for e in edits])
+def test_seeded_corruption_is_refused_or_repaired(tmp_path, capsys, clean_run, artifact, edit):
+    """Each edit of an artifact, placed by a generator seeded with the edit's
+    name: every standalone stage that reads the file exits 4 with one line
+    and no warning, and `pipeline` either does the same or runs its stages
+    again and writes the clean run's bytes."""
+    clean, files = clean_run
+    stages, edits = _EDITS[artifact]
+    out = tmp_path / "out"
+    shutil.copytree(clean, out)
+    cfg = tiny_config(tmp_path, out=str(out))
+    corrupted = edits[edit](files[artifact], random.Random(f"{artifact}:{edit}"))
+    assert corrupted != files[artifact]
+    (out / artifact).write_bytes(corrupted)
+    for stage in stages:
+        code, err, caught = _run_quietly(capsys, [stage, "--config", str(cfg)])
+        assert (code, err.startswith("integrity error:"), err.count("\n"), caught) \
+            == (4, True, 1, []), (stage, code, err)
+    code, err, caught = _run_quietly(capsys, ["pipeline", "--config", str(cfg)])
+    assert not caught
+    if code == 4:
+        assert err.startswith("integrity error:") and err.count("\n") == 1, err
+    else:
+        assert code == 0, err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
 
 def test_explicit_default_zero_tol_matches_auto(tmp_path):

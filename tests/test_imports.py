@@ -1,7 +1,10 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+from conftest import run_fresh
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cbfsynth"
 
@@ -117,3 +120,77 @@ def test_barrier_scan_sees_the_kernel(tmp_path):
                     "h += sys.hcf.value(y)\n"
                     "g = hcf.value(y) - eps\n")
     assert _h_formula_lines(path) == [1, 2, 3]
+
+
+# the settings layer and the plant: what every pipeline process loads first
+SETTINGS_LAYER = ("config.py", "system.py")
+
+
+def _package_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) of each package module but `system` that `path` imports."""
+    return [(line, name) for line, name in _imported(path)
+            if name.startswith("cbfsynth.") and name.split(".")[1] != "system"]
+
+
+@pytest.mark.parametrize("name", SETTINGS_LAYER)
+def test_settings_layer_imports_system_only(name):
+    """`config` and `system` import no package module but `system`, at module
+    level or inside a function, so loading a config runs no stage module."""
+    found = _package_imports(SRC / name)
+    assert not found, f"{name} imports {found}"
+
+
+def test_settings_layer_scan_sees_a_stage_import(tmp_path):
+    """The scan finds a stage import in either form, so it is not blind."""
+    path = tmp_path / "probe.py"
+    path.write_text("from .system import BoxSet\n"
+                    "from .fitter import FitConfig\n"
+                    "def f():\n"
+                    "    from . import simulator\n")
+    assert [line for line, _ in _package_imports(path)] == [2, 2, 4]
+
+
+def test_config_load_runs_no_stage_module():
+    """A fresh process that loads the shipped config and builds its plant
+    holds no package module but the package, `config` and `system`."""
+    out = run_fresh("""
+        import sys
+        import cbfsynth.config
+        import cbfsynth.system
+
+        cfg = cbfsynth.config.load_config(sys.argv[1])
+        cbfsynth.system.build_system(cfg.system_name, cfg.system_params)
+        print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "cbfsynth")))
+    """, str(SRC.parents[1] / "configs" / "double_integrator.cfg"))
+    assert out.split() == ["cbfsynth", "cbfsynth.config", "cbfsynth.system"]
+
+
+# every name `cbfsynth/__init__.py` exported while it imported each module
+# eagerly, with the module that bound it
+EXPORTED = {
+    "system": "BoxSet CbfCandidate HardConstraint SystemModel barrier build_system eval_h_batch "
+              "identity_candidate make_double_integrator register_system registered_systems",
+    "qp": "QpProblem QpSolution QpStatus solve_box_qp",
+    "sampler": "JaccardTracker SampleClass SampleHeader SampleSet draw_batch load_samples "
+               "read_header run_sampling save_samples",
+    "boundary": "BoundarySet auto_epsilon extract_boundary load_boundary save_boundary",
+    "fitter": "FitConfig FitResult SearchCounts VerificationReport check_redundancy fit_multi "
+              "fit_nonuniform fit_uniform load_fit save_fit verify_candidate",
+    "simulator": "FilterConfig InvarianceReport SimConfig Trajectory check_invariance "
+                 "hdot_rate_bound nominal_controller reference_spline safety_filter_many "
+                 "simulate simulate_many step",
+    "config": "ConfigError PipelineConfig load_config parse_config",
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTED.items()
+                                          for n in names.split()])
+def test_package_exports_resolve_on_first_use(module, name):
+    """Each name resolves through `from cbfsynth import name` to the object
+    its old module binds, and `dir(cbfsynth)` lists it."""
+    import cbfsynth
+
+    namespace = {}
+    exec(f"from cbfsynth import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"cbfsynth.{module}"), name)
+    assert name in dir(cbfsynth)
