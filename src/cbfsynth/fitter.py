@@ -78,6 +78,12 @@ class VerificationReport:
     prop2_feasible_fraction: float
     empty_warning: bool = False
 
+    def __post_init__(self):
+        for name in ("containment_fraction", "boundary_cbf_feasible_fraction",
+                     "prop2_feasible_fraction"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "empty_warning", bool(self.empty_warning))
+
 
 @dataclass(frozen=True)
 class SearchCounts:
@@ -886,7 +892,8 @@ def load_fit(path, dim: int | None = None) -> tuple[FitResult, dict]:
         diagnostics=doc.get("diagnostics", ""),
     )
     echo = {k: doc[k] for k in ("config_echo", "source_checksums") if k in doc}
-    if res.mode not in MODES or data != (json.dumps({**fit_result_dict(res), **echo},
-                                                    separators=(",", ":")) + "\n").encode():
+    # the fitter writes candidates exactly when the fit is feasible
+    if res.mode not in MODES or res.feasible != bool(cands) or data != (
+            json.dumps({**fit_result_dict(res), **echo}, separators=(",", ":")) + "\n").encode():
         raise ValueError(f"{path}: content does not match its canonical form")
     return res, doc

@@ -649,6 +649,11 @@ _EDITS = {
         "offset-as-bool": _sub(rb'"offset":([^,}]+)', b'"offset":true'),
         "scale-as-string": _sub(rb'"scale":\[([^,\]]+)', rb'"scale":["\1"'),
         "feasible-as-string": _sub(rb'"feasible":true', b'"feasible":"yes"'),
+        "feasible-flipped": _sub(rb'"feasible":true', b'"feasible":false'),
+        "candidates-emptied": _sub(rb'"candidates":\[.*?\],"objective',
+                                   b'"candidates":[],"objective'),
+        "fraction-as-string": _sub(rb'"containment_fraction":([^,]+)',
+                                   rb'"containment_fraction":"\1"'),
         "mode-swapped": _sub(rb'"mode":"uniform","feasible"', b'"mode":"multi","feasible"'),
         "truncated": _truncate,
         "shift-deleted": _sub(rb'"shift":\[[^\]]*\],', b""),
