@@ -28,6 +28,9 @@ initial simplex, each shrink and a random restart's pool each cost one pass
 of numpy dispatch, and each score equals that of its vector alone, bit for bit.
 A one-point Nelder-Mead step passes a cut, the value at which it would reject
 its point; containment terms at the cut skip the exists-input penalty (>= 0).
+A restart's other checks wait, and run in one call once DEFER_ROWS rows wait
+and at its end; should one find a penalty, the restart reruns from its start
+with every check made at once, so no result or count depends on the waiting.
 
 The restarts are independent tasks. The driver makes every random draw up
 front, in the order a search running one restart after another would make
@@ -70,6 +73,8 @@ _MIN_UNIFORM_SCALE = 1e-9
 ROOT_H_TOL = 1e-12
 ROOT_WIDTH = 2.0 ** -30
 ROOT_MAX_STEPS = 90
+# queued rows at which a restart's deferred exists-input checks run (see _score)
+DEFER_ROWS = 32
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -468,14 +473,36 @@ _MODES = {
 # ---------------------------------------------------------------------------
 # Penalized search
 
-def _score(ctx: _SearchContext, mode: _Mode, block: Block, cut: float = np.inf) -> Array:
-    """Each tuple's penalized objective, (B,), or its containment terms if all reach `cut`."""
+def _score(ctx: _SearchContext, mode: _Mode, block: Block, cut: float = np.inf,
+           defer: list | None = None) -> Array:
+    """Each tuple's penalized objective, (B,), or its containment terms
+    L = -area + 3 vol viol if all reach `cut`. With a `defer` list the
+    exists-input check waits there for `_flush` and L is returned: the
+    objective bit for bit where that check's penalty is zero (L + 0.0 is L)."""
     area, viol, _, h_ends = ctx.metrics(block, ends=mode.reads_ends)
     score = -area + 3.0 * ctx.vol * viol
     if mode.exists_input is not None and not np.all(score >= cut):
+        if defer is not None:
+            defer.append((block, h_ends))
+            return score
         ok, total = mode.exists_input(ctx, block, h_ends, 48)
         score += 2.0 * ctx.vol * (total - ok) / np.maximum(total, 1)
     return score
+
+
+class _Penalized(Exception):
+    """A deferred exists-input check found a positive penalty."""
+
+
+def _flush(ctx: _SearchContext, mode: _Mode, defer: list) -> None:
+    """Run the nonempty queue's exists-input checks in one call and empty
+    it; raises _Penalized if any tuple's penalty is positive."""
+    block = tuple(np.concatenate(p) for p in zip(*(queued for queued, _ in defer)))
+    h_ends = np.concatenate([h for _, h in defer]) if mode.reads_ends else None
+    defer.clear()
+    ok, total = mode.exists_input(ctx, block, h_ends, 48)
+    if np.any(ok < total):
+        raise _Penalized
 
 
 def _hard_feasible(ctx: _SearchContext, mode: _Mode, block: Block) -> tuple[bool, float, str]:
@@ -606,8 +633,20 @@ def _run(ctx: _SearchContext, mode: _Mode, steps: Array,
     Nelder-Mead follows, and its result is the run's last offer. Returns the
     run's offers in order, each as (candidates, ok, objective, reason) from
     the full-set acceptance test, its objective evaluations, its score kernel
-    calls and the steps of each tuple its boundary probes ran on.
+    calls and the steps of each tuple its boundary probes ran on. The checks
+    are deferred (see `_score`) until one finds a penalty: the search then
+    read values that were not its scores, so its offers and counts are
+    dropped and the restart reruns with every check made at once.
     """
+    try:
+        return _attempt(ctx, mode, steps, start, [])
+    except _Penalized:
+        return _attempt(ctx, mode, steps, start, None)
+
+
+def _attempt(ctx: _SearchContext, mode: _Mode, steps: Array,
+             start: tuple[Array | None, list, list], defer: list | None):
+    """`_run`'s restart, queuing its exists-input checks on `defer` unless None."""
     seed, jitter, pool = start
     ctx.root_steps.clear()
     offers = []
@@ -616,7 +655,10 @@ def _run(ctx: _SearchContext, mode: _Mode, steps: Array,
     def fun(thetas, cut=np.inf):
         nonlocal evaluations, calls
         evaluations, calls = evaluations + len(thetas), calls + 1
-        return _score(ctx, mode, mode.build(ctx, thetas), cut)
+        score = _score(ctx, mode, mode.build(ctx, thetas), cut, defer)
+        if defer and sum(len(queued[2]) for queued, _ in defer) >= DEFER_ROWS:
+            _flush(ctx, mode, defer)
+        return score
 
     def offer(theta):
         block = mode.build(ctx, theta.copy()[None])   # candidates view it; block passes edit theta
@@ -633,6 +675,8 @@ def _run(ctx: _SearchContext, mode: _Mode, steps: Array,
         offer(theta)
     theta = _nelder_mead(fun, theta, steps, ctx.cfg.iterations)
     offer(theta)
+    if defer:
+        _flush(ctx, mode, defer)
     return offers, evaluations, calls, list(ctx.root_steps)
 
 

@@ -282,7 +282,8 @@ def _check_rows(rows: bytes, dim: int) -> tuple[Array, Array]:
     return states, labels
 
 
-# Bytes read at a time when a file is hashed, so no file is held whole.
+# Bytes read at a time when a file is hashed or its rows are checked, so no
+# file is held whole.
 HASH_BLOCK = 1 << 20
 
 
@@ -378,17 +379,24 @@ def load_samples(path) -> SampleSet:
     rows whose width is not the header's state dimension and non-finite
     numbers (`nan`). So does a last checkpoint whose n is not the row count,
     or whose J is not the feasible rows' fraction bit for bit. Each
-    ValueError names the file. All rows are checked in this process, by one
-    `_check_rows` call.
+    ValueError names the file. The rows are read, hashed and checked by
+    `_check_rows` in slices of whole lines, HASH_BLOCK bytes and the rest of
+    a line each, so the file is never held whole; where a file has faults of
+    more than one kind, the first slice holding one names it.
     """
+    sha, parts = hashlib.sha256(), []
     with open(path, "rb") as f:
-        data = f.read()
-    start = data.find(b"\n") + 1 or len(data)
-    try:
-        h = _parse_header(data[:start])
-        states, labels = _check_rows(data[start:], h.bounds.dim)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        line = f.readline()
+        sha.update(line)
+        try:
+            h = _parse_header(line)
+            for rows in iter(lambda: f.read(HASH_BLOCK) + f.readline(), b""):
+                sha.update(rows)
+                parts.append(_check_rows(rows, h.bounds.dim))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    states = np.concatenate([np.empty((0, h.bounds.dim))] + [p[0] for p in parts])
+    labels = np.concatenate([np.empty(0, dtype=np.int8)] + [p[1] for p in parts])
     tracker = JaccardTracker(
         n_total=len(labels),
         n_feasible=int(np.sum(labels == _CLASS_CODE[SampleClass.FEASIBLE])),
@@ -400,5 +408,5 @@ def load_samples(path) -> SampleSet:
     s = SampleSet(states=states, labels=labels, bounds=h.bounds, seed=h.seed,
                   zero_tol=h.zero_tol, tracker=tracker, system_name=h.system_name,
                   system_params=h.system_params, converged=h.converged)
-    s._digest = hashlib.sha256(data).hexdigest()
+    s._digest = sha.hexdigest()
     return s

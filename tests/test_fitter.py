@@ -530,17 +530,19 @@ _PINNED_COUNTS = {
 
 def _drop_cut(monkeypatch):
     """Make the fit's score kernel ignore Nelder-Mead's cut, so every
-    evaluation runs its exists-input check, as before the kernel had one."""
+    evaluation runs its exists-input check at once, as before the kernel had
+    one; a deferral list is ignored."""
     from cbfsynth import fitter
     score = fitter._score
     monkeypatch.setattr(fitter, "_score",
-                        lambda ctx, mode, block, cut=np.inf: score(ctx, mode, block))
+                        lambda ctx, mode, block, cut=np.inf, defer=None: score(ctx, mode, block))
 
 
-def _warm_fits(di, small_run, **settings) -> dict:
-    """Each mode's fit, warm-started from the earlier ones as the pipeline does."""
+def _warm_fits(di, small_run, input_box=None, **settings) -> dict:
+    """Each mode's fit, warm-started from the earlier ones as the pipeline
+    does, on `input_box` or the reference one."""
     from cbfsynth import fitter
-    sysm, input_box = di
+    sysm, input_box = di[0], input_box or di[1]
     s, b = small_run
     fits, warm = {}, []
     for mode in MODES:
@@ -606,6 +608,51 @@ def test_cut_changes_no_fit(di, small_run, monkeypatch):
             assert g == w
     assert fits["multi"].counts.probe_calls < uncut["multi"].counts.probe_calls
     assert len(checks) < uncut_checks
+
+
+@pytest.mark.filterwarnings("ignore:collapsed:UserWarning")   # multi on the one-sign box
+@pytest.mark.parametrize("box", ["reference", "one-sign"])
+def test_deferral_changes_no_fit(di, small_run, monkeypatch, box):
+    """Deferring each restart's exists-input checks changes no fit: nonuniform
+    and multi, warm-started as the pipeline does, on one and on two workers,
+    give the candidate bytes, objective, verification, redundancy flags and
+    every search count of a fit whose kernel checks every evaluation at once.
+    On inputs of one sign, u in [0.5, 1], a deferred check finds a penalty
+    and its restart reruns (a rollback); on the reference box, which holds
+    u = 0, none does, so no deferred work is lost there."""
+    from cbfsynth import fitter, parallel
+    input_box = BoxSet([0.5], [1.0]) if box == "one-sign" else None
+    settings = dict(restarts=3, iterations=40, population=4, seed=7)
+    rollbacks = []
+    attempt = fitter._attempt
+
+    def counting(ctx, mode, steps, start, defer):
+        if defer is None:
+            rollbacks.append(mode)
+        return attempt(ctx, mode, steps, start, defer)
+
+    monkeypatch.setattr(fitter, "_attempt", counting)
+    monkeypatch.setattr(parallel, "workers", lambda tasks: 1)
+    with monkeypatch.context() as patch:
+        score = fitter._score
+        patch.setattr(fitter, "_score",
+                      lambda ctx, mode, block, cut=np.inf, defer=None: score(ctx, mode, block, cut))
+        at_once = _warm_fits(di, small_run, input_box, **settings)
+    assert rollbacks == []
+    deferred = [_warm_fits(di, small_run, input_box, **settings)]
+    assert bool(rollbacks) == (box == "one-sign")
+    monkeypatch.setattr(parallel, "workers", lambda tasks: 2)   # rollbacks run forked
+    deferred.append(_warm_fits(di, small_run, input_box, **settings))
+    for mode in ("nonuniform", "multi"):
+        want = at_once[mode]
+        for workers, fits in enumerate(deferred, 1):
+            got = fits[mode]
+            assert [(c.scale.tobytes(), c.shift.tobytes(), c.offset) for c in got.candidates] \
+                == [(c.scale.tobytes(), c.shift.tobytes(), c.offset) for c in want.candidates]
+            assert got.objective_value == want.objective_value
+            assert got.verification == want.verification
+            assert got.redundancy_flags == want.redundancy_flags
+            assert got.counts == replace(want.counts, workers=workers)
 
 
 def _score_alone(ctx, mode, thetas):

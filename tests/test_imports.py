@@ -49,6 +49,51 @@ def test_parallel_imported_by_fitter_only(path):
         f"{path.name} imports parallel at line(s) {found}"
 
 
+# the `fitter` functions that may call a mode's exists-input check: the score
+# kernel (behind the cut and the deferral), the deferred flush and the
+# full-set acceptance test
+EXISTS_INPUT_CALLERS = {"_score", "_flush", "_hard_feasible"}
+
+
+def _attribute_calls(path: Path, attr: str) -> list[tuple[int, str]]:
+    """(line, innermost enclosing function, "" at module level) of each call
+    of an attribute named `attr` in `path`."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == attr):
+                found.append((child.lineno, func))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else func)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_exists_input_called_behind_the_cut_and_deferral():
+    """In `fitter`, only `_score`, `_flush` and `_hard_feasible` call a
+    mode's `exists_input`, so every penalty the search reads passes the cut
+    and the deferral."""
+    found = _attribute_calls(SRC / "fitter.py", "exists_input")
+    assert {func for _, func in found} <= EXISTS_INPUT_CALLERS, found
+
+
+def test_exists_input_scan_sees_hard_feasible(tmp_path):
+    """The scan finds the call in `_hard_feasible`, and attributes a call to
+    the innermost function or lambda around it, so it is not blind."""
+    assert "_hard_feasible" in {f for _, f in _attribute_calls(SRC / "fitter.py", "exists_input")}
+    path = tmp_path / "probe.py"
+    path.write_text("def _score(mode):\n"
+                    "    def fun():\n"
+                    "        return mode.exists_input()\n"
+                    "    return mode.exists_input(), lambda: mode.exists_input()\n"
+                    "mode.exists_input()\n")
+    assert _attribute_calls(path, "exists_input") == [
+        (3, "fun"), (4, "_score"), (4, "<lambda>"), (5, "")]
+
+
 
 def _format_version_uses(path: Path) -> list[int]:
     """Lines of `path` that import `FORMAT_VERSION` from any module or read it

@@ -466,3 +466,23 @@ def test_chunked_load_rejects_non_canonical(tmp_path, sample_file, edit, locatio
     path.write_bytes(edited)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         load_samples(path)
+
+
+@pytest.mark.parametrize("edit", list(_NON_CANONICAL.values()), ids=list(_NON_CANONICAL))
+def test_sliced_load_rejects_non_canonical(tmp_path, sample_file, monkeypatch, edit):
+    """Read in slices of two or three rows, a file loads to the states,
+    labels and digest that one slice gives, and an edit starting at its
+    middle row is refused."""
+    path = tmp_path / "samples.jsonl"
+    path.write_bytes(sample_file)
+    whole = load_samples(path)
+    monkeypatch.setattr(sampler, "HASH_BLOCK", 100)
+    sliced = load_samples(path)
+    assert sliced.states.tobytes() == whole.states.tobytes()
+    assert sliced.labels.tobytes() == whole.labels.tobytes()
+    assert sliced.checksum() == whole.checksum() == hashlib.sha256(sample_file).hexdigest()
+    starts = _row_starts(sample_file)
+    at = starts[len(starts) // 2]
+    path.write_bytes(sample_file[:at] + edit(sample_file[at:]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_samples(path)
