@@ -71,6 +71,10 @@ def _resolve(args) -> tuple[PipelineConfig, Path]:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.sampling["seed"] = args.seed
+        try:   # checked again, as parsing checked the config's own seed
+            cfg.sampling_args()
+        except ValueError as exc:
+            raise ConfigError(f"sampling: {exc}") from None
     return cfg, Path(cfg.output_dir if args.out is None else args.out)
 
 

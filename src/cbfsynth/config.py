@@ -29,6 +29,7 @@ from .system import BoxSet, build_system
 DEFAULT_ZERO_TOL = 1e-9
 # the fit modes in run order: each mode is warm-started from every earlier one
 MODES = ("uniform", "nonuniform", "multi")
+CHORD_KEY_OFFSET = 0x9E3779B9   # the largest offset the fit adds to its seed for a key
 
 
 def _check_schedule(n_min: int, delta: float, growth: float, n_start: int, n_max: int) -> None:
@@ -51,27 +52,25 @@ def _check_epsilon(epsilon: float) -> None:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Mode, constraint strictness, objective and search budget. The field
-    order is the key order of the candidates file's `config_echo`."""
+    """Mode, constraint strictness and search budget. The field order is the
+    key order of the candidates file's `config_echo`."""
 
     mode: str = "uniform"                      # uniform | nonuniform | multi
     num_cbfs: int = 1
     margin: float = 0.0
-    objective: str = "sample_count"            # sample_count | integral
     restarts: int = 8
     iterations: int = 400
     population: int = 32
     seed: int = 0
     probes: int = 256
-    volume_region: BoxSet | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown fit mode {self.mode!r}")
-        if self.objective not in ("sample_count", "integral"):
-            raise ValueError(f"unknown objective {self.objective!r}")
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
+        if not 0 <= self.seed < 2 ** 128 - CHORD_KEY_OFFSET:
+            raise ValueError(f"seed must lie in [0, 2**128 - {CHORD_KEY_OFFSET:#x})")
         if self.mode == "multi" and self.num_cbfs < 2:
             raise ValueError("multi mode needs num_cbfs >= 2")
         for key in ("restarts", "iterations", "population", "probes"):
@@ -116,8 +115,6 @@ class SimConfig:
     dt: float
     kp: float
     require_safe_start: bool = True
-    spline_T: float | None = None     # defaults to horizon_T / 2, then hold
-    on_infeasible: str = "continue"   # continue | stop
 
     def __post_init__(self):
         object.__setattr__(self, "x_init", np.atleast_1d(np.asarray(self.x_init, dtype=float)))
@@ -125,10 +122,6 @@ class SimConfig:
         horizon_steps(self.horizon_T, self.dt)
         if self.kp <= 0:
             raise ValueError("kp must be positive")
-        if self.spline_T is not None and self.spline_T <= 0:
-            raise ValueError("spline_T must be positive")
-        if self.on_infeasible not in ("continue", "stop"):
-            raise ValueError("on_infeasible must be 'continue' or 'stop'")
 
 
 class ConfigError(Exception):
@@ -234,14 +227,11 @@ _SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "modes": ("name_list", ["uniform", "nonuniform", "multi"]),
         "num_cbfs": ("int", 2),
         "margin": ("float_or_auto", 0.0),   # auto: one boundary-extraction epsilon
-        "objective": ("name", "sample_count"),
         "restarts": ("int", 8),
         "iterations": ("int", 300),
         "population": ("int", 32),
         "seed": ("int", 0),
         "probes": ("int", 256),
-        "volume_lower": ("vector", None),
-        "volume_upper": ("vector", None),
     },
     "simulate": {
         "x_init": ("state_list", _REQUIRED),
@@ -251,8 +241,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "kp": ("float", 10.0),
         "kappa": ("float_list", [5.0]),
         "require_safe_start": ("bool", True),
-        "spline_t": ("float_or_auto", "auto"),
-        "on_infeasible": ("name", "continue"),
     },
     "output": {"dir": ("name", "out")},
 }
@@ -277,6 +265,8 @@ class PipelineConfig:
         zero_tol = DEFAULT_ZERO_TOL if sp["zero_tol"] == "auto" else sp["zero_tol"]
         if zero_tol < 0:
             raise ValueError("zero_tol must be nonnegative or auto")
+        if not 0 <= sp["seed"] < 2 ** 128:   # numpy's Philox takes keys in [0, 2**128)
+            raise ValueError("seed must lie in [0, 2**128)")
         _check_schedule(sp["n_min"], sp["delta"], sp["growth"], sp["n_start"], sp["n_max"])
         return dict(bounds=self.sampling_box(), zero_tol=zero_tol,
                     **{k: sp[k] for k in ("n_min", "delta", "growth", "seed", "n_start", "n_max")})
@@ -287,9 +277,7 @@ class PipelineConfig:
         if sp["horizon"] <= 0:   # a zero-step run cannot back the report's safety rows
             raise ValueError("horizon must be positive")
         return SimConfig(x_init=sp["x_init"][0], x_goal=sp["x_goal"], horizon_T=sp["horizon"],
-                         dt=sp["dt"], kp=sp["kp"], require_safe_start=sp["require_safe_start"],
-                         spline_T=None if sp["spline_t"] == "auto" else sp["spline_t"],
-                         on_infeasible=sp["on_infeasible"])
+                         dt=sp["dt"], kp=sp["kp"], require_safe_start=sp["require_safe_start"])
 
     def filter_config(self, input_box: BoxSet) -> FilterConfig:
         """The safety filter's settings for the plant's `input_box`; ValueError if unusable."""
@@ -298,25 +286,10 @@ class PipelineConfig:
     def fit_config(self, mode: str, boundary_eps: float) -> FitConfig:
         """One mode's fit settings, margin `auto` being `boundary_eps`; ValueError if unusable."""
         fc = self.fit
-        lo, hi = fc["volume_lower"], fc["volume_upper"]
-        if (lo is None) != (hi is None):
-            raise ValueError("volume_lower and volume_upper must be given together")
-        region = None if lo is None else BoxSet(lo, hi)
-        if region is not None:
-            box = self.sampling_box()
-            if region.dim != box.dim:
-                raise ValueError("volume region dimension differs from sampling bounds")
-            if region.volume() == 0.0:
-                raise ValueError("volume region has zero volume")
-            # overlap of positive width on every axis the box spans, a point on the rest
-            overlap = np.minimum(region.upper, box.upper) - np.maximum(region.lower, box.lower)
-            if np.any((overlap < 0) | ((overlap == 0) & (box.span > 0))):
-                raise ValueError("volume region does not overlap the sampling box")
         return FitConfig(mode=mode, num_cbfs=fc["num_cbfs"],
                          margin=boundary_eps if fc["margin"] == "auto" else fc["margin"],
-                         objective=fc["objective"], restarts=fc["restarts"],
-                         iterations=fc["iterations"], population=fc["population"],
-                         seed=fc["seed"], probes=fc["probes"], volume_region=region)
+                         restarts=fc["restarts"], iterations=fc["iterations"],
+                         population=fc["population"], seed=fc["seed"], probes=fc["probes"])
 
 
 def parse_config(text: str) -> PipelineConfig:

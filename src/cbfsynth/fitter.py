@@ -1,7 +1,7 @@
 """Barrier parameter fitting over classified samples.
 
 Three programs, all maximizing a Monte Carlo estimate of the candidate set
-size over the integration region V:
+size over the sampling box:
 
     uniform      one candidate, D = d I with d > 0, plus shift and offset;
                  the offset is eliminated in closed form as the largest value
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import parallel
 from .boundary import BoundarySet
-from .config import MODES, FitConfig
+from .config import CHORD_KEY_OFFSET, MODES, FitConfig
 from .qp import max_over_box
 from .sampler import SampleClass, SampleSet, _finite_json, _jsonable, _write
 from .system import (BoxSet, CbfCandidate, HardConstraint, SystemModel, barrier,
@@ -129,26 +129,22 @@ class _SearchContext:
         self.hcf = sys.hcf
         self.cfg = cfg
         self.input_box = input_box
-        self.region = cfg.volume_region or s.bounds
-        self.vol = self.region.volume()
+        # a set's size is its share of the samples times the box's volume
+        self.vol = s.bounds.volume()
         if self.vol <= 0:
-            raise ValueError("volume region has zero volume")
+            raise ValueError("the sampling box has zero volume")
+        if not s.bounds.contains(s.states).all():
+            raise ValueError("a sample lies outside the sampling box")
         self.n = s.bounds.dim
 
         # column-major, so z's per-coordinate work runs down unit-stride columns
         self.states = np.asfortranarray(s.states)
         self.feas = s.class_mask(SampleClass.FEASIBLE)
-        self.in_v = self.region.contains(self.states)
-        if not np.any(self.in_v):
-            raise ValueError("volume region contains no samples")
 
         stride = max(1, len(s) // 60000)
         self.sub = slice(None, None, stride)
         self.states_sub = np.asfortranarray(self.states[self.sub])
         self.feas_sub = self.feas[self.sub]
-        self.in_v_sub = self.in_v[self.sub]
-        self.n_in_v_sub = int(np.sum(self.in_v_sub))
-        self.n_in_v = int(np.sum(self.in_v))
 
         self.bpoints = b.points if b is not None and len(b) else np.zeros((0, self.n))
         self.bgrad = self.hcf.gradient(self.bpoints)
@@ -156,7 +152,7 @@ class _SearchContext:
         self.bact = sys.actuation(self.bpoints)
 
         # chord pool for active-boundary probes (multi mode), and its a then b ends
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed + 0x9E3779B9))
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed + CHORD_KEY_OFFSET))
         n_sub = self.states_sub.shape[0]
         pool = min(4096, n_sub * (n_sub - 1) // 2) if n_sub > 1 else 0
         if pool:
@@ -187,29 +183,23 @@ class _SearchContext:
         strictly inside the feasible samples.
         """
         scale, shift, offset = block
-        states, in_v, feas, n_in_v, at = (
-            (self.states, self.in_v, self.feas, self.n_in_v, self.ends_full) if full else
-            (self.states_sub, self.in_v_sub, self.feas_sub, self.n_in_v_sub, self.ends))
+        states, feas, at = ((self.states, self.feas, self.ends_full) if full else
+                             (self.states_sub, self.feas_sub, self.ends))
         shifts = self.margin_shifts(block)
-        area, viol, n_inside = np.zeros(len(offset)), np.zeros(len(offset)), []
+        viol, n_inside = np.zeros(len(offset)), np.zeros(len(offset), dtype=int)
         h_ends = np.empty(offset.shape + at.shape) if ends else None
         for b in range(len(offset)):
             h_rows = barrier(self.hcf, states, (scale[b, :, None], shift[b, :, None],
                                                 offset[b, :, None]))
             if ends:
                 h_ends[b] = h_rows.take(at, axis=1)
-            hmin = np.minimum.reduce(h_rows, axis=0)
-            inside = (hmin >= 0.0) & in_v
-            n_inside.append(int(np.count_nonzero(inside)))
-            if self.cfg.objective == "sample_count":
-                area[b] = n_inside[b] / n_in_v * self.vol
-            else:
-                area[b] = float(np.mean(np.maximum(hmin[in_v], 0.0))) * self.vol
+            inside = np.minimum.reduce(h_rows, axis=0) >= 0.0
+            n_inside[b] = np.count_nonzero(inside)
             if shifts is not None:
-                inside = (np.minimum.reduce(h_rows + shifts[b, :, None], axis=0) >= 0.0) & in_v
+                inside = np.minimum.reduce(h_rows + shifts[b, :, None], axis=0) >= 0.0
             n_guard = int(np.count_nonzero(inside))
             viol[b] = float(np.count_nonzero(inside & ~feas)) / n_guard if n_guard else 0.0
-        return area, viol, np.array(n_inside), h_ends
+        return n_inside / len(states) * self.vol, viol, n_inside, h_ends
 
     # -- constraints ----------------------------------------------------------
 
@@ -232,13 +222,13 @@ class _SearchContext:
         """The block of one-candidate tuples with (B, n) `scale` and `shift`
         and the largest offsets keeping h <= -margin buffer at every boundary
         sample. With no boundary samples the constraint is vacuous; the
-        offset then exactly encloses the in-region samples."""
+        offset then exactly encloses the samples."""
         if self.bpoints.shape[0]:   # offset -0.0: z + -0.0 is z, a -0.0 too
             zb = barrier(self.hcf, self.bpoints, (scale[:, None], shift[:, None], -0.0))
             buffer = self.cfg.margin * self.h_unit(scale, shift) if self.cfg.margin else 0.0
             offset = -np.max(zb, axis=-1) - buffer
         else:   # one tuple at a time: no (B, N, n) array
-            offset = np.array([-np.min(barrier(self.hcf, self.states[self.in_v], (d, c, -0.0)))
+            offset = np.array([-np.min(barrier(self.hcf, self.states, (d, c, -0.0)))
                                for d, c in zip(scale, shift)])
         return scale[:, None], shift[:, None], offset[:, None]
 

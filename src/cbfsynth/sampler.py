@@ -196,7 +196,8 @@ def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
         prev_j = j
         if tracker.n_total >= n_max:
             break
-        target = min(int(round(target * growth)), int(n_max))
+        # capped before the conversion: a huge growth makes the product infinite
+        target = int(round(min(target * growth, n_max)))
     return SampleSet(
         states=np.vstack(chunks_states),
         labels=np.concatenate(chunks_labels),

@@ -145,50 +145,41 @@ def simulate_many(starts: Array, cfg: SimConfig, sys: SystemModel,
                   cands: Sequence[CbfCandidate], fc: FilterConfig) -> list[Trajectory]:
     """Run the closed loop from each row of (S, n) `starts` at once.
 
-    `cfg` supplies all but the start (its `x_init` is not read). Each step
-    evaluates every barrier once for all running starts; the filter rows, the
-    recorded h values and, at the first step, `require_safe_start` read it.
-    With `on_infeasible = "stop"` a start ends at its first infeasible step.
-    An empty candidate list disables the filter (inputs are only box-clamped),
-    which reproduces the unfiltered baseline.
+    `cfg` supplies all but the start (its `x_init` is not read). The reference
+    reaches the goal at half the horizon (at least one step), then holds. Each
+    step evaluates every barrier once; the filter rows, the recorded h values
+    and, at the first step, `require_safe_start` read it. Every start runs the
+    whole horizon, infeasible steps included. An empty candidate list disables
+    the filter (inputs are only box-clamped): the unfiltered baseline.
     """
     x = np.array(starts, dtype=float, ndmin=2)
     n_runs, s = len(x), len(cands)
+    if not n_runs:   # every start skipped: no closed loop to step
+        return []
     steps_count = horizon_steps(cfg.horizon_T, cfg.dt)
-    spline_T = max(cfg.horizon_T / 2.0, cfg.dt) if cfg.spline_T is None else cfg.spline_T
-    xi = reference_spline(x, cfg.x_goal, spline_T, n_pos=sys.m)
+    xi = reference_spline(x, cfg.x_goal, max(cfg.horizon_T / 2.0, cfg.dt), n_pos=sys.m)
     stacked = stack_candidates(cands) if s else None
     times = np.arange(steps_count + 1) * cfg.dt
     states, u_nom_hist, u_hist, h_hist = (np.empty((n_runs, steps_count + 1, d))
                                           for d in (sys.n, sys.m, sys.m, s))
     infeasible = np.zeros((n_runs, steps_count + 1), dtype=bool)
-    lengths = np.full(n_runs, steps_count + 1)
-    live: slice | Array = slice(None)   # rows still running; an index array once one stops
     for k, t in enumerate(times.tolist()):
-        if not len(x):
-            break
-        u_nom = nominal_controller(x, xi(t)[live], cfg.kp)
+        u_nom = nominal_controller(x, xi(t), cfg.kp)
         if s:
-            u, infeasible[live, k], h_hist[live, k] = safety_filter_many(x, u_nom, stacked, sys, fc)
+            u, infeasible[:, k], h_hist[:, k] = safety_filter_many(x, u_nom, stacked, sys, fc)
         else:
             u = fc.input_box.clip(u_nom)
         if not k and cfg.require_safe_start and (h0 := h_hist[:, 0].min(initial=np.inf)) < 0.0:
             raise ValueError(f"initial state lies outside the candidate set (min h = {h0:.6g})")
-        states[live, k], u_nom_hist[live, k], u_hist[live, k] = x, u_nom, u
-        stop = infeasible[live, k]
-        if cfg.on_infeasible == "stop" and stop.any():
-            rows = np.arange(n_runs)[live]
-            lengths[rows[stop]] = k + 1
-            live, x, u = rows[~stop], x[~stop], u[~stop]
+        states[:, k], u_nom_hist[:, k], u_hist[:, k] = x, u_nom, u
         if k < steps_count:
             x = step(sys, x, u, cfg.dt)
 
     names = np.array([STATUS_OPTIMAL, STATUS_INFEASIBLE] if s else [STATUS_NOMINAL] * 2)
     # z feeds nothing back, so each run's values come from one call at the end
-    return [Trajectory(times[:k], states[i, :k], u_nom_hist[i, :k], u_hist[i, :k],
-                       h_hist[i, :k], sys.hcf.value(states[i, :k]),
-                       names[infeasible[i, :k].astype(int)].tolist())
-            for i, k in enumerate(lengths)]
+    return [Trajectory(times, states[i], u_nom_hist[i], u_hist[i], h_hist[i],
+                       sys.hcf.value(states[i]), names[infeasible[i].astype(int)].tolist())
+            for i in range(n_runs)]
 
 
 def simulate(cfg: SimConfig, sys: SystemModel, cands: Sequence[CbfCandidate],

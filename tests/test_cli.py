@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cbfsynth.cli import main
-from cbfsynth.config import ConfigError, load_config, parse_config
+from cbfsynth.config import _SCHEMA, ConfigError, load_config, parse_config
 
 from conftest import run_fresh
 
@@ -149,7 +149,7 @@ def test_pipeline_rejects_dt_not_dividing_horizon(tmp_path):
 _LATER_STAGE_VALUES = {
     "kappa": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\nkappa = -1"),
     "kp": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\nkp = 0"),
-    "spline-t": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\nspline_t = 0"),
+    "spline-t": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\nspline_t = 1.0"),
     "x-goal-dimension": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0, 0.0"),
     "num-cbfs-with-multi": ("num_cbfs = 2", "num_cbfs = 1"),
     "margin": ("margin = auto", "margin = -0.5"),
@@ -181,9 +181,26 @@ _LATER_STAGE_VALUES = {
     "zero-tol-negative": ("n_start = 243", "n_start = 243\nzero_tol = -1"),
     "n-max-below-n-start": ("n_start = 243", "n_start = 243\nn_max = -5"),
     "x-init-outside-box": ("x_init = -9, -30", "x_init = -9, -30; -1.7e308, -1e308"),
-    "on-infeasible": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\non_infeasible = explode"),
+    "on-infeasible": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\non_infeasible = stop"),
+    "objective-integral": ("population = 4", "population = 4\nobjective = integral"),
+    "fit-seed-negative": ("population = 4", "population = 4\nseed = -7"),
+    # the fit also keys Philox with seed + 1 and seed + 0x9E3779B9
+    "fit-seed-key-overflow": ("population = 4", f"population = 4\nseed = {2**128 - 0x9E3779B9}"),
+    "sampling-seed-negative": ("seed = 3", "seed = -1"),
+    "sampling-seed-overflow": ("seed = 3", f"seed = {2**128}"),
     "dt-zero": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\ndt = 0"),
 }
+
+
+# cases setting a key that no longer exists: its one-line message names it as unknown
+_REMOVED_KEYS = {"spline-t": "spline_t", "on-infeasible": "on_infeasible",
+                 "objective-integral": "objective",
+                 **{case: "volume_lower" for case in _LATER_STAGE_VALUES
+                    if case.startswith("volume-")}}
+# seed cases: the message names the key
+_SEED_CASES = {"fit-seed-negative": "fit: seed", "fit-seed-key-overflow": "fit: seed",
+               "sampling-seed-negative": "sampling: seed",
+               "sampling-seed-overflow": "sampling: seed"}
 
 
 @pytest.mark.parametrize("key", list(_LATER_STAGE_VALUES))
@@ -198,8 +215,67 @@ def test_later_stage_values_rejected_at_parse(tmp_path, capsys, key):
     assert main(["pipeline", "--config", str(cfg), "--dry-run"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    if key in _REMOVED_KEYS:
+        assert f"unknown key {_REMOVED_KEYS[key]!r}" in err, err
+    if key in _SEED_CASES:
+        assert _SEED_CASES[key] in err, err
     assert main(["pipeline", "--config", str(cfg)]) == 2
     assert not (out / "samples.jsonl").exists()
+
+
+def test_largest_seeds_run(tmp_path):
+    """The seed checks' bounds are tight: a pipeline with the largest
+    sampling seed, and with the largest fit seed whose every key Philox
+    takes, runs each stage through the uniform and multi fits."""
+    cfg = tiny_config(tmp_path, out=str(tmp_path / "out"), seed=2**128 - 1,
+                      modes="uniform, multi")
+    cfg.write_text(cfg.read_text().replace(
+        "population = 4", f"population = 4\nseed = {2**128 - 0x9E3779B9 - 1}"))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+def test_seed_override_checked_before_any_stage(tmp_path, capsys, dry_run):
+    """`--seed` replaces the sampling seed after the config is parsed; the
+    replacement gets the parse-time check, so -1 exits 2 with one line naming
+    the key, and nothing is written."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    capsys.readouterr()
+    argv = ["pipeline", "--config", str(cfg), "--seed", "-1"]
+    assert main(argv + ["--dry-run"] * dry_run) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sampling: seed") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_overflowing_growth_caps_the_next_checkpoint(tmp_path, capsys):
+    """A growth whose next checkpoint overflows a float stops at n_max, as
+    any checkpoint past n_max does: the run ends unconverged (exit 3) with
+    no traceback."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out), delta="1e-9", extra_sampling="n_max = 500")
+    cfg.write_text(cfg.read_text().replace("growth = 3.0", "growth = 1e308"))
+    assert main(["pipeline", "--config", str(cfg), "--dry-run"]) == 0
+    assert main(["pipeline", "--config", str(cfg)]) == 3
+    lines = (out / "convergence.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines] == ["n", "243", "500"]
+
+
+def test_readme_config_block_names_every_key():
+    """The README's `ini` reference block parses, and sets every key the
+    schema accepts, so a key added or deleted cannot leave it stale."""
+    text = (REPO_CONFIG.parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", text, flags=re.S | re.M)
+    assert len(blocks) == 1
+    parse_config(blocks[0])
+    section, keys = None, set()
+    for line in blocks[0].splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = m.group(1)
+        elif m := re.match(r"(\w+) *=", line):
+            keys.add((section, m.group(1)))
+    assert {(s, k) for s, schema in _SCHEMA.items() for k in schema} <= keys
 
 
 def test_dry_run_and_simulate_load_no_scipy(tmp_path):
@@ -974,6 +1050,12 @@ def test_fit_draws_match_sequential_search(tmp_path):
         data = (out / f"candidates_{mode}.json").read_bytes()
         doc = json.loads(data)
         del doc["source_checksums"]
+        # that commit's config echo also held two settings since deleted, at
+        # the values every fit then used
+        echo = list(doc["config_echo"].items())
+        at = [key for key, _ in echo].index("margin") + 1
+        doc["config_echo"] = dict(echo[:at] + [("objective", "sample_count")] + echo[at:]
+                                  + [("volume_region", None)])
         search = (json.dumps(doc, separators=(",", ":")) + "\n").encode()
         assert hashlib.sha256(search).hexdigest() == digest, mode
 

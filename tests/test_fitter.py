@@ -61,28 +61,19 @@ def test_estimate_empty_set(di, reference_run):
 
 
 def test_estimate_validation(di, reference_run):
-    """No candidates give no objective, and a volume region with no volume
-    or no samples gives no context to score in."""
+    """No candidates give no objective, and a sampling box of zero volume, or
+    one that a sample lies outside, gives no context to score in: the set
+    size is the enclosed share of the samples times the box's volume."""
     sysm, input_box = di
     ctx = _SearchContext(reference_run, None, sysm, input_box, FitConfig())
     with pytest.raises(ValueError):
         ctx.metrics((np.zeros((1, 0, 2)), np.zeros((1, 0, 2)), np.zeros((1, 0))), full=True)
-    degenerate = FitConfig(volume_region=BoxSet([0.0, 0.0], [0.0, 1.0]))
-    with pytest.raises(ValueError, match="zero volume"):
-        _SearchContext(reference_run, None, sysm, input_box, degenerate)
-    outside = FitConfig(volume_region=BoxSet([100.0, 100.0], [101.0, 101.0]))
-    with pytest.raises(ValueError, match="no samples"):
-        _SearchContext(reference_run, None, sysm, input_box, outside)
-
-
-def test_integral_objective_positive_part(di, reference_run):
-    sysm, input_box = di
-    ctx = _SearchContext(reference_run, None, sysm, input_box, FitConfig(objective="integral"))
-    cands = [identity_candidate(2)]
-    val = ctx.metrics(_block(cands), full=True)[0][0]
-    # mean of max(z, 0) over the box times its volume, computed directly
-    z = sysm.hcf.value(reference_run.states)
-    assert val == pytest.approx(float(np.mean(np.maximum(z, 0.0))) * 800.0, rel=1e-12)
+    degenerate = replace(reference_run, bounds=BoxSet([-10.0, -40.0], [-10.0, 40.0]))
+    with pytest.raises(ValueError, match="sampling box has zero volume"):
+        _SearchContext(degenerate, None, sysm, input_box, FitConfig())
+    narrow = replace(reference_run, bounds=BoxSet([-8.0, -30.0], [-1.0, 30.0]))
+    with pytest.raises(ValueError, match="outside the sampling box"):
+        _SearchContext(narrow, None, sysm, input_box, FitConfig())
 
 
 def test_sample_count_invariant_under_positive_rescaling():
@@ -665,25 +656,19 @@ def _score_alone(ctx, mode, thetas):
     return np.array(scores), steps
 
 
-@pytest.mark.parametrize("objective", ["sample_count", "integral"])
 @pytest.mark.parametrize("margin", ["0", "auto"])
-@pytest.mark.parametrize("region", ["box", "narrow"])
 @pytest.mark.parametrize("name", MODES)
-def test_score_kernel_is_batch_invariant(di, small_run, name, region, margin, objective):
+def test_score_kernel_is_batch_invariant(di, small_run, name, margin):
     """A block of tuples scores each tuple, bit for bit, as a block of that
     tuple alone does, and appends its root steps in the same order: blocks of
-    1, 5, 11 and `population` rows, in every mode, with and without a margin,
-    for both objectives and with a volume region narrower than the sampling
-    box. The rows are the mode's seeds, small steps from them and random
-    starts; multi's include a tuple enclosing nothing, whose probes find no
-    chord."""
+    1, 5, 11 and `population` rows, in every mode, with and without a margin.
+    The rows are the mode's seeds, small steps from them and random starts;
+    multi's include a tuple enclosing nothing, whose probes find no chord."""
     sysm, input_box = di
     s, b = small_run
-    narrow = BoxSet([-8.0, -30.0], [-1.0, 30.0]) if region == "narrow" else None
-    cfg = FitConfig(mode=name, num_cbfs=2, objective=objective, population=8,
-                    margin=b.epsilon if margin == "auto" else 0.0, volume_region=narrow)
+    cfg = FitConfig(mode=name, num_cbfs=2, population=8,
+                    margin=b.epsilon if margin == "auto" else 0.0)
     ctx = _SearchContext(s, b, sysm, input_box, cfg)
-    assert ctx.in_v.all() == (narrow is None)
     mode = _MODES[name]
     rng = np.random.default_rng(5)
     seeds = mode.seeds(ctx, [(identity_candidate(2), CAP_CANDIDATE)])
@@ -979,8 +964,6 @@ def test_fit_result_roundtrip(tmp_path, reference_fits):
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(mode="secret")
-    with pytest.raises(ValueError):
-        FitConfig(objective="volume")
     with pytest.raises(ValueError):
         FitConfig(margin=-0.1)
     with pytest.raises(ValueError):
