@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _check_epsilon
-from .sampler import SampleClass, SampleSet, _write
+from .sampler import SampleClass, SampleSet, _check_rows, _finite_json, _format_rows, _write
 
 Array = np.ndarray
 BOUNDARY_FORMAT_VERSION = 1   # versioned apart from the sample file's FORMAT_VERSION
-_NOT_BRACKET = bytes(sorted(set(range(256)) - set(b"[]{}\n")))
 
 
 @dataclass(frozen=True)
@@ -31,21 +30,27 @@ class BoundarySet:
     points: Array              # (B, n)
     epsilon: float             # radius in normalized coordinates
     source_checksum: str
-    empty_warning: bool = False
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def empty_warning(self) -> bool:
+        """Whether the set holds no points, so epsilon may be too small."""
+        return len(self) == 0
+
 
 def _active_axes(s: SampleSet) -> Array:
-    return np.flatnonzero(s.bounds.span > 0)
+    """The sampling box's axes of nonzero width; ValueError if it has none."""
+    axes = np.flatnonzero(s.bounds.span > 0)
+    if axes.size == 0:
+        raise ValueError("sampling box has zero width on every axis")
+    return axes
 
 
 def normalize_states(s: SampleSet, states: Array) -> Array:
     """Map states into the unit box, dropping degenerate axes."""
     axes = _active_axes(s)
-    if axes.size == 0:
-        raise ValueError("sampling box has zero volume on every axis")
     lo = s.bounds.lower[axes]
     span = s.bounds.span[axes]
     return (np.asarray(states, dtype=float)[..., axes] - lo) / span
@@ -55,7 +60,8 @@ def auto_epsilon(s: SampleSet) -> float:
     """Twice the expected uniform sample spacing in normalized coordinates.
 
     The normalized box has unit volume, so the spacing estimate is
-    (1 / N)^(1/n) over the non-degenerate axes.
+    (1 / N)^(1/n) over the non-degenerate axes. ValueError for fewer than
+    2 samples or a box of zero width on every axis.
     """
     n_samples = len(s)
     if n_samples < 2:
@@ -121,7 +127,7 @@ def extract_boundary(s: SampleSet, epsilon: float,
 
     With `box_face_is_boundary`, proximity to a sampling-box face substitutes
     for the non-feasible witness. An empty result is returned with a warning
-    flag rather than raised.
+    flag (`empty_warning`) rather than raised.
 
     Neighbors come from a cell grid (Bentley, Stanat & Williams, 1977) in
     numpy alone. It is exact: pairs within epsilon lie in neighboring cells,
@@ -132,7 +138,7 @@ def extract_boundary(s: SampleSet, epsilon: float,
     feas_idx = np.flatnonzero(feas_mask)
     checksum = s.checksum()
     if feas_idx.size == 0:
-        return BoundarySet(np.zeros((0, s.bounds.dim)), epsilon, checksum, True)
+        return BoundarySet(np.zeros((0, s.bounds.dim)), float(epsilon), checksum)
 
     norm = normalize_states(s, s.states)
     feas_pts = norm[feas_idx]
@@ -142,59 +148,53 @@ def extract_boundary(s: SampleSet, epsilon: float,
     ask = has_y1 & ~has_y2     # a witness matters only where the other is there
     has_y2[ask] = _has_neighbor(feas_pts[ask], norm[~feas_mask], epsilon)
     points = s.states[feas_idx[has_y1 & has_y2]]
-    return BoundarySet(points, float(epsilon), checksum, empty_warning=points.shape[0] == 0)
+    return BoundarySet(points, float(epsilon), checksum)
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 
+_ROW_TAIL = (b"]}",)   # a boundary row is a sample row with one tail and no class
+
+
+def _header(b: BoundarySet) -> dict:
+    return {"version": BOUNDARY_FORMAT_VERSION, "epsilon": b.epsilon, "normalized": True,
+            "source_checksum": b.source_checksum, "empty_warning": b.empty_warning}
+
+
 def boundary_bytes(b: BoundarySet) -> bytes:
-    lines = [json.dumps({
-        "version": BOUNDARY_FORMAT_VERSION,
-        "epsilon": b.epsilon,
-        "normalized": True,
-        "source_checksum": b.source_checksum,
-        "empty_warning": b.empty_warning,
-    }, separators=(",", ":"))]
-    for i in range(len(b)):
-        lines.append(json.dumps({"x": b.points[i].tolist()}, separators=(",", ":")))
-    return ("\n".join(lines) + "\n").encode()
+    """The boundary file: a JSON header line, then one `{"x":[...]}` row per point."""
+    rows = _format_rows(b.points, np.zeros(len(b), dtype=np.int8), _ROW_TAIL)
+    return b"\n".join([json.dumps(_header(b), separators=(",", ":")).encode(), *rows, b""])
 
 
 def save_boundary(b: BoundarySet, path) -> str:
     return _write(path, boundary_bytes(b))
 
 
-def load_boundary(path, dim: int | None = None) -> BoundarySet:
-    """Read a stored boundary. Mistyped or inconsistent header fields, non-finite
-    numbers, and with `dim` points of another width, raise ValueError."""
+def load_boundary(path, dim: int) -> BoundarySet:
+    """Read a stored boundary. ValueError, naming the file, unless the rows
+    pass `_check_rows` with points `dim` wide, `epsilon` is a float,
+    `source_checksum` is 64 lowercase hex digits and the header line is the
+    one `boundary_bytes` writes for what was read; a header that is not names
+    its first field whose text differs."""
     with open(path, "rb") as f:
-        lines = f.read().decode().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty boundary file")
-    header = json.loads(lines[0])
-    if header.get("version") != BOUNDARY_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported boundary file version")
-    rows = json.loads("[" + ",".join(lines[1:]) + "]")
-    # one row a line: as many rows as lines, and each line's brackets outside
-    # strings pair up on it, so no row spans two lines to leave room for another
-    marks = re.sub(r'"[^"\\]*(?:\\.[^"\\]*)*"', "", "\n".join(lines[1:])).encode()
-    marks = marks.translate(None, _NOT_BRACKET)
-    while (paired := marks.replace(b"[]", b"").replace(b"{}", b"")) != marks:
-        marks = paired
-    if len(rows) != len(lines) - 1 or marks.strip(b"\n"):
-        raise ValueError(f"{path}: a line does not hold one row")
-    pts = [row["x"] for row in rows]
-    checks = {"normalized": header.get("normalized") is True,
-              "epsilon": type(header.get("epsilon")) in (int, float),
-              "source_checksum": re.fullmatch("[0-9a-f]{64}", str(header.get("source_checksum"))),
-              "empty_warning": header.get("empty_warning") is (not pts)}
-    if not all(checks.values()):
-        raise ValueError(f"{path}: bad header field {next(k for k, v in checks.items() if not v)}")
-    arr = np.array(pts, dtype=float) if pts else np.zeros((0, dim or 0))
-    epsilon = float(header["epsilon"])
-    if not (np.isfinite(arr).all() and np.isfinite(epsilon)):
-        raise ValueError(f"{path}: non-finite number")
-    if dim is not None and arr.shape[1:] != (dim,):
-        raise ValueError(f"{path}: points are not {dim} wide")
-    return BoundarySet(arr, epsilon, header["source_checksum"], header["empty_warning"])
+        line, rows = f.readline(), f.read()
+    try:
+        header = _finite_json(line)
+        if not isinstance(header, dict) or header.get("version") != BOUNDARY_FORMAT_VERSION:
+            raise ValueError("unsupported boundary file version")
+        epsilon, checksum = header.get("epsilon"), header.get("source_checksum")
+        if type(epsilon) is not float:
+            raise ValueError("bad header field epsilon")
+        if not re.fullmatch("[0-9a-f]{64}", str(checksum)):
+            raise ValueError("bad header field source_checksum")
+        b = BoundarySet(_check_rows(rows, dim, _ROW_TAIL)[0], epsilon, checksum)
+        want = _header(b)
+        if json.dumps(want, separators=(",", ":")).encode() + b"\n" != line:
+            bad = [k for k, v in want.items() if json.dumps(header.get(k)) != json.dumps(v)]
+            raise ValueError(f"bad header field {bad[0]}" if bad
+                             else "content does not match its canonical form")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return b

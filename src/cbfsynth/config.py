@@ -32,16 +32,27 @@ MODES = ("uniform", "nonuniform", "multi")
 CHORD_KEY_OFFSET = 0x9E3779B9   # the largest offset the fit adds to its seed for a key
 
 
+def _next_checkpoint(target: int, growth: float, n_max: int) -> int:
+    """`run_sampling`'s checkpoint after `target`, capped before the conversion
+    since a huge growth makes the product infinite."""
+    return int(round(min(target * growth, n_max)))
+
+
 def _check_schedule(n_min: int, delta: float, growth: float, n_start: int, n_max: int) -> None:
-    """ValueError unless `run_sampling`'s growth schedule can start and stop."""
+    """ValueError unless `run_sampling`'s growth schedule can start, advance and stop."""
     if min(n_min, n_start) < 1:
         raise ValueError("n_min and n_start must be at least 1")
     if n_start > n_max:
         raise ValueError("n_start must not exceed n_max")
+    if n_max < n_min:
+        raise ValueError("n_max must not be below n_min, or the run can never converge")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     if growth <= 1.0:
         raise ValueError("growth must exceed 1")
+    # each step adds at least as many samples as the first, so the first decides
+    if n_start < n_max and _next_checkpoint(n_start, growth, n_max) == n_start:
+        raise ValueError(f"growth {growth!r} never advances: n_start times it rounds back")
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -363,6 +374,8 @@ def _validate(typed: dict[str, dict[str, Any]]) -> None:
         box = BoxSet(samp["lower"], samp["upper"])
     except ValueError as exc:
         raise ConfigError(f"sampling: {exc}") from None
+    if not (box.span > 0).any():   # no axis to spread samples or normalize distances on
+        raise ConfigError("sampling: the box has zero width on every axis")
     if typed["boundary"]["epsilon"] != "auto":
         try:
             _check_epsilon(typed["boundary"]["epsilon"])

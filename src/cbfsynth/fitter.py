@@ -133,6 +133,8 @@ class _SearchContext:
         self.vol = s.bounds.volume()
         if self.vol <= 0:
             raise ValueError("the sampling box has zero volume")
+        if not len(s):
+            raise ValueError("the sample set is empty")
         if not s.bounds.contains(s.states).all():
             raise ValueError("a sample lies outside the sampling box")
         self.n = s.bounds.dim

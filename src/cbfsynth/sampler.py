@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_ZERO_TOL, _check_schedule
+from .config import DEFAULT_ZERO_TOL, _check_schedule, _next_checkpoint
 from .qp import min_zdot, zero_tolerance
 from .system import BoxSet, SystemModel
 
@@ -196,8 +196,7 @@ def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
         prev_j = j
         if tracker.n_total >= n_max:
             break
-        # capped before the conversion: a huge growth makes the product infinite
-        target = int(round(min(target * growth, n_max)))
+        target = _next_checkpoint(target, growth, n_max)
     return SampleSet(
         states=np.vstack(chunks_states),
         labels=np.concatenate(chunks_labels),
@@ -232,8 +231,9 @@ def _header_bytes(h: SampleHeader) -> bytes:
     }, separators=(",", ":")).encode()
 
 
-def _format_rows(states: Array, labels: Array) -> list[bytes]:
-    """One record per sample, each without its newline.
+def _format_rows(states: Array, labels: Array, tails: tuple = _CLASS_TEXT) -> list[bytes]:
+    """One record per row, each without its newline, ending in its label's
+    entry of `tails`: by default the class tails of the sample file.
 
     Every row comes from one format string; `%a` of a finite float is its
     repr, the shortest round-trip decimal, which is also what `json.dumps`
@@ -241,7 +241,7 @@ def _format_rows(states: Array, labels: Array) -> list[bytes]:
     """
     row = b'{"x":[' + b",".join([b"%a"] * states.shape[1]) + b"%s"
     return list(map(row.__mod__, zip(*states.T.tolist(),
-                                     map(_CLASS_TEXT.__getitem__, labels.tolist()))))
+                                     map(tails.__getitem__, labels.tolist()))))
 
 
 def canonical_bytes(s: SampleSet) -> bytes:
@@ -258,25 +258,26 @@ def save_samples(s: SampleSet, path) -> str:
     return s._digest
 
 
-def _check_rows(rows: bytes, dim: int) -> tuple[Array, Array]:
-    """Parse whole sample rows and check that they are canonical; returns the
-    states and label codes. ValueError for a row whose width is not
-    `dim`, an unknown class, a non-finite number (`%a` writes `nan` or `inf`)
-    or any text `_format_rows` would not write."""
+def _check_rows(rows: bytes, dim: int, tails: tuple = _CLASS_TEXT) -> tuple[Array, Array]:
+    """Parse whole rows and check that they are canonical; returns the states
+    and label codes, a code being its tail's index in `tails`. ValueError for
+    a row whose width is not `dim`, an unknown tail, a non-finite number (`%a`
+    writes `nan` or `inf`) or any text `_format_rows` would not write, such as
+    a number in another form (`-5.00`)."""
     n = rows.count(b"\n")
     # each row becomes "x_1,..,x_dim,code," for one numeric parse
     body = rows.replace(b'{"x":[', b"")
-    for code, text in enumerate(_CLASS_TEXT):
+    for code, text in enumerate(tails):
         body = body.replace(text + b"\n", b",%d," % code)
     values = np.fromstring(body, sep=",")
-    if values.size != n * (dim + 1) or not np.isin(values[dim::dim + 1], list(_CODE_CLASS)).all():
-        raise ValueError(f"sample rows do not hold {dim} coordinates each")
+    if values.size != n * (dim + 1) or not np.isin(values[dim::dim + 1], range(len(tails))).all():
+        raise ValueError(f"rows do not hold {dim} coordinates each")
     if not np.isfinite(values).all():
-        raise ValueError("sample rows hold non-finite numbers")
+        raise ValueError("rows hold non-finite numbers")
     values = values.reshape(n, dim + 1)
     states, labels = values[:, :dim].copy(), values[:, dim].astype(np.int8)
     del body, values   # free the parse's copies before the reformat check
-    lines = _format_rows(states, labels)
+    lines = _format_rows(states, labels, tails)
     lines.append(b"")
     if b"\n".join(lines) != rows:
         raise ValueError("content does not match its canonical form")

@@ -284,10 +284,68 @@ def test_load_boundary_refuses_a_line_that_is_not_one_row(tmp_path, body):
         load_boundary(path, dim=2)
 
 
-def test_load_boundary_reads_rows_with_strings_holding_brackets(tmp_path):
-    """Brackets inside a row's strings do not count towards its nesting."""
+@pytest.mark.parametrize("body", [
+    '{"x":[-5.00,10.0]}\n',
+    '{"x":[-5.0,10.0],"note":"a]{\\"["}\n',
+    '{"x":[-5.0, 10.0]}\n',
+], ids=["number-not-canonical", "extra-key", "space"])
+def test_load_boundary_refuses_rows_it_would_not_write(tmp_path, body):
+    """A row must be the bytes `boundary_bytes` writes for its point: a number
+    in another form, a key other than `x` or added whitespace is refused."""
     path = tmp_path / "boundary.jsonl"
     save_boundary(BoundarySet(np.zeros((1, 2)), 0.1, "0" * 64), path)
-    path.write_text(path.read_text().partition("\n")[0] + "\n"
-                    + '{"x":[-5.0,10.0],"note":"a]{\\"["}\n')
-    assert load_boundary(path, dim=2).points.tolist() == [[-5.0, 10.0]]
+    path.write_text(path.read_text().partition("\n")[0] + "\n" + body)
+    with pytest.raises(ValueError):
+        load_boundary(path, dim=2)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda head: head.replace(",", ", "),
+    lambda head: head.replace('"version":1,', '"version":1,"note":0,'),
+    lambda head: head.replace('{"version":1,"epsilon":0.1,', '{"epsilon":0.1,"version":1,'),
+], ids=["space", "extra-key", "reordered"])
+def test_load_boundary_refuses_a_header_it_would_not_write(tmp_path, edit):
+    """A header holding every field's canonical value is still refused unless
+    its line is the one `boundary_bytes` writes."""
+    path = tmp_path / "boundary.jsonl"
+    save_boundary(BoundarySet(np.zeros((1, 2)), 0.1, "0" * 64), path)
+    head, _, body = path.read_text().partition("\n")
+    assert edit(head) != head
+    path.write_text(edit(head) + "\n" + body)
+    with pytest.raises(ValueError, match="canonical"):
+        load_boundary(path, dim=2)
+
+
+def _dumps_boundary(b: BoundarySet) -> bytes:
+    """The boundary writer the shared row codec replaced: a header, then one
+    `json.dumps` row per point."""
+    lines = [json.dumps({"version": 1, "epsilon": b.epsilon, "normalized": True,
+                         "source_checksum": b.source_checksum,
+                         "empty_warning": b.empty_warning}, separators=(",", ":"))]
+    lines += [json.dumps({"x": row}, separators=(",", ":")) for row in b.points.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("points", [
+    np.zeros((0, 2)),
+    np.array([[-0.0, 5e-324], [1e16, 1e-05], [0.1 + 0.2, -123456789.125]]),
+], ids=["no-points", "edge-values"])
+def test_boundary_bytes_match_json_dumps(tmp_path, points):
+    """The row codec writes what one `json.dumps` per row wrote, bit for bit,
+    and the loader reads it back to the same points."""
+    b = BoundarySet(points, 0.1 + 0.2, "ab" * 32)
+    assert boundary_bytes(b) == _dumps_boundary(b)
+    path = tmp_path / "boundary.jsonl"
+    save_boundary(b, path)
+    loaded = load_boundary(path, dim=2)
+    assert loaded.points.tobytes() == points.tobytes() and loaded.empty_warning == (not len(b))
+
+
+def test_auto_epsilon_refuses_a_box_of_zero_width():
+    """A box of zero width on every axis has no spacing to estimate: a named
+    ValueError, as `normalize_states` raises, not a division by zero."""
+    s = _make_set([[-5.0, 0.0]] * 3, [F, F, I], BoxSet([-5.0, 0.0], [-5.0, 0.0]))
+    with pytest.raises(ValueError, match="zero width on every axis"):
+        auto_epsilon(s)
+    with pytest.raises(ValueError, match="zero width on every axis"):
+        normalize_states(s, s.states)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cbfsynth.boundary import boundary_bytes, load_boundary
 from cbfsynth.cli import main
 from cbfsynth.config import _SCHEMA, ConfigError, load_config, parse_config
 
@@ -189,6 +190,7 @@ _LATER_STAGE_VALUES = {
     "sampling-seed-negative": ("seed = 3", "seed = -1"),
     "sampling-seed-overflow": ("seed = 3", f"seed = {2**128}"),
     "dt-zero": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\ndt = 0"),
+    "box-zero-width": ("lower = -10.0, -40.0\nupper = 0.0, 40.0", "lower = -5, 0\nupper = -5, 0"),
 }
 
 
@@ -197,10 +199,11 @@ _REMOVED_KEYS = {"spline-t": "spline_t", "on-infeasible": "on_infeasible",
                  "objective-integral": "objective",
                  **{case: "volume_lower" for case in _LATER_STAGE_VALUES
                     if case.startswith("volume-")}}
-# seed cases: the message names the key
-_SEED_CASES = {"fit-seed-negative": "fit: seed", "fit-seed-key-overflow": "fit: seed",
-               "sampling-seed-negative": "sampling: seed",
-               "sampling-seed-overflow": "sampling: seed"}
+# cases whose message names the setting
+_NAMED_IN_MESSAGE = {"fit-seed-negative": "fit: seed", "fit-seed-key-overflow": "fit: seed",
+                     "sampling-seed-negative": "sampling: seed",
+                     "sampling-seed-overflow": "sampling: seed",
+                     "box-zero-width": "sampling: the box has zero width"}
 
 
 @pytest.mark.parametrize("key", list(_LATER_STAGE_VALUES))
@@ -217,8 +220,8 @@ def test_later_stage_values_rejected_at_parse(tmp_path, capsys, key):
     assert err.startswith("config error:") and err.count("\n") == 1
     if key in _REMOVED_KEYS:
         assert f"unknown key {_REMOVED_KEYS[key]!r}" in err, err
-    if key in _SEED_CASES:
-        assert _SEED_CASES[key] in err, err
+    if key in _NAMED_IN_MESSAGE:
+        assert _NAMED_IN_MESSAGE[key] in err, err
     assert main(["pipeline", "--config", str(cfg)]) == 2
     assert not (out / "samples.jsonl").exists()
 
@@ -247,6 +250,36 @@ def test_seed_override_checked_before_any_stage(tmp_path, capsys, dry_run):
     err = capsys.readouterr().err
     assert err.startswith("config error: sampling: seed") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, expect", [
+    ("n_min = 300\nn_max = 299\ngrowth = 3.0", "sampling: n_max"),
+    ("n_min = 300\nn_max = 300\ngrowth = 3.0", [243, 300]),
+    # 243 * 1.002 = 243.486 rounds back to 243; 243 * 1.0021 = 243.51 rounds to 244
+    ("n_min = 250\ngrowth = 1.002", "sampling: growth"),
+    ("n_min = 250\ngrowth = 1.0021", list(range(243, 251))),
+], ids=["n-max-below-n-min", "n-max-at-n-min", "growth-below-a-step", "growth-above-a-step"])
+def test_schedule_that_cannot_finish_is_refused_at_parse(tmp_path, capsys, settings, expect):
+    """An n_max below n_min can never converge, and a growth whose first step
+    rounds back to n_start never advances: each exits 2 at parse, dry run or
+    not, with one line naming its setting, and nothing is written. Just
+    inside either bound, the sample stage steps through the expected
+    checkpoints up to n_min and converges."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    text = cfg.read_text().replace("n_min = 200\n", "").replace("growth = 3.0\n", "")
+    cfg.write_text(text.replace("[sampling]\n", f"[sampling]\n{settings}\n"))
+    capsys.readouterr()
+    if isinstance(expect, str):
+        for argv in (["--dry-run"], []):
+            assert main(["pipeline", "--config", str(cfg), *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {expect}") and err.count("\n") == 1, err
+        assert not out.exists()
+        return
+    assert main(["sample", "--config", str(cfg)]) == 0
+    table = (out / "convergence.csv").read_text().splitlines()[1:]
+    assert [int(line.split(",")[0]) for line in table] == expect
 
 
 def test_overflowing_growth_caps_the_next_checkpoint(tmp_path, capsys):
@@ -786,6 +819,27 @@ def test_seeded_corruption_is_refused_or_repaired(tmp_path, capsys, clean_run, a
     else:
         assert code == 0, err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+
+# boundary edits that leave a canonical file: only the standalone `fit`'s
+# compare with a fresh extraction refuses them
+_CANONICAL_BOUNDARY_EDITS = ("row-out-of-box", "truncated-at-a-line-end")
+
+
+@pytest.mark.parametrize("edit", list(_EDITS["boundary.jsonl"][1]))
+def test_boundary_edits_reach_the_loader(tmp_path, clean_run, edit):
+    """Each seeded boundary edit, given to `load_boundary` itself: a
+    ValueError, never another exception, unless the edit leaves a canonical
+    file, which loads to a set that writes the edited bytes."""
+    corrupted = _EDITS["boundary.jsonl"][1][edit](clean_run[1]["boundary.jsonl"],
+                                                  random.Random(f"boundary.jsonl:{edit}"))
+    path = tmp_path / "boundary.jsonl"
+    path.write_bytes(corrupted)
+    if edit in _CANONICAL_BOUNDARY_EDITS:
+        assert boundary_bytes(load_boundary(path, dim=2)) == corrupted
+    else:
+        with pytest.raises(ValueError):
+            load_boundary(path, dim=2)
 
 
 def test_explicit_default_zero_tol_matches_auto(tmp_path):

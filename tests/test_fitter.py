@@ -62,8 +62,9 @@ def test_estimate_empty_set(di, reference_run):
 
 def test_estimate_validation(di, reference_run):
     """No candidates give no objective, and a sampling box of zero volume, or
-    one that a sample lies outside, gives no context to score in: the set
-    size is the enclosed share of the samples times the box's volume."""
+    one that a sample lies outside, or an empty sample set gives no context
+    to score in: the set size is the enclosed share of the samples times the
+    box's volume."""
     sysm, input_box = di
     ctx = _SearchContext(reference_run, None, sysm, input_box, FitConfig())
     with pytest.raises(ValueError):
@@ -74,6 +75,10 @@ def test_estimate_validation(di, reference_run):
     narrow = replace(reference_run, bounds=BoxSet([-8.0, -30.0], [-1.0, 30.0]))
     with pytest.raises(ValueError, match="outside the sampling box"):
         _SearchContext(narrow, None, sysm, input_box, FitConfig())
+    empty = replace(reference_run, states=reference_run.states[:0],
+                    labels=reference_run.labels[:0])
+    with pytest.raises(ValueError, match="sample set is empty"):
+        _SearchContext(empty, None, sysm, input_box, FitConfig())
 
 
 def test_sample_count_invariant_under_positive_rescaling():

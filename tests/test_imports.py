@@ -124,6 +124,35 @@ def test_format_version_scan_sees_both_forms(tmp_path):
     assert _format_version_uses(path) == [1, 3]
 
 
+def _row_dict_lines(path: Path) -> list[int]:
+    """Lines of `path` holding a dict display with the key "x": a JSON row
+    built as a dict, to be dumped."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Dict)
+                   and any(isinstance(k, ast.Constant) and k.value == "x" for k in node.keys)})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_rows_formatted_by_sampler_only(path):
+    """No package module but `sampler` builds a `{"x": ...}` row, so the
+    sample and boundary files get their rows from one codec, `_format_rows`,
+    which their loaders check against."""
+    found = _row_dict_lines(path)
+    assert not found or path.name == "sampler.py", \
+        f"{path.name} builds an x row at line(s) {found}"
+
+
+def test_row_scan_sees_a_dict_row(tmp_path):
+    """The scan finds an x key in a dumped row and among other keys, and
+    skips other keys and a key that is a name, so it is not blind."""
+    path = tmp_path / "probe.py"
+    path.write_text('line = json.dumps({"x": row.tolist()})\n'
+                    'rec = {"t": 0.0, "x": row}\n'
+                    'rec = {"y": row}\n'
+                    'rec = {x: row}\n')
+    assert _row_dict_lines(path) == [1, 2]
+
+
 def _h_formula_lines(path: Path) -> list[int]:
     """Lines of `path` where a `.value(...)` call, a constraint's z, is an
     operand of `+` or `+=`: the barrier formula z(D x + c) + eps."""
