@@ -122,12 +122,12 @@ def _stage_sample(cfg: PipelineConfig, out: Path) -> tuple[smp.SampleSet, int]:
     sysm, input_box = _build(cfg)
     s = smp.run_sampling(sysm, input_box, **cfg.sampling_args())
     smp.save_samples(s, out / "samples.jsonl")
-    deltas = s.tracker.deltas()
-    lines = ["n,J,dJ"]
-    for (n, j), dj in zip(s.tracker.history, deltas):
-        lines.append(f"{n},{j!r},{dj!r}")
+    lines, prev = ["n,J,dJ"], 0.0   # dJ = |J_k - J_{k-1}|, with J_0 = 0 before any data
+    for n, j in s.history:
+        lines.append(f"{n},{j!r},{abs(j - prev)!r}")
+        prev = j
     (out / "convergence.csv").write_bytes(("\n".join(lines) + "\n").encode())
-    print(f"sample: n={len(s)} J={s.tracker.jaccard:.6f} converged={s.converged} "
+    print(f"sample: n={len(s)} J={s.jaccard:.6f} converged={s.converged} "
           f"-> {out / 'samples.jsonl'}")
     return s, (EXIT_OK if s.converged else EXIT_NOT_CONVERGED)
 
@@ -316,7 +316,7 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
         code = EXIT_OK if head.converged else EXIT_NOT_CONVERGED
     else:
         s, code = _stage_sample(cfg, out)
-        head = s.header()
+        head = s
     if code != EXIT_OK:
         _save_stage_state(out, new_state)
         return code

@@ -374,8 +374,8 @@ def _validate(typed: dict[str, dict[str, Any]]) -> None:
         box = BoxSet(samp["lower"], samp["upper"])
     except ValueError as exc:
         raise ConfigError(f"sampling: {exc}") from None
-    if not (box.span > 0).any():   # no axis to spread samples or normalize distances on
-        raise ConfigError("sampling: the box has zero width on every axis")
+    if box.volume() <= 0:   # the fit sizes a set by its share of the box's volume
+        raise ConfigError("sampling: the box has zero width on some axis, or zero volume")
     if typed["boundary"]["epsilon"] != "auto":
         try:
             _check_epsilon(typed["boundary"]["epsilon"])

@@ -75,6 +75,8 @@ ROOT_WIDTH = 2.0 ** -30
 ROOT_MAX_STEPS = 90
 # queued rows at which a restart's deferred exists-input checks run (see _score)
 DEFER_ROWS = 32
+# probes per tuple of the search's exists-input checks, deferred or not
+SEARCH_PROBES = 48
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -477,7 +479,7 @@ def _score(ctx: _SearchContext, mode: _Mode, block: Block, cut: float = np.inf,
         if defer is not None:
             defer.append((block, h_ends))
             return score
-        ok, total = mode.exists_input(ctx, block, h_ends, 48)
+        ok, total = mode.exists_input(ctx, block, h_ends, SEARCH_PROBES)
         score += 2.0 * ctx.vol * (total - ok) / np.maximum(total, 1)
     return score
 
@@ -492,7 +494,7 @@ def _flush(ctx: _SearchContext, mode: _Mode, defer: list) -> None:
     block = tuple(np.concatenate(p) for p in zip(*(queued for queued, _ in defer)))
     h_ends = np.concatenate([h for _, h in defer]) if mode.reads_ends else None
     defer.clear()
-    ok, total = mode.exists_input(ctx, block, h_ends, 48)
+    ok, total = mode.exists_input(ctx, block, h_ends, SEARCH_PROBES)
     if np.any(ok < total):
         raise _Penalized
 

@@ -1,4 +1,4 @@
-"""Uniform state sampling, feasibility classification, and Jaccard tracking.
+"""Uniform state sampling, feasibility classification, and the sample file.
 
 States drawn uniformly from the sampling box are split into three classes:
 
@@ -10,7 +10,8 @@ States drawn uniformly from the sampling box are split into three classes:
 The feasible fraction J = card(feasible) / card(all) is recorded at
 geometrically growing checkpoints; sampling stops once the count exceeds the
 configured minimum and the change in J between consecutive checkpoints drops
-below the threshold.
+below the threshold. A `SampleSet` is its file's header, the one record of
+the run, plus the classified rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -43,43 +44,21 @@ _CODE_CLASS = {v: k for k, v in _CLASS_CODE.items()}
 
 
 @dataclass
-class JaccardTracker:
-    """Counts of total and feasible samples plus the (n, J) checkpoint history."""
-
-    n_total: int = 0
-    n_feasible: int = 0
-    history: list[tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def jaccard(self) -> float:
-        return self.n_feasible / self.n_total if self.n_total else 0.0
-
-    def checkpoint(self):
-        self.history.append((self.n_total, self.jaccard))
-
-    def deltas(self) -> list[float]:
-        """|J_k - J_{k-1}| per checkpoint, with J_0 = 0 before any data."""
-        out, prev = [], 0.0
-        for _, j in self.history:
-            out.append(abs(j - prev))
-            prev = j
-        return out
-
-
-@dataclass
 class SampleHeader:
     """A sample file's header: what the set was drawn for, its (n, J)
     checkpoints and whether it converged, with the digest of the whole file
     where one was taken."""
 
     system_name: str
-    system_params: dict[str, float]
+    system_params: dict[str, float]   # the plant's, resolved
     bounds: BoxSet
     seed: int
-    zero_tol: float
+    zero_tol: float                   # coefficient of the scale-aware threshold
     history: list[tuple[int, float]]
     converged: bool
-    digest: str | None = None
+    # sha256 of the file, recorded when it was saved, loaded or hashed; not an
+    # __init__ argument, so `dataclasses.replace` drops it
+    digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -92,40 +71,31 @@ class SampleHeader:
         return self.history[-1][1]
 
 
-@dataclass
-class SampleSet:
-    """Classified samples stored column-wise for vectorized consumers."""
+@dataclass(kw_only=True)
+class SampleSet(SampleHeader):
+    """A sample file's header plus its classified rows, stored column-wise
+    for vectorized consumers."""
 
     states: Array                  # (N, n)
     labels: Array                  # (N,) int8 codes
-    bounds: BoxSet
-    seed: int
-    zero_tol: float                # coefficient of the scale-aware threshold
-    tracker: JaccardTracker
-    system_name: str = "anonymous"
-    system_params: dict[str, float] = field(default_factory=dict)   # the plant's, resolved
-    converged: bool = True
-    # sha256 of the file form, recorded by save_samples / load_samples
-    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.states.shape[0]
 
+    @property
+    def tracker(self) -> SampleSet:
+        """The set itself, whose `jaccard` the benchmark's sampling hook reads here."""
+        return self
+
     def class_mask(self, label: SampleClass) -> Array:
         return self.labels == _CLASS_CODE[label]
-
-    def header(self) -> SampleHeader:
-        """The set's file header, with the digest recorded when the set was
-        last saved or loaded (None before either)."""
-        return SampleHeader(self.system_name, self.system_params, self.bounds, self.seed,
-                            self.zero_tol, self.tracker.history, self.converged, self._digest)
 
     def checksum(self) -> str:
         """Digest of the sample file: the one recorded when the set was last
         saved or loaded, else that of a fresh serialization."""
-        if self._digest is None:
-            self._digest = hashlib.sha256(canonical_bytes(self)).hexdigest()
-        return self._digest
+        if self.digest is None:
+            self.digest = hashlib.sha256(canonical_bytes(self)).hexdigest()
+        return self.digest
 
 
 def draw_batch(bounds: BoxSet, count: int, rng: np.random.Generator) -> Array:
@@ -175,26 +145,26 @@ def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
     """
     _check_schedule(n_min, delta, growth, n_start, n_max)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    tracker = JaccardTracker()
+    history: list[tuple[int, float]] = []
     chunks_states, chunks_labels = [], []
+    n_total = n_feasible = 0
     target = int(n_start)
     converged = False
     prev_j = 0.0
     while True:
-        new = target - tracker.n_total
-        states = draw_batch(bounds, new, rng)
+        states = draw_batch(bounds, target - n_total, rng)
         labels = classify_batch(sys, input_box, states, zero_tol)
         chunks_states.append(states)
         chunks_labels.append(labels)
-        tracker.n_total += new
-        tracker.n_feasible += int(np.sum(labels == _CLASS_CODE[SampleClass.FEASIBLE]))
-        tracker.checkpoint()
-        j = tracker.jaccard
-        if tracker.n_total >= n_min and abs(j - prev_j) <= delta:
+        n_total = target
+        n_feasible += int(np.sum(labels == _CLASS_CODE[SampleClass.FEASIBLE]))
+        j = n_feasible / n_total
+        history.append((n_total, j))
+        if n_total >= n_min and abs(j - prev_j) <= delta:
             converged = True
             break
         prev_j = j
-        if tracker.n_total >= n_max:
+        if n_total >= n_max:
             break
         target = _next_checkpoint(target, growth, n_max)
     return SampleSet(
@@ -203,7 +173,7 @@ def run_sampling(sys: SystemModel, input_box: BoxSet, bounds: BoxSet,
         bounds=bounds,
         seed=int(seed),
         zero_tol=DEFAULT_ZERO_TOL if zero_tol is None else float(zero_tol),
-        tracker=tracker,
+        history=history,
         system_name=sys.name,
         system_params=dict(sys.params),
         converged=converged,
@@ -247,15 +217,15 @@ def _format_rows(states: Array, labels: Array, tails: tuple = _CLASS_TEXT) -> li
 def canonical_bytes(s: SampleSet) -> bytes:
     """The sample file: a JSON header line, then one JSON record per sample."""
     lines = _format_rows(s.states, s.labels)
-    lines.insert(0, _header_bytes(s.header()))
+    lines.insert(0, _header_bytes(s))
     lines.append(b"")
     return b"\n".join(lines)
 
 
 def save_samples(s: SampleSet, path) -> str:
     """Write the set; returns the content digest, which the set keeps."""
-    s._digest = _write(path, canonical_bytes(s))
-    return s._digest
+    s.digest = _write(path, canonical_bytes(s))
+    return s.digest
 
 
 def _check_rows(rows: bytes, dim: int, tails: tuple = _CLASS_TEXT) -> tuple[Array, Array]:
@@ -399,16 +369,12 @@ def load_samples(path) -> SampleSet:
             raise ValueError(f"{path}: {exc}") from None
     states = np.concatenate([np.empty((0, h.bounds.dim))] + [p[0] for p in parts])
     labels = np.concatenate([np.empty(0, dtype=np.int8)] + [p[1] for p in parts])
-    tracker = JaccardTracker(
-        n_total=len(labels),
-        n_feasible=int(np.sum(labels == _CLASS_CODE[SampleClass.FEASIBLE])),
-        history=h.history)
+    n, n_feasible = len(labels), int(np.sum(labels == _CLASS_CODE[SampleClass.FEASIBLE]))
     # repr tells 243 from 243.0 and 0.0 from -0.0: the summary must match bit for bit
-    if repr(h.history[-1]) != repr((tracker.n_total, tracker.jaccard)):
+    if repr(h.history[-1]) != repr((n, n_feasible / n if n else 0.0)):
         raise ValueError(f"{path}: the last checkpoint (n, J) = {h.history[-1]} is not "
-                         f"that of its {tracker.n_total} rows")
-    s = SampleSet(states=states, labels=labels, bounds=h.bounds, seed=h.seed,
-                  zero_tol=h.zero_tol, tracker=tracker, system_name=h.system_name,
-                  system_params=h.system_params, converged=h.converged)
-    s._digest = sha.hexdigest()
+                         f"that of its {n} rows")
+    s = SampleSet(states=states, labels=labels,
+                  **{f.name: getattr(h, f.name) for f in fields(h) if f.init})
+    s.digest = sha.hexdigest()
     return s

@@ -39,7 +39,7 @@ def test_criterion_1_jaccard_convergence(di):
     s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=1000, delta=0.001,
                      growth=3.0, seed=REFERENCE_SEED)
     elapsed = time.perf_counter() - t0
-    j = s.tracker.jaccard
+    j = s.jaccard
 
     # independent oracle: exact area ratio 655/800, cross-checked by Monte Carlo
     rng = np.random.default_rng(20240817)

@@ -74,3 +74,61 @@ def test_tracer_bindings_resolve():
     for site, cls, attr in methods:
         assert callable(getattr(getattr(mods[site], cls, None), attr, None)), \
             f"{site}.{cls}.{attr}"
+
+
+def _hook_result_chains() -> dict[str, set[tuple[str, ...]]]:
+    """Per hooked function ("sampler.run_sampling", ...), the attribute
+    chains its hook in run.py's `install_hooks` reads off the function's
+    result: `result.tracker.jaccard` is ("tracker", "jaccard"), and each
+    prefix of a chain is a chain too."""
+    install = next(node for node in _tree("run.py").body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install_hooks")
+    reads: dict[str, set[tuple[str, ...]]] = {}
+    for hook in install.body:
+        if isinstance(hook, ast.FunctionDef):
+            reads[hook.name] = set()
+            for node in ast.walk(hook):
+                chain = []
+                while isinstance(node, ast.Attribute):
+                    chain.insert(0, node.attr)
+                    node = node.value
+                if chain and isinstance(node, ast.Name) and node.id == "result":
+                    reads[hook.name].add(tuple(chain))
+    table = next(node for node in ast.walk(install) if isinstance(node, ast.Dict))
+    return {ast.literal_eval(key): reads[value.id]
+            for key, value in zip(table.keys, table.values)}
+
+
+def test_hook_result_scan_sees_the_sampling_hook():
+    """The scan is not blind: it finds the feasible fraction the sampling
+    hook reads off both sampling functions' results."""
+    chains = _hook_result_chains()
+    assert ("tracker", "jaccard") in chains["sampler.run_sampling"]
+    assert chains["sampler.load_samples"] == chains["sampler.run_sampling"]
+    assert chains["boundary.extract_boundary"] == set()
+
+
+def test_hook_result_attributes_resolve(di, tmp_path):
+    """Every attribute chain a hook reads off a result resolves on a real
+    result of the hooked function: here a small `run_sampling` set and its
+    `load_samples` round trip. A hook that starts reading attributes off
+    another function's result needs a real result of it here."""
+    from cbfsynth.sampler import load_samples, run_sampling, save_samples
+
+    from conftest import REFERENCE_BOUNDS
+
+    sampled = run_sampling(*di, REFERENCE_BOUNDS, n_min=200, delta=1.0, growth=3.0, seed=3)
+    save_samples(sampled, tmp_path / "samples.jsonl")
+    results = {"sampler.run_sampling": sampled,
+               "sampler.load_samples": load_samples(tmp_path / "samples.jsonl")}
+    missing = []
+    for target, chains in _hook_result_chains().items():
+        assert target in results or not chains, f"no real result of {target}"
+        for chain in chains:
+            value = results[target]
+            for attr in chain:
+                if not hasattr(value, attr):
+                    missing.append(f"{target}: result.{'.'.join(chain)}")
+                    break
+                value = getattr(value, attr)
+    assert not missing, missing

@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from cbfsynth.boundary import (BoundarySet, _has_neighbor, auto_epsilon, boundary_bytes,
                                extract_boundary, load_boundary, normalize_states,
                                save_boundary)
-from cbfsynth.sampler import JaccardTracker, SampleClass, SampleSet
+from cbfsynth.sampler import SampleClass, SampleSet
 from cbfsynth.sampler import _CLASS_CODE  # stable code mapping used in files
 from cbfsynth.system import BoxSet
 
@@ -17,11 +17,10 @@ from conftest import REFERENCE_BOUNDS
 def _make_set(states, labels, bounds):
     states = np.asarray(states, dtype=float)
     codes = np.array([_CLASS_CODE[c] for c in labels], dtype=np.int8)
-    tracker = JaccardTracker(n_total=len(codes),
-                             n_feasible=int(np.sum(codes == _CLASS_CODE[SampleClass.FEASIBLE])))
-    tracker.checkpoint()
+    n, n_feasible = len(codes), int(np.sum(codes == _CLASS_CODE[SampleClass.FEASIBLE]))
     return SampleSet(states=states, labels=codes, bounds=bounds, seed=0, zero_tol=1e-9,
-                     tracker=tracker)
+                     history=[(n, n_feasible / n if n else 0.0)], converged=True,
+                     system_name="anonymous", system_params={})
 
 
 UNIT = BoxSet([0.0, 0.0], [1.0, 1.0])

@@ -191,6 +191,11 @@ _LATER_STAGE_VALUES = {
     "sampling-seed-overflow": ("seed = 3", f"seed = {2**128}"),
     "dt-zero": ("x_goal = 0.0, 0.0", "x_goal = 0.0, 0.0\ndt = 0"),
     "box-zero-width": ("lower = -10.0, -40.0\nupper = 0.0, 40.0", "lower = -5, 0\nupper = -5, 0"),
+    # the fit's rule: zero width on one axis is zero volume; the start lies on
+    # the line, so no other check refuses the config
+    "box-an-axis-zero-width": [("lower = -10.0, -40.0\nupper = 0.0, 40.0",
+                                "lower = -10.0, 0.0\nupper = 0.0, 0.0"),
+                               ("x_init = -9, -30", "x_init = -9, 0")],
 }
 
 
@@ -203,17 +208,23 @@ _REMOVED_KEYS = {"spline-t": "spline_t", "on-infeasible": "on_infeasible",
 _NAMED_IN_MESSAGE = {"fit-seed-negative": "fit: seed", "fit-seed-key-overflow": "fit: seed",
                      "sampling-seed-negative": "sampling: seed",
                      "sampling-seed-overflow": "sampling: seed",
-                     "box-zero-width": "sampling: the box has zero width"}
+                     "box-zero-width": "sampling: the box has zero width",
+                     "box-an-axis-zero-width": "sampling: the box has zero width"}
 
 
 @pytest.mark.parametrize("key", list(_LATER_STAGE_VALUES))
 def test_later_stage_values_rejected_at_parse(tmp_path, capsys, key):
     """Values only the fit or simulate stage uses are checked when the config
-    is parsed: a dry run refuses them, and a pipeline stops before sampling."""
+    is parsed: a dry run refuses them, and a pipeline stops before sampling.
+    A case is one (old, new) text edit or a list of them."""
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out), modes="uniform, multi")
-    old, new = _LATER_STAGE_VALUES[key]
-    cfg.write_text(cfg.read_text().replace(old, new, 1))
+    edits = _LATER_STAGE_VALUES[key]
+    text = cfg.read_text()
+    for old, new in edits if isinstance(edits, list) else [edits]:
+        assert old in text
+        text = text.replace(old, new, 1)
+    cfg.write_text(text)
     capsys.readouterr()
     assert main(["pipeline", "--config", str(cfg), "--dry-run"]) == 2
     err = capsys.readouterr().err
@@ -860,6 +871,29 @@ def test_fit_infeasible_exit_code(tmp_path):
     assert main(["fit", "--config", str(cfg)]) == 5
 
 
+def test_pipeline_infeasible_fit_exits_5_and_fits_again(tmp_path, capsys):
+    """A fit that finds no feasible candidate stops the pipeline with exit 5,
+    writes no report and records no `fit` entry, so the next run fits again.
+    The candidates file it leaves holds no feasible fit, and the standalone
+    `simulate` refuses it with exit 5 and one line."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out), margin="5.0")
+    for _ in range(2):
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cfg)]) == 5
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("fit[uniform]: INFEASIBLE: ")
+        assert not (out / "report.md").exists()
+        assert sorted(json.loads((out / "stage_state.json").read_text())) == ["boundary", "sample"]
+    assert lines[0].startswith("sample: reusing ")
+    assert main(["simulate", "--config", str(cfg), "--mode", "uniform"]) == 5
+    captured = capsys.readouterr()
+    cand = out / "candidates_uniform.json"
+    assert captured.err == f"error: {cand} holds no feasible candidates\n"
+    assert captured.out == ""
+    assert not list(out.glob("traj_*"))
+
+
 def test_full_stage_sequence_and_simulate(tmp_path):
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out))
@@ -1008,6 +1042,34 @@ def test_pipeline_checks_sample_rows_once_when_a_later_stage_reruns(tmp_path, mo
     assert main(["pipeline", "--config", str(cfg)]) == 0
     assert loads == [243]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+
+
+def test_pipeline_refuses_a_sample_file_changed_during_the_run(tmp_path, monkeypatch, capsys):
+    """The sample stage is reused on the header's digest. When the boundary
+    stage runs again and the full load of the file yields another digest,
+    the file changed between the two reads: here two rows swap, which leaves
+    a file that passes every check of its own. The run exits 4 and writes no
+    boundary."""
+    from cbfsynth import sampler
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    (out / "boundary.jsonl").unlink()
+    original = sampler.load_samples
+
+    def changed(path):
+        lines = path.read_bytes().split(b"\n")   # header, rows, ""
+        lines[1], lines[2] = lines[2], lines[1]
+        path.write_bytes(b"\n".join(lines))
+        return original(path)
+
+    monkeypatch.setattr(sampler, "load_samples", changed)
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"integrity error: {out / 'samples.jsonl'}: changed during the run\n"
+    assert captured.out.startswith("sample: reusing ")
+    assert not (out / "boundary.jsonl").exists()
 
 
 @pytest.mark.parametrize("edit", [

@@ -399,7 +399,7 @@ def test_fit_infeasible_when_nothing_is_feasible():
     ubox = BoxSet([-300.0], [300.0])
     s = run_sampling(sysm, ubox, REFERENCE_BOUNDS, n_min=500, delta=1.0, growth=3.0,
                      seed=10, n_start=729)
-    assert s.tracker.n_feasible == 0
+    assert s.jaccard == 0.0
     b = extract_boundary(s, 0.05)
     res = fit_uniform(s, b, sysm, ubox, FitConfig(restarts=2, iterations=60, population=8))
     assert not res.feasible

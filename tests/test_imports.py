@@ -245,8 +245,8 @@ EXPORTED = {
     "system": "BoxSet CbfCandidate HardConstraint SystemModel barrier build_system eval_h_batch "
               "identity_candidate make_double_integrator register_system registered_systems",
     "qp": "QpProblem QpSolution QpStatus solve_box_qp",
-    "sampler": "JaccardTracker SampleClass SampleHeader SampleSet draw_batch load_samples "
-               "read_header run_sampling save_samples",
+    "sampler": "SampleClass SampleHeader SampleSet draw_batch load_samples read_header "
+               "run_sampling save_samples",
     "boundary": "BoundarySet auto_epsilon extract_boundary load_boundary save_boundary",
     "fitter": "FitConfig FitResult SearchCounts VerificationReport check_redundancy fit_multi "
               "fit_nonuniform fit_uniform load_fit save_fit verify_candidate",

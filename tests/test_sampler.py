@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,8 @@ from scipy.optimize import lsq_linear
 
 from cbfsynth import sampler
 from cbfsynth.qp import min_zdot, zero_tolerance
-from cbfsynth.sampler import (JaccardTracker, SampleClass, SampleSet, canonical_bytes,
-                              classify_batch, draw_batch, load_samples, run_sampling,
-                              save_samples)
+from cbfsynth.sampler import (SampleClass, SampleSet, canonical_bytes, classify_batch,
+                              draw_batch, load_samples, run_sampling, save_samples)
 from cbfsynth.system import BoxSet, HardConstraint, SystemModel, build_system
 
 from conftest import REFERENCE_BOUNDS, TWO_INPUT_BOX, two_input_states, two_input_system
@@ -154,14 +154,14 @@ def test_run_sampling_all_feasible():
     s = run_sampling(_constant_system(1.0), UBOX, UNIT_BOX, n_min=50, delta=1.0,
                      growth=3.0, seed=0, n_start=64)
     assert s.converged
-    assert s.tracker.history == [(64, 1.0)]
+    assert s.history == [(64, 1.0)]
 
 
 def test_run_sampling_all_outside():
     s = run_sampling(_constant_system(-1.0), UBOX, UNIT_BOX, n_min=50, delta=0.5,
                      growth=3.0, seed=0, n_start=64)
     # J is identically zero, so the increment rule stops immediately
-    assert s.tracker.history == [(64, 0.0)]
+    assert s.history == [(64, 0.0)]
     assert np.all(s.class_mask(SampleClass.OUTSIDE))
 
 
@@ -188,7 +188,7 @@ def test_run_sampling_validation(di):
 
 def test_jaccard_increment_bound(reference_run):
     """Deterministic counting bound on consecutive checkpoint increments."""
-    hist = reference_run.tracker.history
+    hist = reference_run.history
     prev_n, prev_j = 0, 0.0
     for n, j in hist:
         dn = n - prev_n
@@ -230,7 +230,7 @@ def test_roundtrip_bit_exact(tmp_path, di):
     assert np.array_equal(loaded.labels, s.labels)
     assert loaded.system_params == s.system_params == {"gamma1": 0.0, "gamma2": 0.1,
                                                         "u_min": -300.0, "u_max": 300.0}
-    assert loaded.tracker.history == s.tracker.history
+    assert loaded.history == s.history
     assert loaded.checksum() == s.checksum()
     # a second save of the loaded set writes identical bytes
     path2 = tmp_path / "again.jsonl"
@@ -240,7 +240,7 @@ def test_roundtrip_bit_exact(tmp_path, di):
 
 def test_reference_run_matches_area_oracle(reference_run):
     # feasible area 655 of box area 800; agreement to sampling noise
-    assert reference_run.tracker.jaccard == pytest.approx(655.0 / 800.0, abs=0.01)
+    assert reference_run.jaccard == pytest.approx(655.0 / 800.0, abs=0.01)
 
 
 def _json_oracle(s: SampleSet) -> bytes:
@@ -250,7 +250,7 @@ def _json_oracle(s: SampleSet) -> bytes:
         "version": 2, "system": s.system_name, "params": dict(sorted(s.system_params.items())),
         "bounds": {"lower": s.bounds.lower.tolist(), "upper": s.bounds.upper.tolist()},
         "seed": s.seed, "zero_tol": s.zero_tol,
-        "checkpoints": [{"n": n, "J": j} for n, j in s.tracker.history],
+        "checkpoints": [{"n": n, "J": j} for n, j in s.history],
         "converged": s.converged}, separators=(",", ":"))]
     for x, label in zip(s.states, s.labels):
         lines.append(json.dumps({"x": x.tolist(), "class": names[int(label)]},
@@ -262,10 +262,9 @@ def _odd_values_set() -> SampleSet:
     odd = [-0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 0.1 + 0.2, 3.0, -40.0, 0.0, 123456789.0,
            2.0 ** 60, 1.7976931348623157e308, 2.2250738585072014e-308, 1e-7]
     states = np.array([odd, odd[::-1]], dtype=float).T
-    tracker = JaccardTracker(n_total=len(odd), n_feasible=5)
-    tracker.checkpoint()
     return SampleSet(states=states, labels=np.arange(len(odd), dtype=np.int8) % 3,
-                     bounds=REFERENCE_BOUNDS, seed=7, zero_tol=1e-9, tracker=tracker,
+                     bounds=REFERENCE_BOUNDS, seed=7, zero_tol=1e-9,
+                     history=[(len(odd), 5 / len(odd))], converged=True,
                      system_name="odd", system_params={"u_max": 1e22, "gamma2": 0.1 + 0.2})
 
 
@@ -310,6 +309,34 @@ def test_digest_is_recorded_at_save_and_load(tmp_path, di, monkeypatch):
     assert sum(rows) == 2 * len(s)
     assert loaded.checksum() == digest
     assert sum(rows) == 2 * len(s)
+
+
+def test_replace_drops_the_recorded_digest(tmp_path, di, monkeypatch):
+    """A set made by `dataclasses.replace` of a loaded set carries no recorded
+    digest, as its fields may differ from the file's: checksum() formats and
+    hashes it again, giving the file's digest for an unchanged copy and
+    another for a changed one."""
+    sysm, input_box = di
+    s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=200, delta=0.5,
+                     growth=3.0, seed=5, n_start=243)
+    path = tmp_path / "samples.jsonl"
+    digest = save_samples(s, path)
+    loaded = load_samples(path)
+    assert loaded.digest == digest
+    rows = []
+    original = sampler._format_rows
+
+    def counting(states, *args):
+        rows.append(len(states))
+        return original(states, *args)
+
+    monkeypatch.setattr(sampler, "_format_rows", counting)
+    copy, changed = replace(loaded), replace(loaded, seed=6)
+    assert copy.digest is None and changed.digest is None
+    assert copy.checksum() == digest and copy.digest == digest
+    assert changed.checksum() == hashlib.sha256(canonical_bytes(changed)).hexdigest() != digest
+    assert rows == [len(s)] * 3
+    assert loaded.digest == digest
 
 
 def _misalign_rows(data: bytes) -> bytes:
@@ -398,10 +425,10 @@ def test_read_header_checks_header_and_hashes_file(tmp_path, di, monkeypatch):
     head = sampler.read_header(path)
     assert head.digest == digest
     assert (head.system_name, head.system_params, head.seed, head.zero_tol, head.history) == \
-        (s.system_name, s.system_params, s.seed, s.zero_tol, s.tracker.history)
+        (s.system_name, s.system_params, s.seed, s.zero_tol, s.history)
     assert head.bounds.lower.tolist() == s.bounds.lower.tolist()
     assert head.bounds.upper.tolist() == s.bounds.upper.tolist()
-    assert (head.n, head.jaccard, head.converged) == (len(s), s.tracker.jaccard, s.converged)
+    assert (head.n, head.jaccard, head.converged) == (len(s), s.jaccard, s.converged)
     data = path.read_bytes()
     edits = [lambda d: d.replace(b'"version":2', b'"version":1'),
              lambda d: re.sub(rb'"J":[^,}]+', b'"J":NaN', d, count=1),
