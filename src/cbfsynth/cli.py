@@ -6,7 +6,9 @@ line-delimited JSON for samples and boundary points, JSON for fitted
 candidates, CSV plus a JSON manifest per simulation run, and a Markdown
 report for the end-to-end pipeline. Exit codes: 0 ok, 2 usage or config
 error, 3 sampling did not converge, 4 artifact integrity failure, 5 no
-feasible fit.
+feasible fit. A `--config` file that cannot be read and an `--out` that
+cannot be a directory are config errors; any other file the run cannot
+read or write is an artifact fault, exit 4.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import fitter as fit
 from . import sampler as smp
 from . import simulator as sim
 from .config import ConfigError, PipelineConfig, load_config
-from .system import barrier, build_system, stack_candidates
+from .system import BoxSet, SystemModel, barrier, build_system, stack_candidates
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,19 +69,20 @@ def _load(loader, path: Path, **kwargs):
         raise IntegrityError(f"{path}: cannot parse: {reason}") from None
 
 
-def _resolve(args) -> tuple[PipelineConfig, Path]:
-    cfg = load_config(args.config)
+def _resolve(args) -> tuple[PipelineConfig, Path, SystemModel, BoxSet]:
+    """The config, `--seed` applied, the output directory, and the plant and its input box."""
+    try:
+        cfg = load_config(args.config)
+    except OSError as exc:   # missing, unreadable, a directory: the config is at fault
+        raise ConfigError(str(exc)) from None
     if args.seed is not None:
         cfg.sampling["seed"] = args.seed
         try:   # checked again, as parsing checked the config's own seed
             cfg.sampling_args()
         except ValueError as exc:
             raise ConfigError(f"sampling: {exc}") from None
-    return cfg, Path(cfg.output_dir if args.out is None else args.out)
-
-
-def _build(cfg: PipelineConfig):
-    return build_system(cfg.system_name, cfg.system_params)
+    return (cfg, Path(cfg.output_dir if args.out is None else args.out),
+            *build_system(cfg.system_name, cfg.system_params))
 
 
 def _key(settings) -> str:
@@ -88,11 +91,11 @@ def _key(settings) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _fresh(cfg: PipelineConfig, path: Path, s):
+def _fresh(cfg: PipelineConfig, sysm: SystemModel, path: Path, s):
     """`s`, the sample set or header read from `path`; IntegrityError if it
     is stale: drawn for another system, plant parameters, box, seed or
     tolerance than the config's."""
-    sa, sysm = cfg.sampling_args(), _build(cfg)[0]
+    sa = cfg.sampling_args()
     drawn = (s.system_name, s.system_params, s.bounds.lower.tolist(), s.bounds.upper.tolist(),
              s.seed, s.zero_tol)
     if drawn != (sysm.name, sysm.params, sa["bounds"].lower.tolist(),
@@ -102,12 +105,12 @@ def _fresh(cfg: PipelineConfig, path: Path, s):
     return s
 
 
-def _load_samples(cfg: PipelineConfig, path: Path) -> smp.SampleSet:
+def _load_samples(cfg: PipelineConfig, sysm: SystemModel, input_box: BoxSet,
+                  path: Path) -> smp.SampleSet:
     """Load and fully check the sample file, and refuse it if it is stale or
     contradicts its own header: a row outside the header's box, or a label
     other than the one the header's plant gives its row."""
-    s = _fresh(cfg, path, _load(smp.load_samples, path))
-    sysm, input_box = _build(cfg)
+    s = _fresh(cfg, sysm, path, _load(smp.load_samples, path))
     if not s.bounds.contains(s.states).all():
         raise IntegrityError(f"{path}: a sample row lies outside the header's box")
     if not np.array_equal(smp.classify_batch(sysm, input_box, s.states, s.zero_tol), s.labels):
@@ -118,8 +121,8 @@ def _load_samples(cfg: PipelineConfig, path: Path) -> smp.SampleSet:
 # ---------------------------------------------------------------------------
 # Stages
 
-def _stage_sample(cfg: PipelineConfig, out: Path) -> tuple[smp.SampleSet, int]:
-    sysm, input_box = _build(cfg)
+def _stage_sample(cfg: PipelineConfig, sysm: SystemModel, input_box: BoxSet,
+                  out: Path) -> tuple[smp.SampleSet, int]:
     s = smp.run_sampling(sysm, input_box, **cfg.sampling_args())
     smp.save_samples(s, out / "samples.jsonl")
     lines, prev = ["n,J,dJ"], 0.0   # dJ = |J_k - J_{k-1}|, with J_0 = 0 before any data
@@ -148,12 +151,11 @@ def _stage_boundary(cfg: PipelineConfig, out: Path,
     return b, digest
 
 
-def _stage_fit(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.BoundarySet,
-               checksums: dict[str, str]
+def _stage_fit(cfg: PipelineConfig, sysm: SystemModel, input_box: BoxSet, out: Path,
+               s: smp.SampleSet, b: bnd.BoundarySet, checksums: dict[str, str]
                ) -> tuple[dict[str, fit.FitResult], dict[str, str], int]:
     """Fit each configured mode; returns the results, the digest of each
     candidates file written, and the exit code."""
-    sysm, input_box = _build(cfg)
     results: dict[str, fit.FitResult] = {}
     digests: dict[str, str] = {}
     warm: list[tuple] = []
@@ -182,24 +184,23 @@ def _stage_fit(cfg: PipelineConfig, out: Path, s: smp.SampleSet, b: bnd.Boundary
     return results, digests, EXIT_OK
 
 
-def _plan(cfg: PipelineConfig, res: fit.FitResult) -> list[dict | None]:
+def _plan(cfg: PipelineConfig, sysm: SystemModel, res: fit.FitResult) -> list[dict | None]:
     """Per configured start, None if the simulate stage runs it, or the
     manifest of a skipped start: one outside the candidate set while
     `require_safe_start` is on. Skipped starts are not written to disk."""
     starts = np.array(cfg.simulate["x_init"])
     params = [p[:, None] for p in stack_candidates(res.candidates)]
-    h0 = barrier(_build(cfg)[0].hcf, starts, params).min(axis=0)
+    h0 = barrier(sysm.hcf, starts, params).min(axis=0)
     skip = cfg.simulate["require_safe_start"] & (h0 < 0.0)
     return [{"start": x0.tolist(), "skipped": True, "min_h0": h} if sk else None
             for x0, h, sk in zip(starts, h0, skip)]
 
 
-def _stage_simulate(cfg: PipelineConfig, out: Path, mode: str, res: fit.FitResult,
-                    cand_checksum: str, plan: list[dict | None]
+def _stage_simulate(cfg: PipelineConfig, sysm: SystemModel, input_box: BoxSet, out: Path,
+                    mode: str, res: fit.FitResult, cand_checksum: str, plan: list[dict | None]
                     ) -> tuple[list[dict], dict[str, str]]:
     """Run the closed loop from each start `plan` does not skip; returns the
     manifests, skipped starts included, and the digest of each file written."""
-    sysm, input_box = _build(cfg)
     scfg, fc = cfg.sim_config(), cfg.filter_config(input_box)
     starts = np.array(cfg.simulate["x_init"])
     ran = [mf is None for mf in plan]
@@ -230,19 +231,19 @@ def _stage_simulate(cfg: PipelineConfig, out: Path, mode: str, res: fit.FitResul
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_sample(args, cfg: PipelineConfig, out: Path) -> int:
-    _, code = _stage_sample(cfg, out)
-    return code
+def cmd_sample(args, cfg: PipelineConfig, out: Path, sysm: SystemModel, input_box: BoxSet) -> int:
+    return _stage_sample(cfg, sysm, input_box, out)[1]
 
 
-def cmd_boundary(args, cfg: PipelineConfig, out: Path) -> int:
-    _stage_boundary(cfg, out, _load_samples(cfg, out / "samples.jsonl"))
+def cmd_boundary(args, cfg: PipelineConfig, out: Path, sysm: SystemModel,
+                 input_box: BoxSet) -> int:
+    _stage_boundary(cfg, out, _load_samples(cfg, sysm, input_box, out / "samples.jsonl"))
     return EXIT_OK
 
 
-def cmd_fit(args, cfg: PipelineConfig, out: Path) -> int:
+def cmd_fit(args, cfg: PipelineConfig, out: Path, sysm: SystemModel, input_box: BoxSet) -> int:
     boundary_path = out / "boundary.jsonl"
-    s = _load_samples(cfg, out / "samples.jsonl")
+    s = _load_samples(cfg, sysm, input_box, out / "samples.jsonl")
     b = _extract(cfg, s)
     # the file must hold the bytes the boundary stage writes for these samples,
     # so a stale file, or a point dropped, added, moved or retyped, fails
@@ -250,27 +251,28 @@ def cmd_fit(args, cfg: PipelineConfig, out: Path) -> int:
         raise IntegrityError(f"{boundary_path}: not the boundary the config extracts "
                              f"from its sample file")
     checksums = {"samples": s.checksum(), "boundary": _file_digest(boundary_path)}
-    _, _, code = _stage_fit(cfg, out, s, b, checksums)
-    return code
+    return _stage_fit(cfg, sysm, input_box, out, s, b, checksums)[2]
 
 
-def cmd_simulate(args, cfg: PipelineConfig, out: Path) -> int:
+def cmd_simulate(args, cfg: PipelineConfig, out: Path, sysm: SystemModel,
+                 input_box: BoxSet) -> int:
     mode = args.mode or cfg.fit["modes"][-1]
     cand_path = Path(args.candidates) if args.candidates else out / f"candidates_{mode}.json"
-    res, doc = _load(fit.load_fit, cand_path, dim=cfg.sampling_box().dim)
+    res, doc = _load(fit.load_fit, cand_path, dim=sysm.n)
     if not args.candidates and res.mode != mode:
         raise IntegrityError(f"{cand_path}: holds the candidates of mode {res.mode!r}")
     if not res.feasible or not res.candidates:
         print(f"error: {cand_path} holds no feasible candidates", file=_sys.stderr)
         return EXIT_INFEASIBLE
-    _stage_simulate(cfg, out, doc["mode"], res, _file_digest(cand_path), _plan(cfg, res))
+    _stage_simulate(cfg, sysm, input_box, out, doc["mode"], res, _file_digest(cand_path),
+                    _plan(cfg, sysm, res))
     return EXIT_OK
 
 
 def _load_stage_state(out: Path) -> dict:
     try:
         state = json.loads((out / "stage_state.json").read_text())
-    except (FileNotFoundError, json.JSONDecodeError):
+    except (FileNotFoundError, ValueError):   # absent, or not UTF-8 JSON: no record
         return {}
     # an entry, or its `outputs`, that is not an object is no record at all
     return ({stage: entry for stage, entry in state.items()
@@ -282,7 +284,8 @@ def _save_stage_state(out: Path, state: dict) -> None:
     (out / "stage_state.json").write_text(json.dumps(state, indent=1, sort_keys=True) + "\n")
 
 
-def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
+def cmd_pipeline(args, cfg: PipelineConfig, out: Path, sysm: SystemModel,
+                 input_box: BoxSet) -> int:
     """Run sample -> boundary -> fit -> simulate and write the report.
 
     A stage is reused when `stage_state.json` records its own resolved
@@ -304,18 +307,17 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     # sample stage (a file whose header fails to parse or is stale is a cache
     # miss, not an integrity failure)
     sample_path = out / "samples.jsonl"
-    sysm = _build(cfg)[0]
     sample_hash = _key((sysm.name, sysm.params, cfg.sampling_args()))
     cached = state.get("sample", {})
     head = s = None
     if sample_path.exists() and cached.get("config_hash") == sample_hash:
         with contextlib.suppress(IntegrityError):
-            head = _fresh(cfg, sample_path, _load(smp.read_header, sample_path))
+            head = _fresh(cfg, sysm, sample_path, _load(smp.read_header, sample_path))
     if head is not None and head.digest == cached.get("output"):
         print(f"sample: reusing {sample_path} (n={head.n})")
         code = EXIT_OK if head.converged else EXIT_NOT_CONVERGED
     else:
-        s, code = _stage_sample(cfg, out)
+        s, code = _stage_sample(cfg, sysm, input_box, out)
         head = s
     if code != EXIT_OK:
         _save_stage_state(out, new_state)
@@ -326,7 +328,7 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
         """The sample set, loaded and checked on first use."""
         nonlocal s
         if s is None:
-            s = _load_samples(cfg, sample_path)
+            s = _load_samples(cfg, sysm, input_box, sample_path)
             if s.checksum() != head.digest:
                 raise IntegrityError(f"{sample_path}: changed during the run")
         return s
@@ -360,7 +362,7 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
         digests = {m: outputs[m] for m in modes}
         print(f"fit: reusing candidates for modes {modes}")
     else:
-        results, digests, code = _stage_fit(cfg, out, samples(), b, checksums)
+        results, digests, code = _stage_fit(cfg, sysm, input_box, out, samples(), b, checksums)
         if code != EXIT_OK:
             _save_stage_state(out, new_state)
             return code
@@ -370,7 +372,7 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     sim_hash = _key(cfg.simulate)
     cached = state.get("simulate", {})
     outputs = cached.get("outputs", {})
-    plans = {m: _plan(cfg, results[m]) for m in modes}
+    plans = {m: _plan(cfg, sysm, results[m]) for m in modes}
     files = {name: outputs.get(name) for m, plan in plans.items()
              for idx, mf in enumerate(plan, start=1) if mf is None
              for name in (f"traj_{m}_{idx}.csv", f"run_{m}_{idx}.json")}
@@ -383,28 +385,30 @@ def cmd_pipeline(args, cfg: PipelineConfig, out: Path) -> int:
     else:
         files = {}
         for m, plan in plans.items():
-            manifests[m], written = _stage_simulate(cfg, out, m, results[m], digests[m], plan)
+            manifests[m], written = _stage_simulate(cfg, sysm, input_box, out, m, results[m],
+                                                    digests[m], plan)
             files.update(written)
     new_state["simulate"] = {"config_hash": sim_hash, "inputs": digests, "outputs": files}
 
-    _write_report(cfg, out, head, b, results, manifests)
+    _write_report(cfg, sysm, out, head, b, results, manifests)
     _save_stage_state(out, new_state)
     print(f"report -> {out / 'report.md'}")
     return EXIT_OK
 
 
-def _is_reference_setup(cfg: PipelineConfig) -> bool:
+def _is_reference_setup(cfg: PipelineConfig, sysm: SystemModel) -> bool:
     """The double-integrator configuration the report's targets are stated for."""
     ref = {"gamma1": 0.0, "gamma2": 0.1, "u_min": -300.0, "u_max": 300.0}
     box = cfg.sampling_box()
-    return (cfg.system_name == "double_integrator" and dict(ref, **cfg.system_params) == ref
+    return (sysm.name == "double_integrator" and sysm.params == ref
             and np.array_equal(box.lower, [-10.0, -40.0])
             and np.array_equal(box.upper, [0.0, 40.0]))
 
 
-def _write_report(cfg: PipelineConfig, out: Path, head: smp.SampleHeader, b: bnd.BoundarySet,
-                  results: dict[str, fit.FitResult], manifests: dict[str, list[dict]]) -> None:
-    ref = _is_reference_setup(cfg)
+def _write_report(cfg: PipelineConfig, sysm: SystemModel, out: Path, head: smp.SampleHeader,
+                  b: bnd.BoundarySet, results: dict[str, fit.FitResult],
+                  manifests: dict[str, list[dict]]) -> None:
+    ref = _is_reference_setup(cfg, sysm)
     rows: list[tuple[str, str, str, str]] = []
 
     def row(name: str, value: str, target: str, ok: bool | None):
@@ -494,12 +498,15 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg, out = _resolve(args)
+        cfg, out, *plant = _resolve(args)
         if args.dry_run:
             print("config ok (dry run); no outputs written")
             return EXIT_OK
-        out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, cfg, out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:   # an existing file, or a path under one
+            raise ConfigError(f"output directory: {exc}") from None
+        return args.func(args, cfg, out, *plant)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
@@ -509,7 +516,7 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=_sys.stderr)
         return EXIT_INTEGRITY
-    except FileNotFoundError as exc:
+    except OSError as exc:   # a missing or unreadable artifact, or one that cannot be written
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INTEGRITY
 

@@ -298,8 +298,10 @@ def _parse_header(line: bytes) -> SampleHeader:
 
     ValueError for an empty file, a format version other than
     FORMAT_VERSION, a non-finite number (`NaN`, or a literal such as 1e400
-    that overflows), an empty checkpoint list, or any bytes other than
-    those `_header_bytes` writes for the parsed header.
+    that overflows), an empty checkpoint list, a last checkpoint that
+    counts no sample (`run_sampling` checks first at n_start >= 1, so it
+    never writes one), or any bytes other than those `_header_bytes` writes
+    for the parsed header.
     """
     if not line.rstrip(b"\n"):
         raise ValueError("empty sample file")
@@ -319,6 +321,8 @@ def _parse_header(line: bytes) -> SampleHeader:
         converged=bool(header["converged"]))
     if _header_bytes(h) + b"\n" != line:
         raise ValueError("content does not match its canonical form")
+    if h.n == 0:
+        raise ValueError("the header counts no sample")
     return h
 
 
@@ -350,7 +354,8 @@ def load_samples(path) -> SampleSet:
     edit that `canonical_bytes` would not write raises ValueError, as do
     rows whose width is not the header's state dimension and non-finite
     numbers (`nan`). So does a last checkpoint whose n is not the row count,
-    or whose J is not the feasible rows' fraction bit for bit. Each
+    or whose J is not the feasible rows' fraction bit for bit; as the header
+    must count at least one sample, a file with no rows is refused. Each
     ValueError names the file. The rows are read, hashed and checked by
     `_check_rows` in slices of whole lines, HASH_BLOCK bytes and the rest of
     a line each, so the file is never held whole; where a file has faults of

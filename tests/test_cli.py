@@ -121,6 +121,17 @@ def test_parse_value_errors():
                      "[simulate]\nx_init = 0, 0, 0\nx_goal = 0, 0, 0\n")
 
 
+def test_parse_refuses_invalid_key():
+    with pytest.raises(ConfigError, match=r"^invalid key '9lives' \(line 2, col 1\)$"):
+        parse_config("[system]\n9lives = 3\n")
+
+
+def test_parse_refuses_empty_name():
+    with pytest.raises(ConfigError,
+                       match=r"^bad name value '': empty value \(line 2, col 7\)$"):
+        parse_config("[system]\nname =\n")
+
+
 _FINITE_BASE = ("[system]\nname = double_integrator\n[sampling]\nlower = -1, -1\n"
                 "upper = 1, 1\n[simulate]\nx_init = 0, 0\nx_goal = 0, 0\n")
 
@@ -135,6 +146,11 @@ _FINITE_BASE = ("[system]\nname = double_integrator\n[sampling]\nlower = -1, -1\
 def test_parse_rejects_non_finite(text, line):
     with pytest.raises(ConfigError, match=rf"finite.*line {line}, col"):
         parse_config(text)
+
+
+def test_parse_refuses_lower_above_upper():
+    with pytest.raises(ConfigError, match=r"^sampling: box has lower\[i\] > upper\[i\]$"):
+        parse_config(_FINITE_BASE.replace("lower = -1, -1", "lower = 2, -1"))
 
 
 def test_pipeline_rejects_dt_not_dividing_horizon(tmp_path):
@@ -240,12 +256,14 @@ def test_later_stage_values_rejected_at_parse(tmp_path, capsys, key):
 def test_largest_seeds_run(tmp_path):
     """The seed checks' bounds are tight: a pipeline with the largest
     sampling seed, and with the largest fit seed whose every key Philox
-    takes, runs each stage through the uniform and multi fits."""
+    takes, runs each stage through the uniform and multi fits. The multi
+    fit of these draws collapses one of its two tuples, and says so."""
     cfg = tiny_config(tmp_path, out=str(tmp_path / "out"), seed=2**128 - 1,
                       modes="uniform, multi")
     cfg.write_text(cfg.read_text().replace(
         "population = 4", f"population = 4\nseed = {2**128 - 0x9E3779B9 - 1}"))
-    assert main(["pipeline", "--config", str(cfg)]) == 0
+    with pytest.warns(UserWarning, match="collapsed 1 redundant"):
+        assert main(["pipeline", "--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
@@ -408,6 +426,37 @@ def test_missing_artifact_exits_4(tmp_path, capsys, command, done):
     assert main([command, "--config", str(cfg)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+_NOT_A_DIRECTORY = "not a directory\n"
+
+
+@pytest.mark.parametrize("case, code, expect", [
+    ("config-missing", 2, "config error: [Errno 2] No such file or directory"),
+    ("config-directory", 2, "config error: [Errno 21] Is a directory"),
+    ("out-is-a-file", 2, "config error: output directory: [Errno 17] File exists"),
+    ("candidates-directory", 4, "error: [Errno 21] Is a directory"),
+], ids=["config-missing", "config-directory", "out-is-a-file", "candidates-directory"])
+def test_bad_path_exits_with_one_line(tmp_path, capsys, case, code, expect):
+    """A config path that cannot be read, and an `--out` that cannot be a
+    directory, are config errors: exit 2 with one `config error:` line and
+    nothing written. Any other path a stage cannot read is an artifact
+    fault: exit 4 with one `error:` line. None ends in a traceback."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    blocker = tmp_path / "blocker"
+    blocker.write_text(_NOT_A_DIRECTORY)
+    argv = {"config-missing": ["sample", "--config", str(tmp_path / "nope.cfg")],
+            "config-directory": ["sample", "--config", str(tmp_path)],
+            "out-is-a-file": ["sample", "--config", str(cfg), "--out", str(blocker)],
+            "candidates-directory": ["simulate", "--config", str(cfg),
+                                     "--candidates", str(tmp_path)]}[case]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(expect) and err.count("\n") == 1, err
+    assert blocker.read_text() == _NOT_A_DIRECTORY
+    assert not (out / "samples.jsonl").exists()
 
 
 def test_boundary_detects_tampering(tmp_path):
@@ -647,6 +696,45 @@ def _swap_labels(rows: list[dict]) -> None:
     i = next(k for k, r in enumerate(rows) if r["class"] == "feasible")
     j = next(k for k, r in enumerate(rows) if r["class"] == "infeasible")
     rows[i]["class"], rows[j]["class"] = rows[j]["class"], rows[i]["class"]
+
+
+def _no_sample_header(out: Path) -> bytes:
+    """The sample file cut to its header, whose last checkpoint counts no
+    sample, written back in canonical form."""
+    head = json.loads((out / "samples.jsonl").read_text().split("\n", 1)[0])
+    head["checkpoints"] = [{"n": 0, "J": 0.0}]
+    data = json.dumps(head, separators=(",", ":")).encode() + b"\n"
+    (out / "samples.jsonl").write_bytes(data)
+    return data
+
+
+@pytest.mark.parametrize("command", ["boundary", "fit"])
+def test_sample_file_with_no_rows_is_integrity_failure(tmp_path, capsys, command):
+    """A header that counts no sample is no file `run_sampling` writes, so
+    a standalone stage refuses it as unparsable: exit 4 with one line."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    assert main(["sample", "--config", str(cfg)]) == 0
+    _no_sample_header(out)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err == (f"integrity error: {out / 'samples.jsonl'}: cannot parse: "
+                   f"the header counts no sample\n")
+
+
+def test_pipeline_resamples_a_sample_file_with_no_rows(tmp_path):
+    """A warm pipeline whose state records the digest of a header-only
+    sample file samples again instead of failing on it."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    own = (out / "samples.jsonl").read_bytes()
+    state = json.loads((out / "stage_state.json").read_text())
+    state["sample"]["output"] = hashlib.sha256(_no_sample_header(out)).hexdigest()
+    (out / "stage_state.json").write_text(json.dumps(state))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert (out / "samples.jsonl").read_bytes() == own
 
 
 @pytest.mark.parametrize("command", ["boundary", "fit"])
@@ -906,6 +994,20 @@ def test_full_stage_sequence_and_simulate(tmp_path):
     assert manifest["breaches"]["z_breach_steps"] == 0
 
 
+def test_stray_value_error_exits_2(tmp_path, capsys):
+    """A ValueError that no check names as a config or integrity fault exits
+    2 with one `error:` line: a set sampled to n = 1 gives the boundary
+    radius no neighbour to measure."""
+    cfg = tiny_config(tmp_path, out=str(tmp_path / "out"))
+    cfg.write_text(cfg.read_text().replace("n_min = 200", "n_min = 1")
+                   .replace("n_start = 243", "n_start = 1"))
+    assert main(["sample", "--config", str(cfg)]) == 0
+    assert "sample: n=1 " in capsys.readouterr().out
+    assert main(["boundary", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        "error: need at least 2 samples to set a neighborhood radius\n"
+
+
 def test_dry_run_touches_nothing(tmp_path):
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out))
@@ -926,6 +1028,24 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["sample"])   # missing --config
     assert exc.value.code == 2
+
+
+def test_each_command_builds_the_plant_once(tmp_path, monkeypatch):
+    """The CLI builds the plant and its input box once per command and hands
+    them to every stage, a cold and a warm pipeline included."""
+    from cbfsynth import cli
+    calls = []
+    build = cli.build_system
+    monkeypatch.setattr(cli, "build_system", lambda *a: calls.append(a) or build(*a))
+    cfg = tiny_config(tmp_path, out=str(tmp_path / "stages"), modes="uniform, multi")
+    run = ["--out", str(tmp_path / "run")]
+    counts = []
+    for argv in (["sample"], ["boundary"], ["fit"], ["simulate"],
+                 ["pipeline", *run], ["pipeline", *run]):
+        calls.clear()
+        assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 0
+        counts.append(len(calls))
+    assert counts == [1] * 6
 
 
 def test_pipeline_caching_and_stage_isolation(tmp_path):
@@ -1091,6 +1211,20 @@ def test_pipeline_non_object_stage_state_reruns_stages(tmp_path, edit):
     assert (out / "candidates_uniform.json").read_bytes() == snapshot
     state = json.loads((out / "stage_state.json").read_text())
     assert isinstance(state, dict) and isinstance(state["fit"]["outputs"], dict)
+
+
+def test_pipeline_undecodable_stage_state_reruns_stages(tmp_path, capsys):
+    """A state file that is not UTF-8 is no record, like one that is not
+    JSON: every stage runs again and a valid state is written."""
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    (out / "stage_state.json").write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert "reusing" not in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
 
 def test_seed_override_changes_samples(tmp_path):

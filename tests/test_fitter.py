@@ -144,6 +144,20 @@ def test_check_redundancy_indeterminate_warns():
         assert not check_redundancy(c1, c2, flat.hcf, probes)
 
 
+def test_check_redundancy_anti_proportional():
+    """h1 = -h2 fits zeta = -1 exactly: the tuples bound opposite sets, so
+    neither is redundant, although h1 - zeta h2 vanishes."""
+    hcf = HardConstraint(
+        value=lambda x: np.cos(np.asarray(x, dtype=float)[..., 0]),
+        gradient=lambda x: np.stack([-np.sin(np.asarray(x, dtype=float)[..., 0]),
+                                     np.zeros(np.shape(x)[:-1])], axis=-1))
+    probes = np.random.default_rng(3).uniform(-1.0, 1.0, (8, 2))
+    c1 = CbfCandidate([1.0, 1.0], [0.0, 0.0], 0.0)
+    c2 = CbfCandidate([1.0, 1.0], [np.pi, 0.0], 0.0)
+    assert np.allclose(eval_h_batch(c1, hcf, probes), -eval_h_batch(c2, hcf, probes))
+    assert not check_redundancy(c1, c2, hcf, probes)
+
+
 def test_check_redundancy_needs_probes(di):
     sysm, _ = di
     with pytest.raises(ValueError):
@@ -352,6 +366,12 @@ def test_verify_reference_pair(di, reference_run, reference_boundary):
     assert rep.boundary_cbf_feasible_fraction >= 0.99
     assert rep.prop2_feasible_fraction >= 0.99
     assert not rep.empty_warning
+
+
+def test_verify_needs_a_candidate(di, reference_run):
+    sysm, input_box = di
+    with pytest.raises(ValueError, match="^need at least one candidate$"):
+        verify_candidate([], reference_run, sysm, input_box)
 
 
 def test_verify_inflated_candidate_flagged(di, reference_run):

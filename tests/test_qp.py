@@ -102,6 +102,16 @@ def test_validation_errors():
         _problem(np.eye(2), [0.0], [], [], [-1.0], [1.0])
 
 
+def test_problem_refuses_row_count_mismatch():
+    with pytest.raises(ValueError, match="^ineq_rows/ineq_rhs row count mismatch$"):
+        _problem(np.eye(1), [0.0], [[1.0], [2.0]], [0.0], [-1.0], [1.0])
+
+
+def test_problem_refuses_box_of_another_dimension():
+    with pytest.raises(ValueError, match="^box dimension inconsistent with m$"):
+        _problem(np.eye(1), [0.0], [], [], [-1.0, -1.0], [1.0, 1.0])
+
+
 def test_kkt_certificate_on_random_problems():
     rng = np.random.default_rng(5)
     problems = [random_problem(rng, int(rng.integers(1, 4)), int(rng.integers(0, 3)))

@@ -447,6 +447,25 @@ def test_read_header_checks_header_and_hashes_file(tmp_path, di, monkeypatch):
             sampler.read_header(path)
 
 
+def test_header_counting_no_sample_is_refused(tmp_path, di):
+    """`run_sampling` checks first at n_start >= 1, so a header whose last
+    checkpoint counts no sample is no file it wrote: `read_header` and
+    `load_samples` both refuse it, with or without rows after it."""
+    sysm, input_box = di
+    s = run_sampling(sysm, input_box, REFERENCE_BOUNDS, n_min=200, delta=0.5,
+                     growth=3.0, seed=5, n_start=243)
+    path = tmp_path / "samples.jsonl"
+    save_samples(s, path)
+    data = _edit_header(path.read_bytes(),
+                        lambda h: h.update(checkpoints=[{"n": 0, "J": 0.0}]))
+    for text in (data.split(b"\n", 1)[0] + b"\n", data):
+        path.write_bytes(text)
+        for load in (sampler.read_header, load_samples):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                                 f"the header counts no sample$"):
+                load(path)
+
+
 @pytest.mark.parametrize("edit", list(_NON_CANONICAL.values()), ids=list(_NON_CANONICAL))
 def test_load_rejects_non_canonical(tmp_path, di, edit):
     sysm, input_box = di

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cbfsynth import simulator
 from cbfsynth.simulator import (FilterConfig, SimConfig, check_invariance,
-                                hdot_rate_bound, nominal_controller,
+                                hdot_rate_bound, load_manifest, nominal_controller,
                                 reference_spline, safety_filter_many,
                                 simulate, simulate_many, step,
                                 STATUS_NOMINAL, STATUS_OPTIMAL)
@@ -91,6 +93,25 @@ def test_filter_infeasible_zero_row(di, fc):
                                           stack_candidates([identity_candidate(2)]), sysm, fc)
     assert infeasible[0]
     assert -300.0 <= u[0, 0] <= 300.0
+
+
+def test_filter_needs_a_candidate(di, fc):
+    sysm, _ = di
+    with pytest.raises(ValueError, match="^safety filter needs at least one candidate$"):
+        safety_filter_many(np.array([[-9.0, 0.0]]), np.array([[0.0]]), stack_candidates([]),
+                           sysm, fc)
+
+
+def _nan_drift(sysm: SystemModel) -> SystemModel:
+    """The plant with a drift that is NaN everywhere (NaN raises no float warning)."""
+    return replace(sysm, drift=lambda x: np.full(np.shape(x), np.nan))
+
+
+def test_filter_refuses_non_finite_dynamics(di, fc):
+    sysm, _ = di
+    with pytest.raises(ArithmeticError, match="^non-finite dynamics in safety filter$"):
+        safety_filter_many(np.array([[-9.0, 0.0]]), np.array([[0.0]]),
+                           stack_candidates([identity_candidate(2)]), _nan_drift(sysm), fc)
 
 
 def test_filter_idempotent_off_constraint(di, fc):
@@ -226,6 +247,12 @@ def test_step_exact_for_double_integrator(di):
     assert np.allclose(out, [0.01, 0.2], atol=1e-15)
     with pytest.raises(ValueError, match="dt must be positive"):
         SimConfig(x_init=[0.0, 0.0], x_goal=[0.0, 0.0], horizon_T=1.0, dt=0.0, kp=1.0)
+
+
+def test_step_refuses_non_finite_state(di):
+    sysm, _ = di
+    with pytest.raises(ArithmeticError, match="^integration produced non-finite state$"):
+        step(_nan_drift(sysm), np.array([0.0, 1.0]), np.array([0.0]), 0.1)
 
 
 def test_step_matches_closed_form_flow(di):
@@ -427,3 +454,10 @@ def test_sim_config_validation():
         SimConfig(x_init=[0.0, 0.0], x_goal=[0.0, 0.0], horizon_T=1.0, dt=0.1, kp=0.0)
     with pytest.raises(ValueError):
         FilterConfig(alphas=[0.0], input_box=BoxSet([-1.0], [1.0]))
+
+
+def test_load_manifest_refuses_non_object(tmp_path):
+    path = tmp_path / "run_uniform_1.json"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ValueError, match="^not a run manifest$"):
+        load_manifest(path)
