@@ -6,17 +6,20 @@ line-delimited JSON for samples and boundary points, JSON for fitted
 candidates, CSV plus a JSON manifest per simulation run, and a Markdown
 report for the end-to-end pipeline. Exit codes: 0 ok, 2 usage or config
 error, 3 sampling did not converge, 4 artifact integrity failure, 5 no
-feasible fit. A `--config` file that cannot be read and an `--out` that
-cannot be a directory are config errors; any other file the run cannot
-read or write is an artifact fault, exit 4.
+feasible fit. A `--config` file that cannot be read or decoded and an
+`--out` that cannot be a directory are config errors, with `--dry-run` as
+without; any other file the run cannot read or write is an artifact fault,
+exit 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
+import os
 import sys as _sys
 from dataclasses import replace
 from pathlib import Path
@@ -73,7 +76,7 @@ def _resolve(args) -> tuple[PipelineConfig, Path, SystemModel, BoxSet]:
     """The config, `--seed` applied, the output directory, and the plant and its input box."""
     try:
         cfg = load_config(args.config)
-    except OSError as exc:   # missing, unreadable, a directory: the config is at fault
+    except (OSError, UnicodeDecodeError) as exc:   # missing, unreadable, a directory, not UTF-8
         raise ConfigError(str(exc)) from None
     if args.seed is not None:
         cfg.sampling["seed"] = args.seed
@@ -466,6 +469,15 @@ def _write_report(cfg: PipelineConfig, sysm: SystemModel, out: Path, head: smp.S
     (out / "report.md").write_bytes(("\n".join(lines) + "\n").encode())
 
 
+def _check_out(out: Path) -> None:
+    """Raise the error that making the directory `out` would raise on a file
+    there or above it, making nothing."""
+    found = next((p for p in (out, *out.parents) if p.exists()), None)
+    if found is not None and not found.is_dir():
+        code = errno.EEXIST if found == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out))
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="pipeline config file")
@@ -499,13 +511,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, out, *plant = _resolve(args)
+        try:   # an existing file, or a path under one
+            if args.dry_run:
+                _check_out(out)
+            else:
+                out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory: {exc}") from None
         if args.dry_run:
             print("config ok (dry run); no outputs written")
             return EXIT_OK
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:   # an existing file, or a path under one
-            raise ConfigError(f"output directory: {exc}") from None
         return args.func(args, cfg, out, *plant)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)

@@ -26,11 +26,18 @@ Incumbents are accepted only when hard-feasible on the full sample set.
 The score kernel scores a block of parameter vectors per call: Nelder-Mead's
 initial simplex, each shrink and a random restart's pool each cost one pass
 of numpy dispatch, and each score equals that of its vector alone, bit for bit.
+Each distinct candidate's rows over the search subsample (h, h >= 0, and on
+first use its margin buffer and the guard h + buffer >= 0) are formed once
+and kept for the last ROW_CACHE candidates, so a tuple is scored by AND-ing
+its candidates' rows and counting; a block pass's held candidates cost
+nothing after their first step.
 A one-point Nelder-Mead step passes a cut, the value at which it would reject
-its point; containment terms at the cut skip the exists-input penalty (>= 0).
-A restart's other checks wait, and run in one call once DEFER_ROWS rows wait
-and at its end; should one find a penalty, the restart reruns from its start
-with every check made at once, so no result or count depends on the waiting.
+its point. A tuple whose -area reaches the cut gets no guard row nor buffer,
+and one whose containment terms reach it skips the exists-input penalty
+(>= 0). A restart's other checks wait, each with the chords it probes picked
+from the rows, and run in one call once DEFER_ROWS rows wait and at its end;
+should one find a penalty, the restart reruns from its start with every
+check made at once, so no result or count depends on the waiting.
 
 The restarts are independent tasks. The driver makes every random draw up
 front, in the order a search running one restart after another would make
@@ -47,8 +54,8 @@ import warnings
 from collections import Counter
 from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
-from functools import partial
-from typing import Callable, Sequence
+from functools import partial, reduce
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,8 +82,14 @@ ROOT_WIDTH = 2.0 ** -30
 ROOT_MAX_STEPS = 90
 # queued rows at which a restart's deferred exists-input checks run (see _score)
 DEFER_ROWS = 32
+# candidates whose search rows a context keeps (see _SearchContext.rows): a
+# block pass's held candidates stay, and at 88,574 rows each costs about 0.9 MB
+ROW_CACHE = 4
 # probes per tuple of the search's exists-input checks, deferred or not
 SEARCH_PROBES = 48
+# leading chord-pool pairs searched first for a tuple's chords (see
+# _SearchContext._pick): SEARCH_PROBES of them lie there in 99% of tuples
+CHORD_PREFIX = 1024
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -164,8 +177,6 @@ class _SearchContext:
             self.pool_b = rng.integers(0, n_sub, size=pool)
         else:
             self.pool_a = self.pool_b = np.zeros(0, dtype=int)
-        self.ends = np.concatenate([self.pool_a, self.pool_b])    # in the subsample
-        self.ends_full = np.arange(len(s))[self.sub][self.ends]   # among all samples
 
         span = s.bounds.span
         self.z_scale = float(np.max(np.abs(self.hcf.value(self.states_sub))) + 1.0)
@@ -173,37 +184,106 @@ class _SearchContext:
         self.span_w = np.where(span > 0, span, 1.0)
         self.grad_probe = self.states_sub[:512]
         self.root_steps: list[int] = []   # steps of each tuple's boundary probes
+        self._cache: dict[bytes, _Rows] = {}   # search rows by candidate, oldest first
+        self._buffers: dict[bytes, float] = {}   # margin buffers of the latest block by candidate
 
     # -- candidate evaluation, a block of B tuples at a time --------------------
 
-    def metrics(self, block: Block, full: bool = False, ends: bool = True) -> tuple[Array, ...]:
-        """Per tuple: (objective, non-feasible fraction of enclosed, enclosed
-        count), and, if `ends`, the (B, s, 2 P) h values at the chord pool's `ends`.
+    def rows(self, block: Block, full: bool = False) -> Iterator[list[_Rows]]:
+        """Each tuple's candidates' rows in turn (see `_Rows`), over every
+        sample when `full`, else over the search subsample. There the last
+        ROW_CACHE candidates, keyed by the bytes of their scale, shift and
+        offset, are kept, so a candidate's rows are formed once while it
+        stays; beyond those, one tuple's rows are held at a time, so no
+        (B, s, N) array is built."""
+        count = block[2].shape[1]
+        params = list(zip(*(p.reshape(-1, *p.shape[2:]) for p in block)))
+        keys = self._keys(block)
+        for i in range(0, len(keys), count):
+            rows = []
+            for key, p in zip(keys[i:i + count], params[i:i + count]):
+                row = (None if full else self._cache.pop(key, None)) or _Rows(key)
+                if row.h is None:
+                    row.h = barrier(self.hcf, self.states if full else self.states_sub, p)
+                    row.inside = row.h >= 0.0
+                if not full:
+                    self._cache[key] = row
+                rows.append(row)
+            for key in list(self._cache)[:-ROW_CACHE]:
+                del self._cache[key]
+            yield rows
 
-        The barrier values run over the search subsample, or over every
-        sample when `full`, one tuple's (s, N) rows at a time, so no (B, s, N)
-        array is built. With a positive margin the containment test inflates
-        each set by the buffer, so the delivered zero-superlevel set sits
-        strictly inside the feasible samples.
+    def _keys(self, block: Block) -> list[bytes]:
+        """Each candidate's key, in order b s + j: its scale, shift and offset's bytes."""
+        flat = np.concatenate([block[0], block[1], block[2][..., None]], axis=-1)
+        return [p.tobytes() for p in flat.reshape(-1, 2 * self.n + 1)]
+
+    def metrics(self, block: Block, full: bool = False, cut: float = np.inf,
+                chords: list | None = None, want: int = SEARCH_PROBES) -> tuple[Array, ...]:
+        """Per tuple: (objective, non-feasible fraction of enclosed, enclosed
+        count), from its candidates' `rows` AND-ed and counted.
+
+        With a positive margin the containment test inflates each set by the
+        buffer, so the delivered zero-superlevel set sits strictly inside the
+        feasible samples. A tuple whose -objective reaches `cut` gets no
+        guard row and no buffer, and its fraction reads 0. The other tuples'
+        candidates take their buffers from `capped`, or else from one stacked
+        `h_unit` call for the rest of the block.
+
+        With a `chords` list, each tuple whose guard is formed appends the
+        chords its candidates' probes run on, in order b s + j: the first
+        `want` of the pool from an a end the tuple encloses to a b end with
+        h_j < 0, as (pool indices, h_j at a, h_j at b), picked by `_pick`
+        while the tuple's rows are at hand.
         """
-        scale, shift, offset = block
-        states, feas, at = ((self.states, self.feas, self.ends_full) if full else
-                             (self.states_sub, self.feas_sub, self.ends))
-        shifts = self.margin_shifts(block)
-        viol, n_inside = np.zeros(len(offset)), np.zeros(len(offset), dtype=int)
-        h_ends = np.empty(offset.shape + at.shape) if ends else None
-        for b in range(len(offset)):
-            h_rows = barrier(self.hcf, states, (scale[b, :, None], shift[b, :, None],
-                                                offset[b, :, None]))
-            if ends:
-                h_ends[b] = h_rows.take(at, axis=1)
-            inside = np.minimum.reduce(h_rows, axis=0) >= 0.0
-            n_inside[b] = np.count_nonzero(inside)
-            if shifts is not None:
-                inside = np.minimum.reduce(h_rows + shifts[b, :, None], axis=0) >= 0.0
-            n_guard = int(np.count_nonzero(inside))
-            viol[b] = float(np.count_nonzero(inside & ~feas)) / n_guard if n_guard else 0.0
-        return n_inside / len(states) * self.vol, viol, n_inside, h_ends
+        count = block[2].shape[1]
+        if not count:
+            raise ValueError("a tuple needs at least one candidate")
+        bad = ~(self.feas if full else self.feas_sub)
+        n_inside = np.zeros(len(block[2]), dtype=int)
+        area, viol = np.zeros(n_inside.shape), np.zeros(n_inside.shape)
+        for b, rows in enumerate(self.rows(block, full)):
+            n_inside[b] = np.count_nonzero(_all(r.inside for r in rows))
+            area[b] = n_inside[b] / bad.size * self.vol
+            if -area[b] >= cut:
+                continue
+            guard = self._guard(block, b, rows)
+            n_guard = int(np.count_nonzero(guard))
+            viol[b] = float(np.count_nonzero(guard & bad)) / n_guard if n_guard else 0.0
+            if chords is not None:
+                # the pool indexes the subsample: full rows are read at its stride
+                chords += self._pick([r.h[self.sub] if full else r.h for r in rows], want)
+        return area, viol, n_inside
+
+    def _pick(self, hs: list[Array], want: int) -> list:
+        """Each candidate's first `want` chords, (pool indices, h_j at a, h_j
+        at b), of `hs`, the tuple's rows over the subsample. They lie in the
+        pool's first CHORD_PREFIX pairs unless few chords qualify, so those
+        are searched first, and the whole pool only if one candidate is short."""
+        for end in (CHORD_PREFIX, self.pool_a.size):
+            a, b = self.pool_a[:end], self.pool_b[:end]
+            enclosed = _all(h[a] >= 0.0 for h in hs)
+            ks = [np.flatnonzero(enclosed & (h[b] < 0.0))[:want] for h in hs]
+            if end >= self.pool_a.size or min(k.size for k in ks) == want:
+                return [(k, h[a[k]], h[b[k]]) for k, h in zip(ks, hs)]
+
+    def _guard(self, block: Block, b: int, rows: list[_Rows]) -> Array:
+        """Tuple b's guard row: the AND of its candidates' h + buffer >= 0,
+        each formed once. A buffer comes from `capped`, or else from one
+        stacked `h_unit` call over the candidates of this tuple still without
+        a guard and of every later tuple."""
+        margin, count = self.cfg.margin, len(rows)
+        for r in rows:
+            if r.guard is not None:
+                continue
+            if margin and r.key not in self._buffers:
+                todo = [b * count + j for j, q in enumerate(rows) if q.guard is None]
+                todo += range((b + 1) * count, block[2].size)
+                keys = self._keys(block)
+                self._buffers = dict(zip([keys[i] for i in todo], margin * self.h_unit(
+                    *(p.reshape(-1, self.n)[todo] for p in block[:2]))))
+            r.guard = r.h + self._buffers[r.key] >= 0.0 if margin else r.inside
+        return _all(r.guard for r in rows)
 
     # -- constraints ----------------------------------------------------------
 
@@ -234,11 +314,10 @@ class _SearchContext:
         else:   # one tuple at a time: no (B, N, n) array
             offset = np.array([-np.min(barrier(self.hcf, self.states, (d, c, -0.0)))
                                for d, c in zip(scale, shift)])
-        return scale[:, None], shift[:, None], offset[:, None]
-
-    def margin_shifts(self, block: Block) -> Array | None:
-        """(B, s) h offsets realizing the margin buffer, or None if zero."""
-        return self.cfg.margin * self.h_unit(*block[:2]) if self.cfg.margin else None
+        block = scale[:, None], shift[:, None], offset[:, None]
+        if self.bpoints.shape[0] and self.cfg.margin:   # the guard reuses these buffers
+            self._buffers = dict(zip(self._keys(block), buffer))
+        return block
 
     def prop2_pass(self, scale: Array) -> tuple[Array, Array]:
         """(passing, total) for the exists-input condition at boundary
@@ -246,12 +325,12 @@ class _SearchContext:
         ok = self._dz_pass(scale[..., None, :], self.bgrad, self.bdrift, self.bact)
         return np.sum(ok, axis=-1), np.full(ok.shape[:-1], ok.shape[-1])
 
-    def boundary_probes(self, block: Block, h_ends: Array, want: int) -> tuple[Array, Array]:
+    def boundary_probes(self, block: Block, chords: list) -> tuple[Array, Array]:
         """Probe states on each {h_j = 0, min_i h_i >= 0} by bracketed Illinois steps.
 
-        Chords run between enclosed and h_j-negative subsample points, the
-        first `want` of the pool per candidate, chosen from `h_ends` (see
-        `metrics`). On the chord x(t) = a + t (b - a) a bracket [t_a, t_b],
+        Chords run between enclosed and h_j-negative subsample points, each
+        with h_j at both ends, as `chords` picks them; a queued check carries
+        them, not rows. On the chord x(t) = a + t (b - a) a bracket [t_a, t_b],
         first [0, 1], keeps h_j >= tol / 2 at t_a and h_j < tol / 2 at t_b,
         with tol = ROOT_H_TOL (1 + max(|h_j(a)|, |h_j(b)|)). All chords of the
         block step at once, to the regula falsi point of the bracket's
@@ -267,32 +346,32 @@ class _SearchContext:
         probe is less accurate than 30 bisections would make it. An affine
         piece of h_j is solved in one step, and the midpoint fallback at
         least halves every bracket in three steps, which bounds the loop by
-        ROOT_MAX_STEPS. Probes leaving the intersection are discarded.
+        ROOT_MAX_STEPS. A chord's steps and probe depend on its candidate and
+        pool index alone, so each distinct pair steps once per call, its copies
+        (a block pass's held candidate, queued many times) sharing the result.
+        Probes leaving the intersection are discarded.
         Returns the probes and, per probe, the index b s + j of candidate j
         of tuple b whose zero level set it lies on. For each tuple with a
         chord, in order, it appends to `root_steps` the number of steps in
         which one of that tuple's chords was still live.
         """
-        count, pool = block[2].shape[1], self.pool_a.size
-        if not pool:
-            return np.zeros((0, self.n)), np.zeros(0, dtype=int)
-        h_a, h_b = h_ends[..., :pool], h_ends[..., pool:]
-        enclosed = np.minimum.reduce(h_a, axis=1) >= 0.0
-        ks = [np.flatnonzero(row)[:want]
-              for row in (enclosed[:, None] & (h_b < 0.0)).reshape(-1, pool)]
-        k = np.concatenate(ks)
-        owner = np.repeat(np.arange(len(ks)), [c.size for c in ks])
+        count = block[2].shape[1]
+        k, fa, fb = (np.concatenate(p) for p in zip(*chords))
+        owner = np.repeat(np.arange(len(chords)), [c[0].size for c in chords])
         if not k.size:
             return np.zeros((0, self.n)), owner
-        ia = self.pool_a[k]
-        fa, fb = h_a.reshape(-1, pool)[owner, k], h_b.reshape(-1, pool)[owner, k]
+        ids: dict[bytes, int] = {}
+        candidate = np.array([ids.setdefault(key, len(ids)) for key in self._keys(block)])
+        _, first, inverse = np.unique(candidate[owner] * self.pool_a.size + k,
+                                      return_index=True, return_inverse=True)
+        k, fa, fb = k[first], fa[first], fb[first]
         tol = ROOT_H_TOL * (1.0 + np.maximum(fa, -fb))
         # every chord operand column-major, like the states: a step's loops
         # then run down unit-stride columns of all of them at once
-        xa0 = np.asfortranarray(self.states_sub[ia])
+        xa0 = np.asfortranarray(self.states_sub[self.pool_a[k]])
         dx = np.asfortranarray(self.states_sub[self.pool_b[k]]) - xa0
         xa = xa0.copy()
-        params = [np.asfortranarray(p.reshape(-1, *p.shape[2:])[owner]) for p in block]
+        params = [np.asfortranarray(p.reshape(-1, *p.shape[2:])[owner[first]]) for p in block]
         # aim at h_j = tol / 2: a root computed to within rounding then lands
         # in [0, tol] on whichever side of it, and the chord is done
         aim = 0.5 * tol
@@ -325,6 +404,7 @@ class _SearchContext:
             ta, tb = np.where(pos, t, ta), np.where(pos, tb, t)
             last_pos = pos
             steps += 1
+        xa, live_steps = xa[inverse], live_steps[inverse]
         # a chord is live over a prefix of the steps: a tuple's count is its longest
         tuples = owner // count
         bounds = np.searchsorted(tuples, np.arange(len(block[2]) + 1))
@@ -337,10 +417,10 @@ class _SearchContext:
         on_active = np.all(h_all >= -1e-7 * (1.0 + h_max[owner]), axis=0)
         return xa[on_active], owner[on_active]
 
-    def multi_dz_pass(self, block: Block, h_ends: Array, want: int) -> tuple[Array, Array]:
-        """Exists-input condition at active-boundary probes of every candidate:
-        (passing, total) per tuple."""
-        probes, owner = self.boundary_probes(block, h_ends, want)
+    def multi_dz_pass(self, block: Block, chords: list) -> tuple[Array, Array]:
+        """Exists-input condition at active-boundary probes of every candidate,
+        on its `chords`: (passing, total) per tuple."""
+        probes, owner = self.boundary_probes(block, chords)
         ok = self._dz_pass(block[0].reshape(-1, self.n)[owner], self.hcf.gradient(probes),
                            self.sys.drift(probes), self.sys.actuation(probes))
         tuples = owner // block[2].shape[1]
@@ -360,6 +440,22 @@ class _SearchContext:
         at (..., n) drifts f and (..., n, m) actuations g."""
         bias = np.sum(w * drift, axis=-1)
         return max_over_box(np.einsum("...n,...nm->...m", w, act), bias, self.input_box), bias
+
+
+class _Rows:
+    """One candidate's rows over the states, by its key: h and h >= 0, and
+    once read the guard h + margin buffer >= 0."""
+
+    __slots__ = ("key", "h", "inside", "guard")
+
+    def __init__(self, key: bytes):
+        self.key = key
+        self.h = self.inside = self.guard = None
+
+
+def _all(rows) -> Array:
+    """The AND of boolean rows: min_j h_j >= 0 is the AND of the h_j >= 0, NaN included."""
+    return reduce(np.logical_and, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +536,10 @@ class _Mode:
     random_theta: Callable   # (ctx, rng) -> one random start
     steps: Callable          # ctx -> per-coordinate Nelder-Mead steps
     key_offset: int = 0      # added to the fit seed for the restart stream
-    exists_input: Callable | None = None   # (ctx, block, h_ends, want) -> (passing, total)
+    exists_input: Callable | None = None   # (ctx, block, chords) -> (passing, total)
     checked_at: str = ""     # what exists_input counts, for rejection reasons
     block_passes: bool = False
-    reads_ends: bool = False   # exists_input reads h at the chord pool's ends
+    chords: bool = False     # exists_input probes the chords metrics picks
 
 
 _MODES = {
@@ -455,12 +551,12 @@ _MODES = {
         _build_nonuniform, _seeds_nonuniform,
         lambda ctx, rng: _random_scales_shift(ctx, rng, ctx.n),
         lambda ctx: np.concatenate([0.25 * np.ones(ctx.n), 0.1 * ctx.c_scale]),
-        exists_input=lambda ctx, block, h_ends, want: ctx.prop2_pass(block[0][:, 0]),
+        exists_input=lambda ctx, block, chords: ctx.prop2_pass(block[0][:, 0]),
         checked_at="boundary samples"),
     "multi": _Mode(
         _build_multi, _seeds_multi, _random_multi, _steps_multi, key_offset=1,
         exists_input=_SearchContext.multi_dz_pass, checked_at="probes",
-        block_passes=True, reads_ends=True),
+        block_passes=True, chords=True),
 }
 
 
@@ -470,16 +566,22 @@ _MODES = {
 def _score(ctx: _SearchContext, mode: _Mode, block: Block, cut: float = np.inf,
            defer: list | None = None) -> Array:
     """Each tuple's penalized objective, (B,), or its containment terms
-    L = -area + 3 vol viol if all reach `cut`. With a `defer` list the
-    exists-input check waits there for `_flush` and L is returned: the
+    L = -area + 3 vol viol if all reach `cut`; a tuple whose -area alone
+    reaches it forms no guard row nor buffer and gives -area + 0.0 (see
+    `metrics`), as Nelder-Mead never reads a value at or above its cut. The
+    exists-input check probes the chords `metrics` picked for each tuple
+    whose -area lies below the cut; only a one-point step has a finite cut,
+    so where the check runs every tuple has them. With a `defer` list it
+    waits there for `_flush`, carrying those chords, and L is returned: the
     objective bit for bit where that check's penalty is zero (L + 0.0 is L)."""
-    area, viol, _, h_ends = ctx.metrics(block, ends=mode.reads_ends)
+    chords: list = []
+    area, viol, _ = ctx.metrics(block, cut=cut, chords=chords if mode.chords else None)
     score = -area + 3.0 * ctx.vol * viol
     if mode.exists_input is not None and not np.all(score >= cut):
         if defer is not None:
-            defer.append((block, h_ends))
+            defer.append((block, chords))
             return score
-        ok, total = mode.exists_input(ctx, block, h_ends, SEARCH_PROBES)
+        ok, total = mode.exists_input(ctx, block, chords)
         score += 2.0 * ctx.vol * (total - ok) / np.maximum(total, 1)
     return score
 
@@ -489,26 +591,29 @@ class _Penalized(Exception):
 
 
 def _flush(ctx: _SearchContext, mode: _Mode, defer: list) -> None:
-    """Run the nonempty queue's exists-input checks in one call and empty
-    it; raises _Penalized if any tuple's penalty is positive."""
+    """Run the nonempty queue's exists-input checks in one call, on the
+    chords each queued tuple carries, and empty it; raises _Penalized if any
+    tuple's penalty is positive."""
     block = tuple(np.concatenate(p) for p in zip(*(queued for queued, _ in defer)))
-    h_ends = np.concatenate([h for _, h in defer]) if mode.reads_ends else None
+    chords = [c for _, queued in defer for c in queued]
     defer.clear()
-    ok, total = mode.exists_input(ctx, block, h_ends, SEARCH_PROBES)
+    ok, total = mode.exists_input(ctx, block, chords)
     if np.any(ok < total):
         raise _Penalized
 
 
 def _hard_feasible(ctx: _SearchContext, mode: _Mode, block: Block) -> tuple[bool, float, str]:
     """Full-set acceptance test of a block of one tuple; returns (ok, objective, reason)."""
-    (obj,), (viol,), (n_inside,), h_ends = ctx.metrics(block, full=True, ends=mode.reads_ends)
+    chords: list = []
+    (obj,), (viol,), (n_inside,) = ctx.metrics(
+        block, full=True, chords=chords if mode.chords else None, want=ctx.cfg.probes)
     obj = float(obj)
     if n_inside == 0:
         return False, obj, "candidate set encloses no samples"
     if viol > CONTAINMENT_REJECT_TOL:
         return False, obj, f"containment violation {viol:.2e}"
     if mode.exists_input is not None:
-        (ok,), (total,) = mode.exists_input(ctx, block, h_ends, ctx.cfg.probes)
+        (ok,), (total,) = mode.exists_input(ctx, block, chords)
         if total and ok < total:
             return False, obj, (f"exists-input condition failed at {total - ok} "
                                 f"{mode.checked_at}")
@@ -759,7 +864,7 @@ def _finalize(ctx: _SearchContext, best: list[CbfCandidate] | None, reasons: Cou
                           f"the optimum is attainable with fewer tuples")
             cands = [c for k, c in enumerate(cands) if k not in drop]
 
-    objective = float(ctx.metrics(_block(cands), full=True, ends=False)[0][0])
+    objective = float(ctx.metrics(_block(cands), full=True)[0][0])
     report = verify_candidate(cands, ctx.s, ctx.sys, ctx.input_box,
                               probes=cfg.probes, boundary=b, seed=cfg.seed)
     return FitResult(cands, objective, report, flags, cfg.mode)
@@ -853,12 +958,12 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
         raise ValueError("need at least one candidate")
     ctx = _SearchContext(s, boundary, sys, input_box, FitConfig(seed=seed, probes=probes))
     block = _block(cands)
-    h_all = barrier(sys.hcf, ctx.states, [p[0][:, None] for p in block])
-    inside = h_all.min(axis=0) >= 0.0
+    (rows,) = ctx.rows(block, full=True)
+    inside = _all(r.inside for r in rows)
     n_inside = int(np.sum(inside))
     containment = float(np.sum(inside & ctx.feas)) / n_inside if n_inside else 1.0
 
-    pts, owner = ctx.boundary_probes(block, h_all.take(ctx.ends_full, axis=1)[None], probes)
+    pts, owner = ctx.boundary_probes(block, ctx._pick([r.h[ctx.sub] for r in rows], probes))
     _, grad = barrier(sys.hcf, pts, [p[0][owner] for p in block], grad=True)
     sup, bias = ctx.sup_rate(grad, sys.drift(pts), sys.actuation(pts))
     held = sup >= -1e-9 * (1.0 + np.abs(bias))

@@ -434,29 +434,44 @@ _NOT_A_DIRECTORY = "not a directory\n"
 @pytest.mark.parametrize("case, code, expect", [
     ("config-missing", 2, "config error: [Errno 2] No such file or directory"),
     ("config-directory", 2, "config error: [Errno 21] Is a directory"),
+    ("config-not-utf8", 2, "config error: 'utf-8' codec can't decode byte 0xff"),
     ("out-is-a-file", 2, "config error: output directory: [Errno 17] File exists"),
+    ("out-is-a-file-dry-run", 2, "config error: output directory: [Errno 17] File exists"),
+    ("out-under-a-file-dry-run", 2, "config error: output directory: [Errno 20] Not a directory"),
     ("candidates-directory", 4, "error: [Errno 21] Is a directory"),
-], ids=["config-missing", "config-directory", "out-is-a-file", "candidates-directory"])
+], ids=["config-missing", "config-directory", "config-not-utf8", "out-is-a-file",
+        "out-is-a-file-dry-run", "out-under-a-file-dry-run", "candidates-directory"])
 def test_bad_path_exits_with_one_line(tmp_path, capsys, case, code, expect):
-    """A config path that cannot be read, and an `--out` that cannot be a
-    directory, are config errors: exit 2 with one `config error:` line and
-    nothing written. Any other path a stage cannot read is an artifact
-    fault: exit 4 with one `error:` line. None ends in a traceback."""
+    """A config path that cannot be read or decoded, and an `--out` that
+    cannot be a directory, with `--dry-run` as without, are config errors:
+    exit 2 with one `config error:` line, the real run's, and nothing
+    written. Any other path a stage cannot read is an artifact fault: exit 4
+    with one `error:` line. None ends in a traceback."""
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out))
     blocker = tmp_path / "blocker"
     blocker.write_text(_NOT_A_DIRECTORY)
+    undecodable = tmp_path / "bad.cfg"
+    undecodable.write_bytes(b"\xff\xfe[system]\n")
     argv = {"config-missing": ["sample", "--config", str(tmp_path / "nope.cfg")],
             "config-directory": ["sample", "--config", str(tmp_path)],
+            "config-not-utf8": ["sample", "--config", str(undecodable)],
             "out-is-a-file": ["sample", "--config", str(cfg), "--out", str(blocker)],
+            "out-is-a-file-dry-run": ["sample", "--config", str(cfg), "--out", str(blocker),
+                                      "--dry-run"],
+            "out-under-a-file-dry-run": ["sample", "--config", str(cfg), "--out",
+                                         str(blocker / "sub" / "out"), "--dry-run"],
             "candidates-directory": ["simulate", "--config", str(cfg),
                                      "--candidates", str(tmp_path)]}[case]
     capsys.readouterr()
     assert main(argv) == code
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith(expect) and err.count("\n") == 1, err
+    assert captured.out == ""
     assert blocker.read_text() == _NOT_A_DIRECTORY
     assert not (out / "samples.jsonl").exists()
+    assert not out.exists() or case == "candidates-directory"
 
 
 def test_boundary_detects_tampering(tmp_path):

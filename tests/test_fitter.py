@@ -233,7 +233,14 @@ def test_h_unit_stacked_matches_single(di, reference_run, reference_boundary):
     ctx = _SearchContext(reference_run, reference_boundary, sysm, input_box, cfg)
     cands = [identity_candidate(2), CAP_CANDIDATE, CbfCandidate([1.7, 0.3], [0.5, -3.0], -0.8)]
     single = [cfg.margin * ctx.h_unit(c.scale, c.shift) for c in cands]
-    assert np.array_equal(ctx.margin_shifts(_block(cands))[0], np.array(single))
+    assert np.array_equal(cfg.margin * ctx.h_unit(*_block(cands)[:2])[0], np.array(single))
+
+
+def _picked(ctx, block, want):
+    """Every tuple's chords, as `metrics` picks them from the search rows."""
+    picked = []
+    ctx.metrics(block, chords=picked, want=want)
+    return picked
 
 
 def _chords(ctx, h_rows, j, want):
@@ -277,7 +284,7 @@ def test_boundary_probes_match_per_candidate_bisection(di, reference_run, want):
     ctx = _SearchContext(reference_run, None, sysm, input_box,
                          FitConfig(mode="multi", num_cbfs=2))
     h_rows = _h_rows(cands, sysm.hcf, ctx.states_sub)
-    roots, owner = ctx.boundary_probes(_block(cands), ctx.metrics(_block(cands))[3], want)
+    roots, owner = ctx.boundary_probes(_block(cands), _picked(ctx, _block(cands), want))
     for j, cand in enumerate(cands):
         xa, xb = _chords(ctx, h_rows, j, want)
         expect = _bisect(cand, sysm.hcf, xa, xb)
@@ -324,7 +331,7 @@ def test_boundary_probes_bisect_where_the_secant_stalls():
     cand = CbfCandidate([1.0, 1.0], [0.0, 0.0], 1.0 - 1e-6)
     h_rows = _h_rows([cand], sysm.hcf, ctx.states_sub)
     a, b = _chords(ctx, h_rows, 0, 256)
-    roots, owner = ctx.boundary_probes(_block([cand]), ctx.metrics(_block([cand]))[3], 256)
+    roots, owner = ctx.boundary_probes(_block([cand]), _picked(ctx, _block([cand]), 256))
     assert roots.shape == a.shape and a.shape[0] == 256
     assert np.all(owner == 0)
     gap = c - roots[:, 0]
@@ -671,6 +678,97 @@ def test_deferral_changes_no_fit(di, small_run, monkeypatch, box):
             assert got.counts == replace(want.counts, workers=workers)
 
 
+def _uncached_metrics(ctx, block):
+    """The score kernel's per-tuple formula with no row kept between
+    tuples, as an oracle: each tuple's (s, N) barrier rows over the search
+    subsample, min-reduced for the enclosed count and, shifted by every
+    candidate's margin buffer, for the guard; and h at the chord pool's ends,
+    (B, s, 2 P). Returns (area, violation, enclosed count, h at the ends)."""
+    scale, shift, offset = block
+    ends = np.concatenate([ctx.pool_a, ctx.pool_b])
+    shifts = ctx.cfg.margin * ctx.h_unit(scale, shift) if ctx.cfg.margin else None
+    viol, n_inside = np.zeros(len(offset)), np.zeros(len(offset), dtype=int)
+    h_ends = np.empty(offset.shape + ends.shape)
+    for b in range(len(offset)):
+        h_rows = barrier(ctx.hcf, ctx.states_sub,
+                         (scale[b, :, None], shift[b, :, None], offset[b, :, None]))
+        h_ends[b] = h_rows.take(ends, axis=1)
+        inside = np.minimum.reduce(h_rows, axis=0) >= 0.0
+        n_inside[b] = np.count_nonzero(inside)
+        if shifts is not None:
+            inside = np.minimum.reduce(h_rows + shifts[b, :, None], axis=0) >= 0.0
+        n_guard = int(np.count_nonzero(inside))
+        viol[b] = float(np.count_nonzero(inside & ~ctx.feas_sub)) / n_guard if n_guard else 0.0
+    return n_inside / len(ctx.states_sub) * ctx.vol, viol, n_inside, h_ends
+
+
+def _uncached_chords(ctx, h_ends, want):
+    """Each candidate's chords, in order b s + j, picked from the (B, s, 2 P)
+    end values over the whole pool at once, as an oracle."""
+    pool = ctx.pool_a.size
+    h_a, h_b = h_ends[..., :pool], h_ends[..., pool:]
+    enclosed = np.minimum.reduce(h_a, axis=1) >= 0.0
+    picked = (enclosed[:, None] & (h_b < 0.0)).reshape(-1, pool)
+    return [(k, h_a.reshape(-1, pool)[i, k], h_b.reshape(-1, pool)[i, k])
+            for i, k in enumerate(np.flatnonzero(row)[:want] for row in picked)]
+
+
+@pytest.mark.filterwarnings("ignore:collapsed:UserWarning")   # multi on the one-sign box
+@pytest.mark.parametrize("case", ["margin", "margin-0", "one-sign"])
+def test_cached_rows_score_as_the_uncached_formula(di, small_run, monkeypatch, case):
+    """Every evaluation of whole fits, warm-started as the pipeline does,
+    scores as the uncached per-tuple formula: area and enclosed count bit for
+    bit, the violation bit for bit wherever the guard was formed, and where
+    -area reached the cut, so that the guard was skipped, both the returned
+    value and the formula's containment terms at or above the cut. Each
+    queued tuple carries the chords the formula's end values pick. With a
+    margin, without one, and on inputs of one sign, u in [0.5, 1], whose
+    penalties roll restarts back."""
+    from cbfsynth import fitter, parallel
+    monkeypatch.setattr(parallel, "workers", lambda tasks: 1)
+    input_box = BoxSet([0.5], [1.0]) if case == "one-sign" else None
+    margin = small_run[1].epsilon if case == "margin" else 0.0
+    seen = {"evaluations": 0, "skipped": 0, "queued": 0}
+    metrics, score = _SearchContext.metrics, fitter._score
+    results = []
+
+    def recording(ctx, *args, **kwargs):
+        results.append(metrics(ctx, *args, **kwargs))
+        return results[-1]
+
+    def checked(ctx, mode, block, cut=np.inf, defer=None):
+        results.clear()
+        queued = len(defer) if defer is not None else 0
+        got = score(ctx, mode, block, cut, defer)
+        (area, viol, n_inside), = results
+        want_area, want_viol, want_n, h_ends = _uncached_metrics(ctx, block)
+        assert area.tobytes() == want_area.tobytes()
+        assert n_inside.tobytes() == want_n.tobytes()
+        skipped = -want_area >= cut
+        assert viol[~skipped].tobytes() == want_viol[~skipped].tobytes()
+        assert np.all(got[skipped] >= cut)
+        assert np.all(-want_area[skipped] + 3.0 * ctx.vol * want_viol[skipped] >= cut)
+        if defer is not None and len(defer) > queued and mode.chords:
+            expect = _uncached_chords(ctx, h_ends, fitter.SEARCH_PROBES)
+            assert [tuple(p.tobytes() for p in c) for c in defer[-1][1]] \
+                == [tuple(p.tobytes() for p in c) for c in expect]
+            seen["queued"] += len(block[2])
+        seen["evaluations"] += len(block[2])
+        seen["skipped"] += int(np.sum(skipped))
+        return got
+
+    monkeypatch.setattr(_SearchContext, "metrics", recording)
+    monkeypatch.setattr(fitter, "_score", checked)
+    fits = _warm_fits(di, small_run, input_box, margin=margin, restarts=3, iterations=40,
+                      population=4, seed=7)
+    assert fits["multi"].feasible
+    # a restart rolled back reruns, and counts only its rerun's evaluations
+    total = sum(f.counts.evaluations for f in fits.values())
+    assert seen["evaluations"] >= total
+    assert (seen["evaluations"] > total) == (case == "one-sign")
+    assert seen["skipped"] and seen["queued"]
+
+
 def _score_alone(ctx, mode, thetas):
     """Each row scored as a block of one: the scores and each row's root steps."""
     scores, steps = [], []
@@ -778,13 +876,14 @@ def test_boundary_probes_batch_mixes_one_step_and_stalling_chords():
         ctx.root_steps.clear()
         block = _block(tup)
         metrics = ctx.metrics(block)
-        alone.append((metrics, ctx.boundary_probes(block, metrics[3], 256), ctx.root_steps[:]))
+        alone.append((metrics, ctx.boundary_probes(block, _picked(ctx, block, 256)),
+                      ctx.root_steps[:]))
     assert alone[0][2] == [1] and alone[2][2] == []
     assert alone[1][2][0] > 3 and alone[3][2][0] > 3
     block = tuple(np.concatenate(p) for p in zip(*(_block(tup) for tup in tuples)))
     ctx.root_steps.clear()
     metrics = ctx.metrics(block)
-    probes, owner = ctx.boundary_probes(block, metrics[3], 256)
+    probes, owner = ctx.boundary_probes(block, _picked(ctx, block, 256))
     assert ctx.root_steps == [k for *_, steps in alone for k in steps]
     for b, ((one, (p1, o1), _), tup) in enumerate(zip(alone, tuples)):
         for got, expect in zip(metrics, one):
@@ -851,12 +950,13 @@ def _scipy_nelder_mead(fun, x0, steps, maxiter):
                              "maxfev": 4 * maxiter, "xatol": 1e-10, "fatol": 1e-12}).x
 
 
-def _nelder_mead_runs(fun, x0, steps, maxiter, use_cut=False):
+def _nelder_mead_runs(fun, x0, steps, maxiter, use_cut=False, stand_in=lambda v, cut: cut):
     """The points each implementation evaluates, in order, with each block
     `_nelder_mead` scores flattened in row order; its result; the row count
     and cut of each block (scipy's points are blocks of one, without a cut);
-    and how many values `_nelder_mead`'s `fun` returned as the cut in place
-    of a larger true value, which it does wherever it can when `use_cut`."""
+    and how many values `_nelder_mead`'s `fun` returned as `stand_in(value,
+    cut)`, by default the cut, in place of a larger true value, which it does
+    wherever it can when `use_cut`."""
     runs = []
     for blocks in (True, False):
         points, sizes, cuts, bounded = [], [], [], 0
@@ -870,7 +970,7 @@ def _nelder_mead_runs(fun, x0, steps, maxiter, use_cut=False):
             if not use_cut:
                 return values
             bounded += sum(v > cut for v in values)
-            return [cut if v >= cut else v for v in values]
+            return [stand_in(v, cut) if v >= cut else v for v in values]
 
         if blocks:
             x = _nelder_mead(lambda xs, cut: np.array(recording(xs, cut)), x0.copy(), steps,
@@ -934,6 +1034,25 @@ def test_nelder_mead_matches_scipy(case):
         assert len(ours) == 4 * maxiter
     if case == "cap-in-initial-simplex":   # the cap of 4 leaves the 5th vertex unscored
         assert len(ours) == 4 * maxiter and sizes == [4]
+
+
+@pytest.mark.parametrize("case", ["rosen", "rough"])
+def test_nelder_mead_reads_no_value_at_the_cut(case):
+    """Any value at or above a one-point step's cut may stand in for the
+    true one, not only the cut itself: with `fun` returning the midpoint of
+    the cut and the true value there, `_nelder_mead` evaluates scipy's
+    points bit for bit and returns its x. The score kernel relies on this
+    when it returns -area, without the guard, for a tuple whose -area
+    reaches the cut."""
+    rng = np.random.default_rng(11)
+    dim = 3
+    x0, steps = rng.normal(size=dim), rng.uniform(0.05, 0.5, size=dim)
+    fun = rosen if case == "rosen" else (
+        lambda x: float(np.sin(1e3 * x @ np.arange(1.0, dim + 1))))
+    (ours, x_ours, _, _, _, bounded), (theirs, x_theirs, *_) = _nelder_mead_runs(
+        fun, x0, steps, 300, use_cut=True, stand_in=lambda v, cut: 0.5 * (cut + v))
+    assert ours == theirs and x_ours == x_theirs
+    assert bounded > len(ours) // 8
 
 
 def test_reference_fit_areas(reference_fits):

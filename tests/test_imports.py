@@ -55,15 +55,16 @@ def test_parallel_imported_by_fitter_only(path):
 EXISTS_INPUT_CALLERS = {"_score", "_flush", "_hard_feasible"}
 
 
-def _attribute_calls(path: Path, attr: str) -> list[tuple[int, str]]:
+def _attribute_calls(path: Path, attr: str, bare: bool = False) -> list[tuple[int, str]]:
     """(line, innermost enclosing function, "" at module level) of each call
-    of an attribute named `attr` in `path`."""
+    of an attribute named `attr` in `path`, and with `bare` of the name too."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == attr):
+            called = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(called, ast.Attribute) and called.attr == attr
+                    or bare and isinstance(called, ast.Name) and called.id == attr):
                 found.append((child.lineno, func))
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
             visit(child, getattr(child, "name", "<lambda>") if inner else func)
@@ -93,6 +94,70 @@ def test_exists_input_scan_sees_hard_feasible(tmp_path):
     assert _attribute_calls(path, "exists_input") == [
         (3, "fun"), (4, "_score"), (4, "<lambda>"), (5, "")]
 
+
+# the `fitter` functions that call `system.barrier`: the one function forming
+# each candidate's rows over the samples, the offset cap at the boundary
+# samples, the root finder on the chords and the verification's gradient at
+# the probes
+BARRIER_CALLERS = {"rows", "capped", "boundary_probes", "verify_candidate"}
+
+
+def test_barrier_rows_formed_in_one_function():
+    """In `fitter`, `barrier` is called from these functions alone, so every
+    row of h over the samples comes from `_SearchContext.rows`: a second row
+    path fails here."""
+    found = _attribute_calls(SRC / "fitter.py", "barrier", bare=True)
+    assert {func for _, func in found} == BARRIER_CALLERS, found
+
+
+def test_barrier_scan_sees_a_bare_call(tmp_path):
+    """The scan finds a call of the bare name and of the attribute, and
+    skips a name that is not called, so it is not blind."""
+    path = tmp_path / "probe.py"
+    path.write_text("def rows(ctx):\n"
+                    "    return barrier(ctx.hcf, x, p), system.barrier(ctx.hcf, x, p)\n"
+                    "kernel = barrier\n")
+    assert _attribute_calls(path, "barrier", bare=True) == [(2, "rows"), (2, "rows")]
+    assert _attribute_calls(path, "barrier") == [(2, "rows")]
+
+
+# names of the chord pool's end indices: the score kernel gathers no h there
+POOL_ENDS = {"ends", "ends_full"}
+
+
+def _pool_end_takes(path: Path) -> list[int]:
+    """Lines of `path` with a `.take(...)` call whose arguments read a name
+    or attribute in POOL_ENDS."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "take"):
+            continue
+        for arg in [*node.args, *(k.value for k in node.keywords)]:
+            if any(isinstance(sub, ast.Name) and sub.id in POOL_ENDS
+                   or isinstance(sub, ast.Attribute) and sub.attr in POOL_ENDS
+                   for sub in ast.walk(arg)):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_take_at_the_pool_ends(path):
+    """No package module gathers h at the chord pool's ends: a queued check
+    carries the chords `metrics` picked, not an (s, 8,192) array."""
+    assert not _pool_end_takes(path), f"{path.name} takes at pool ends, line(s) " \
+        f"{_pool_end_takes(path)}"
+
+
+def test_pool_end_scan_sees_both_forms(tmp_path):
+    """The scan finds a take at either name, read off an object or bare and
+    as a keyword, and skips other takes, so it is not blind."""
+    path = tmp_path / "probe.py"
+    path.write_text("h_ends = h_rows.take(self.ends, axis=1)\n"
+                    "h = h_all.take(ctx.ends_full, axis=1)[None]\n"
+                    "h = h_all.take(indices=ends)\n"
+                    "h = h_all.take(idx, axis=1)\n")
+    assert _pool_end_takes(path) == [1, 2, 3]
 
 
 def _format_version_uses(path: Path) -> list[int]:
