@@ -7,9 +7,10 @@ candidates, CSV plus a JSON manifest per simulation run, and a Markdown
 report for the end-to-end pipeline. Exit codes: 0 ok, 2 usage or config
 error, 3 sampling did not converge, 4 artifact integrity failure, 5 no
 feasible fit. A `--config` file that cannot be read or decoded and an
-`--out` that cannot be a directory are config errors, with `--dry-run` as
-without; any other file the run cannot read or write is an artifact fault,
-exit 4.
+`--out` that cannot be made a directory are config errors; `--dry-run`
+refuses a file or a dangling link at or above `--out` with the real run's
+line, but checks no permissions. Any other file the run cannot read or
+write is an artifact fault, exit 4.
 """
 
 from __future__ import annotations
@@ -471,11 +472,14 @@ def _write_report(cfg: PipelineConfig, sysm: SystemModel, out: Path, head: smp.S
 
 def _check_out(out: Path) -> None:
     """Raise the error that making the directory `out` would raise on a file
-    there or above it, making nothing."""
-    found = next((p for p in (out, *out.parents) if p.exists()), None)
-    if found is not None and not found.is_dir():
-        code = errno.EEXIST if found == out else errno.ENOTDIR
-        raise OSError(code, os.strerror(code), str(out))
+    or a dangling link there or above it, making nothing. Permissions are
+    not checked."""
+    found = next((p for p in (out, *out.parents) if p.exists() or p.is_symlink()), None)
+    if found is None or found.is_dir():
+        return
+    if found.exists() and found != out:   # a file above out
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
+    raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), str(found))
 
 
 def main(argv=None) -> int:

@@ -27,10 +27,10 @@ The score kernel scores a block of parameter vectors per call: Nelder-Mead's
 initial simplex, each shrink and a random restart's pool each cost one pass
 of numpy dispatch, and each score equals that of its vector alone, bit for bit.
 Each distinct candidate's rows over the search subsample (h, h >= 0, and on
-first use its margin buffer and the guard h + buffer >= 0) are formed once
-and kept for the last ROW_CACHE candidates, so a tuple is scored by AND-ing
-its candidates' rows and counting; a block pass's held candidates cost
-nothing after their first step.
+first use its margin buffer, the guard h + buffer >= 0 and its signs at the
+chord pool's ends) are formed once and kept for the last ROW_CACHE
+candidates, so a tuple is scored by AND-ing its candidates' rows and
+counting; a block pass's held candidates cost nothing after their first step.
 A one-point Nelder-Mead step passes a cut, the value at which it would reject
 its point. A tuple whose -area reaches the cut gets no guard row nor buffer,
 and one whose containment terms reach it skips the exists-input penalty
@@ -87,9 +87,6 @@ DEFER_ROWS = 32
 ROW_CACHE = 4
 # probes per tuple of the search's exists-input checks, deferred or not
 SEARCH_PROBES = 48
-# leading chord-pool pairs searched first for a tuple's chords (see
-# _SearchContext._pick): SEARCH_PROBES of them lie there in 99% of tuples
-CHORD_PREFIX = 1024
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -251,21 +248,23 @@ class _SearchContext:
             n_guard = int(np.count_nonzero(guard))
             viol[b] = float(np.count_nonzero(guard & bad)) / n_guard if n_guard else 0.0
             if chords is not None:
-                # the pool indexes the subsample: full rows are read at its stride
-                chords += self._pick([r.h[self.sub] if full else r.h for r in rows], want)
+                chords += self._pick(rows, want, full)
         return area, viol, n_inside
 
-    def _pick(self, hs: list[Array], want: int) -> list:
+    def _pick(self, rows: list[_Rows], want: int, full: bool = False) -> list:
         """Each candidate's first `want` chords, (pool indices, h_j at a, h_j
-        at b), of `hs`, the tuple's rows over the subsample. They lie in the
-        pool's first CHORD_PREFIX pairs unless few chords qualify, so those
-        are searched first, and the whole pool only if one candidate is short."""
-        for end in (CHORD_PREFIX, self.pool_a.size):
-            a, b = self.pool_a[:end], self.pool_b[:end]
-            enclosed = _all(h[a] >= 0.0 for h in hs)
-            ks = [np.flatnonzero(enclosed & (h[b] < 0.0))[:want] for h in hs]
-            if end >= self.pool_a.size or min(k.size for k in ks) == want:
-                return [(k, h[a[k]], h[b[k]]) for k, h in zip(ks, hs)]
+        at b): the pool pairs from an a end that every candidate encloses to
+        a b end with h_j < 0. A row keeps its signs at the pool ends once
+        formed; the pool indexes the subsample, so full rows are read at its
+        stride."""
+        a, b = self.pool_a, self.pool_b
+        hs = [r.h[self.sub] if full else r.h for r in rows]
+        for r, h in zip(rows, hs):
+            if r.ends is None:
+                r.ends = h[a] >= 0.0, h[b] < 0.0
+        enclosed = _all(r.ends[0] for r in rows)
+        ks = [np.flatnonzero(enclosed & r.ends[1])[:want] for r in rows]
+        return [(k, h[a[k]], h[b[k]]) for k, h in zip(ks, hs)]
 
     def _guard(self, block: Block, b: int, rows: list[_Rows]) -> Array:
         """Tuple b's guard row: the AND of its candidates' h + buffer >= 0,
@@ -444,13 +443,14 @@ class _SearchContext:
 
 class _Rows:
     """One candidate's rows over the states, by its key: h and h >= 0, and
-    once read the guard h + margin buffer >= 0."""
+    once read the guard h + margin buffer >= 0 and the signs at the chord
+    pool's ends (h >= 0 at a, h < 0 at b)."""
 
-    __slots__ = ("key", "h", "inside", "guard")
+    __slots__ = ("key", "h", "inside", "guard", "ends")
 
     def __init__(self, key: bytes):
         self.key = key
-        self.h = self.inside = self.guard = None
+        self.h = self.inside = self.guard = self.ends = None
 
 
 def _all(rows) -> Array:
@@ -963,7 +963,7 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
     n_inside = int(np.sum(inside))
     containment = float(np.sum(inside & ctx.feas)) / n_inside if n_inside else 1.0
 
-    pts, owner = ctx.boundary_probes(block, ctx._pick([r.h[ctx.sub] for r in rows], probes))
+    pts, owner = ctx.boundary_probes(block, ctx._pick(rows, probes, full=True))
     _, grad = barrier(sys.hcf, pts, [p[0][owner] for p in block], grad=True)
     sup, bias = ctx.sup_rate(grad, sys.drift(pts), sys.actuation(pts))
     held = sup >= -1e-9 * (1.0 + np.abs(bias))

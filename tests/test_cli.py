@@ -474,6 +474,29 @@ def test_bad_path_exits_with_one_line(tmp_path, capsys, case, code, expect):
     assert not out.exists() or case == "candidates-directory"
 
 
+@pytest.mark.parametrize("where", ["file", "under-file", "link", "under-link"])
+def test_dry_run_refuses_out_as_the_run_does(tmp_path, capsys, where):
+    """`--dry-run` refuses an `--out` at or under a file or a dangling link
+    with exactly the real run's line, and neither makes a directory."""
+    cfg = tiny_config(tmp_path, out=str(tmp_path / "out"))
+    blocker = tmp_path / "blocker"
+    if where.endswith("file"):
+        blocker.write_text(_NOT_A_DIRECTORY)
+    else:
+        blocker.symlink_to(tmp_path / "nowhere")
+    out = blocker / "sub" / "out" if where.startswith("under") else blocker
+    lines = []
+    for dry in (["--dry-run"], []):
+        capsys.readouterr()
+        assert main(["sample", "--config", str(cfg), "--out", str(out)] + dry) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        lines.append(captured.err)
+    assert lines[0] == lines[1]
+    assert lines[0].startswith("config error: output directory: [Errno ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.cfg"]
+
+
 def test_boundary_detects_tampering(tmp_path):
     out = tmp_path / "out"
     cfg = tiny_config(tmp_path, out=str(out))

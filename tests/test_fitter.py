@@ -871,11 +871,12 @@ def test_boundary_probes_batch_mixes_one_step_and_stalling_chords():
     wide = CbfCandidate([1.0, 1.0], [0.0, -2.0], 0.5)
     sunk = CbfCandidate([1.0, 1.0], [0.0, 0.0], -1e9)
     tuples = [(ramp, wide), (jump, wide), (sunk, ramp), (wide, jump), (ramp, ramp)]
-    alone = []
+    alone, picked_alone = [], []
     for tup in tuples:
         ctx.root_steps.clear()
         block = _block(tup)
         metrics = ctx.metrics(block)
+        picked_alone += _picked(ctx, block, 256)
         alone.append((metrics, ctx.boundary_probes(block, _picked(ctx, block, 256)),
                       ctx.root_steps[:]))
     assert alone[0][2] == [1] and alone[2][2] == []
@@ -883,7 +884,11 @@ def test_boundary_probes_batch_mixes_one_step_and_stalling_chords():
     block = tuple(np.concatenate(p) for p in zip(*(_block(tup) for tup in tuples)))
     ctx.root_steps.clear()
     metrics = ctx.metrics(block)
-    probes, owner = ctx.boundary_probes(block, _picked(ctx, block, 256))
+    picked = _picked(ctx, block, 256)
+    assert len(picked) == len(picked_alone) == 2 * len(tuples)
+    for got, expect in zip(picked, picked_alone):
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expect]
+    probes, owner = ctx.boundary_probes(block, picked)
     assert ctx.root_steps == [k for *_, steps in alone for k in steps]
     for b, ((one, (p1, o1), _), tup) in enumerate(zip(alone, tuples)):
         for got, expect in zip(metrics, one):
