@@ -159,32 +159,43 @@ def _stage_fit(cfg: PipelineConfig, sysm: SystemModel, input_box: BoxSet, out: P
                s: smp.SampleSet, b: bnd.BoundarySet, checksums: dict[str, str]
                ) -> tuple[dict[str, fit.FitResult], dict[str, str], int]:
     """Fit each configured mode; returns the results, the digest of each
-    candidates file written, and the exit code."""
+    candidates file written, and the exit code. Every mode's restarts that
+    need no earlier mode's result start first (see `fitter.start_fit`); the
+    ones still running when the stage ends early are stopped."""
     results: dict[str, fit.FitResult] = {}
     digests: dict[str, str] = {}
     warm: list[tuple] = []
-    for mode in cfg.fit["modes"]:
-        fcfg = cfg.fit_config(mode, b.epsilon)
-        # looked up per call so that wrappers installed on the module are honoured
-        res = getattr(fit, f"fit_{mode}")(s, b, sysm, input_box, fcfg, warm=warm)
-        results[mode] = res
-        digests[mode] = fit.save_fit(res, out / f"candidates_{mode}.json", cfg=fcfg,
-                                     source_checksums=checksums)
-        c = res.counts
-        search = (f"workers={c.workers} evaluations={c.evaluations} "
-                  f"score_calls={c.score_calls} "
-                  f"offers_accepted={c.accepted} offers_rejected={c.rejected} "
-                  f"probe_calls={c.probe_calls} "
-                  f"root_steps_mean={c.root_steps_mean:.2f} root_steps_max={c.root_steps_max}")
-        if not res.feasible:
-            print(f"fit[{mode}]: INFEASIBLE: {res.diagnostics}; {search}")
-            return results, digests, EXIT_INFEASIBLE
-        ver = res.verification
-        print(f"fit[{mode}]: objective={res.objective_value:.4f} "
-              f"candidates={len(res.candidates)} containment={ver.containment_fraction:.4f} "
-              f"boundary_ok={ver.boundary_cbf_feasible_fraction:.4f} "
-              f"exists_input_ok={ver.prop2_feasible_fraction:.4f} {search}")
-        warm.append(tuple(res.candidates))
+    fcfgs = {mode: cfg.fit_config(mode, b.epsilon) for mode in cfg.fit["modes"]}
+    started = {mode: fit.start_fit(mode, s, b, sysm, input_box, fcfg)
+               for mode, fcfg in fcfgs.items()}
+    try:
+        for mode, fcfg in fcfgs.items():
+            # looked up per call so that wrappers installed on the module are honoured
+            res = getattr(fit, f"fit_{mode}")(s, b, sysm, input_box, fcfg, warm=warm,
+                                              started=started[mode])
+            results[mode] = res
+            digests[mode] = fit.save_fit(res, out / f"candidates_{mode}.json", cfg=fcfg,
+                                         source_checksums=checksums)
+            c = res.counts
+            search = (f"workers={c.workers} evaluations={c.evaluations} "
+                      f"score_calls={c.score_calls} "
+                      f"offers_accepted={c.accepted} offers_rejected={c.rejected} "
+                      f"probe_calls={c.probe_calls} "
+                      f"root_steps_mean={c.root_steps_mean:.2f} "
+                      f"root_steps_max={c.root_steps_max}")
+            if not res.feasible:
+                print(f"fit[{mode}]: INFEASIBLE: {res.diagnostics}; {search}")
+                return results, digests, EXIT_INFEASIBLE
+            ver = res.verification
+            print(f"fit[{mode}]: objective={res.objective_value:.4f} "
+                  f"candidates={len(res.candidates)} "
+                  f"containment={ver.containment_fraction:.4f} "
+                  f"boundary_ok={ver.boundary_cbf_feasible_fraction:.4f} "
+                  f"exists_input_ok={ver.prop2_feasible_fraction:.4f} {search}")
+            warm.append(tuple(res.candidates))
+    finally:
+        for handle in started.values():
+            handle.close()
     return results, digests, EXIT_OK
 
 

@@ -42,9 +42,12 @@ check made at once, so no result or count depends on the waiting.
 The restarts are independent tasks. The driver makes every random draw up
 front, in the order a search running one restart after another would make
 them, runs the restarts on forked worker processes (one per usable core, at
-most one per restart), and replays their offers in restart order. With one
-worker, or where fork is unavailable, the same restart function runs in this
-process. Results and search counts do not depend on the worker count.
+most one per restart), and replays their offers in restart order. A mode's
+structured seeds need no earlier mode's result, so `start_fit` starts them
+before the earlier modes fit; the mode's fit starts the rest and collects
+all. With one worker, or where fork is unavailable, the same restart
+function runs in this process when the mode's fit runs. Results and search
+counts depend neither on the worker count nor on when a restart starts.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 from functools import partial, reduce
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -85,6 +88,9 @@ DEFER_ROWS = 32
 # candidates whose search rows a context keeps (see _SearchContext.rows): a
 # block pass's held candidates stay, and at 88,574 rows each costs about 0.9 MB
 ROW_CACHE = 4
+# sample rows of h that `metrics` has formed at once, unless one tuple needs
+# more: a block of up to 19 pairs at 6,561 rows, one pair at a time at 88,574
+BLOCK_ROWS = 2 ** 18
 # probes per tuple of the search's exists-input checks, deferred or not
 SEARCH_PROBES = 48
 
@@ -159,6 +165,7 @@ class _SearchContext:
         self.sub = slice(None, None, stride)
         self.states_sub = np.asfortranarray(self.states[self.sub])
         self.feas_sub = self.feas[self.sub]
+        self.bad, self.bad_sub = ~self.feas, ~self.feas_sub   # unit stride, like the rows
 
         self.bpoints = b.points if b is not None and len(b) else np.zeros((0, self.n))
         self.bgrad = self.hcf.gradient(self.bpoints)
@@ -186,39 +193,44 @@ class _SearchContext:
 
     # -- candidate evaluation, a block of B tuples at a time --------------------
 
-    def rows(self, block: Block, full: bool = False) -> Iterator[list[_Rows]]:
-        """Each tuple's candidates' rows in turn (see `_Rows`), over every
+    def rows(self, block: Block, full: bool = False,
+             keys: list[bytes] | None = None) -> list[_Rows]:
+        """Every candidate's rows (see `_Rows`), in order b s + j, over every
         sample when `full`, else over the search subsample. There the last
         ROW_CACHE candidates, keyed by the bytes of their scale, shift and
         offset, are kept, so a candidate's rows are formed once while it
-        stays; beyond those, one tuple's rows are held at a time, so no
-        (B, s, N) array is built."""
-        count = block[2].shape[1]
-        params = list(zip(*(p.reshape(-1, *p.shape[2:]) for p in block)))
-        keys = self._keys(block)
-        for i in range(0, len(keys), count):
-            rows = []
-            for key, p in zip(keys[i:i + count], params[i:i + count]):
-                row = (None if full else self._cache.pop(key, None)) or _Rows(key)
-                if row.h is None:
-                    row.h = barrier(self.hcf, self.states if full else self.states_sub, p)
-                    row.inside = row.h >= 0.0
-                if not full:
-                    self._cache[key] = row
-                rows.append(row)
-            for key in list(self._cache)[:-ROW_CACHE]:
-                del self._cache[key]
-            yield rows
+        stays. The block's rows are all held until it is scored, so a
+        candidate held across its tuples is formed once for it. `keys`, if
+        given, are the block's `_keys`."""
+        params = [p.reshape(-1, *p.shape[2:]) for p in block]
+        states = self.states if full else self.states_sub
+        records = []
+        for i, key in enumerate(self._keys(block) if keys is None else keys):
+            row = None if full else self._cache.pop(key, None)
+            if row is None:
+                row = _Rows(key)
+                row.h = barrier(self.hcf, states, [p[i] for p in params])
+                row.inside = row.h >= 0.0
+            if not full:
+                self._cache[key] = row
+            records.append(row)
+        for key in list(self._cache)[:-ROW_CACHE]:
+            del self._cache[key]
+        return records
 
     def _keys(self, block: Block) -> list[bytes]:
-        """Each candidate's key, in order b s + j: its scale, shift and offset's bytes."""
+        """Each candidate's key, in order b s + j: its scale, shift and
+        offset's bytes, sliced from those of the whole block."""
         flat = np.concatenate([block[0], block[1], block[2][..., None]], axis=-1)
-        return [p.tobytes() for p in flat.reshape(-1, 2 * self.n + 1)]
+        raw, width = flat.tobytes(), flat.shape[-1] * flat.itemsize
+        return [raw[i:i + width] for i in range(0, len(raw), width)]
 
     def metrics(self, block: Block, full: bool = False, cut: float = np.inf,
                 chords: list | None = None, want: int = SEARCH_PROBES) -> tuple[Array, ...]:
         """Per tuple: (objective, non-feasible fraction of enclosed, enclosed
-        count), from its candidates' `rows` AND-ed and counted.
+        count), from its candidates' `rows` AND-ed and counted. The block
+        goes to `rows` in parts of at most BLOCK_ROWS sample rows (one tuple
+        at least), so a large block at many samples is not held at once.
 
         With a positive margin the containment test inflates each set by the
         buffer, so the delivered zero-superlevel set sits strictly inside the
@@ -236,20 +248,27 @@ class _SearchContext:
         count = block[2].shape[1]
         if not count:
             raise ValueError("a tuple needs at least one candidate")
-        bad = ~(self.feas if full else self.feas_sub)
-        n_inside = np.zeros(len(block[2]), dtype=int)
-        area, viol = np.zeros(n_inside.shape), np.zeros(n_inside.shape)
-        for b, rows in enumerate(self.rows(block, full)):
-            n_inside[b] = np.count_nonzero(_all(r.inside for r in rows))
-            area[b] = n_inside[b] / bad.size * self.vol
-            if -area[b] >= cut:
-                continue
-            guard = self._guard(block, b, rows)
-            n_guard = int(np.count_nonzero(guard))
-            viol[b] = float(np.count_nonzero(guard & bad)) / n_guard if n_guard else 0.0
-            if chords is not None:
-                chords += self._pick(rows, want, full)
-        return area, viol, n_inside
+        bad = self.bad if full else self.bad_sub
+        step = max(1, BLOCK_ROWS // (count * bad.size))
+        keys = self._keys(block)
+        n_inside, area, viol = [], [], []
+        for lo in range(0, len(block[2]), step):
+            part = tuple(p[lo:lo + step] for p in block)
+            records = self.rows(part, full, keys[lo * count:(lo + step) * count])
+            for b in range(lo, lo + len(part[2])):
+                rows = records[(b - lo) * count:(b - lo + 1) * count]
+                n = int(np.count_nonzero(_all([r.inside for r in rows])))
+                n_inside.append(n)
+                area.append(n / bad.size * self.vol)
+                viol.append(0.0)
+                if -area[-1] >= cut:
+                    continue
+                guard = self._guard(block, keys, b, rows)
+                n_guard = int(np.count_nonzero(guard))
+                viol[-1] = int(np.count_nonzero(guard & bad)) / n_guard if n_guard else 0.0
+                if chords is not None:
+                    chords += self._pick(rows, want, full)
+        return np.array(area), np.array(viol), np.array(n_inside, dtype=int)
 
     def _pick(self, rows: list[_Rows], want: int, full: bool = False) -> list:
         """Each candidate's first `want` chords, (pool indices, h_j at a, h_j
@@ -262,27 +281,25 @@ class _SearchContext:
         for r, h in zip(rows, hs):
             if r.ends is None:
                 r.ends = h[a] >= 0.0, h[b] < 0.0
-        enclosed = _all(r.ends[0] for r in rows)
-        ks = [np.flatnonzero(enclosed & r.ends[1])[:want] for r in rows]
+        enclosed = _all([r.ends[0] for r in rows])
+        ks = [(enclosed & r.ends[1]).nonzero()[0][:want] for r in rows]
         return [(k, h[a[k]], h[b[k]]) for k, h in zip(ks, hs)]
 
-    def _guard(self, block: Block, b: int, rows: list[_Rows]) -> Array:
+    def _guard(self, block: Block, keys: list[bytes], b: int, rows: list[_Rows]) -> Array:
         """Tuple b's guard row: the AND of its candidates' h + buffer >= 0,
         each formed once. A buffer comes from `capped`, or else from one
         stacked `h_unit` call over the candidates of this tuple still without
-        a guard and of every later tuple."""
+        a guard and of every later tuple, keyed by the block's `keys`."""
         margin, count = self.cfg.margin, len(rows)
+        if margin and any(r.guard is None and r.key not in self._buffers for r in rows):
+            todo = [b * count + j for j, r in enumerate(rows) if r.guard is None]
+            todo += range((b + 1) * count, len(keys))
+            units = self.h_unit(*(p.reshape(-1, self.n)[todo] for p in block[:2]))
+            self._buffers = dict(zip([keys[i] for i in todo], margin * units))
         for r in rows:
-            if r.guard is not None:
-                continue
-            if margin and r.key not in self._buffers:
-                todo = [b * count + j for j, q in enumerate(rows) if q.guard is None]
-                todo += range((b + 1) * count, block[2].size)
-                keys = self._keys(block)
-                self._buffers = dict(zip([keys[i] for i in todo], margin * self.h_unit(
-                    *(p.reshape(-1, self.n)[todo] for p in block[:2]))))
-            r.guard = r.h + self._buffers[r.key] >= 0.0 if margin else r.inside
-        return _all(r.guard for r in rows)
+            if r.guard is None:
+                r.guard = r.h + self._buffers[r.key] >= 0.0 if margin else r.inside
+        return _all([r.guard for r in rows])
 
     # -- constraints ----------------------------------------------------------
 
@@ -299,7 +316,9 @@ class _SearchContext:
         grad = self.hcf.gradient(self.grad_probe * scale + shift) * (scale * self.span_w)
         # the norm sums over the state axis; a row-major operand fixes its order
         grad = np.ascontiguousarray(grad)
-        return np.maximum(np.mean(np.linalg.norm(grad, axis=-1), axis=-1), 1e-12)
+        # the ufuncs np.linalg.norm and np.mean run, without their wrappers
+        norm = np.sqrt(np.add.reduce(grad * grad, axis=-1))
+        return np.maximum(np.add.reduce(norm, axis=-1) / norm.shape[-1], 1e-12)
 
     def capped(self, scale: Array, shift: Array) -> Block:
         """The block of one-candidate tuples with (B, n) `scale` and `shift`
@@ -779,9 +798,63 @@ def _attempt(ctx: _SearchContext, mode: _Mode, steps: Array,
     return offers, evaluations, calls, list(ctx.root_steps)
 
 
+def _jitter(ctx: _SearchContext, mode: _Mode, steps: Array, rng) -> list[list[Array]]:
+    """One seed's block-pass jitter: two passes' worth of standard normal
+    draws for every tuple but the first (see `_block_passes`), or none."""
+    if not mode.block_passes:
+        return []
+    block = steps.size // ctx.cfg.num_cbfs
+    return [[rng.standard_normal(block) for _ in range(ctx.cfg.num_cbfs - 1)]
+            for _ in range(2)]
+
+
+@dataclass
+class FitStart:
+    """A mode's search set up ahead of its turn by `start_fit`: its context,
+    steps and random stream, and its first `begun` restarts, started."""
+
+    ctx: _SearchContext
+    steps: Array
+    rng: np.random.Generator
+    begun: int
+    results: parallel.Started
+
+    def close(self) -> None:
+        """Drop the started restarts, killing and reaping their processes."""
+        self.results.close()
+
+
+def _setup(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
+           input_box: BoxSet, cfg: FitConfig) -> tuple[_SearchContext, Array, np.random.Generator]:
+    """Mode `name`'s search context, Nelder-Mead steps and restart stream."""
+    mode = _MODES[name]
+    ctx = _SearchContext(s, b, sys, input_box, replace(cfg, mode=name))
+    return ctx, mode.steps(ctx), np.random.Generator(
+        np.random.Philox(key=ctx.cfg.seed + mode.key_offset))
+
+
+def start_fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
+              input_box: BoxSet, cfg: FitConfig) -> FitStart:
+    """Set up mode `name`'s search and start the restarts of its structured
+    seeds, the ones `seeds(ctx, ())` gives, which need no earlier mode's
+    result: on forked processes, one per usable core and at most one per
+    restart, running while earlier modes fit; with one usable core, in this
+    process when `fit_<name>` collects them. Their
+    jitter is the first draw of the mode's stream, as in a search that runs
+    its restarts in order. Pass the result to `fit_<name>` as `started`; the
+    caller closes it if that fit never runs."""
+    mode = _MODES[name]
+    ctx, steps, rng = _setup(name, s, b, sys, input_box, cfg)
+    starts = [(seed, _jitter(ctx, mode, steps, rng), None) for seed in mode.seeds(ctx, ())]
+    task = partial(_run, ctx, mode, steps)
+    # + 1: they run beside this process, so even one restart forks on two cores
+    return FitStart(ctx, steps, rng, len(starts),
+                    parallel.start(task, starts, parallel.workers(len(starts) + 1)))
+
+
 def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
-         input_box: BoxSet, cfg: FitConfig,
-         warm: Sequence[Sequence[CbfCandidate]]) -> FitResult:
+         input_box: BoxSet, cfg: FitConfig, warm: Sequence[Sequence[CbfCandidate]],
+         started: FitStart | None = None) -> FitResult:
     """Search driver shared by the three modes.
 
     One restart per structured or warm seed, then random restarts up to
@@ -789,34 +862,38 @@ def _fit(name: str, s: SampleSet, b: BoundarySet | None, sys: SystemModel,
     random stream and the choice of the best offer, so the driver makes
     every draw up front, in the order one restart after another would make
     them: the block-pass jitter of each seed, then each random restart's
-    `population` draws. The restarts then run as independent tasks through
-    `parallel.fork_map`, on `parallel.workers(runs)` forked processes, or
-    in this process where that is one. Their offers are replayed in
-    restart order: the accepted candidate with the largest objective is
-    kept, the first on ties, so neither the result nor the counts depend on
-    the worker count. The search needs numpy alone, so the workers import
-    nothing after the fork.
+    `population` draws. Restarts `started` by `start_fit` drew theirs first
+    and run already. The others then run as independent tasks, on
+    `parallel.workers(runs)` forked processes, or in this process where
+    that is one. Their offers are replayed in restart order: the accepted
+    candidate with the largest objective is kept, the first on ties, so
+    neither the result nor the counts depend on the worker count or on which
+    restarts started early. The search needs numpy alone, so the workers
+    import nothing after the fork.
     """
     mode = _MODES[name]
-    ctx = _SearchContext(s, b, sys, input_box, replace(cfg, mode=name))
+    if started is None:
+        (ctx, steps, rng), begun = _setup(name, s, b, sys, input_box, cfg), 0
+    elif started.ctx.s is not s or started.ctx.cfg != replace(cfg, mode=name):
+        raise ValueError(f"the started {name} search was set up for other inputs")
+    else:
+        ctx, steps, rng, begun = started.ctx, started.steps, started.rng, started.begun
     cfg = ctx.cfg
-    steps = mode.steps(ctx)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed + mode.key_offset))
     seeds = mode.seeds(ctx, warm)
     runs = max(cfg.restarts, len(seeds))
-
-    def jitter() -> list[list[Array]]:
-        if not mode.block_passes:
-            return []
-        block = steps.size // cfg.num_cbfs
-        return [[rng.standard_normal(block) for _ in range(cfg.num_cbfs - 1)]
-                for _ in range(2)]
-
-    starts = [(seed, jitter(), None) for seed in seeds]
+    starts = [(seed, _jitter(ctx, mode, steps, rng), None) for seed in seeds[begun:]]
     starts += [(None, [], [mode.random_theta(ctx, rng) for _ in range(cfg.population)])
                for _ in range(runs - len(seeds))]
     workers = parallel.workers(runs)
-    results = parallel.fork_map(partial(_run, ctx, mode, steps), starts, workers)
+    task = partial(_run, ctx, mode, steps)
+    if started is None:
+        results = parallel.fork_map(task, starts, workers)
+    else:   # the rest start before the started ones are waited for
+        rest = parallel.start(task, starts, workers)
+        try:
+            results = started.results() + rest()
+        finally:
+            rest.close()
 
     best: list[CbfCandidate] | None = None
     best_obj = -np.inf
@@ -874,28 +951,32 @@ def _finalize(ctx: _SearchContext, best: list[CbfCandidate] | None, reasons: Cou
 # Public fitting entry points
 #
 # Each takes `warm`, the candidate tuples of every earlier mode, as extra
-# seeds. The CLI looks these names up on the module when the stage runs.
+# seeds, and optionally the mode's `start_fit`, whose restarts it collects.
+# The CLI looks these names up on the module when the stage runs.
 
 def fit_uniform(s: SampleSet, b: BoundarySet, sys: SystemModel, input_box: BoxSet,
-                cfg: FitConfig, warm: Sequence[Sequence[CbfCandidate]] = ()) -> FitResult:
+                cfg: FitConfig, warm: Sequence[Sequence[CbfCandidate]] = (),
+                started: FitStart | None = None) -> FitResult:
     """Uniform scaling and offset: maximize the set size with d I, c, eps."""
-    return _fit("uniform", s, b, sys, input_box, cfg, warm)
+    return _fit("uniform", s, b, sys, input_box, cfg, warm, started)
 
 
 def fit_nonuniform(s: SampleSet, b: BoundarySet, sys: SystemModel, input_box: BoxSet,
-                   cfg: FitConfig, warm: Sequence[Sequence[CbfCandidate]] = ()) -> FitResult:
+                   cfg: FitConfig, warm: Sequence[Sequence[CbfCandidate]] = (),
+                   started: FitStart | None = None) -> FitResult:
     """Per-axis scaling d_i >= 0 with the exists-input boundary condition."""
-    return _fit("nonuniform", s, b, sys, input_box, cfg, warm)
+    return _fit("nonuniform", s, b, sys, input_box, cfg, warm, started)
 
 
 def fit_multi(s: SampleSet, b: BoundarySet, sys: SystemModel, input_box: BoxSet,
-              cfg: FitConfig, warm: Sequence[Sequence[CbfCandidate]] = ()) -> FitResult:
+              cfg: FitConfig, warm: Sequence[Sequence[CbfCandidate]] = (),
+              started: FitStart | None = None) -> FitResult:
     """Intersection of num_cbfs candidate sets, containment-constrained.
 
     Seeds get block passes (one tuple at a time) before joint refinement; the
     natural structured seed puts the raw constraint function in every slot.
     """
-    return _fit("multi", s, b, sys, input_box, cfg, warm)
+    return _fit("multi", s, b, sys, input_box, cfg, warm, started)
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +1039,7 @@ def verify_candidate(cands: Sequence[CbfCandidate], s: SampleSet, sys: SystemMod
         raise ValueError("need at least one candidate")
     ctx = _SearchContext(s, boundary, sys, input_box, FitConfig(seed=seed, probes=probes))
     block = _block(cands)
-    (rows,) = ctx.rows(block, full=True)
+    rows = ctx.rows(block, full=True)
     inside = _all(r.inside for r in rows)
     n_inside = int(np.sum(inside))
     containment = float(np.sum(inside & ctx.feas)) / n_inside if n_inside else 1.0

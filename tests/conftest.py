@@ -28,6 +28,15 @@ AREA_NONUNIFORM = 550.0  # best single per-axis-scaled set
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def no_children() -> bool:
+    """Whether this process has no child process left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def run_fresh(code: str, *args: str) -> str:
     """Run `code` in a new interpreter with `src` on the path and `args` as
     `sys.argv[1:]`, and return its stdout. A nonzero exit fails the calling

@@ -12,7 +12,7 @@ from cbfsynth.boundary import boundary_bytes, load_boundary
 from cbfsynth.cli import main
 from cbfsynth.config import _SCHEMA, ConfigError, load_config, parse_config
 
-from conftest import run_fresh
+from conftest import no_children, run_fresh
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "double_integrator.cfg"
 
@@ -1018,6 +1018,55 @@ def test_pipeline_infeasible_fit_exits_5_and_fits_again(tmp_path, capsys):
     assert captured.err == f"error: {cand} holds no feasible candidates\n"
     assert captured.out == ""
     assert not list(out.glob("traj_*"))
+
+
+@pytest.mark.parametrize("case, code", [("infeasible", 5), ("unwritable", 4)])
+def test_no_process_outlives_the_fit_stage(tmp_path, monkeypatch, capsys, case, code):
+    """On two workers every mode's structured restarts start with the fit
+    stage. When the stage ends early, with uniform infeasible (exit 5) or its
+    candidates file unwritable (exit 4), the restarts of the modes that never
+    ran are killed and reaped: no child process is left."""
+    from cbfsynth import parallel
+    monkeypatch.setattr(parallel, "workers", lambda tasks: 2)
+    out = tmp_path / "out"
+    cfg = tiny_config(tmp_path, out=str(out), modes="uniform, nonuniform, multi",
+                      margin="5.0" if case == "infeasible" else "auto")
+    if case == "unwritable":
+        (out / "candidates_uniform.json").mkdir(parents=True)
+    assert no_children()
+    assert main(["pipeline", "--config", str(cfg)]) == code
+    assert no_children()
+    if case == "infeasible":
+        assert capsys.readouterr().out.splitlines()[-1].startswith("fit[uniform]: INFEASIBLE: ")
+    else:
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+
+
+def test_early_starts_change_no_fit(tmp_path, monkeypatch, capsys):
+    """The fit stage with each mode's structured restarts started early on two
+    workers writes the candidates files, byte for byte, and the stdout lines,
+    but for `workers=`, that it writes on one worker, where every restart
+    runs in this process when its mode's fit runs. With more restarts than
+    seeds, random restarts follow the started ones in every mode."""
+    from cbfsynth import parallel
+    cfg = tiny_config(tmp_path, out=str(tmp_path / "out"), modes="uniform, nonuniform, multi")
+    cfg.write_text(cfg.read_text().replace("restarts = 1", "restarts = 4"))
+    for stage in ("sample", "boundary"):
+        assert main([stage, "--config", str(cfg)]) == 0
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "workers", lambda tasks, workers=workers: workers)
+        out = tmp_path / f"fit{workers}"
+        shutil.copytree(tmp_path / "out", out)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.replace(str(out), "OUT").splitlines()
+        assert len(lines) == 3 and all(f" workers={workers} " in line for line in lines)
+        runs.append(([line.replace(f" workers={workers} ", " ") for line in lines],
+                     {p.name: p.read_bytes() for p in sorted(out.glob("candidates_*.json"))}))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][1]) == [f"candidates_{m}.json" for m in ("multi", "nonuniform",
+                                                                    "uniform")]
 
 
 def test_full_stage_sequence_and_simulate(tmp_path):

@@ -236,6 +236,29 @@ def test_h_unit_stacked_matches_single(di, reference_run, reference_boundary):
     assert np.array_equal(cfg.margin * ctx.h_unit(*_block(cands)[:2])[0], np.array(single))
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_h_unit_matches_the_norm_and_mean_formula(k):
+    """`h_unit` gives, bit for bit, the mean over the 512 gradient probes of
+    the row norms that `np.linalg.norm` and `np.mean` compute, on one and on
+    k stacked candidates of a three-state constraint whose gradient varies,
+    so the order of each sum shows."""
+    from types import SimpleNamespace
+    rng = np.random.default_rng(11)
+    hcf = HardConstraint(
+        value=lambda x: np.sin(x[..., 0]) - x[..., 1] ** 2 + np.exp(0.1 * x[..., 2]),
+        gradient=lambda x: np.stack([np.cos(x[..., 0]), -2.0 * x[..., 1],
+                                     0.1 * np.exp(0.1 * x[..., 2])], axis=-1))
+    ctx = SimpleNamespace(hcf=hcf, grad_probe=np.asfortranarray(rng.normal(size=(512, 3))),
+                          span_w=np.array([10.0, 80.0, 0.3]))
+    scale, shift = rng.uniform(0.2, 5.0, (k, 3)), rng.uniform(-3.0, 3.0, (k, 3))
+    grad = hcf.gradient(ctx.grad_probe * scale[:, None] + shift[:, None]) \
+        * (scale[:, None] * ctx.span_w)
+    want = np.maximum(np.mean(np.linalg.norm(np.ascontiguousarray(grad), axis=-1), axis=-1),
+                      1e-12)
+    assert _SearchContext.h_unit(ctx, scale, shift).tobytes() == want.tobytes()
+    assert _SearchContext.h_unit(ctx, scale[0], shift[0]).tobytes() == want[0].tobytes()
+
+
 def _picked(ctx, block, want):
     """Every tuple's chords, as `metrics` picks them from the search rows."""
     picked = []
@@ -896,6 +919,24 @@ def test_boundary_probes_batch_mixes_one_step_and_stalling_chords():
         mine = owner // 2 == b
         assert probes[mine].tobytes() == p1.tobytes()
         assert np.array_equal(owner[mine] - 2 * b, o1)
+
+
+def test_started_search_refuses_other_inputs(di, small_run, monkeypatch):
+    """A fit handed a search that `start_fit` set up for other settings or
+    another sample set refuses it, rather than fitting the started one's."""
+    from cbfsynth import fitter, parallel
+    monkeypatch.setattr(parallel, "workers", lambda tasks: 1)
+    sysm, input_box = di
+    s, b = small_run
+    cfg = FitConfig(mode="multi", num_cbfs=2, restarts=1, iterations=20, population=4)
+    started = fitter.start_fit("multi", s, b, sysm, input_box, cfg)
+    try:
+        with pytest.raises(ValueError, match="set up for other inputs"):
+            fit_multi(s, b, sysm, input_box, replace(cfg, seed=1), started=started)
+        with pytest.raises(ValueError, match="set up for other inputs"):
+            fit_multi(replace(s), b, sysm, input_box, cfg, started=started)
+    finally:
+        started.close()
 
 
 def test_search_offers_per_restart(di, small_run):

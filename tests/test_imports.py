@@ -49,6 +49,33 @@ def test_parallel_imported_by_fitter_only(path):
         f"{path.name} imports parallel at line(s) {found}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_fork_path(path):
+    """No package module but `parallel` calls `fork`, bare or as `os.fork`,
+    and none imports `multiprocessing`, so every child is forked, collected
+    and reaped in one place."""
+    forks = [line for line, _ in _attribute_calls(path, "fork", bare=True)]
+    assert bool(forks) == (path.name == "parallel.py"), f"{path.name} forks at line(s) {forks}"
+    found = [line for line, name in _imported(path) if name.split(".")[0] == "multiprocessing"]
+    assert not found, f"{path.name} imports multiprocessing at line(s) {found}"
+
+
+def test_fork_scan_sees_both_forms(tmp_path):
+    """The scans find `os.fork()`, a bare `fork()` and a `multiprocessing`
+    import in either form inside a function, and skip a fork not called, so
+    they are not blind."""
+    path = tmp_path / "probe.py"
+    path.write_text("import os\n"
+                    "pid = os.fork()\n"
+                    "def start():\n"
+                    "    from multiprocessing import pool\n"
+                    "    import multiprocessing.connection\n"
+                    "    return fork(), os.fork\n")
+    assert [line for line, _ in _attribute_calls(path, "fork", bare=True)] == [2, 6]
+    assert sorted({line for line, name in _imported(path)
+                   if name.split(".")[0] == "multiprocessing"}) == [4, 5]
+
+
 # the `fitter` functions that may call a mode's exists-input check: the score
 # kernel (behind the cut and the deferral), the deferred flush and the
 # full-set acceptance test
